@@ -18,7 +18,7 @@ import numpy as np
 from .counting import factorint, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, DeltaOutOfRange, Inconclusive
 from .expsums import unit_sum_prime_power
-from .forms import IntPolynomial
+from .forms import IntPolynomial, grid_values
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -297,23 +297,10 @@ def local_witness(
     # level 1 candidates
     level = []
     if p ** n <= 200_000:
-        import numpy as _np
-
-        idx = _np.arange(p ** n, dtype=_np.int64)
-        coords = [(idx // p ** i) % p for i in range(n)]
-        vals = _np.zeros(p ** n, dtype=_np.int64)
-        for e, c in F.coeffs.items():
-            term = _np.full(p ** n, c % p, dtype=_np.int64)
-            for i, k in enumerate(e):
-                if k:
-                    lut = _np.array([pow(t, k, p) for t in range(p)], dtype=_np.int64)
-                    term = term * lut[coords[i]] % p
-            vals = (vals + term) % p
-        sols = _np.nonzero(vals == 0)[0]
-        for s in sols[: 10 * cap]:
-            x = tuple(int((s // p ** i) % p) for i in range(n))
-            if any(x):
-                level.append(x)
+        # transposed so candidates come in the order x1 fastest
+        vals = grid_values(F, [np.arange(p)] * n, modulus=p).T
+        zeros = np.argwhere(vals == 0)[: 10 * cap, ::-1].tolist()
+        level = [tuple(x) for x in zeros if any(x)]
     else:
         seen = set()
         for _ in range(60 * p):

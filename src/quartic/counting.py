@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, MitmNotApplicable
-from .forms import IntPolynomial, sym_tensor
+from .forms import IntPolynomial, _int64_safe, grid_values, sym_tensor
 from .weights import WeightSpec, box, lattice_ranges
 
 DEFAULT_BUDGET = 40_000_000
@@ -34,19 +34,6 @@ class CountResult:
 def is_diagonal(F: IntPolynomial) -> bool:
     """True when every monomial involves at most one variable."""
     return all(sum(1 for k in e if k) <= 1 for e in F.coeffs)
-
-
-def _int64_safe(F: IntPolynomial, ranges) -> bool:
-    """Can every partial sum of axis values be held exactly in int64?"""
-    bound = 0
-    for e, c in F.coeffs.items():
-        scale = 1
-        for i, k in enumerate(e):
-            if k:
-                a, b = ranges[i]
-                scale *= max(abs(a), abs(b)) ** k
-        bound += abs(c) * scale
-    return bound < 2 ** 62
 
 
 def _axis_values(F: IntPolynomial, i: int, xs: np.ndarray) -> np.ndarray:
@@ -106,19 +93,10 @@ def weighted_count(
     if method == "brute":
         if cells > budget:
             raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
-        grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in ranges], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1) if cells else np.zeros((0, F.n), dtype=np.int64)
-        use_obj = not _int64_safe(F, ranges)
-        vals = np.zeros(len(pts), dtype=object if use_obj else np.int64)
-        for e, c in F.coeffs.items():
-            term = np.full(len(pts), c, dtype=object if use_obj else np.int64)
-            for i, k in enumerate(e):
-                if k:
-                    col = pts[:, i].astype(object) if use_obj else pts[:, i]
-                    term = term * col ** k
-            vals = vals + term
-        mask = vals == 0
-        weights = w.eval_many(pts[mask] / P) if mask.any() else np.zeros(0)
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in ranges]
+        zeros = np.nonzero(grid_values(F, axes) == 0)
+        pts = np.stack([ax[z] for ax, z in zip(axes, zeros)], axis=1)
+        weights = w.eval_many(pts / P) if len(pts) else np.zeros(0)
         total = float(weights.sum())
         if not w.smooth:
             total = int(round(total))
@@ -235,17 +213,8 @@ def _rho_prime_power(F: IntPolynomial, q: int, budget: int) -> int:
         return int(dist[0])
     if q ** n > budget:
         raise BudgetExceeded(f"{q}^{n} exceeds budget {budget}")
-    idx = np.arange(q ** n, dtype=np.int64)
-    coords = [(idx // q ** i) % q for i in range(n)]
-    vals = np.zeros(q ** n, dtype=np.int64)
-    for e, c in F.coeffs.items():
-        term = np.full(q ** n, c % q, dtype=np.int64)
-        for i, k in enumerate(e):
-            if k:
-                lut = np.array([pow(int(x), k, q) for x in range(q)], dtype=np.int64)
-                term = term * lut[coords[i]] % q
-        vals = (vals + term) % q
-    return int((vals == 0).sum())
+    vals = grid_values(F, [np.arange(q)] * n, modulus=q)
+    return int(np.count_nonzero(vals == 0))
 
 
 def solutions_mod_q(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .counting import factorint, solutions_mod_q
 from .errors import BudgetExceeded, DimensionMismatch, NotCoprime
-from .forms import CubicData, IntPolynomial, hessian
+from .forms import CubicData, IntPolynomial, grid_values, hessian
+from .geometry import _xgcd
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -41,30 +42,17 @@ def _phase_counts(poly: IntPolynomial, mult: int, q: int, v=None, budget: int = 
     total = q ** n
     if total > budget:
         raise BudgetExceeded(f"{q}^{n} = {total} cells exceeds budget {budget}")
+    g = poly * int(mult)
+    if v is not None:
+        g = g + IntPolynomial(n, {tuple(int(i == j) for j in range(n)): int(v[i]) for i in range(n)})
+    # slabs of the first axis bound the working set to about 2^22 cells;
+    # a constant form (n = 0) is one slab of a 0-d grid
+    axis = np.arange(q, dtype=np.int64)
+    step = max(1, (1 << 22) // q ** (n - 1)) if n else q
     counts = np.zeros(q, dtype=np.int64)
-    luts = {}
-    for (i, k) in {(i, k) for e in poly.coeffs for i, k in enumerate(e) if k}:
-        luts[(i, k)] = np.array([pow(x, k, q) for x in range(q)], dtype=np.int64)
-    chunk = max(1, min(total, 1 << 22))
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = [(idx // q ** i) % q for i in range(n)]
-        vals = np.zeros(stop - start, dtype=np.int64)
-        for e, c in poly.coeffs.items():
-            term = np.full(stop - start, (c * mult) % q, dtype=np.int64)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * luts[(i, k)][coords[i]] % q
-            vals = (vals + term) % q
-        if v is not None:
-            for i in range(n):
-                vi = int(v[i]) % q
-                if vi:
-                    vals = (vals + vi * coords[i]) % q
-        counts += np.bincount(vals, minlength=q)
-        start = stop
+    for start in range(0, q, step):
+        axes = [axis[start:start + step]] + [axis] * (n - 1)
+        counts += np.bincount(grid_values(g, axes[:n], modulus=q).ravel(), minlength=q)
     return counts
 
 
@@ -144,13 +132,6 @@ def _direct_or_recurse(poly, a, q, v, budget):
         raise BudgetExceeded(f"prime power {q} too large for direct path")
     counts = _phase_counts(poly, a, q, v=v, budget=budget)
     return _sum_from_counts(counts, q, poly.n)
-
-
-def _xgcd(a: int, b: int):
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, x, y = _xgcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 # -- exact aggregated sums -----------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is exact: coefficients are Python integers, evaluation at
 integer (or Fraction) points is exact, and the symmetric tensor of a quartic
 form is stored with the 4! denominator cleared so all downstream contractions
-stay in Z.
+stay in Z.  `grid_values` evaluates a polynomial on a whole Cartesian grid
+(mod m, over Z, or in floating point) for the array-based layers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -241,6 +244,8 @@ def _parse_factor(fac, exps):
     if not m:
         raise MalformedExponent(f"cannot parse factor {fac!r}")
     idx = int(m.group(1))
+    if idx == 0:
+        raise MalformedExponent(f"variables are numbered from x1, got {fac!r}")
     etext = m.group(2)
     if etext is None:
         e = 1
@@ -289,6 +294,83 @@ def parse_form(source: str, n: int | None = None) -> IntPolynomial:
         e = tuple(exps.get(i + 1, 0) for i in range(nvars))
         coeffs[e] = coeffs.get(e, 0) + coeff
     return IntPolynomial(nvars, coeffs)
+
+
+# -- grid evaluation -------------------------------------------------------------
+
+
+def _abs_bound(F: IntPolynomial, ranges):
+    """sum of |c| * prod max(|a_i|, |b_i|)^k_i over the monomials: |F| <= it on the box."""
+    bound = 0
+    for e, c in F.coeffs.items():
+        term = abs(c)
+        for (a, b), k in zip(ranges, e):
+            if k:
+                term *= max(abs(a), abs(b)) ** k
+        bound += term
+    return bound
+
+
+def _int64_safe(F: IntPolynomial, ranges) -> bool:
+    """Can every partial sum of axis values be held exactly in int64?"""
+    return _abs_bound(F, ranges) < 2 ** 62
+
+
+def grid_values(F: IntPolynomial, axes, modulus: int | None = None) -> np.ndarray:
+    """F on the grid axes[0] x ... x axes[n-1], as an array of shape (len(axes[0]), ...).
+
+    The ring follows the inputs: with `modulus` the result holds int64
+    residues mod modulus; integer axes give exact values, int64 when
+    `_int64_safe` proves they fit and Python ints in an object array
+    otherwise; float axes give float64.  Each monomial is a product of
+    per-axis power tables broadcast over its own variables only, and the
+    monomials are added in `F.coeffs` order, so every value equals the
+    point-by-point sum c * x_i^k * x_j^l * ... exactly, float rounding
+    included.
+    """
+    n = F.n
+    if len(axes) != n:
+        raise DimensionMismatch(f"{len(axes)} axes for {n} variables")
+    axes = [np.asarray(ax) for ax in axes]
+    if modulus is not None:
+        if not 0 < modulus < 1 << 31:
+            raise ValueError(f"modulus {modulus} outside [1, 2^31): residue products must fit int64")
+        dtype = np.int64
+        axes = [ax.astype(np.int64) % modulus for ax in axes]
+    elif all(ax.dtype.kind in "iu" for ax in axes):
+        ranges = [(int(ax.min()), int(ax.max())) if ax.size else (0, 0) for ax in axes]
+        dtype = np.int64 if _int64_safe(F, ranges) else object
+        axes = [ax.astype(dtype) for ax in axes]
+    else:
+        dtype = np.float64
+        axes = [ax.astype(np.float64) for ax in axes]
+    tables = {}
+
+    def power(i, k):
+        # x_i^k on axis i, shaped to broadcast along that axis only
+        if (i, k) not in tables:
+            if modulus is None:
+                table = axes[i] ** k
+            elif k == 1:
+                table = axes[i]
+            else:
+                table = power(i, k - 1).ravel() * axes[i] % modulus
+            tables[(i, k)] = table.reshape([-1 if j == i else 1 for j in range(n)])
+        return tables[(i, k)]
+
+    total = np.zeros([len(ax) for ax in axes], dtype=dtype)
+    for e, c in F.coeffs.items():
+        term = float(c) if dtype is np.float64 else (c if modulus is None else c % modulus)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+                if modulus is not None:
+                    term %= modulus
+        total += term
+    if modulus is not None:
+        # each term is a residue, so the sum of len(F.coeffs) of them fits int64
+        total %= modulus
+    return total
 
 
 # -- symmetric tensor ------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expsums import complete_sum, twisted_sum
-from .forms import CubicData, IntPolynomial
+from .forms import CubicData, IntPolynomial, _abs_bound, grid_values
 from .weights import (  # noqa: F401  (re-exported public surface)
     WeightSpec,
     bump,
@@ -54,19 +54,19 @@ DEFAULT_CFG = QuadratureConfig()
 # -- lattice sums -----------------------------------------------------------------
 
 
-def _support_grid(w: WeightSpec, P: float, budget: int):
+def _support_axes(w: WeightSpec, P: float, budget: int):
     ranges = lattice_ranges(w, P)
     cells = 1
     for a, b in ranges:
         cells *= max(b - a + 1, 0)
     if cells > budget:
         raise BudgetExceeded(f"{cells} lattice points exceed budget {budget}")
-    if cells == 0:
-        return np.zeros((0, w.n), dtype=np.int64)
-    grids = np.meshgrid(
-        *[np.arange(a, b + 1, dtype=np.int64) for a, b in ranges], indexing="ij"
-    )
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return [np.arange(a, b + 1, dtype=np.int64) for a, b in ranges]
+
+
+def _grid_points(axes) -> np.ndarray:
+    """Rows of the grid axes[0] x ... x axes[n-1] in the order of `grid_values(...).ravel()`."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def gen_sum(
@@ -94,22 +94,16 @@ def gen_sum(
             a, q, z = 0, 1, float(alpha)
     elif a is None or q is None:
         raise ValueError("supply alpha or (a, q, z)")
-    pts = _support_grid(w, P, budget)
+    axes = _support_axes(w, P, budget)
+    pts = _grid_points(axes)
     if not len(pts):
         return 0.0 + 0.0j
     wv = w.eval_many(pts / P)
     keep = wv > 0
-    pts, wv = pts[keep], wv[keep]
-    vals = np.zeros(len(pts), dtype=object)
-    for e, c in poly.coeffs.items():
-        term = np.full(len(pts), c, dtype=object)
-        for i, k in enumerate(e):
-            if k:
-                term = term * pts[:, i].astype(object) ** k
-        vals = vals + term
-    phases = np.zeros(len(pts), dtype=complex)
-    resid = np.array([int(val) % q for val in vals], dtype=np.int64) if q > 1 else None
-    zpart = np.array([float(val) for val in vals]) * z
+    wv = wv[keep]
+    vals = grid_values(poly, axes).ravel()[keep]
+    resid = (vals % q).astype(np.int64) if q > 1 else None
+    zpart = vals.astype(float) * z
     phase_angles = (a * resid / q if resid is not None else 0.0) + zpart
     phases = np.exp(2j * np.pi * (phase_angles % 1.0))
     return complex((wv * phases).sum())
@@ -232,15 +226,8 @@ def osc_integral(
         if cells > cfg.max_cells:
             raise ToleranceNotMet("tensor grid exceeded the cell budget before converging")
         grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, axes_pts)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        fv = np.zeros(len(pts))
-        for e, c in f.coeffs.items():
-            term = np.full(len(pts), float(c))
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pts[:, i] ** k
-            fv += term
+        pts = _grid_points(grids)
+        fv = grid_values(f, grids).ravel()
         integrand = (
             w.eval_many(pts / P)
             * np.exp(2j * np.pi * (z * fv - pts @ np.asarray(beta, dtype=float)))
@@ -343,28 +330,14 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
     if n > 3:
         raise BudgetExceeded("sine-kernel form supports n <= 3")
     box_phys = w.support_box()
-    fmax = 0.0
-    for e, c in F.coeffs.items():
-        term = abs(c)
-        for i, k in enumerate(e):
-            if k:
-                term *= max(abs(box_phys[i][0]), abs(box_phys[i][1])) ** k
-        fmax += term
-    cycles = R * fmax
+    cycles = R * _abs_bound(F, box_phys)
     N = max(cfg.base_points, 4 * math.ceil(cycles + 1))
     N += N % 2
     prev = None
     for _ in range(cfg.max_refinements):
         grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        fv = np.zeros(len(pts))
-        for e, c in F.coeffs.items():
-            term = np.full(len(pts), float(c))
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pts[:, i] ** k
-            fv += term
+        pts = _grid_points(grids)
+        fv = grid_values(F, grids).ravel()
         kernel = 2.0 * R * np.sinc(2.0 * R * fv)  # sin(2 pi R F)/(pi F)
         cur = (w.eval_many(pts) * kernel).reshape([N + 1] * n)
         for ax in range(n - 1, -1, -1):
@@ -446,15 +419,8 @@ def poisson_check(
     if cells > max_cells:
         raise BudgetExceeded(f"FFT grid of {cells} cells exceeds {max_cells}")
     grids = [lo + h * np.arange(N) for (lo, h, N, L) in axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([gme.ravel() for gme in mesh], axis=1)
-    fv = np.zeros(len(pts))
-    for e, c in poly.coeffs.items():
-        term = np.full(len(pts), float(c))
-        for i, k in enumerate(e):
-            if k:
-                term = term * pts[:, i] ** k
-        fv += term
+    pts = _grid_points(grids)
+    fv = grid_values(poly, grids).ravel()
     u = (w.eval_many(pts / P) * np.exp(2j * np.pi * z * fv)).reshape([N for (_, _, N, _) in axes])
     U = np.fft.fftn(u, s=[L for (_, _, _, L) in axes], axes=list(range(n)))
     # T table over residues

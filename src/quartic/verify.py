@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
-from .forms import CubicData, IntPolynomial, difference_cubic, hessian, sym_tensor
+from .forms import CubicData, IntPolynomial, difference_cubic, grid_values, hessian, sym_tensor
 from .geometry import sing_dim
-from .oscillatory import gen_sum
+from .oscillatory import _grid_points, gen_sum
 from .weights import WeightSpec, shifted_product, unit_box
 
 TWO_PI = 2.0 * math.pi
@@ -85,37 +85,26 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
     else:
         a, q, z = 0, 1, float(alpha)
 
-    def f_at(pts):
-        vals = np.zeros(len(pts), dtype=object)
-        for e, c in F.coeffs.items():
-            term = np.full(len(pts), c, dtype=object)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pts[:, i].astype(object) ** k
-            vals = vals + term
-        ang = (np.array([int(v) % q for v in vals]) * (a / q) if q > 1 else 0.0) + z * np.array(
-            [float(v) for v in vals]
-        )
-        return w.eval_many(pts / P) * np.exp(2j * np.pi * (ang % 1.0))
+    def f_at(axes):
+        vals = grid_values(F, axes).ravel()
+        ang = ((vals % q).astype(np.int64) * (a / q) if q > 1 else 0.0) + z * vals.astype(float)
+        return w.eval_many(_grid_points(axes) / P) * np.exp(2j * np.pi * (ang % 1.0))
 
     from .weights import lattice_ranges
 
     ranges = lattice_ranges(w, P)
-    # x-grid covering supp(w(./P)) shifted by -H..0
-    grids = np.meshgrid(
-        *[np.arange(a0 - H, b0 + 1, dtype=np.int64) for a0, b0 in ranges], indexing="ij"
-    )
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    if len(X) * (H ** n) > budget:
+    cells = 1
+    for a0, b0 in ranges:
+        cells *= max(b0 - a0 + 1 + H, 0)
+    if cells * H ** n > budget:
         raise BudgetExceeded("vdc grid exceeds budget")
-    S = complex(f_at(np.stack(np.meshgrid(
-        *[np.arange(a0, b0 + 1, dtype=np.int64) for a0, b0 in ranges], indexing="ij"
-    ), axis=-1).reshape(-1, n)).sum())
-    shifts = [np.array(hh, dtype=np.int64) for hh in product(range(1, H + 1), repeat=n)]
-    inner = np.zeros(len(X), dtype=complex)
+    S = complex(f_at([np.arange(a0, b0 + 1, dtype=np.int64) for a0, b0 in ranges]).sum())
+    # x-grid covering supp(w(./P)) shifted by -H..0
+    X = [np.arange(a0 - H, b0 + 1, dtype=np.int64) for a0, b0 in ranges]
+    inner = np.zeros(cells, dtype=complex)
     double_sum = 0.0 + 0j
-    for hh in shifts:
-        fx = f_at(X + hh)
+    for hh in product(range(1, H + 1), repeat=n):
+        fx = f_at([ax + h for ax, h in zip(X, hh)])
         inner += fx
         double_sum += fx.sum()
     resid_i = abs(H ** n * S - double_sum)

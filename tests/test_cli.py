@@ -40,6 +40,13 @@ class TestDispatch:
         rc = main(["count", "--P", "5"])  # no form given
         assert rc == 1
 
+    def test_variable_x0_is_an_error_line(self, capsys):
+        rc = main(["expsum", "--form-text", "x0^4", "--q", "5"])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MalformedExponent"
+
     def test_verify_deterministic(self, capsys):
         rc1, out1 = run_cli(["verify", "davenport", "--trials", "8", "--seed", "7"], capsys)
         rc2, out2 = run_cli(["verify", "davenport", "--trials", "8", "--seed", "7"], capsys)

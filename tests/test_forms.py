@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic.errors import (
     DimensionMismatch,
@@ -16,6 +19,7 @@ from quartic.forms import (
     dehomogenize,
     difference_cubic,
     evaluate_and_gradient,
+    grid_values,
     heights,
     hessian,
     hessian_form_rows,
@@ -63,6 +67,12 @@ class TestParse:
             parse_form("x1^-2")
         with pytest.raises(MalformedExponent):
             parse_form("x1^1.5")
+
+    def test_variable_x0_is_rejected(self):
+        # x0 used to be read as the constant 1 ("x0^4 + x1^4" -> 1 + x1^4)
+        for text in ("x0^4 + x1^4", "x0^4"):
+            with pytest.raises(MalformedExponent):
+                parse_form(text)
 
     def test_json_roundtrip(self):
         F = parse_form("3*x1^2*x2 - x3 + 7")
@@ -274,3 +284,96 @@ class TestHeights:
         F = homogenize(f)
         assert F == parse_form("x1^3 + x1*x2^2", n=2)
         assert dehomogenize(F) == f
+
+
+# -- grid evaluation ------------------------------------------------------------
+
+
+@st.composite
+def forms_on_grids(draw, coeffs, elements, dtype=np.int64):
+    """A polynomial in n <= 3 variables of degree <= 4 and one axis per variable."""
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
+    F = IntPolynomial(n, draw(st.dictionaries(exponents, coeffs, max_size=6)))
+    axes = [np.array(draw(st.lists(elements, max_size=5)), dtype=dtype) for _ in range(n)]
+    return F, axes
+
+
+SMALL_INT_GRIDS = forms_on_grids(st.integers(-9, 9), st.integers(-20, 20))
+
+
+def _pointwise(F, axes, vals, expected):
+    assert vals.shape == tuple(len(ax) for ax in axes)
+    for idx in np.ndindex(vals.shape):
+        x = [int(ax[j]) for ax, j in zip(axes, idx)]
+        assert vals[idx] == expected(F.evaluate(x))
+
+
+def _monomial_loop(F, axes):
+    """The point-by-point float evaluation that `grid_values` replaced."""
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    fv = np.zeros(len(pts))
+    for e, c in F.coeffs.items():
+        term = np.full(len(pts), float(c))
+        for i, k in enumerate(e):
+            if k:
+                term = term * pts[:, i] ** k
+        fv += term
+    return fv
+
+
+class TestGridValues:
+    @settings(deadline=None)
+    @given(SMALL_INT_GRIDS, st.integers(1, 60))
+    def test_mod_m(self, case, m):
+        F, axes = case
+        vals = grid_values(F, axes, modulus=m)
+        assert vals.dtype == np.int64
+        _pointwise(F, axes, vals, lambda v: v % m)
+
+    @settings(deadline=None)
+    @given(SMALL_INT_GRIDS)
+    def test_exact_int64(self, case):
+        F, axes = case
+        vals = grid_values(F, axes)
+        assert vals.dtype == np.int64
+        _pointwise(F, axes, vals, lambda v: v)
+
+    @settings(deadline=None)
+    @given(forms_on_grids(st.integers(2 ** 62 - 99, 2 ** 62), st.integers(-20, 20)))
+    def test_object_fallback_is_exact(self, case):
+        F, axes = case
+        F = F + IntPolynomial(F.n, {(0,) * F.n: 2 ** 62})  # past the int64 bound
+        vals = grid_values(F, axes)
+        assert vals.dtype == object
+        assert all(type(v) is int for v in vals.ravel())
+        _pointwise(F, axes, vals, lambda v: v)
+
+    @settings(deadline=None)
+    @given(forms_on_grids(st.integers(-9, 9), st.floats(-3, 3), dtype=float))
+    def test_float_matches_monomial_loop_bit_for_bit(self, case):
+        F, axes = case
+        vals = grid_values(F, axes)
+        assert vals.dtype == np.float64
+        assert np.array_equal(vals.ravel().view(np.int64), _monomial_loop(F, axes).view(np.int64))
+
+    def test_zero_length_axis(self):
+        F = parse_form("x1^4 + x1*x2*x3^2 - 3")
+        axes = [np.arange(3), np.arange(0), np.arange(2)]
+        assert grid_values(F, axes).shape == (3, 0, 2)
+        assert grid_values(F, axes, modulus=7).shape == (3, 0, 2)
+        assert grid_values(F, [ax.astype(float) for ax in axes]).shape == (3, 0, 2)
+
+    def test_axis_count_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            grid_values(parse_form("x1^4 + x2^4"), [np.arange(3)])
+
+    def test_phase_counts_across_slabs(self):
+        from quartic.expsums import _phase_counts, complete_sum
+
+        # 2100^2 = 4.41M cells: the direct histogram is built in two slabs
+        F = parse_form("x1^3*x2 + 2*x1*x2^2 + x2^4 + 3*x1")
+        assert _phase_counts(F, 11, 2100).sum() == 2100 ** 2
+        direct = complete_sum(F, 11, 2100, method="direct")
+        crt = complete_sum(F, 11, 2100, method="crt")
+        assert abs(direct.value - crt.value) <= direct.err + crt.err

@@ -17,8 +17,8 @@ import numpy as np
 
 from .counting import factorint, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, DeltaOutOfRange, Inconclusive
-from .expsums import unit_sum_prime_power
 from .forms import IntPolynomial, grid_values
+from .geometry import primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -188,9 +188,7 @@ def euler_view(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> 
     cache = cache or SeriesCache(F)
     n = F.n
     out = Fraction(1)
-    for p in range(2, int(math.floor(R)) + 1):
-        if any(p % r == 0 for r in range(2, p)):
-            continue
+    for p in primes_up_to(int(math.floor(R))):
         local = Fraction(1)
         k = 1
         while p ** k <= R:
@@ -212,15 +210,15 @@ class LocalFactor:
 def local_factor(F: IntPolynomial, p: int, K: int, budget: int = 40_000_000) -> LocalFactor:
     """Exact check of 1 + chi_p(K) = p^{-K(n-1)} rho(p^K) for every K' <= K."""
     n = F.n
+    cache = SeriesCache(F, budget)
     chi = []
     dens = []
     acc = Fraction(0)
     ok = True
     for k in range(1, K + 1):
-        acc += Fraction(unit_sum_prime_power(F, p, k, budget=budget), p ** (k * n))
+        acc += Fraction(cache.a_at(p ** k), p ** (k * n))
         chi.append(acc)
-        rho = solutions_mod_q(F, p ** k, budget=budget)
-        dk = Fraction(rho, p ** (k * (n - 1)))
+        dk = Fraction(cache.rho_at(p ** k), p ** (k * (n - 1)))
         dens.append(dk)
         ok &= (1 + acc) == dk
     return LocalFactor(p=p, K=K, partial_sums=chi, densities=dens, identity_ok=ok)
@@ -243,7 +241,7 @@ def main_term_pipeline(
     cfg = cfg or QuadratureConfig()
     n = F.n
     count = weighted_count(F, w, P, budget=budget)
-    S = singular_series(F, R_series, cache=cache)
+    S = singular_series(F, R_series, cache=cache or SeriesCache(F, budget))
     J = singular_integral(F, w, R_integral, cfg=cfg)
     main = float(S) * J * float(P) ** (n - 4)
     ratio = count.count / main if main else math.inf
@@ -413,8 +411,6 @@ def hasse_report(
     seed: int = 1,
 ) -> dict:
     """Local solubility table: R plus every prime p <= p_max."""
-    from .geometry import primes_up_to
-
     real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)
     locals_ = {}
     all_ok = real_ok

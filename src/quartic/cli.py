@@ -33,8 +33,6 @@ class RunConfig:
     budget: int = 40_000_000
     cache_dir: str | None = None
     output: str = "json"
-    seed: int = 7
-    box_constant: float = 1.0
 
     def validate(self):
         if self.budget <= 0:
@@ -45,13 +43,7 @@ class RunConfig:
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        budget=getattr(args, "budget", 40_000_000) or 40_000_000,
-        cache_dir=getattr(args, "cache_dir", None),
-        output=getattr(args, "output", "json") or "json",
-        seed=getattr(args, "seed", 7),
-        box_constant=getattr(args, "box_constant", 1.0),
-    ).validate()
+    return RunConfig(budget=args.budget, cache_dir=args.cache_dir, output=args.output).validate()
 
 
 def form_hash(F: IntPolynomial) -> str:
@@ -161,32 +153,32 @@ def _base(F: IntPolynomial, args) -> dict:
 # -- subcommands -------------------------------------------------------------------------
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, config: RunConfig) -> int:
     from .counting import height_count, weighted_count
 
     F = _load_form(args)
     w = _load_weight(args, F.n)
     rep = _base(F, args) | {"P": args.P, "command": "count"}
     if args.projective:
-        res = height_count(F, int(args.P))
+        res = height_count(F, int(args.P), budget=config.budget)
         rep |= {"count": res.count, "method": res.method, "projective": True}
     else:
         methods = ["brute", "mitm"] if args.method == "both" else [args.method]
         for m in methods:
-            res = weighted_count(F, w, args.P, method=m)
+            res = weighted_count(F, w, args.P, method=m, budget=config.budget)
             rep[f"count_{m}"] = res.count
         if args.method == "both":
             rep["agree"] = rep["count_brute"] == rep["count_mitm"]
         rep["method"] = args.method
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_expsum(args) -> int:
+def _cmd_expsum(args, config: RunConfig) -> int:
     from .expsums import complete_sum, sum_over_units, twisted_sum
 
     F = _load_form(args)
-    cache = FormCache(args.cache_dir)
+    cache = FormCache(config.cache_dir)
     fh = form_hash(F)
     rep = _base(F, args) | {"command": "expsum", "a": args.a, "q": args.q}
     t0 = time.time()
@@ -195,19 +187,19 @@ def _cmd_expsum(args) -> int:
         if hit:
             rep |= {"int": hit["int"], "cache_hit": True}
         else:
-            val = sum_over_units(F, args.q)
+            val = sum_over_units(F, args.q, budget=config.budget)
             cache.store({"form_hash": fh, "kind": "Aq", "a": None, "q": args.q, "int": val, "err": 0})
             rep |= {"int": val, "cache_hit": False}
     elif args.v:
         v = [int(t) for t in args.v.split(",")]
-        s = twisted_sum(F, args.a, args.q, v)
+        s = twisted_sum(F, args.a, args.q, v, budget=config.budget)
         rep |= {"re": s.value.real, "im": s.value.imag, "err": s.err, "v": v}
     else:
         hit = cache.load(fh, "Saq", args.a, args.q)
         if hit:
             rep |= {"re": hit["re"], "im": hit["im"], "err": hit["err"], "cache_hit": True}
         else:
-            s = complete_sum(F, args.a, args.q)
+            s = complete_sum(F, args.a, args.q, budget=config.budget)
             cache.store(
                 {"form_hash": fh, "kind": "Saq", "a": args.a, "q": args.q,
                  "re": s.value.real, "im": s.value.imag, "err": s.err}
@@ -217,16 +209,16 @@ def _cmd_expsum(args) -> int:
         print(f"elapsed {time.time() - t0:.3f}s", file=sys.stderr)
     if not args.timing:
         rep.pop("cache_hit", None)
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args, config: RunConfig) -> int:
     from .circle import SeriesCache, euler_view, singular_series
 
     F = _load_form(args)
-    cache = SeriesCache(F)
-    disk = FormCache(args.cache_dir)
+    cache = SeriesCache(F, config.budget)
+    disk = FormCache(config.cache_dir)
     fh = form_hash(F)
     for (h, kind, a, q), payload in disk.entries.items():
         if h == fh and kind == "Aq":
@@ -237,22 +229,22 @@ def _cmd_series(args) -> int:
         rep["euler_view"] = _fr(euler_view(F, args.R, cache=cache))
     for q, val in sorted(cache.aq.items()):
         disk.store({"form_hash": fh, "kind": "Aq", "a": None, "q": q, "int": val, "err": 0})
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_integral(args) -> int:
+def _cmd_integral(args, config: RunConfig) -> int:
     from .oscillatory import singular_integral
 
     F = _load_form(args)
     w = _load_weight(args, F.n)
     J = singular_integral(F, w, args.R)
     rep = _base(F, args) | {"command": "integral", "R": args.R, "J_R": J, "weight": args.weight}
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_arcs(args) -> int:
+def _cmd_arcs(args, config: RunConfig) -> int:
     from .circle import arc_partition, classify
 
     rep = {"command": "arcs", "delta": args.delta, "P": args.P, "version": __version__}
@@ -270,11 +262,11 @@ def _cmd_arcs(args) -> int:
     if args.alpha is not None:
         kind, a, q = classify(Fraction(args.alpha), args.delta, args.P)
         rep["classify"] = {"alpha": args.alpha, "kind": kind, "a": a, "q": q}
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_poisson(args) -> int:
+def _cmd_poisson(args, config: RunConfig) -> int:
     from .forms import CubicData
     from .oscillatory import poisson_check
 
@@ -296,16 +288,16 @@ def _cmd_poisson(args) -> int:
         "tail_estimate": rep0.tail_estimate,
         "grid": list(rep0.grid_shape),
     }
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args, config: RunConfig) -> int:
     from .circle import main_term_pipeline
 
     F = _load_form(args)
     w = _load_weight(args, F.n)
-    out = main_term_pipeline(F, w, args.P, args.R_series, args.R_integral)
+    out = main_term_pipeline(F, w, args.P, args.R_series, args.R_integral, budget=config.budget)
     rep = _base(F, args) | {
         "command": "pipeline",
         "P": args.P,
@@ -317,11 +309,11 @@ def _cmd_pipeline(args) -> int:
         "main": out["main"],
         "ratio": out["ratio"],
     }
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_hasse(args) -> int:
+def _cmd_hasse(args, config: RunConfig) -> int:
     from .circle import hasse_report
 
     F = _load_form(args)
@@ -336,11 +328,11 @@ def _cmd_hasse(args) -> int:
             for p, rec in out["primes"].items()
         },
     }
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
-def _cmd_geometry(args) -> int:
+def _cmd_geometry(args, config: RunConfig) -> int:
     from .geometry import b_set_profile, find_hyperplane, hessian_rank_profile, sing_dim
 
     F = _load_form(args)
@@ -361,7 +353,7 @@ def _cmd_geometry(args) -> int:
         rep |= {"m": list(out["m"]), "norm": out["norm"], "observed": {str(k): v for k, v in out["observed"].items()}}
     else:
         raise UnknownCommand(f"geometry op {args.op!r}")
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
@@ -369,7 +361,7 @@ def _default_calibration_path() -> Path:
     return Path(__file__).parent / "data" / "calibration.json"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, config: RunConfig) -> int:
     import random
 
     from . import verify as V
@@ -470,7 +462,7 @@ def _cmd_verify(args) -> int:
             keys = [k for k in rep if k.startswith("max_ratio")]
             ok = all(rep[k] <= 2.0 * stored[k] for k in keys if k in stored)
             rep["calibration_ok"] = ok
-    _emit(rep, output=config_from_args(args).output)
+    _emit(rep, output=config.output)
     return 0
 
 
@@ -483,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timing", action="store_true", help="timing to stderr; cache-hit flags in reports")
     ap.add_argument("--output", default="json", choices=["json", "table"])
     ap.add_argument("--budget", type=int, default=40_000_000, help="max enumeration cells")
-    ap.add_argument("--box-constant", type=float, default=1.0, help="c in the |x| <= cP boxes")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
@@ -491,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--output", choices=["json", "table"], default=argparse.SUPPRESS)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--box-constant", type=float, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     def add_form(p):
@@ -596,7 +586,7 @@ def dispatch(argv) -> int:
     if handler is None:
         raise UnknownCommand(args.command)
     try:
-        return handler(args)
+        return handler(args, config_from_args(args))
     except QuarticError as exc:
         _emit({"command": args.command, "error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 1

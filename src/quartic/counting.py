@@ -3,7 +3,8 @@
 Two backends: brute enumeration over the weight's support box, and a
 meet-in-the-middle (mitm) path for diagonal forms that hashes partial sums of
 one half of the variables against the other half.  Both are exact; they agree
-wherever both run.
+wherever both run.  Counts mod q convolve the value histograms of the blocks
+of F (`forms.blocks`), so a diagonal form costs n*q cells, not q^n.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, MitmNotApplicable
-from .forms import IntPolynomial, _int64_safe, grid_values, sym_tensor
+from .forms import IntPolynomial, _int64_safe, blocks, grid_values, sym_tensor
 from .weights import WeightSpec, box, lattice_ranges
 
 DEFAULT_BUDGET = 40_000_000
@@ -36,17 +37,8 @@ def is_diagonal(F: IntPolynomial) -> bool:
     return all(sum(1 for k in e if k) <= 1 for e in F.coeffs)
 
 
-def _axis_values(F: IntPolynomial, i: int, xs: np.ndarray) -> np.ndarray:
-    """Values of the x_i-part of a diagonal F on integer points xs (exact int64)."""
-    out = np.zeros(len(xs), dtype=np.int64)
-    for e, c in F.coeffs.items():
-        if e[i]:
-            out = out + c * xs ** e[i]
-    return out
-
-
-def _merge_half(F, w: WeightSpec, P, idxs, ranges, weighted: bool):
-    """Value distribution of the sum of axis parts over the variables `idxs`.
+def _merge_half(parts, w: WeightSpec, P, ranges, weighted: bool):
+    """Value distribution of the sum of the one-variable blocks `parts` of F.
 
     Returns (sorted distinct int64 values, accumulated weights); weight factors
     come from the separable factors of w when `weighted`.
@@ -54,10 +46,10 @@ def _merge_half(F, w: WeightSpec, P, idxs, ranges, weighted: bool):
     factors = w.separable_factors() if weighted else None
     vals = np.array([0], dtype=np.int64)
     wts = np.array([1.0])
-    for i in idxs:
+    for (i,), G in parts:
         a, b = ranges[i]
         xs = np.arange(a, b + 1, dtype=np.int64)
-        axis = _axis_values(F, i, xs)
+        axis = grid_values(G, [xs])
         if weighted:
             fw = factors[i](xs / P)
             keep = fw > 0
@@ -102,19 +94,17 @@ def weighted_count(
             total = int(round(total))
         return CountResult(total, "brute", P, time.time() - t0, {"cells": cells})
     if method == "mitm":
-        if not is_diagonal(F):
+        const, parts = blocks(F)
+        if any(len(vars_) > 1 for vars_, _ in parts):
             raise MitmNotApplicable("mitm needs a diagonal form")
         if w.separable_factors() is None:
             raise MitmNotApplicable("mitm needs a separable (or box) weight")
         if not _int64_safe(F, ranges):
             raise BudgetExceeded("mitm partial values overflow int64 at this height")
         weighted = w.smooth
-        n = F.n
-        left = list(range(n // 2))
-        right = list(range(n // 2, n))
-        lv, lw = _merge_half(F, w, P, left, ranges, weighted)
-        rv, rw = _merge_half(F, w, P, right, ranges, weighted)
-        const = F.coeffs.get((0,) * n, 0)
+        half = F.n // 2
+        lv, lw = _merge_half(parts[:half], w, P, ranges, weighted)
+        rv, rw = _merge_half(parts[half:], w, P, ranges, weighted)
         # join: lv + rv + const = 0  ->  rv = -(lv + const)
         target = -(lv + const)
         pos = np.searchsorted(rv, target, side="left")
@@ -192,29 +182,25 @@ def factorint(q: int):
 
 
 def _rho_prime_power(F: IntPolynomial, q: int, budget: int) -> int:
-    """#{x mod q : F(x) = 0 mod q} for one modulus by diagonal convolution or grid."""
-    n = F.n
-    if is_diagonal(F):
-        # value distribution of each axis part mod q, then cyclic convolution;
-        # counts stay below q^n so int64 is exact whenever n*log2(q) < 62
-        exact64 = n * math.log2(q) < 62
-        dt = np.int64 if exact64 else object
-        dist = np.zeros(q, dtype=dt)
-        dist[F.coeffs.get((0,) * n, 0) % q] = 1
-        shift = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
-        for i in range(n):
-            vals = np.zeros(q, dtype=np.int64)
-            for e, c in F.coeffs.items():
-                if e[i]:
-                    lut = np.array([pow(int(x), e[i], q) for x in range(q)], dtype=np.int64)
-                    vals = (vals + (c % q) * lut) % q
-            hist = np.bincount(vals % q, minlength=q).astype(dt)
-            dist = hist[shift] @ dist  # cyclic convolution, exact
-        return int(dist[0])
-    if q ** n > budget:
-        raise BudgetExceeded(f"{q}^{n} exceeds budget {budget}")
-    vals = grid_values(F, [np.arange(q)] * n, modulus=q)
-    return int(np.count_nonzero(vals == 0))
+    """#{x mod q : F(x) = 0 mod q}: value histograms mod q of the blocks of F, convolved."""
+    const, parts = blocks(F)
+    cells = sum(q ** len(vars_) for vars_, _ in parts)
+    if cells > budget:
+        raise BudgetExceeded(f"{cells} cells for the blocks of F mod {q} exceed budget {budget}")
+    # counts stay below q^n so int64 is exact whenever n*log2(q) < 62
+    dt = np.int64 if F.n * math.log2(q) < 62 else object
+    dist = np.zeros(q, dtype=dt)
+    dist[0] = 1
+    hists = {}  # blocks with the same polynomial share one histogram
+    for vars_, G in parts:
+        hist = hists.get(G)
+        if hist is None:
+            vals = grid_values(G, [np.arange(q)] * len(vars_), modulus=q)
+            hist = hists[G] = np.bincount(vals.ravel(), minlength=q).astype(dt)
+        full = np.convolve(dist, hist)
+        dist = full[:q]
+        dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
+    return int(dist[-const % q])
 
 
 def solutions_mod_q(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -4,7 +4,8 @@ Everything here is exact: coefficients are Python integers, evaluation at
 integer (or Fraction) points is exact, and the symmetric tensor of a quartic
 form is stored with the 4! denominator cleared so all downstream contractions
 stay in Z.  `grid_values` evaluates a polynomial on a whole Cartesian grid
-(mod m, over Z, or in floating point) for the array-based layers.
+(mod m, over Z, or in floating point) for the array-based layers, and
+`blocks` splits a polynomial into parts on disjoint sets of variables.
 """
 
 from __future__ import annotations
@@ -371,6 +372,33 @@ def grid_values(F: IntPolynomial, axes, modulus: int | None = None) -> np.ndarra
         # each term is a residue, so the sum of len(F.coeffs) of them fits int64
         total %= modulus
     return total
+
+
+def blocks(F: IntPolynomial):
+    """(const, [(vars, G), ...]): F = const + sum of G(x[vars]) over blocks of disjoint variables.
+
+    Two variables share a block when some monomial contains both; a variable
+    in no monomial is a block of its own with G = 0.  Blocks come in order of
+    their first variable, and each G keeps its monomials in `F.coeffs` order.
+    A diagonal form has every block of size 1.
+    """
+    n = F.n
+    label = list(range(n))  # label[i] = first variable of the block of x_i
+    for e in F.coeffs:
+        hit = {label[i] for i, k in enumerate(e) if k}
+        if len(hit) > 1:
+            first = min(hit)
+            label = [first if lab in hit else lab for lab in label]
+    groups = {first: tuple(i for i in range(n) if label[i] == first) for first in sorted(set(label))}
+    subs = {first: {} for first in groups}
+    const = 0
+    for e, c in F.coeffs.items():
+        first = next((label[i] for i, k in enumerate(e) if k), None)
+        if first is None:
+            const = c
+        else:
+            subs[first][tuple(e[i] for i in groups[first])] = c
+    return const, [(vars_, IntPolynomial(len(vars_), subs[first])) for first, vars_ in groups.items()]
 
 
 # -- symmetric tensor ------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expsums import complete_sum, twisted_sum
-from .forms import CubicData, IntPolynomial, _abs_bound, grid_values
+from .forms import CubicData, IntPolynomial, _abs_bound, blocks, grid_values
 from .weights import (  # noqa: F401  (re-exported public surface)
     WeightSpec,
     bump,
@@ -156,23 +156,6 @@ def _grad_bound(f: IntPolynomial, box_phys) -> list:
     return out
 
 
-def _diagonal_parts(f: IntPolynomial):
-    """Axis polynomials f_i plus constant, or None when f is not diagonal."""
-    n = f.n
-    parts = [dict() for _ in range(n)]
-    const = 0
-    for e, c in f.coeffs.items():
-        nz = [i for i, k in enumerate(e) if k]
-        if len(nz) > 1:
-            return None, 0
-        if not nz:
-            const += c
-            continue
-        i = nz[0]
-        parts[i][(e[i],)] = parts[i].get((e[i],), 0) + c
-    return [IntPolynomial(1, d) for d in parts], const
-
-
 def osc_integral(
     f: IntPolynomial,
     w: WeightSpec,
@@ -183,21 +166,20 @@ def osc_integral(
 ):
     """I(z; beta) = integral of w(x/P) e(z f(x) - beta.x) dx.
 
-    Separable weight + diagonal f factor into 1-D integrals; otherwise a
-    tensor-product Simpson grid is used (n <= 3).
+    Separable weight + f with one-variable blocks factor into 1-D integrals;
+    otherwise a tensor-product Simpson grid is used (n <= 3).
     """
     n = f.n
     if len(beta) != n:
         raise DimensionMismatch("beta length != variable count")
     box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
     factors = w.separable_factors()
-    parts, const = _diagonal_parts(f)
-    if factors is not None and parts is not None:
+    const, parts = blocks(f)
+    if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
         total = complex(np.exp(2j * np.pi * z * const))
         err = 0.0
-        for i in range(n):
+        for (i,), fi in parts:
             lo, hi = box_phys[i]
-            fi = parts[i]
             cycles = (abs(z) * _grad_bound(fi, [(lo, hi)])[0] + abs(beta[i])) * (hi - lo)
 
             def fn(xs, i=i, fi=fi):
@@ -258,17 +240,14 @@ def i_gamma(F: IntPolynomial, w: WeightSpec, gamma: float, cfg: QuadratureConfig
 
 
 def _factored_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig):
-    """I(gamma) for every gamma in one vectorized pass (diagonal F, separable w)."""
-    parts, const = _diagonal_parts(F)
+    """I(gamma) for every gamma in one vectorized pass (one-variable blocks, separable w)."""
+    const, parts = blocks(F)
     factors = w.separable_factors()
-    if parts is None or factors is None:
+    if factors is None or any(len(vars_) > 1 for vars_, _ in parts):
         raise PreconditionViolated("factored path needs diagonal F and separable w")
     out = np.exp(2j * np.pi * np.outer(gammas, [const])).ravel()
-    for i in range(F.n):
+    for (i,), fi in parts:
         lo, hi = w.support_box()[i]
-        spread = 0.0
-        fi = parts[i]
-        N = cfg.base_points
         xs = np.linspace(lo, hi, 2)
         fv = [float(fi.evaluate([float(t)])) for t in xs]
         spread = max(fv) - min(fv)
@@ -297,8 +276,8 @@ def singular_integral(
     if R == 0:
         return 0.0
     if method == "auto":
-        parts, _ = _diagonal_parts(F)
-        method = "factored" if (parts is not None and w.separable_factors() is not None) else "direct"
+        diagonal = all(len(vars_) == 1 for vars_, _ in blocks(F)[1])
+        method = "factored" if (diagonal and w.separable_factors() is not None) else "direct"
     if method == "factored":
         M = 512
         prev = None

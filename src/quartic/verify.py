@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
+from .counting import factorint
 from .errors import BudgetExceeded, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
 from .forms import CubicData, IntPolynomial, difference_cubic, grid_values, hessian, sym_tensor
@@ -396,7 +397,7 @@ def prop_t2_bound(
     H = max(1.0, float(heights(g.poly, P)[1]))
     if s_map is None:
         s_map = {}
-        for p in {pp for pp in range(2, q + 1) if q % pp == 0 and all(pp % r for r in range(2, pp))}:
+        for p in factorint(q):
             s_map[p] = sing_dim(g.g0, p) if g.g0.coeffs else n - 1
     mf = factor_bcd(q, s_map=s_map, n=n)
     if s_infinity is None:

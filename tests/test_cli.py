@@ -150,6 +150,28 @@ class TestRunConfig:
                 assert rep["identities_ok"]
 
 
+class TestBudget:
+    N6 = "x1^4 + x1*x2^3 + x3^4 + x4^4 - x5^4 - x6^4"
+    COUNT = ["count", "--form-text", "x1^4 - x2^4", "--P", "50", "--method", "brute"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--budget", "10"] + COUNT, COUNT + ["--budget", "10"], ["--budget", "100", "series", "--form-text", N6, "--R", "32"]],
+        ids=["before-subcommand", "after-subcommand", "series"],
+    )
+    def test_budget_is_enforced(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+    def test_block_form_series_fits_the_default_budget(self, capsys):
+        # one 2-variable block: about q^2 cells per modulus, not q^6
+        rc, out = run_cli(["series", "--form-text", self.N6, "--R", "32"], capsys)
+        assert rc == 0 and json.loads(out)["R"] == 32.0
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         out = subprocess.run(

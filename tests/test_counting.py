@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quartic.counting import (
@@ -10,8 +12,8 @@ from quartic.counting import (
     solutions_mod_q,
     weighted_count,
 )
-from quartic.errors import MitmNotApplicable
-from quartic.forms import parse_form
+from quartic.errors import BudgetExceeded, MitmNotApplicable
+from quartic.forms import IntPolynomial, grid_values, parse_form
 from quartic.verify import random_form
 from quartic.weights import box, bump, separable_bump
 
@@ -116,6 +118,67 @@ class TestSolutionsModQ:
     def test_is_diagonal(self):
         assert is_diagonal(parse_form("x1^4 + 7*x2^4 + 3"))
         assert not is_diagonal(parse_form("x1^3*x2"))
+
+
+def _grid_count(F, q):
+    """#{x mod q : F(x) = 0 mod q} by evaluating F on the whole q^n grid."""
+    return int(np.count_nonzero(grid_values(F, [np.arange(q)] * F.n, modulus=q) == 0))
+
+
+def _random_block_form(rng, sizes, const=0, unused=0):
+    """Random quartic blocks on consecutive variables, a constant, and unused trailing variables."""
+    n = sum(sizes) + unused
+    coeffs = {(0,) * n: const}
+    start = 0
+    for size in sizes:
+        for e, c in random_form(rng, size, 4, bound=5).coeffs.items():
+            coeffs[(0,) * start + e + (0,) * (n - start - size)] = c
+        start += size
+    return IntPolynomial(n, coeffs)
+
+
+class TestBlockConvolution:
+    QS = (2, 3, 4, 5, 8, 9, 12)
+
+    @pytest.mark.parametrize(
+        "sizes, const, unused",
+        [((2, 1, 1), 0, 0), ((1, 2), 3, 0), ((2,), -5, 1), ((1, 1), 0, 2), ((3,), 0, 0), ((4,), 7, 0)],
+        ids=["2+1+1", "const", "unused+const", "two-unused", "dense-n3", "dense-n4"],
+    )
+    def test_matches_grid_count(self, sizes, const, unused):
+        rng = random.Random(f"{sizes}:{const}:{unused}")
+        for _ in range(2):
+            F = _random_block_form(rng, sizes, const, unused)
+            for q in self.QS:
+                assert solutions_mod_q(F, q) == _grid_count(F, q), (F, q)
+
+    def test_object_dtype_matches_python_convolution(self):
+        F8 = parse_form("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4")
+
+        def python_rho(q):
+            dist = {0: 1}
+            for sign in (1, 1, 1, 1, -1, -1, -1, -1):
+                hist = {}
+                for x in range(q):
+                    r = sign * pow(x, 4, q) % q
+                    hist[r] = hist.get(r, 0) + 1
+                new = {}
+                for r1, c1 in dist.items():
+                    for r2, c2 in hist.items():
+                        new[(r1 + r2) % q] = new.get((r1 + r2) % q, 0) + c1 * c2
+                dist = new
+            return dist.get(0, 0)
+
+        # n*log2(q) >= 62 at both prime powers: the counts are Python ints
+        assert 8 * math.log2(3 ** 5) >= 62
+        assert solutions_mod_q(F8, 2 ** 9 * 3 ** 5) == python_rho(2 ** 9) * python_rho(3 ** 5)
+
+    def test_budget_counts_block_cells(self):
+        F = parse_form("x1^4 + x1*x2^3 + x3^4 + x4^4 - x5^4 - x6^4")
+        cells = 32 ** 2 + 4 * 32  # one 2-variable block and four 1-variable blocks
+        assert solutions_mod_q(F, 32, budget=cells) == solutions_mod_q(F, 32)
+        with pytest.raises(BudgetExceeded):
+            solutions_mod_q(F, 32, budget=cells - 1)
 
 
 class TestAuxiliaryCounts:

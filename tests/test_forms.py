@@ -16,6 +16,7 @@ from quartic.errors import (
 from quartic.forms import (
     CubicData,
     IntPolynomial,
+    blocks,
     dehomogenize,
     difference_cubic,
     evaluate_and_gradient,
@@ -377,3 +378,75 @@ class TestGridValues:
         direct = complete_sum(F, 11, 2100, method="direct")
         crt = complete_sum(F, 11, 2100, method="crt")
         assert abs(direct.value - crt.value) <= direct.err + crt.err
+
+
+# -- blocks ------------------------------------------------------------------------
+
+
+@st.composite
+def block_forms(draw):
+    """A polynomial in n <= 6 variables whose monomials touch one or two variables each."""
+    n = draw(st.integers(1, 6))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            e[i] += draw(st.integers(1, 3))
+        coeffs[tuple(e)] = draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        coeffs[(0,) * n] = draw(st.integers(-5, 5))
+    return IntPolynomial(n, coeffs)
+
+
+def _components(F):
+    """Connected components of the graph 'x_i and x_j share a monomial', by search."""
+    adj = {i: set() for i in range(F.n)}
+    for e in F.coeffs:
+        vs = [i for i, k in enumerate(e) if k]
+        for i in vs:
+            adj[i].update(vs)
+    seen, comps = set(), []
+    for i in range(F.n):
+        if i not in seen:
+            stack, comp = [i], set()
+            while stack:
+                j = stack.pop()
+                if j not in comp:
+                    comp.add(j)
+                    stack.extend(adj[j] - comp)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+    return comps
+
+
+class TestBlocks:
+    @settings(deadline=None)
+    @given(block_forms())
+    def test_parts_reassemble_F(self, F):
+        const, parts = blocks(F)
+        total = IntPolynomial(F.n, {(0,) * F.n: const})
+        for vars_, G in parts:
+            assert G.n == len(vars_)
+            for g, c in G.coeffs.items():
+                e = [0] * F.n
+                for i, k in zip(vars_, g):
+                    e[i] = k
+                total = total + IntPolynomial(F.n, {tuple(e): c})
+        assert total == F
+
+    @settings(deadline=None)
+    @given(block_forms())
+    def test_parts_are_the_components_in_first_variable_order(self, F):
+        _, parts = blocks(F)
+        assert [vars_ for vars_, _ in parts] == _components(F)
+        assert sorted(i for vars_, _ in parts for i in vars_) == list(range(F.n))
+
+    def test_example_keeps_monomial_order(self):
+        F = parse_form("x1*x2^3 + x3^4 + 7 + x1^4", n=5)
+        const, parts = blocks(F)
+        assert const == 7
+        assert [vars_ for vars_, _ in parts] == [(0, 1), (2,), (3,), (4,)]
+        (_, G01), (_, G2), (_, G3), (_, G4) = parts
+        assert list(G01.coeffs.items()) == [((1, 3), 1), ((4, 0), 1)]
+        assert G2 == parse_form("x1^4") and G3 == G4 == IntPolynomial(1, {})
+        assert blocks(IntPolynomial(0, {(): 3})) == (3, [])

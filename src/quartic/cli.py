@@ -273,7 +273,7 @@ def _cmd_poisson(args, config: RunConfig) -> int:
     F = _load_form(args)
     g = CubicData.from_poly(F)
     w = _load_weight(args, F.n)
-    rep0 = poisson_check(g, w, args.P, args.a, args.q, args.z, v_cut=args.v_cut)
+    rep0 = poisson_check(g, w, args.P, args.a, args.q, args.z, v_cut=args.v_cut, budget=config.budget)
     rep = _base(F, args) | {
         "command": "poisson",
         "P": args.P,

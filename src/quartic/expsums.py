@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import factorint, solutions_mod_q
-from .errors import BudgetExceeded, DimensionMismatch, NotCoprime
+from .errors import BudgetExceeded, DimensionMismatch, NotCoprime, PreconditionViolated
 from .forms import CubicData, IntPolynomial, grid_values, hessian
 from .geometry import _xgcd
 
@@ -56,6 +56,11 @@ def _phase_counts(poly: IntPolynomial, mult: int, q: int, v=None, budget: int = 
     return counts
 
 
+def _check_modulus(q: int) -> None:
+    if q < 1:
+        raise PreconditionViolated(f"modulus q must be a positive integer, got {q}")
+
+
 def _sum_from_counts(counts: np.ndarray, q: int, n: int) -> ExpSumValue:
     val = complex(counts @ roots_of_unity(q))
     err = 4e-15 * float(counts.sum()) * max(math.log2(q), 1.0)
@@ -66,6 +71,7 @@ def complete_sum(
     F: IntPolynomial, a: int, q: int, method: str = "auto", budget: int = DEFAULT_BUDGET
 ) -> ExpSumValue:
     """S_{a,q} = sum over x mod q of e_q(a F(x))."""
+    _check_modulus(q)
     if q == 1:
         return ExpSumValue(1.0 + 0j, 0.0, exact=1, q=1, n=F.n)
     if method == "auto":
@@ -84,6 +90,7 @@ def twisted_sum(
     poly = g.poly if isinstance(g, CubicData) else g
     if len(v) != poly.n:
         raise DimensionMismatch("v length != variable count")
+    _check_modulus(q)
     if q == 1:
         return ExpSumValue(1.0 + 0j, 0.0, exact=1, q=1, n=poly.n)
     if method == "auto":
@@ -153,6 +160,7 @@ def unit_sum_prime_power(F: IntPolynomial, p: int, k: int, budget: int = DEFAULT
 
 def sum_over_units(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """A_q = sum over gcd(a,q)=1 of S_{a,q} as an exact integer (multiplicative)."""
+    _check_modulus(q)
     if q == 1:
         return 1
     out = 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 
 import numpy as np
@@ -24,17 +25,7 @@ from .errors import (
 )
 from .expsums import complete_sum, twisted_sum
 from .forms import CubicData, IntPolynomial, _abs_bound, blocks, grid_values
-from .weights import (  # noqa: F401  (re-exported public surface)
-    WeightSpec,
-    bump,
-    box,
-    gamma_bump,
-    lattice_ranges,
-    separable_bump,
-    shifted_product,
-    unit_box,
-    weight_eval,
-)
+from .weights import WeightSpec, lattice_ranges
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,12 +112,23 @@ def _simpson_1d(fvals: np.ndarray, h: float):
     return (h / 3.0) * np.tensordot(wts, fvals, axes=(0, 0))
 
 
+def _start_points(cycles: float, cfg: QuadratureConfig) -> int:
+    """Even initial interval count with at least four points per expected cycle."""
+    N = max(cfg.base_points, 4 * math.ceil(cycles + 1))
+    return N + N % 2
+
+
+def _simpson_weights(lo: float, hi: float, N: int) -> np.ndarray:
+    wts = np.ones(N + 1)
+    wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
+    return wts * ((hi - lo) / (3.0 * N))
+
+
 def integrate_1d(fn, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG, cycles: float = 0.0):
     """Adaptive composite Simpson of a vectorized callable on [a, b]."""
     if b <= a:
         return 0.0, 0.0
-    N = max(cfg.base_points, 4 * math.ceil(cycles + 1))
-    N += N % 2
+    N = _start_points(cycles, cfg)
     prev = None
     for _ in range(cfg.max_refinements):
         xs = np.linspace(a, b, N + 1)
@@ -193,13 +195,9 @@ def osc_integral(
     if n > 3:
         raise BudgetExceeded("tensor-grid quadrature supports n <= 3")
     gb = _grad_bound(f, box_phys)
-    axes_pts = []
-    for i in range(n):
-        lo, hi = box_phys[i]
-        cycles = (abs(z) * gb[i] + abs(beta[i])) * (hi - lo)
-        N = max(cfg.base_points, 4 * math.ceil(cycles + 1))
-        N += N % 2
-        axes_pts.append(N)
+    axes_pts = [
+        _start_points((abs(z) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys)
+    ]
     prev = None
     for _ in range(cfg.max_refinements):
         cells = 1
@@ -216,11 +214,7 @@ def osc_integral(
         ).reshape([N + 1 for N in axes_pts])
         cur = integrand
         for ax in range(n - 1, -1, -1):
-            lo, hi = box_phys[ax]
-            N = axes_pts[ax]
-            wts = np.ones(N + 1)
-            wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-            wts *= (hi - lo) / (3.0 * N)
+            wts = _simpson_weights(*box_phys[ax], axes_pts[ax])
             cur = np.tensordot(cur, wts, axes=([ax], [0])) if cur.ndim > 1 else cur @ wts
         cur = complex(cur)
         if prev is not None and abs(cur - prev) <= cfg.tolerance:
@@ -230,13 +224,93 @@ def osc_integral(
     raise ToleranceNotMet("tensor quadrature refinement limit reached")
 
 
-def i_gamma(F: IntPolynomial, w: WeightSpec, gamma: float, cfg: QuadratureConfig = DEFAULT_CFG):
-    """I(gamma) = integral of w(x) e(gamma F(x)) dx (weight-space scale, P = 1)."""
-    val, err = osc_integral(F, w, gamma, [0.0] * F.n, cfg=cfg, P=1.0)
-    return val, err
-
-
 # -- singular integral ------------------------------------------------------------------
+
+
+def _phase_sums(gammas: np.ndarray, fv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """sum_k wv[k] e(gamma fv[k]) for every gamma, about 2^20 phases at a time."""
+    out = np.empty(len(gammas), dtype=complex)
+    step = max(1, (1 << 20) // max(len(fv), 1))
+    for s in range(0, len(gammas), step):
+        ph = np.outer(gammas[s:s + step], fv)
+        ph *= TWO_PI
+        out[s:s + step] = np.cos(ph) @ wv + 1j * (np.sin(ph) @ wv)
+    return out
+
+
+def _refine_rows(starts, values, too_big, cfg: QuadratureConfig) -> np.ndarray:
+    """Per-row adaptive doubling in which the rows on the same grid are computed together.
+
+    Row j starts on the grid starts[j], a tuple of per-axis interval counts,
+    doubles it and stops at the first grid whose value is within
+    cfg.tolerance of the grid before; values(Ns, rows) gives the quadrature
+    on grid Ns for an index array of rows.  Grids go smallest first, so each
+    one is built once however many rows reach it.
+    """
+    out = np.empty(len(starts), dtype=complex)
+    prev = {}
+    grid = dict(enumerate(starts))
+    steps = dict.fromkeys(grid, 0)
+    while grid:
+        Ns = min(grid.values(), key=math.prod)
+        rows = [j for j, g in grid.items() if g == Ns]
+        if any(steps[j] == cfg.max_refinements for j in rows):
+            raise ToleranceNotMet("refinement limit reached")
+        if too_big(Ns):
+            raise ToleranceNotMet(f"grid {Ns} exceeded the cell budget before converging")
+        for j, cur in zip(rows, values(Ns, np.array(rows))):
+            if j in prev and abs(cur - prev[j]) <= cfg.tolerance:
+                out[j] = cur
+                del grid[j]
+            else:
+                prev[j] = cur
+                grid[j] = tuple(2 * N for N in Ns)
+                steps[j] += 1
+    return out
+
+
+def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig):
+    """I(gamma) = integral of w(x) e(gamma F(x)) dx for every gamma in one batched pass.
+
+    Each value is the one `osc_integral(F, w, gamma, [0] * n, cfg)` returns,
+    up to summation order: the same starting grid for its |gamma|, the same
+    doubling, stopping rule and errors.  The gammas on one grid share the F
+    values, the weight and the Simpson weights, and cells of zero weight are
+    dropped.  Separable w with one-variable blocks uses per-axis 1-D grids.
+    """
+    box_phys = w.support_box()
+    factors = w.separable_factors()
+    const, parts = blocks(F)
+    if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
+        out = np.exp(2j * np.pi * gammas * const)
+        for (i,), fi in parts:
+            lo, hi = box_phys[i]
+            gb = _grad_bound(fi, [(lo, hi)])[0]
+
+            def values(Ns, rows):
+                xs = np.linspace(lo, hi, Ns[0] + 1)
+                wv = factors[i](xs) * _simpson_weights(lo, hi, Ns[0])
+                return _phase_sums(gammas[rows], grid_values(fi, [xs]), wv)
+
+            starts = [(_start_points(abs(g) * gb * (hi - lo), cfg),) for g in gammas.tolist()]
+            out = out * _refine_rows(starts, values, lambda Ns: Ns[0] > cfg.max_points_1d, cfg)
+        return out
+    if F.n > 3:
+        raise BudgetExceeded("tensor-grid quadrature supports n <= 3")
+    gb = _grad_bound(F, box_phys)
+
+    def values(Ns, rows):
+        grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, Ns)]
+        simpson = reduce(np.multiply.outer, [_simpson_weights(lo, hi, N) for (lo, hi), N in zip(box_phys, Ns)])
+        wv = w.eval_many(_grid_points(grids)) * simpson.ravel()
+        keep = wv != 0.0
+        return _phase_sums(gammas[rows], grid_values(F, grids).ravel()[keep], wv[keep])
+
+    starts = [
+        tuple(_start_points(abs(g) * gb[i] * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys))
+        for g in gammas.tolist()
+    ]
+    return _refine_rows(starts, values, lambda Ns: math.prod(N + 1 for N in Ns) > cfg.max_cells, cfg)
 
 
 def _factored_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig):
@@ -293,8 +367,12 @@ def singular_integral(
             M *= 2
         raise ToleranceNotMet("gamma refinement limit reached")
     if method == "direct":
+        memo = {}  # I(gamma) by gamma: each doubling of the gamma rule keeps every old node
+
         def fn(gs):
-            return np.array([i_gamma(F, w, float(g), cfg)[0] for g in gs])
+            new = [g for g in gs.tolist() if g not in memo]
+            memo.update(zip(new, _direct_gamma_table(F, w, np.array(new), cfg)))
+            return np.array([memo[g] for g in gs.tolist()])
 
         val, _ = integrate_1d(fn, -R, R, cfg, cycles=R)
         return float(np.real(val))
@@ -309,9 +387,7 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
     if n > 3:
         raise BudgetExceeded("sine-kernel form supports n <= 3")
     box_phys = w.support_box()
-    cycles = R * _abs_bound(F, box_phys)
-    N = max(cfg.base_points, 4 * math.ceil(cycles + 1))
-    N += N % 2
+    N = _start_points(R * _abs_bound(F, box_phys), cfg)
     prev = None
     for _ in range(cfg.max_refinements):
         grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
@@ -320,10 +396,7 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
         kernel = 2.0 * R * np.sinc(2.0 * R * fv)  # sin(2 pi R F)/(pi F)
         cur = (w.eval_many(pts) * kernel).reshape([N + 1] * n)
         for ax in range(n - 1, -1, -1):
-            lo, hi = box_phys[ax]
-            wts = np.ones(N + 1)
-            wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-            wts *= (hi - lo) / (3.0 * N)
+            wts = _simpson_weights(*box_phys[ax], N)
             cur = np.tensordot(cur, wts, axes=([ax], [0])) if np.ndim(cur) > 1 else cur @ wts
         cur = float(cur)
         if prev is not None and abs(cur - prev) <= max(cfg.tolerance, 1e-9 * abs(cur)):
@@ -459,7 +532,7 @@ def major_arc_model(
         raise PreconditionViolated("major arc model needs |z| <= P^-3")
     S = gen_sum(F, w, P, a=a, q=q, z=z, budget=budget)
     Saq = complete_sum(F, a, q).value
-    Iz, err = i_gamma(F, w, z * P ** 4, cfg)
+    Iz, err = osc_integral(F, w, z * P ** 4, [0.0] * F.n, cfg=cfg)
     model = q ** -n * P ** n * Saq * Iz
     diff = abs(S - model)
     return {

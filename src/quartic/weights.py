@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreconditionViolated
 
 
 def gamma_bump(t):
@@ -51,12 +51,12 @@ class WeightSpec:
             if len(self.x0) != self.n:
                 raise DimensionMismatch("center length != n")
             if not 0 < self.rho <= 1:
-                raise ValueError("rho must lie in (0, 1]")
+                raise PreconditionViolated(f"rho must lie in (0, 1], got {self.rho}")
         elif self.kind == "shifted_product":
             if self.base is None or len(self.h) != self.n:
                 raise DimensionMismatch("shifted_product needs base and h of length n")
         elif self.kind not in ("box", "unit_box"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            raise PreconditionViolated(f"unknown weight kind {self.kind!r}")
 
     # -- evaluation ---------------------------------------------------------
 

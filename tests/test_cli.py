@@ -156,8 +156,14 @@ class TestBudget:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--budget", "10"] + COUNT, COUNT + ["--budget", "10"], ["--budget", "100", "series", "--form-text", N6, "--R", "32"]],
-        ids=["before-subcommand", "after-subcommand", "series"],
+        [
+            ["--budget", "10"] + COUNT,
+            COUNT + ["--budget", "10"],
+            ["--budget", "100", "series", "--form-text", N6, "--R", "32"],
+            ["--budget", "10", "poisson", "--form-text", "x1^3", "--weight", "bump", "--center", "0",
+             "--rho", "1.0", "--P", "30", "--a", "1", "--q", "3", "--z", "0"],
+        ],
+        ids=["before-subcommand", "after-subcommand", "series", "poisson"],
     )
     def test_budget_is_enforced(self, argv, capsys):
         rc = main(argv)
@@ -170,6 +176,26 @@ class TestBudget:
         # one 2-variable block: about q^2 cells per modulus, not q^6
         rc, out = run_cli(["series", "--form-text", self.N6, "--R", "32"], capsys)
         assert rc == 0 and json.loads(out)["R"] == 32.0
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "0.5,0.5", "--rho", "0", "--R", "2"],
+            ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "0"],
+            ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "-3"],
+            ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "0", "--units"],
+            ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "-3", "--v", "1"],
+        ],
+        ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative"],
+    )
+    def test_is_one_error_line(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "PreconditionViolated"
 
 
 class TestEntryPoint:

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quartic.errors import DimensionMismatch, PreconditionViolated
+from quartic import oscillatory
+from quartic.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, ToleranceNotMet
 from quartic.forms import CubicData, parse_form
 from quartic.oscillatory import (
     QuadratureConfig,
+    _direct_gamma_table,
     gen_sum,
-    i_gamma,
     integrate_1d,
     major_arc_model,
     osc_integral,
@@ -21,6 +22,7 @@ from quartic.oscillatory import (
 )
 from quartic.verify import random_cubic_data, random_form
 from quartic.weights import (
+    WeightSpec,
     bump,
     gamma_bump,
     lattice_ranges,
@@ -57,6 +59,11 @@ class TestWeights:
             x = [rng.uniform(-0.8, 0.8) for _ in range(2)]
             expect = base([x[0] + 0.3, x[1] - 0.2]) * base(x)
             assert abs(w(x) - expect) < 1e-14
+
+    @pytest.mark.parametrize("kwargs", [dict(kind="bump", n=1, x0=(0.0,), rho=0.0), dict(kind="ball", n=1)])
+    def test_bad_spec_is_typed(self, kwargs):
+        with pytest.raises(PreconditionViolated):
+            WeightSpec(**kwargs)
 
     def test_separable_smoothness_scale(self):
         w = separable_bump((0.1, 0.2), 0.3)
@@ -178,6 +185,67 @@ class TestSingularIntegral:
         a = singular_integral(F, w, 8, method="factored")
         c = singular_integral_sine(F, w, 8)
         assert abs(a - c) <= 1e-4 * max(1.0, abs(a))
+
+
+class TestDirectGammaTable:
+    CFG = QuadratureConfig(tolerance=1e-6, base_points=16)
+    R = 4.0
+
+    @pytest.mark.parametrize(
+        "src, w",
+        [
+            ("x1^4", bump((0.3,), 0.5)),
+            ("x1^4", separable_bump((0.3,), 0.5)),
+            ("x1^4 - x2^4", bump((0.5, 0.5), 0.2)),
+            ("x1^4 - x2^4 + 1", separable_bump((0.5, 0.5), 0.2)),
+            ("x1^4 + x1*x2^3", separable_bump((0.5, 0.5), 0.2)),
+            ("x1^4 + x2^4 - x3^4", separable_bump((0.5, 0.5, 0.5), 0.3)),
+            ("x1^2*x2*x3 + x3^4", bump((0.2, 0.2, 0.2), 0.2)),
+        ],
+    )
+    def test_matches_per_gamma_osc_integral(self, src, w):
+        F = parse_form(src)
+        gammas = np.array([0.0, 1e-3, -1e-3, self.R, -self.R])
+        table = _direct_gamma_table(F, w, gammas, self.CFG)
+        per_gamma = [osc_integral(F, w, float(g), [0.0] * F.n, cfg=self.CFG)[0] for g in gammas]
+        scale = abs(per_gamma[0])  # the mass of w
+        for got, want in zip(table, per_gamma):
+            assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("R", [1, 2, 10])
+    def test_direct_J_matches_sine_kernel(self, R):
+        F = parse_form("x1^4 - x2^4")
+        w = bump((0.5, 0.5), 0.2)
+        direct = singular_integral(F, w, R, method="direct")
+        assert abs(direct - singular_integral_sine(F, w, R)) <= 2 * R * QuadratureConfig().tolerance
+
+    def test_each_gamma_is_computed_once(self, monkeypatch):
+        seen = []
+
+        def recording(F, w, gammas, cfg):
+            seen.extend(gammas.tolist())
+            return table(F, w, gammas, cfg)
+
+        def per_gamma_call(*args, **kwargs):
+            raise AssertionError("the direct path must not call osc_integral per gamma")
+
+        table = oscillatory._direct_gamma_table
+        monkeypatch.setattr(oscillatory, "_direct_gamma_table", recording)
+        monkeypatch.setattr(oscillatory, "osc_integral", per_gamma_call)
+        singular_integral(parse_form("x1^4 - x2^4"), bump((0.5, 0.5), 0.2), 2, method="direct")
+        assert len(seen) == len(set(seen)) > 65  # the gamma rule doubled at least once
+
+    @pytest.mark.parametrize(
+        "cfg", [QuadratureConfig(max_cells=100), QuadratureConfig(max_refinements=1)], ids=["cells", "refinements"]
+    )
+    def test_tolerance_not_met(self, cfg):
+        with pytest.raises(ToleranceNotMet):
+            _direct_gamma_table(parse_form("x1^4 - x2^4"), bump((0.5, 0.5), 0.2), np.array([0.0, 2.0]), cfg)
+
+    def test_n4_tensor_grid_is_refused(self):
+        F = parse_form("x1^4 + x2^4 - x3^4 - x4^4")
+        with pytest.raises(BudgetExceeded):
+            singular_integral(F, bump((0.5,) * 4, 0.2), 2, method="direct")
 
 
 class TestPoisson:

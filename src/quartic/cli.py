@@ -73,7 +73,7 @@ class FormCache:
     """JSON-lines cache of exponential-sum values keyed by form hash.
 
     Line format: {"checksum": sha256-prefix, "payload": {form_hash, kind, a, q,
-    re/im or int, err}}; a checksum mismatch raises CacheCorrupt.
+    re/im or int, err}}; a line cut short or failing its checksum raises CacheCorrupt.
     """
 
     def __init__(self, directory: str | None):
@@ -91,7 +91,10 @@ class FormCache:
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    raise CacheCorrupt(f"unreadable line in {self.path}") from None
                 payload = obj.get("payload", {})
                 blob = json.dumps(payload, sort_keys=True).encode()
                 if hashlib.sha256(blob).hexdigest()[:16] != obj.get("checksum"):
@@ -260,7 +263,11 @@ def _cmd_arcs(args, config: RunConfig) -> int:
     except QuarticError as exc:
         rep |= {"disjoint": False, "error": str(exc)}
     if args.alpha is not None:
-        kind, a, q = classify(Fraction(args.alpha), args.delta, args.P)
+        try:
+            alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigInvalid(f"--alpha must be a rational number, got {args.alpha!r}") from None
+        kind, a, q = classify(alpha, args.delta, args.P)
         rep["classify"] = {"alpha": args.alpha, "kind": kind, "a": a, "q": q}
     _emit(rep, output=config.output)
     return 0
@@ -335,6 +342,8 @@ def _cmd_hasse(args, config: RunConfig) -> int:
 def _cmd_geometry(args, config: RunConfig) -> int:
     from .geometry import b_set_profile, find_hyperplane, hessian_rank_profile, sing_dim
 
+    if args.op in ("rank-profile", "b-set") and args.p is None:
+        raise ConfigInvalid(f"--op {args.op} needs a prime --p")
     F = _load_form(args)
     rep = _base(F, args) | {"command": "geometry", "op": args.op}
     if args.op == "sing-dim":

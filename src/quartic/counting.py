@@ -3,8 +3,10 @@
 Two backends: brute enumeration over the weight's support box, and a
 meet-in-the-middle (mitm) path for diagonal forms that hashes partial sums of
 one half of the variables against the other half.  Both are exact; they agree
-wherever both run.  Counts mod q convolve the value histograms of the blocks
-of F (`forms.blocks`), so a diagonal form costs n*q cells, not q^n.
+wherever both run.  `value_counts` gives the value distribution of a
+polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
+it convolves the value histograms of the blocks of F (`forms.blocks`), so a
+diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n.
 """
 
 from __future__ import annotations
@@ -181,35 +183,51 @@ def factorint(q: int):
     return out
 
 
-def _rho_prime_power(F: IntPolynomial, q: int, budget: int) -> int:
-    """#{x mod q : F(x) = 0 mod q}: value histograms mod q of the blocks of F, convolved."""
+def _block_histogram(G: IntPolynomial, q: int) -> np.ndarray:
+    """Histogram of G mod q over [0, q)^G.n, built in first-axis slabs of about 2^22 cells."""
+    axis = np.arange(q, dtype=np.int64)
+    step = max(1, (1 << 22) // q ** (G.n - 1))
+    hist = np.zeros(q, dtype=np.int64)
+    for start in range(0, q, step):
+        vals = grid_values(G, [axis[start:start + step]] + [axis] * (G.n - 1), modulus=q)
+        hist += np.bincount(vals.ravel(), minlength=q)
+    return hist
+
+
+def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """N_q(r) = #{x mod q : F(x) = r mod q} for r in [0, q), exact.
+
+    One histogram per distinct block polynomial of F (`forms.blocks`), joined
+    by cyclic convolution mod q and shifted by the constant term.  The cost,
+    sum_b q^|b| cells plus q^2 multiply-adds for each block joined after the
+    first, is checked against `budget` before any allocation.  Counts stay
+    below q^n: int64 when n*log2(q) < 62, else Python ints.
+    """
     const, parts = blocks(F)
-    cells = sum(q ** len(vars_) for vars_, _ in parts)
-    if cells > budget:
-        raise BudgetExceeded(f"{cells} cells for the blocks of F mod {q} exceed budget {budget}")
-    # counts stay below q^n so int64 is exact whenever n*log2(q) < 62
+    cost = sum(q ** len(vars_) for vars_, _ in parts) + max(len(parts) - 1, 0) * q * q
+    if cost > budget:
+        raise BudgetExceeded(f"cost {cost} of the blocks of F mod {q} exceeds budget {budget}")
     dt = np.int64 if F.n * math.log2(q) < 62 else object
-    dist = np.zeros(q, dtype=dt)
-    dist[0] = 1
+    dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
     hists = {}  # blocks with the same polynomial share one histogram
-    for vars_, G in parts:
-        hist = hists.get(G)
-        if hist is None:
-            vals = grid_values(G, [np.arange(q)] * len(vars_), modulus=q)
-            hist = hists[G] = np.bincount(vals.ravel(), minlength=q).astype(dt)
-        full = np.convolve(dist, hist)
+    for i, (vars_, G) in enumerate(parts):
+        key = (len(vars_), frozenset(G.coeffs.items()))  # cheaper to hash than G
+        if key not in hists:
+            hists[key] = _block_histogram(G, q).astype(dt, copy=False)
+        if i == 0:
+            dist = hists[key]
+            continue
+        full = np.convolve(dist, hists[key])
         dist = full[:q]
         dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
-    return int(dist[-const % q])
+    return np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
 
 
 def solutions_mod_q(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """rho_F(q), exact; multiplicative over the prime powers of q (CRT)."""
-    if q == 1:
-        return 1
     out = 1
-    for p, e in factorint(q).items():
-        out *= _rho_prime_power(F, p ** e, budget)
+    for p, e in factorint(q).items():  # empty for q = 1
+        out *= int(value_counts(F, p ** e, budget)[0])
     return out
 
 

@@ -2,8 +2,11 @@
 
 Individual sums S_{a,q} and T(a,q;v) are computed as complex doubles from a
 precomputed root-of-unity table (phases are exact residues, so there is no
-trigonometric drift), with a stated error bound.  Aggregates that feed the
-singular series use an exact integer path through solution counts.
+trigonometric drift), with a stated error bound.  The direct path reads the
+value distribution of a*F + v.x mod q from `counting.value_counts`; `auto`
+takes it whenever that fits the budget, else the CRT product over the prime
+powers of q.  Aggregates that feed the singular series use an exact integer
+path through solution counts.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import factorint, solutions_mod_q
+from .counting import factorint, solutions_mod_q, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, NotCoprime, PreconditionViolated
 from .forms import CubicData, IntPolynomial, grid_values, hessian
 from .geometry import _xgcd
@@ -36,26 +39,6 @@ def roots_of_unity(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-def _phase_counts(poly: IntPolynomial, mult: int, q: int, v=None, budget: int = DEFAULT_BUDGET):
-    """Histogram over residues of (mult*poly(x) + v.x) mod q on [0,q)^n."""
-    n = poly.n
-    total = q ** n
-    if total > budget:
-        raise BudgetExceeded(f"{q}^{n} = {total} cells exceeds budget {budget}")
-    g = poly * int(mult)
-    if v is not None:
-        g = g + IntPolynomial(n, {tuple(int(i == j) for j in range(n)): int(v[i]) for i in range(n)})
-    # slabs of the first axis bound the working set to about 2^22 cells;
-    # a constant form (n = 0) is one slab of a 0-d grid
-    axis = np.arange(q, dtype=np.int64)
-    step = max(1, (1 << 22) // q ** (n - 1)) if n else q
-    counts = np.zeros(q, dtype=np.int64)
-    for start in range(0, q, step):
-        axes = [axis[start:start + step]] + [axis] * (n - 1)
-        counts += np.bincount(grid_values(g, axes[:n], modulus=q).ravel(), minlength=q)
-    return counts
-
-
 def _check_modulus(q: int) -> None:
     if q < 1:
         raise PreconditionViolated(f"modulus q must be a positive integer, got {q}")
@@ -67,20 +50,37 @@ def _sum_from_counts(counts: np.ndarray, q: int, n: int) -> ExpSumValue:
     return ExpSumValue(value=val, err=err, q=q, n=n)
 
 
+def _direct_sum(poly: IntPolynomial, a: int, q: int, v, budget: int) -> ExpSumValue:
+    """sum over x mod q of e_q(a poly(x) + v.x), read off the value distribution mod q."""
+    n = poly.n
+    coeffs = {e: int(a) * c for e, c in poly.coeffs.items()}
+    for i, vi in enumerate(v):
+        e = tuple(int(i == j) for j in range(n))
+        coeffs[e] = coeffs.get(e, 0) + vi
+    return _sum_from_counts(value_counts(IntPolynomial(n, coeffs), q, budget), q, n)
+
+
+def _sum(poly: IntPolynomial, a: int, q: int, v, method: str, budget: int) -> ExpSumValue:
+    """The direct sum, the CRT product, or (auto) direct when `value_counts` fits the budget."""
+    _check_modulus(q)
+    if q == 1:
+        return ExpSumValue(1.0 + 0j, 0.0, exact=1, q=1, n=poly.n)
+    if method not in ("auto", "direct", "crt"):
+        raise ValueError(f"unknown method {method!r}")
+    if method != "crt":
+        try:
+            return _direct_sum(poly, a, q, v, budget)
+        except BudgetExceeded:
+            if method == "direct":
+                raise
+    return _crt_sum(poly, a, q, v, budget)
+
+
 def complete_sum(
     F: IntPolynomial, a: int, q: int, method: str = "auto", budget: int = DEFAULT_BUDGET
 ) -> ExpSumValue:
     """S_{a,q} = sum over x mod q of e_q(a F(x))."""
-    _check_modulus(q)
-    if q == 1:
-        return ExpSumValue(1.0 + 0j, 0.0, exact=1, q=1, n=F.n)
-    if method == "auto":
-        method = "direct" if q ** F.n <= budget else "crt"
-    if method == "direct":
-        return _sum_from_counts(_phase_counts(F, a, q, budget=budget), q, F.n)
-    if method == "crt":
-        return _crt_sum(F, a, q, None, budget)
-    raise ValueError(f"unknown method {method!r}")
+    return _sum(F, a, q, (), method, budget)
 
 
 def twisted_sum(
@@ -90,16 +90,7 @@ def twisted_sum(
     poly = g.poly if isinstance(g, CubicData) else g
     if len(v) != poly.n:
         raise DimensionMismatch("v length != variable count")
-    _check_modulus(q)
-    if q == 1:
-        return ExpSumValue(1.0 + 0j, 0.0, exact=1, q=1, n=poly.n)
-    if method == "auto":
-        method = "direct" if q ** poly.n <= budget else "crt"
-    if method == "direct":
-        return _sum_from_counts(_phase_counts(poly, a, q, v=v, budget=budget), q, poly.n)
-    if method == "crt":
-        return _crt_sum(poly, a, q, tuple(int(x) for x in v), budget)
-    raise ValueError(f"unknown method {method!r}")
+    return _sum(poly, a, q, tuple(int(x) for x in v), method, budget)
 
 
 def _crt_sum(poly: IntPolynomial, a: int, q: int, v, budget: int) -> ExpSumValue:
@@ -108,37 +99,23 @@ def _crt_sum(poly: IntPolynomial, a: int, q: int, v, budget: int) -> ExpSumValue
     Peels prime powers off via T(a, rs; v) = T(a sbar, r; sbar v) T(a rbar, s; rbar v)
     where r rbar + s sbar = 1.
     """
-    parts = [p ** e for p, e in sorted(factorint(q).items())]
     val = 1.0 + 0j
     err = 0.0
     a_cur, v_cur, q_cur = a % q, v, q
-    while len(parts) > 1:
-        r = parts.pop(0)
+    for r in [p ** e for p, e in sorted(factorint(q).items())]:
         s = q_cur // r
-        _, rbar, sbar = _xgcd(r, s)  # r*rbar + s*sbar = 1
-        left = _direct_or_recurse(poly, (a_cur * sbar) % r, r, _scale_v(v_cur, sbar, r), budget)
-        err = err * abs(left.value) + left.err * abs(val)
-        val *= left.value
+        _, rbar, sbar = _xgcd(r, s)  # r*rbar + s*sbar = 1; at the last prime power s = sbar = 1
+        part = _direct_sum(poly, (a_cur * sbar) % r, r, _scale_v(v_cur, sbar, r), budget)
+        err = err * abs(part.value) + part.err * abs(val)
+        val *= part.value
         a_cur = (a_cur * rbar) % s
         v_cur = _scale_v(v_cur, rbar, s)
         q_cur = s
-    last = _direct_or_recurse(poly, a_cur, q_cur, v_cur, budget)
-    err = err * abs(last.value) + last.err * abs(val)
-    val *= last.value
     return ExpSumValue(val, err + 1e-12, q=q, n=poly.n)
 
 
 def _scale_v(v, s, q):
-    if v is None:
-        return None
     return tuple((s * x) % q for x in v)
-
-
-def _direct_or_recurse(poly, a, q, v, budget):
-    if q ** poly.n > budget:
-        raise BudgetExceeded(f"prime power {q} too large for direct path")
-    counts = _phase_counts(poly, a, q, v=v, budget=budget)
-    return _sum_from_counts(counts, q, poly.n)
 
 
 # -- exact aggregated sums -----------------------------------------------------
@@ -161,10 +138,8 @@ def unit_sum_prime_power(F: IntPolynomial, p: int, k: int, budget: int = DEFAULT
 def sum_over_units(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """A_q = sum over gcd(a,q)=1 of S_{a,q} as an exact integer (multiplicative)."""
     _check_modulus(q)
-    if q == 1:
-        return 1
     out = 1
-    for p, e in factorint(q).items():
+    for p, e in factorint(q).items():  # empty for q = 1
         out *= unit_sum_prime_power(F, p, e, budget=budget)
     return out
 
@@ -200,10 +175,7 @@ class ModulusFactorization:
         ok &= self.d % self.d0 == 0
         ok &= _is_squarefull(self.c // (self.d * self.d0))
         if self.r_i:
-            prod = 1
-            for r in self.r_i:
-                prod *= r
-            ok &= prod == self.b * self.d
+            ok &= math.prod(self.r_i) == self.b * self.d
             ok &= all(self.r_i[i] == self.b_i[i] * self.d_i[i] for i in range(len(self.r_i)))
         return ok
 
@@ -274,15 +246,8 @@ def split_multiplicative(g, a: int, r: int, s: int, v, budget: int = DEFAULT_BUD
     left = twisted_sum(poly, (a * sbar) % r or r, r, _scale_v(tuple(v), sbar, r), method="direct", budget=budget)
     right = twisted_sum(poly, (a * rbar) % s or s, s, _scale_v(tuple(v), rbar, s), method="direct", budget=budget)
     prod = left.value * right.value
-    residual = abs(direct.value - prod)
-    return {
-        "direct": direct.value,
-        "left": left.value,
-        "right": right.value,
-        "product": prod,
-        "residual": residual,
-        "scale": float(r * s) ** poly.n,
-    }
+    return {"direct": direct.value, "left": left.value, "right": right.value, "product": prod,
+            "residual": abs(direct.value - prod), "scale": float(r * s) ** poly.n}
 
 
 # -- kernel counts M_m, N_m --------------------------------------------------------
@@ -349,9 +314,7 @@ def kernel_count_mod(M, m: int) -> int:
 
 def mn_counts(g: CubicData, x, m: int) -> tuple:
     """(M_m(x), N_m(x)): kernels mod m of the full Hessian and of H_{g0}."""
-    Mmat = hessian(g.poly, x)
-    Nmat = hessian(g.g0, x)
-    return kernel_count_mod(Mmat, m), kernel_count_mod(Nmat, m)
+    return kernel_count_mod(hessian(g.poly, x), m), kernel_count_mod(hessian(g.g0, x), m)
 
 
 # -- the box-and-congruence sum S(V, a) ---------------------------------------------
@@ -387,31 +350,29 @@ def s_va(
         raise ValueError("d must divide c")
     if c ** n > budget:
         raise BudgetExceeded(f"{c}^{n} residue points exceed budget")
-    # M_d depends on r mod d only
-    md_table = {}
-    for idx in range(max(d, 1) ** n):
-        r = tuple((idx // max(d, 1) ** i) % max(d, 1) for i in range(n))
-        md_table[r] = kernel_count_mod(hessian(g.poly, r), d) if d > 1 else 1
+    d = max(d, 1)
+    # M_d depends on r mod d only (kernel_count_mod(., 1) = 1)
+    md = np.ones((d,) * n, dtype=np.int64)
+    for r in np.ndindex(md.shape):
+        md[r] = kernel_count_mod(hessian(g.poly, r), d)
     grads = [g.poly.partial(i) for i in range(n)]
-    total_int = 0
-    total_float = 0.0
-    all_square = True
-    for idx in range(c ** n):
-        r = tuple((idx // c ** i) % c for i in range(n))
-        window = 1
+    # window[r] = #{v in the box : c | a grad g(r) + v}, from one table per axis
+    # indexed by residue; Python ints, so the products are exact
+    tables = [np.array([_residue_count_in_window(int(v0[i]), V, c, t) for t in range(c)], dtype=object)
+              for i in range(n)]
+    # slabs of the first axis bound the working set to about 2^20 residues r
+    axis = np.arange(c)
+    step = max(1, (1 << 20) // c ** (n - 1)) if n else c
+    total_int, total_float, exact = 0, 0.0, True
+    for start in range(0, c, step):
+        axes = [axis[start:start + step]] + [axis] * (n - 1) if n else []
+        Md = md[np.ix_(*[ax % d for ax in axes])]
+        window = np.ones(Md.shape, dtype=object)
         for i in range(n):
-            u = (a * grads[i].evaluate(r)) % c
-            window *= _residue_count_in_window(int(v0[i]), V, c, (-u) % c)
-            if window == 0:
-                break
-        if window == 0:
-            continue
-        Md = md_table[tuple(ri % max(d, 1) for ri in r)]
-        root = math.isqrt(Md)
-        if root * root == Md:
-            total_int += window * root
-        else:
-            all_square = False
-            total_float += window * math.sqrt(Md)
-    value = total_int + total_float
-    return {"value": value, "exact": all_square, "int_part": total_int}
+            window = window * tables[i][(-(a % c) * grid_values(grads[i], axes, modulus=c)) % c]
+        root = np.vectorize(math.isqrt, otypes=[np.int64])(Md)
+        square = root * root == Md
+        total_int += int(window[square].dot(root[square]))
+        total_float += float(window[~square].astype(np.float64) @ np.sqrt(Md[~square]))
+        exact = exact and not window[~square].any()
+    return {"value": total_int + total_float, "exact": exact, "int_part": total_int}

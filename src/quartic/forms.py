@@ -389,6 +389,13 @@ def blocks(F: IntPolynomial):
         if len(hit) > 1:
             first = min(hit)
             label = [first if lab in hit else lab for lab in label]
+    if set(label) == {0}:  # one block over every variable: G is F less its constant
+        const = F.coeffs.get((0,) * n, 0)
+        G = F
+        if const:  # F.coeffs is already clean, so G skips the validating constructor
+            G = IntPolynomial(n)
+            G.coeffs = {e: c for e, c in F.coeffs.items() if any(e)}
+        return const, [(tuple(range(n)), G)]
     groups = {first: tuple(i for i in range(n) if label[i] == first) for first in sorted(set(label))}
     subs = {first: {} for first in groups}
     const = 0

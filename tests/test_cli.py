@@ -1,3 +1,4 @@
+import cmath
 import json
 import subprocess
 import sys
@@ -111,6 +112,21 @@ class TestCache:
         with pytest.raises(CacheCorrupt):
             FormCache(str(tmp_path))
 
+    def test_truncated_line_is_cache_corrupt(self, capsys, tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "expsum", "--form-text", "x1^4 + x2^4", "--q", "6"]
+        assert main(argv) == 0 and main(argv[:-1] + ["7"]) == 0
+        path = tmp_path / "expsums.jsonl"
+        text = path.read_text()
+        path.write_text(text[: len(text) - 10])  # an interrupted write cuts the last line short
+        with pytest.raises(CacheCorrupt):
+            FormCache(str(tmp_path))
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "CacheCorrupt"
+
     def test_cache_hit_skips_recompute(self, capsys, tmp_path):
         argv = ["--cache-dir", str(tmp_path), "--timing", "expsum",
                 "--form-text", "x1^4 + x2^4", "--q", "6", "--units"]
@@ -196,6 +212,56 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "PreconditionViolated"
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["arcs", "--delta", "1.0", "--P", "16", "--alpha", "abc"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "rank-profile"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set"],
+        ],
+        ids=["alpha-not-rational", "rank-profile-without-p", "b-set-without-p"],
+    )
+    def test_bad_option_is_one_config_error_line(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigInvalid"
+
+
+class TestBlockFormSums:
+    """Diagonal forms go direct through the block distribution mod q, far past q^n cells."""
+
+    @pytest.mark.parametrize(
+        "form, coeffs, a, q, v",
+        [
+            ("x1^4+x2^4+x3^4+x4^4-x5^4-x6^4-x7^4-x8^4", (1, 1, 1, 1, -1, -1, -1, -1), 1, 128, None),
+            ("x1^4+x2^4+x3^4+x4^4-x5^4-x6^4-x7^4-x8^4", (1, 1, 1, 1, -1, -1, -1, -1), 5, 256, None),
+            ("x1^4+2*x2^4-x3^4+3*x4^4-5*x5^4", (1, 2, -1, 3, -5), 3, 64, (1, 2, 0, 5, 63)),
+        ],
+        ids=["F8-q128", "F8-q256-object-counts", "twisted-n5-q64"],
+    )
+    def test_matches_product_of_one_variable_sums(self, form, coeffs, a, q, v, capsys):
+        argv = ["expsum", "--form-text", form, "--a", str(a), "--q", str(q)]
+        if v:
+            argv += ["--v", ",".join(map(str, v))]
+        rc, out = run_cli(argv, capsys)
+        rep = json.loads(out)
+        want = 1
+        for c, t in zip(coeffs, v or [0] * len(coeffs)):
+            want *= sum(cmath.exp(2j * cmath.pi * ((a * c * x ** 4 + t * x) % q) / q) for x in range(q))
+        assert rc == 0 and abs(complex(rep["re"], rep["im"]) - want) <= rep["err"] + 1e-9 * abs(want)
+
+
+    def test_two_blocks_at_a_large_prime_exceed_the_budget(self, capsys):
+        # x1^4 + x2^4 mod 999983: 2e6 cells, but the join alone is about 1e12 steps
+        rc = main(["expsum", "--form-text", "x1^4+x2^4", "--q", "999983"])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BudgetExceeded"
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from quartic.counting import (
     height_count,
     is_diagonal,
     solutions_mod_q,
+    value_counts,
     weighted_count,
 )
 from quartic.errors import BudgetExceeded, MitmNotApplicable
@@ -175,10 +177,85 @@ class TestBlockConvolution:
 
     def test_budget_counts_block_cells(self):
         F = parse_form("x1^4 + x1*x2^3 + x3^4 + x4^4 - x5^4 - x6^4")
-        cells = 32 ** 2 + 4 * 32  # one 2-variable block and four 1-variable blocks
-        assert solutions_mod_q(F, 32, budget=cells) == solutions_mod_q(F, 32)
+        # one 2-variable block and four 1-variable blocks, joined by four convolutions
+        cost = 32 ** 2 + 4 * 32 + 4 * 32 ** 2
+        assert solutions_mod_q(F, 32, budget=cost) == solutions_mod_q(F, 32)
         with pytest.raises(BudgetExceeded):
-            solutions_mod_q(F, 32, budget=cells - 1)
+            solutions_mod_q(F, 32, budget=cost - 1)
+
+
+def _python_counts(F, q):
+    """N_q(r) for every r by evaluating F at each x mod q in pure Python."""
+    counts = [0] * q
+    for x in product(range(q), repeat=F.n):
+        counts[F.evaluate(x) % q] += 1
+    return counts
+
+
+def _python_convolution(hists, q):
+    """Cyclic convolution mod q of residue histograms given as dicts, in pure Python."""
+    dist = {0: 1}
+    for hist in hists:
+        new = {}
+        for r1, c1 in dist.items():
+            for r2, c2 in hist.items():
+                new[(r1 + r2) % q] = new.get((r1 + r2) % q, 0) + c1 * c2
+        dist = new
+    return [dist.get(r, 0) for r in range(q)]
+
+
+class TestValueCounts:
+    @pytest.mark.parametrize(
+        "sizes, const, unused",
+        [((2, 1, 1), 0, 0), ((1, 2), 3, 0), ((2,), -5, 1), ((1, 1), 11, 2), ((3,), 0, 0)],
+        ids=["2+1+1", "const", "unused+const", "two-unused+const", "dense-n3"],
+    )
+    @pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+    def test_matches_python_count(self, sizes, const, unused, twist):
+        rng = random.Random(f"{sizes}:{const}:{unused}:{twist}")
+        for _ in range(2):
+            F = _random_block_form(rng, sizes, const, unused)
+            if twist:  # a linear twist v.x keeps the blocks of F
+                F = F + IntPolynomial(F.n, {tuple(int(i == j) for j in range(F.n)): rng.randint(-4, 4)
+                                            for i in range(F.n)})
+            for q in (2, 4, 6, 9, 10, 12):
+                got = value_counts(F, q)
+                assert got.dtype == np.int64 and got.tolist() == _python_counts(F, q), (F, q)
+
+    def test_object_dtype_matches_python_convolution(self):
+        # n*log2(q) >= 62: Python ints; constant 5 and twist 3*x1 - x8 shift the distribution
+        q = 3 ** 5
+        signs = (1, 1, 1, 1, -1, -1, -1, -1)
+        twist = (3, 0, 0, 0, 0, 0, 0, -1)
+        F = parse_form("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4 + 5 + 3*x1 - x8")
+        assert 8 * math.log2(q) >= 62
+        hists = []
+        for sign, t in zip(signs, twist):
+            hist = {}
+            for x in range(q):
+                r = (sign * x ** 4 + t * x) % q
+                hist[r] = hist.get(r, 0) + 1
+            hists.append(hist)
+        want = _python_convolution(hists + [{5: 1}], q)
+        got = value_counts(F, q)
+        assert got.dtype == object and got.tolist() == want
+
+    def test_budget_checked_before_work(self):
+        F = parse_form("x1^4 + x1*x2^3 + x3^4")
+        q = 64
+        cost = q ** 2 + q + q ** 2  # the two blocks' cells and one q^2 convolution
+        assert value_counts(F, q, budget=cost).sum() == q ** 3
+        with pytest.raises(BudgetExceeded):
+            value_counts(F, q, budget=cost - 1)
+
+    def test_one_block_needs_no_convolution(self):
+        F = parse_form("x1^4 + x1*x2^3 + 7")
+        assert value_counts(F, 64, budget=64 ** 2).tolist() == _python_counts(F, 64)
+
+    def test_convolution_counts_against_budget(self):
+        # 2*q cells, but one q^2 join: about 1e12 steps at this prime, refused at once
+        with pytest.raises(BudgetExceeded):
+            value_counts(parse_form("x1^4 + x2^4"), 999983)
 
 
 class TestAuxiliaryCounts:

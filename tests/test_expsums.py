@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quartic.counting import factorint, solutions_mod_q
+from quartic.counting import factorint, solutions_mod_q, value_counts
 from quartic.errors import NotCoprime
 from quartic.expsums import (
     complete_sum,
@@ -21,7 +21,7 @@ from quartic.expsums import (
     twisted_sum,
     unit_sum_prime_power,
 )
-from quartic.forms import CubicData, IntPolynomial, hessian, parse_form
+from quartic.forms import CubicData, IntPolynomial, grid_values, hessian, parse_form
 from quartic.verify import random_cubic_data, random_form
 
 
@@ -44,6 +44,22 @@ class TestCompleteSum:
             d = complete_sum(F, a, q, method="direct").value
             c = complete_sum(F, a, q, method="crt").value
             assert abs(d - c) <= 1e-9 * q ** 2
+
+    def test_two_blocks_at_composite_q_take_crt(self, monkeypatch):
+        # direct at 30030 would be two q^2 convolutions: auto takes the six prime sums
+        import quartic.expsums as expsums
+
+        F = parse_form("x1^4 + x2^4")
+        moduli = []
+
+        def recording(G, q, budget):
+            moduli.append(q)
+            return value_counts(G, q, budget)
+
+        monkeypatch.setattr(expsums, "value_counts", recording)
+        got = complete_sum(F, 1, 30030)
+        assert moduli == [30030, 2, 3, 5, 7, 11, 13]
+        assert repr(got.value) == repr(complete_sum(F, 1, 30030, method="crt").value)
 
     def test_conjugation(self):
         rng = random.Random(1)
@@ -287,6 +303,22 @@ class TestSVa:
             got = s_va(g, V, a, v0, c, d)["value"]
             want = self.naive(g, V, a, v0, c, d)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_across_slabs(self):
+        # 1503^2 = 2.26M residues r: three first-axis slabs of 697 rows, so the
+        # second and third start at r1 = 1 and 2 mod d; M_3 takes the values 1, 3 and 9
+        g = random_cubic_data(random.Random(34), 2, bound=3)
+        c, d, a, v0 = 1503, 3, 7, [2, -1]
+        md = np.array([[kernel_count_mod(hessian(g.poly, (i, j)), d) for j in range(d)] for i in range(d)])
+        sqrt_md = np.tile(np.sqrt(md), (c // d, c // d))
+        grads = [grid_values(g.poly.partial(i), [np.arange(c)] * 2, modulus=c) for i in range(2)]
+        want = 0.0
+        for v in product(range(v0[0] - 1, v0[0] + 2), range(v0[1] - 1, v0[1] + 2)):
+            hit = ((a * grads[0] + v[0]) % c == 0) & ((a * grads[1] + v[1]) % c == 0)
+            want += sqrt_md[hit].sum()
+        got = s_va(g, 1.5, a, v0, c, d)
+        assert sorted(set(md.ravel())) == [1, 3, 9] and not got["exact"]
+        assert abs(got["value"] - want) <= 1e-9 * max(1.0, want)
 
     def test_unit_box_count(self):
         rng = random.Random(13)

@@ -369,12 +369,13 @@ class TestGridValues:
         with pytest.raises(DimensionMismatch):
             grid_values(parse_form("x1^4 + x2^4"), [np.arange(3)])
 
-    def test_phase_counts_across_slabs(self):
-        from quartic.expsums import _phase_counts, complete_sum
+    def test_value_counts_across_slabs(self):
+        from quartic.counting import value_counts
+        from quartic.expsums import complete_sum
 
         # 2100^2 = 4.41M cells: the direct histogram is built in two slabs
         F = parse_form("x1^3*x2 + 2*x1*x2^2 + x2^4 + 3*x1")
-        assert _phase_counts(F, 11, 2100).sum() == 2100 ** 2
+        assert value_counts(F * 11, 2100).sum() == 2100 ** 2
         direct = complete_sum(F, 11, 2100, method="direct")
         crt = complete_sum(F, 11, 2100, method="crt")
         assert abs(direct.value - crt.value) <= direct.err + crt.err

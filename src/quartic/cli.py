@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import CacheCorrupt, ConfigInvalid, QuarticError, UnknownCommand
 from .forms import IntPolynomial, parse_form
+from .verify import SWEEPS
 from .weights import WeightSpec, box, bump, separable_bump
 
 CACHE_ENV = "QUARTIC_CACHE_DIR"
@@ -346,19 +346,20 @@ def _cmd_geometry(args, config: RunConfig) -> int:
         raise ConfigInvalid(f"--op {args.op} needs a prime --p")
     F = _load_form(args)
     rep = _base(F, args) | {"command": "geometry", "op": args.op}
+    budget = config.budget
     if args.op == "sing-dim":
         if args.p:
-            rep |= {"p": args.p, "s_p": sing_dim(F, args.p)}
+            rep |= {"p": args.p, "s_p": sing_dim(F, args.p, budget=budget)}
         else:
-            val, tag = sing_dim(F, None)
+            val, tag = sing_dim(F, None, budget=budget)
             rep |= {"s_proxy": val, "tag": tag}
     elif args.op == "rank-profile":
-        rep |= {"p": args.p, "r": args.r} | hessian_rank_profile(F, args.p, args.r)
+        rep |= {"p": args.p, "r": args.r} | hessian_rank_profile(F, args.p, args.r, budget=budget)
     elif args.op == "b-set":
-        rep |= {"p": args.p, "s": args.s} | b_set_profile(F, args.p, args.s)
+        rep |= {"p": args.p, "s": args.s} | b_set_profile(F, args.p, args.s, budget=budget)
     elif args.op == "hyperplane":
         primes = [int(t) for t in args.primes.split(",")] if args.primes else []
-        out = find_hyperplane(F, primes, args.M_max)
+        out = find_hyperplane(F, primes, args.M_max, budget=budget)
         rep |= {"m": list(out["m"]), "norm": out["norm"], "observed": {str(k): v for k, v in out["observed"].items()}}
     else:
         raise UnknownCommand(f"geometry op {args.op!r}")
@@ -371,92 +372,9 @@ def _default_calibration_path() -> Path:
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
-    import random
-
-    from . import verify as V
-
     rep = {"command": "verify", "lemma": args.lemma, "seed": args.seed, "trials": args.trials,
            "version": __version__}
-    if args.lemma == "davenport":
-        out = V.davenport_sweep(seed=args.seed, trials=args.trials)
-        rep |= {"max_ratio": out["max_ratio"], "params": {"n": out["n"], "A": out["A"]}}
-    elif args.lemma == "geometry":
-        out = V.geometry_bound_sweep(seed=args.seed, trials=args.trials)
-        rep |= {
-            "max_ratio_Tr": out["max_ratio_Tr"],
-            "max_ratio_Bs": out["max_ratio_Bs"],
-            "shape_ok": out["shape_ok"],
-            "params": {"primes": out["primes"], "n": out["n"]},
-        }
-    elif args.lemma == "vdc":
-        from .weights import bump as _bump
-
-        rng = random.Random(args.seed)
-        worst, all_ok = 0.0, True
-        for _ in range(args.trials):
-            n = rng.choice([1, 2])
-            F = V.random_form(rng, n, 4, bound=3)
-            out = V.vdc_identity(F, _bump((0.0,) * n, 1.0), 12, 3, Fraction(1, 7))
-            all_ok &= out["pair_counts_ok"]
-            all_ok &= out["quadratic_residual"] <= 1e-9 * out["quadratic_scale"]
-            worst = max(worst, out["bound"].ratio)
-        rep |= {"max_ratio": worst, "identities_ok": all_ok}
-    elif args.lemma == "weyl":
-        rng = random.Random(args.seed)
-        worst = 0.0
-        for _ in range(args.trials):
-            n = rng.choice([1, 2])
-            F = V.random_form(rng, n, 4, bound=2)
-            out = V.weyl_chain(F, 8, Fraction(1, rng.choice([3, 5, 7])))
-            worst = max(worst, out["square"].ratio, out["product"].ratio, out["counting"].ratio)
-        rep |= {"max_ratio": worst}
-    elif args.lemma == "filter":
-        checked, ok = 0, True
-        for q in range(1, 7):
-            for a in range(1, q + 1):
-                if math.gcd(a, q) != 1:
-                    continue
-                for m in range(-20, 21):
-                    alpha = Fraction(a, q)
-                    fr = (alpha * m) % 1
-                    if min(fr, 1 - fr) >= Fraction(1, 2 * q + 2):
-                        continue
-                    out = V.rational_approx_filter(20, a, q, Fraction(0), 2 * q + 2, m)
-                    ok &= out["ok"]
-                    checked += 1
-        rep |= {"checked": checked, "identities_ok": ok, "max_ratio": 0.0}
-    elif args.lemma == "deligne":
-        from .forms import parse_form as _pf
-
-        worst = 0.0
-        for p in (5, 7, 11, 13, 17, 19):
-            for a in range(p):
-                f = _pf(f"x1^3 + {a}*x1 + 1") if a else _pf("x1^3 + 1")
-                worst = max(worst, V.prime_power_bounds("deligne", f=f, p=p, j=1, s_p=-1).ratio)
-        rep |= {"max_ratio": worst}
-    elif args.lemma == "kernel-average":
-        rng = random.Random(args.seed)
-        worst = 0.0
-        for _ in range(args.trials):
-            g0 = V.random_form(rng, 2, 3, bound=3)
-            out = V.avs5_average(g0, rng.choice([2, 3, 4, 5, 6]), rng.choice([2, 3, 4]))
-            worst = max(worst, out.ratio)
-        rep |= {"max_ratio": worst}
-    elif args.lemma == "cubic-sum":
-        from .forms import CubicData as _CD
-        from .weights import bump as _bump
-
-        rng = random.Random(args.seed)
-        worst = 0.0
-        for _ in range(args.trials):
-            n = rng.choice([1, 2])
-            g = _CD.from_poly(V.random_form(rng, n, 3, bound=2, homogeneous=False))
-            q = rng.randint(1, 12)
-            out = V.prop_t2_bound(g, _bump((0.0,) * n, 0.5), 30, 1, q, 0.0)
-            worst = max(worst, out.ratio)
-        rep |= {"max_ratio": worst}
-    else:
-        raise UnknownCommand(f"verify lemma {args.lemma!r}")
+    rep |= SWEEPS[args.lemma](seed=args.seed, trials=args.trials)
     path = Path(args.calibration) if args.calibration else _default_calibration_path()
     if args.write_calibration:
         data = json.loads(path.read_text()) if path.exists() else {}
@@ -563,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M-max", type=int, default=5)
 
     p = sub.add_parser("verify")
-    p.add_argument("lemma", choices=["davenport", "geometry", "vdc", "weyl", "filter", "deligne", "kernel-average", "cubic-sum"])
+    p.add_argument("lemma", choices=list(SWEEPS))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--calibration", default=None)

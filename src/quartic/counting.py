@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -244,7 +245,8 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
     T(R): triples (w,x,y) in [-R,R]^{3n} with all L_i(w;x;y) = 0.
     N(alpha,P): |w|,|x|,|y| <= c*P with ||alpha L_i|| < 1/P for all i.
     S(R,Q): |w|,|x|,|y| <= R with ||alpha L_i|| < 1/Q for all i.
-    alpha is a Fraction (exact fractional-part arithmetic).
+    alpha is a rational; the tests ||alpha L_i|| < theta are exact integer
+    comparisons (`_near_integer`).
     """
     T = sym_tensor(F)
     n = F.n
@@ -262,40 +264,38 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
                 count += _kernel_count_in_box(C, R)
         return count
     if kind in ("N", "S"):
-        from fractions import Fraction
-
-        alpha = params["alpha"]
-        if not isinstance(alpha, Fraction):
-            alpha = Fraction(alpha)
+        alpha = Fraction(params["alpha"])
         if kind == "N":
-            P = params["P"]
-            c = params.get("c", 1.0)
-            R = int(math.floor(c * P))
-            thresh = Fraction(1, int(P))
+            R = int(math.floor(params.get("c", 1.0) * params["P"]))
+            theta = Fraction(1, int(params["P"]))
         else:
             R = int(params["R"])
-            thresh = Fraction(1, int(params["Q"]))
+            theta = Fraction(1, int(params["Q"]))
         lim = (2 * R + 1) ** (3 * n)
         if lim > budget:
             raise BudgetExceeded(f"{kind} enumeration {lim} exceeds budget")
-        pts = _box_pts(R)
+        pts = _box_pts(R).tolist()
+        Y = np.array(list(product(pts, repeat=n)), dtype=np.int64).reshape(-1, n).T
         count = 0
-        for wv in product(pts.tolist(), repeat=n):
-            for xv in product(pts.tolist(), repeat=n):
-                C = _contract_two(T, wv, xv)
-                for yv in product(pts.tolist(), repeat=n):
-                    ok = True
-                    for i in range(n):
-                        Li = sum(C[i][l] * yv[l] for l in range(n))
-                        frac = (alpha * Li) % 1
-                        dist = min(frac, 1 - frac)
-                        if not dist < thresh:
-                            ok = False
-                            break
-                    if ok:
-                        count += 1
+        for wv in product(pts, repeat=n):
+            for xv in product(pts, repeat=n):
+                C = np.array(_contract_two(T, wv, xv), dtype=np.int64)
+                count += int(_near_integer(alpha, C @ Y, theta).all(axis=0).sum())
         return count
     raise ValueError(f"unknown auxiliary count kind {kind!r}")
+
+
+def _near_integer(alpha: Fraction, m, theta: Fraction) -> np.ndarray:
+    """Mask of ||alpha * m|| < theta over an integer array m, exact.
+
+    With alpha = a/q, r = (a mod q)(m mod q) mod q and theta = u/v, the
+    distance is min(r, q - r)/q, and for an integer d, d/q < u/v holds
+    exactly when d < ceil(q*u/v).  Residues stay int64 while q < 2^31.
+    """
+    a, q = alpha.numerator, alpha.denominator
+    m = np.asarray(m).astype(np.int64 if q < 1 << 31 else object)
+    r = (a % q) * (m % q) % q
+    return np.minimum(r, q - r) < -(-q * theta.numerator // theta.denominator)
 
 
 def _contract_two(T, wv, xv):

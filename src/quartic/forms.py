@@ -475,11 +475,6 @@ def sym_tensor(F: IntPolynomial) -> SymTensor:
     return SymTensor(F.n, entries)
 
 
-def evaluate_and_gradient(g: IntPolynomial, x):
-    """Exact (g(x), grad g(x)) at an integer point."""
-    return g.evaluate(x), g.gradient_at(x)
-
-
 def hessian(g: IntPolynomial, x):
     """Symmetric matrix of second partials of g at x (exact; x may be rational)."""
     if len(x) != g.n:

@@ -22,6 +22,7 @@ from .errors import (
     CompositeP,
     DimensionMismatch,
     NoAnchor,
+    PreconditionViolated,
     SearchExhausted,
 )
 from .forms import CubicData, IntPolynomial, hessian_form_rows
@@ -467,6 +468,45 @@ def _dim_or_none(counts: dict, p: int, C: float, nmax: int):
         return None
 
 
+def _rank_locus_profile(
+    G: IntPolynomial,
+    p: int,
+    m: int,
+    kmax: int = 2,
+    C: float = BAND_CONSTANT,
+    budget: int = DEFAULT_BUDGET,
+    s_p: int | None = None,
+) -> dict:
+    """#{x in F_p^n : rank H_G(x) <= m} with the check dim <= min(n, m + s_p + 1).
+
+    Counts come from F_{p^k} for every k <= kmax that fits the budget; s_p is
+    computed here unless the caller passes it.
+    """
+    if p % 3 == 0:
+        raise PreconditionViolated(f"Hessian rank loci need p prime to 3 (cubic forms), got p={p}")
+    n = G.n
+    if p ** n > budget:
+        raise BudgetExceeded(f"{p}^{n} grid cells exceed budget {budget}")
+    counts = {}
+    for k in range(1, kmax + 1):
+        if (p ** k) ** n > budget or (k >= 2 and p ** k > GF.MAX_TABLE_Q):
+            break
+        counts[k] = int(sum(_rank_counts(G, p, k, budget)[: min(m, n) + 1]))
+    if s_p is None:
+        s_p = sing_dim(G, p, kmax=kmax, C=C, budget=budget)
+    bound = min(n, m + s_p + 1)
+    dim = _dim_or_none(counts, p, C, n)
+    return {
+        "count": counts[1],
+        "counts": counts,
+        "dim": dim,
+        "s_p": s_p,
+        "bound": bound,
+        "dim_ok": None if dim is None else dim <= bound,
+        "ratio": counts[1] / p ** bound if bound >= 0 else float(counts[1]),
+    }
+
+
 def hessian_rank_profile(
     G: IntPolynomial,
     p: int,
@@ -476,28 +516,7 @@ def hessian_rank_profile(
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """#T_r over F_p plus a dimension check against dim T_r <= r + s_p + 1."""
-    if p % 3 == 0:
-        raise ValueError("rank lemma requires p not dividing 3 (cubic forms)")
-    n = G.n
-    counts = {}
-    for k in range(1, kmax + 1):
-        if (p ** k) ** n > budget or (k >= 2 and p ** k > GF.MAX_TABLE_Q):
-            break
-        by_rank = _rank_counts(G, p, k, budget)
-        counts[k] = int(sum(by_rank[: min(r, n) + 1]))
-    sp = sing_dim(G, p, kmax=kmax, C=C, budget=budget)
-    bound = min(r + sp + 1, n)
-    dim = _dim_or_none(counts, p, C, n)
-    ratio = counts[1] / p ** bound if bound >= 0 else float(counts[1])
-    return {
-        "count": counts[1],
-        "counts": counts,
-        "dim": dim,
-        "s_p": sp,
-        "bound": bound,
-        "dim_ok": None if dim is None else dim <= bound,
-        "ratio": ratio,
-    }
+    return _rank_locus_profile(G, p, r, kmax, C, budget)
 
 
 def b_set_profile(
@@ -513,32 +532,11 @@ def b_set_profile(
     For cubic G the symmetry H_G(x)h = H_G(h)x turns dim A_h into
     n - rank H_G(h), so B_s is the rank <= n-s locus of the Hessian in h.
     """
-    if p % 3 == 0:
-        raise ValueError("requires p not dividing 3")
     if G.degree != 3 or not G.is_homogeneous(3):
-        raise ValueError("b_set_profile expects a cubic form")
-    n = G.n
-    if s > n:
+        raise PreconditionViolated("b_set_profile expects a cubic form")
+    if s > G.n:
         return {"count": 0, "counts": {}, "dim": -1, "s_p": None, "bound": -1, "dim_ok": True, "ratio": 0.0}
-    counts = {}
-    for k in range(1, kmax + 1):
-        if (p ** k) ** n > budget or (k >= 2 and p ** k > GF.MAX_TABLE_Q):
-            break
-        by_rank = _rank_counts(G, p, k, budget)
-        counts[k] = int(sum(by_rank[: max(n - s, -1) + 1]))
-    sp = sing_dim(G, p, kmax=kmax, C=C, budget=budget)
-    bound = min(n, n - s + sp + 1)
-    dim = _dim_or_none(counts, p, C, n)
-    ratio = counts[1] / p ** bound if bound >= 0 else float(counts[1])
-    return {
-        "count": counts[1],
-        "counts": counts,
-        "dim": dim,
-        "s_p": sp,
-        "bound": bound,
-        "dim_ok": None if dim is None else dim <= bound,
-        "ratio": ratio,
-    }
+    return _rank_locus_profile(G, p, G.n - s, kmax, C, budget)
 
 
 def dim_A_h(G: IntPolynomial, p: int, h, budget: int = DEFAULT_BUDGET) -> int:

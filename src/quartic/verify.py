@@ -8,6 +8,7 @@ calibration file rather than asserted in the abstract.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -16,13 +17,13 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .counting import factorint
+from .counting import _near_integer, factorint
 from .errors import BudgetExceeded, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
-from .forms import CubicData, IntPolynomial, difference_cubic, grid_values, hessian, sym_tensor
-from .geometry import sing_dim
+from .forms import CubicData, IntPolynomial, difference_cubic, grid_values, hessian, parse_form, sym_tensor
+from .geometry import _rank_locus_profile, sing_dim
 from .oscillatory import _grid_points, gen_sum
-from .weights import WeightSpec, shifted_product, unit_box
+from .weights import WeightSpec, bump, shifted_product, unit_box
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,15 +229,10 @@ def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction, c: float = 1.0) -> dic
         num = (aa * t) % qq
         dist = min(num, qq - num) / qq
         minvals[t] = min(P, 1.0 / dist) if dist > 0 else P
-    if n == 1:
-        rhs4 = float(P) ** (4 * n) * float((hist * minvals).sum())
-        thresh = np.array([min((aa * t) % qq, (qq - aa * t) % qq) / qq < 1.0 / P for t in range(qq)])
-        NaP = int(hist[thresh].sum())
-    else:
-        prod_min = np.multiply.outer(minvals, minvals)
-        rhs4 = float(P) ** (4 * n) * float((hist * prod_min).sum())
-        thr = np.array([min((aa * t) % qq, (qq - aa * t) % qq) / qq < 1.0 / P for t in range(qq)])
-        NaP = int(hist[np.ix_(thr, thr)].sum())
+    prod_min = functools.reduce(np.multiply.outer, [minvals] * n)
+    rhs4 = float(P) ** (4 * n) * float((hist * prod_min).sum())
+    near = _near_integer(alpha, np.arange(qq), Fraction(1, P))
+    NaP = int(hist[np.ix_(*[near] * n)].sum())
     rep4 = BoundReport.make("weyl-product-min", abs(S) ** 8, rhs4, {"P": P, "alpha": str(alpha)})
     # (22-smee): |S|^8 <= C P^{5n} (log P)^n N(alpha, P)
     rhs_smee = float(P) ** (5 * n) * math.log(max(P, 2)) ** n * max(NaP, 1)
@@ -252,23 +248,19 @@ def davenport_shrink(L, A: float, c: float, Z1: float, Z2: float, alpha: Fractio
     if not 0 < Z1 <= Z2 <= 1:
         raise PreconditionViolated("need 0 < Z1 <= Z2 <= 1")
     n = len(L)
-    L = [[int(x) for x in row] for row in L]
+    L = np.array([[int(x) for x in row] for row in L], dtype=np.int64)
+    alpha = Fraction(alpha)
 
     def count(Z):
         R = int(math.floor(c * A * Z))
-        thresh = Fraction(Z) / Fraction(A)  # exact binary value of the floats
+        axis = np.arange(-R, R + 1, dtype=np.int64)
+        theta = Fraction(Z) / Fraction(A)  # exact binary value of the floats
+        step = max(1, (1 << 18) // max(len(axis), 1) ** (n - 1))  # first-axis slabs of about 2^18 points
         total = 0
-        for u in product(range(-R, R + 1), repeat=n):
-            ok = True
-            for i in range(n):
-                v = alpha * sum(L[i][j] * u[j] for j in range(n))
-                frac = v - math.floor(v)
-                dist = min(frac, 1 - frac)
-                if not dist < thresh:
-                    ok = False
-                    break
-            if ok:
-                total += 1
+        for start in range(0, len(axis), step):
+            axes = np.meshgrid(axis[start:start + step], *[axis] * (n - 1), indexing="ij")
+            u = np.stack([ax.ravel() for ax in axes])
+            total += int(_near_integer(alpha, L @ u, theta).all(axis=0).sum())
         return total
 
     N1, N2 = count(Z1), count(Z2)
@@ -434,32 +426,31 @@ def prop_t2_bound(
 
 
 def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n: int = 3) -> dict:
-    """Max observed T_r and B_s ratios over a seeded sweep of cubic forms."""
-    from .geometry import b_set_profile, hessian_rank_profile
+    """Max observed T_r and B_s ratios over a seeded sweep of cubic forms.
 
+    For a cubic form B_s is the rank <= n - s locus of the Hessian and T_r
+    the rank <= r locus, with the same bound, so r = 0..n and s = 0..n walk
+    the same n + 1 loci: one rank count and one s_p per (form, prime) give both.
+    """
     rng = random.Random(seed)
-    max_tr = 0.0
-    max_bs = 0.0
+    worst = 0.0
     shape_ok = True
     for _ in range(trials):
         G = random_form(rng, n, 3, bound=4)
         for p in primes:
-            for r in range(0, n + 1):
-                prof = hessian_rank_profile(G, p, r, kmax=1)
-                max_tr = max(max_tr, prof["ratio"])
+            sp = None  # the first locus computes s_p, the others reuse it
+            for m in range(n + 1):
+                prof = _rank_locus_profile(G, p, m, kmax=1, s_p=sp)
+                sp = prof["s_p"]
+                worst = max(worst, prof["ratio"])
                 shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
-            for s in range(0, n + 1):
-                prof = b_set_profile(G, p, s, kmax=1)
-                if prof["bound"] >= 0:
-                    max_bs = max(max_bs, prof["ratio"])
-                    shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
     return {
         "seed": seed,
         "trials": trials,
         "primes": list(primes),
         "n": n,
-        "max_ratio_Tr": max_tr,
-        "max_ratio_Bs": max_bs,
+        "max_ratio_Tr": worst,
+        "max_ratio_Bs": worst,
         "shape_ok": shape_ok,
     }
 
@@ -476,3 +467,98 @@ def davenport_sweep(seed: int = 7, trials: int = 100, n: int = 3, A: float = 10.
         rep = davenport_shrink(L, A, 1.0, 0.5, 1.0, alpha=alpha)
         worst = max(worst, rep.ratio)
     return {"seed": seed, "trials": trials, "n": n, "A": A, "max_ratio": worst}
+
+
+# -- the lemma sweeps behind `quartic verify` --------------------------------------------------
+#
+# Each takes (seed, trials) and returns the fields of its report; SWEEPS lists
+# them in the order `quartic verify --help` shows.
+
+
+def _worst_ratio(seed: int, trials: int, trial) -> dict:
+    """The largest ratio that trial(rng) returns over `trials` seeded draws."""
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(trials):
+        worst = max(worst, trial(rng))
+    return {"max_ratio": worst}
+
+
+def _davenport_report(seed: int, trials: int) -> dict:
+    out = davenport_sweep(seed=seed, trials=trials)
+    return {"max_ratio": out["max_ratio"], "params": {"n": out["n"], "A": out["A"]}}
+
+
+def _geometry_report(seed: int, trials: int) -> dict:
+    out = geometry_bound_sweep(seed=seed, trials=trials)
+    return {k: out[k] for k in ("max_ratio_Tr", "max_ratio_Bs", "shape_ok")} | {
+        "params": {"primes": out["primes"], "n": out["n"]}
+    }
+
+
+def _vdc_report(seed: int, trials: int) -> dict:
+    rng = random.Random(seed)
+    worst, all_ok = 0.0, True
+    for _ in range(trials):
+        n = rng.choice([1, 2])
+        F = random_form(rng, n, 4, bound=3)
+        out = vdc_identity(F, bump((0.0,) * n, 1.0), 12, 3, Fraction(1, 7))
+        all_ok &= out["pair_counts_ok"]
+        all_ok &= out["quadratic_residual"] <= 1e-9 * out["quadratic_scale"]
+        worst = max(worst, out["bound"].ratio)
+    return {"max_ratio": worst, "identities_ok": all_ok}
+
+
+def _weyl_trial(rng) -> float:
+    n = rng.choice([1, 2])
+    F = random_form(rng, n, 4, bound=2)
+    out = weyl_chain(F, 8, Fraction(1, rng.choice([3, 5, 7])))
+    return max(out["square"].ratio, out["product"].ratio, out["counting"].ratio)
+
+
+def _filter_report(seed: int, trials: int) -> dict:
+    """Every |m| <= 20 with ||(a/q) m|| < 1/(2q+2), q <= 6, through the filter; seed and trials unused."""
+    checked, ok = 0, True
+    ms = np.arange(-20, 21)
+    for q in range(1, 7):
+        for a in range(1, q + 1):
+            if math.gcd(a, q) != 1:
+                continue
+            for m in ms[_near_integer(Fraction(a, q), ms, Fraction(1, 2 * q + 2))].tolist():
+                ok &= rational_approx_filter(20, a, q, Fraction(0), 2 * q + 2, m)["ok"]
+                checked += 1
+    return {"checked": checked, "identities_ok": ok, "max_ratio": 0.0}
+
+
+def _deligne_report(seed: int, trials: int) -> dict:
+    """x^3 + a x + 1 over every residue a for six primes; seed and trials unused."""
+    worst = 0.0
+    for p in (5, 7, 11, 13, 17, 19):
+        for a in range(p):
+            f = parse_form(f"x1^3 + {a}*x1 + 1") if a else parse_form("x1^3 + 1")
+            worst = max(worst, prime_power_bounds("deligne", f=f, p=p, j=1, s_p=-1).ratio)
+    return {"max_ratio": worst}
+
+
+def _kernel_average_trial(rng) -> float:
+    g0 = random_form(rng, 2, 3, bound=3)
+    return avs5_average(g0, rng.choice([2, 3, 4, 5, 6]), rng.choice([2, 3, 4])).ratio
+
+
+def _cubic_sum_trial(rng) -> float:
+    n = rng.choice([1, 2])
+    g = CubicData.from_poly(random_form(rng, n, 3, bound=2, homogeneous=False))
+    q = rng.randint(1, 12)
+    return prop_t2_bound(g, bump((0.0,) * n, 0.5), 30, 1, q, 0.0).ratio
+
+
+SWEEPS = {
+    "davenport": _davenport_report,
+    "geometry": _geometry_report,
+    "vdc": _vdc_report,
+    "weyl": functools.partial(_worst_ratio, trial=_weyl_trial),
+    "filter": _filter_report,
+    "deligne": _deligne_report,
+    "kernel-average": functools.partial(_worst_ratio, trial=_kernel_average_trial),
+    "cubic-sum": functools.partial(_worst_ratio, trial=_cubic_sum_trial),
+}

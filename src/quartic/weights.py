@@ -149,13 +149,6 @@ def shifted_product(base: WeightSpec, h, P: int) -> WeightSpec:
     return WeightSpec(kind="shifted_product", n=base.n, base=base, h=tuple(int(x) for x in h), P=int(P))
 
 
-def weight_eval(w: WeightSpec, x) -> float:
-    """Value of the weight at a point (zero outside the declared support)."""
-    if len(x) != w.n:
-        raise DimensionMismatch("point length != weight dimension")
-    return w(x)
-
-
 def lattice_ranges(w: WeightSpec, P: float):
     """Integer ranges [a_i, b_i] covering P * support(w) per axis."""
     out = []

@@ -157,6 +157,15 @@ class TestRunConfig:
         )
         assert rc == 0 and "count_brute" in out and "{" not in out
 
+    def test_verify_lemmas_are_the_registered_sweeps(self):
+        from quartic.cli import build_parser
+        from quartic.verify import SWEEPS
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        lemma = next(a for a in sub.choices["verify"]._actions if a.dest == "lemma")
+        assert lemma.choices == list(SWEEPS) == [
+            "davenport", "geometry", "vdc", "weyl", "filter", "deligne", "kernel-average", "cubic-sum"]
+
     def test_extended_verify_lemmas(self, capsys):
         for lemma in ("vdc", "filter", "kernel-average"):
             rc, out = run_cli(["verify", lemma, "--trials", "2", "--seed", "7"], capsys)
@@ -178,8 +187,14 @@ class TestBudget:
             ["--budget", "100", "series", "--form-text", N6, "--R", "32"],
             ["--budget", "10", "poisson", "--form-text", "x1^3", "--weight", "bump", "--center", "0",
              "--rho", "1.0", "--P", "30", "--a", "1", "--q", "3", "--z", "0"],
+            # 7^3 = 343 grid cells (7^2 projective) against a budget of 10 or 100
+            ["--budget", "100", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "rank-profile", "--p", "7"],
+            ["--budget", "100", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set", "--p", "7"],
+            ["--budget", "10", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--p", "7"],
+            ["--budget", "100", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "hyperplane", "--primes", "7"],
         ],
-        ids=["before-subcommand", "after-subcommand", "series", "poisson"],
+        ids=["before-subcommand", "after-subcommand", "series", "poisson", "geometry-rank-profile",
+             "geometry-b-set", "geometry-sing-dim", "geometry-hyperplane"],
     )
     def test_budget_is_enforced(self, argv, capsys):
         rc = main(argv)
@@ -203,8 +218,12 @@ class TestBadInput:
             ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "-3"],
             ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "0", "--units"],
             ["expsum", "--form-text", "x1^4", "--a", "1", "--q", "-3", "--v", "1"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "rank-profile", "--p", "3"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set", "--p", "3"],
+            ["geometry", "--form-text", "x1^4+x2^4", "--op", "b-set", "--p", "7"],
         ],
-        ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative"],
+        ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative", "rank-profile-p-3",
+             "b-set-p-3", "b-set-not-cubic"],
     )
     def test_is_one_error_line(self, argv, capsys):
         rc = main(argv)

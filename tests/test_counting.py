@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from quartic.counting import (
+    _contract_two,
+    _near_integer,
     auxiliary_counts,
     height_count,
     is_diagonal,
@@ -15,7 +17,7 @@ from quartic.counting import (
     weighted_count,
 )
 from quartic.errors import BudgetExceeded, MitmNotApplicable
-from quartic.forms import IntPolynomial, grid_values, parse_form
+from quartic.forms import IntPolynomial, grid_values, parse_form, sym_tensor
 from quartic.verify import random_form
 from quartic.weights import box, bump, separable_bump
 
@@ -304,6 +306,76 @@ class TestAuxiliaryCounts:
                     if T.trilinear(list(w), list(x), list(y)) == (0, 0):
                         brute += 1
         assert auxiliary_counts(F, "T", R=R) == brute
+
+    @pytest.mark.parametrize(
+        "n, kind, params",
+        [
+            (1, "N", {"P": 3}),
+            (1, "S", {"R": 2, "Q": 5}),
+            (2, "N", {"P": 2}),
+            (2, "N", {"P": 3, "c": 0.5}),
+            (2, "S", {"R": 1, "Q": 3}),
+            (3, "S", {"R": 1, "Q": 4}),
+        ],
+    )
+    def test_N_and_S_match_fraction_oracle(self, n, kind, params):
+        rng = random.Random(f"{n}{kind}{sorted(params.items())}")
+        for alpha in (Fraction(-3, 7), Fraction(5), Fraction(-2), Fraction(7, 12), Fraction(-11, 6)):
+            F = random_form(rng, n, 4, bound=2)
+            assert auxiliary_counts(F, kind, alpha=alpha, **params) == _auxiliary_oracle(F, kind, alpha, **params)
+
+    def test_contraction_is_the_trilinear_form(self):
+        rng = random.Random(5)
+        F = random_form(rng, 3, 4, bound=3)
+        T = sym_tensor(F)
+        for _ in range(20):
+            w, x, y = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(3))
+            C = _contract_two(T, w, x)
+            assert tuple(sum(C[i][l] * y[l] for l in range(3)) for i in range(3)) == T.trilinear(w, x, y)
+
+    def test_distance_equal_to_threshold_is_excluded(self):
+        # L = 24*w*x*y, so ||L/96|| = 1/4 = 1/Q exactly whenever w*x*y = +-1
+        F = parse_form("x1^4")
+        assert _auxiliary_oracle(F, "S", Fraction(1, 96), R=1, Q=4) == 27 - 8
+        assert auxiliary_counts(F, "S", alpha=Fraction(1, 96), R=1, Q=4) == 27 - 8
+
+
+def _auxiliary_oracle(F, kind, alpha, **params):
+    """N(alpha, P) or S(R, Q) point by point, with Fraction fractional parts."""
+    T = sym_tensor(F)
+    n = F.n
+    if kind == "N":
+        R = int(math.floor(params.get("c", 1.0) * params["P"]))
+        thresh = Fraction(1, int(params["P"]))
+    else:
+        R = int(params["R"])
+        thresh = Fraction(1, int(params["Q"]))
+    pts = range(-R, R + 1)
+    count = 0
+    for w in product(pts, repeat=n):
+        for x in product(pts, repeat=n):
+            C = _contract_two(T, w, x)
+            for y in product(pts, repeat=n):
+                ok = True
+                for i in range(n):
+                    Li = sum(C[i][l] * y[l] for l in range(n))
+                    frac = (alpha * Li) % 1
+                    if not min(frac, 1 - frac) < thresh:
+                        ok = False
+                        break
+                count += ok
+    return count
+
+
+class TestNearInteger:
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(0), Fraction(-4), Fraction(3, 8), Fraction(-5, 12), Fraction(1, 2 ** 40)]
+    )
+    @pytest.mark.parametrize("theta", [Fraction(1, 8), Fraction(1, 3), Fraction(0.3)])
+    def test_matches_fractions(self, alpha, theta):
+        m = np.arange(-30, 31)
+        expect = [min((alpha * t) % 1, 1 - (alpha * t) % 1) < theta for t in m.tolist()]
+        assert _near_integer(alpha, m, theta).tolist() == expect
 
 
 class TestBudgets:

@@ -19,7 +19,6 @@ from quartic.forms import (
     blocks,
     dehomogenize,
     difference_cubic,
-    evaluate_and_gradient,
     grid_values,
     heights,
     hessian,
@@ -137,10 +136,6 @@ class TestSymTensor:
 
 
 class TestCalculus:
-    def test_evaluate_and_gradient(self):
-        v, g = evaluate_and_gradient(parse_form("x1^4"), [2])
-        assert (v, g) == (16, (32,))
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             parse_form("x1^4 + x2^4").evaluate([1])
@@ -151,7 +146,7 @@ class TestCalculus:
             n = rng.randint(1, 4)
             F = random_form(rng, n, 4)
             x = rand_vec(rng, n)
-            v, g = evaluate_and_gradient(F, x)
+            v, g = F.evaluate(x), F.gradient_at(x)
             assert sum(a * b for a, b in zip(x, g)) == 4 * v
 
     def test_hessian_diag_cubic(self):

@@ -5,7 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quartic.errors import AmbiguousDimension, CompositeP, SearchExhausted
+from quartic import geometry
+from quartic.errors import AmbiguousDimension, BudgetExceeded, CompositeP, PreconditionViolated, SearchExhausted
 from quartic.forms import CubicData, IntPolynomial, parse_form
 from quartic.geometry import (
     GF,
@@ -192,6 +193,25 @@ class TestRankProfiles:
         G = random_form(rng, 3, 3, bound=4)
         counts = [b_set_profile(G, 7, s, kmax=1)["count"] for s in range(4)]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("profile", [hessian_rank_profile, b_set_profile])
+    def test_budget_below_one_grid_raises_before_work(self, profile, monkeypatch):
+        # 7^3 = 343 cells do not fit a budget of 100, so no extension degree fits
+        def no_work(*args):
+            raise AssertionError("rank counts computed past the budget check")
+
+        monkeypatch.setattr(geometry, "_rank_counts", no_work)
+        with pytest.raises(BudgetExceeded):
+            profile(parse_form("x1^3 + x2^3 + x3^3"), 7, 1, budget=100)
+
+    @pytest.mark.parametrize("profile", [hessian_rank_profile, b_set_profile])
+    def test_p_divisible_by_3_is_a_precondition(self, profile):
+        with pytest.raises(PreconditionViolated):
+            profile(parse_form("x1^3 + x2^3 + x3^3"), 3, 1)
+
+    def test_b_set_needs_a_cubic_form(self):
+        with pytest.raises(PreconditionViolated):
+            b_set_profile(parse_form("x1^4 + x2^4"), 7, 1)
 
 
 class TestHyperplane:

@@ -28,7 +28,6 @@ from quartic.weights import (
     lattice_ranges,
     separable_bump,
     shifted_product,
-    weight_eval,
 )
 
 
@@ -40,15 +39,15 @@ class TestWeights:
 
     def test_bump_center(self):
         w = bump((0.3, 0.4), 0.2)
-        assert abs(weight_eval(w, (0.3, 0.4)) - math.exp(-1)) < 1e-15
+        assert abs(w((0.3, 0.4)) - math.exp(-1)) < 1e-15
 
     def test_zero_outside_support(self):
         w = bump((0.0,), 0.5)
-        assert weight_eval(w, (0.51,)) == 0.0
+        assert w((0.51,)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            weight_eval(bump((0.0,), 0.5), (0.1, 0.2))
+            bump((0.0,), 0.5)((0.1, 0.2))
 
     def test_shifted_product_pointwise(self):
         base = bump((0.0, 0.0), 0.5)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from quartic import geometry, verify
 from quartic.errors import PreconditionViolated
 from quartic.forms import CubicData, parse_form
 from quartic.verify import (
@@ -102,6 +103,52 @@ class TestDavenport:
     def test_sweep_bounded(self):
         out = davenport_sweep(seed=7, trials=30)
         assert out["max_ratio"] <= 100
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_fraction_oracle(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            L = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            alpha = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+            A, Z1, Z2 = rng.choice([4.0, 6.0, 10.0]), rng.choice([0.25, 0.5, 0.3]), 1.0
+            rep = davenport_shrink(L, A, 1.0, Z1, Z2, alpha=alpha)
+            assert (rep.params["N1"], rep.params["N2"]) == (
+                _davenport_count_oracle(L, A, 1.0, Z1, alpha), _davenport_count_oracle(L, A, 1.0, Z2, alpha))
+
+    def test_integer_alpha_counts_everything(self):
+        L = [[3, -1], [-1, 2]]
+        rep = davenport_shrink(L, 5.0, 1.0, 0.4, 1.0, alpha=Fraction(-2))
+        assert (rep.params["N1"], rep.params["N2"]) == (5 ** 2, 11 ** 2)
+
+    def test_slabs_cover_the_box(self):
+        # 2*2^18 + 1 points in slabs of 2^18: ||u/4|| < Z/A only at u = 0 mod 4
+        rep = davenport_shrink([[1]], float(1 << 18), 1.0, 0.5, 1.0, alpha=Fraction(1, 4))
+        assert (rep.params["N1"], rep.params["N2"]) == ((1 << 16) + 1, (1 << 17) + 1)
+
+    def test_distance_equal_to_threshold_is_excluded(self):
+        # Z2/A = 1/4 = ||(1/4) u|| exactly at every odd u: only u = 0 mod 4 counts
+        L, A = [[1]], 4.0
+        assert _davenport_count_oracle(L, A, 1.0, 1.0, Fraction(1, 4)) == 3
+        rep = davenport_shrink(L, A, 1.0, 0.5, 1.0, alpha=Fraction(1, 4))
+        assert (rep.params["N1"], rep.params["N2"]) == (1, 3)
+
+
+def _davenport_count_oracle(L, A, c, Z, alpha):
+    """#{|u| <= cAZ : ||alpha (Lu)_i|| < Z/A for all i}, point by point in Fractions."""
+    n = len(L)
+    R = int(math.floor(c * A * Z))
+    thresh = Fraction(Z) / Fraction(A)
+    total = 0
+    for u in product(range(-R, R + 1), repeat=n):
+        ok = True
+        for i in range(n):
+            v = alpha * sum(L[i][j] * u[j] for j in range(n))
+            frac = v - math.floor(v)
+            if not min(frac, 1 - frac) < thresh:
+                ok = False
+                break
+        total += ok
+    return total
 
 
 class TestRationalFilter:
@@ -216,6 +263,40 @@ class TestGeometrySweep:
         out = geometry_bound_sweep(seed=7, trials=3)
         assert out["shape_ok"]
         assert out["max_ratio_Tr"] > 0 and out["max_ratio_Bs"] > 0
+
+    def test_one_sing_dim_per_form_and_prime(self, monkeypatch):
+        calls = []
+        real = geometry.sing_dim
+
+        def counted(G, p, *args, **kwargs):
+            calls.append((G, p))
+            return real(G, p, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "sing_dim", counted)
+        monkeypatch.setattr(verify, "sing_dim", counted)
+        primes = (7, 11, 13)
+        geometry_bound_sweep(seed=7, trials=4, primes=primes)
+        assert len(calls) == len(set(calls)) == 4 * len(primes)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_matches_a_loop_over_the_profiles(self, seed):
+        trials, primes, n = 3, (7, 11, 13), 3
+        rng = random.Random(seed)
+        max_tr = max_bs = 0.0
+        shape_ok = True
+        for _ in range(trials):
+            G = random_form(rng, n, 3, bound=4)
+            for p in primes:
+                for r in range(n + 1):
+                    prof = geometry.hessian_rank_profile(G, p, r, kmax=1)
+                    max_tr = max(max_tr, prof["ratio"])
+                    shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
+                for s in range(n + 1):
+                    prof = geometry.b_set_profile(G, p, s, kmax=1)
+                    max_bs = max(max_bs, prof["ratio"])
+                    shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
+        out = geometry_bound_sweep(seed=seed, trials=trials, primes=primes, n=n)
+        assert (out["max_ratio_Tr"], out["max_ratio_Bs"], out["shape_ok"]) == (max_tr, max_bs, shape_ok)
 
 
 class TestMoreErrorPaths:

@@ -7,6 +7,7 @@ wherever both run.  `value_counts` gives the value distribution of a
 polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
 it convolves the value histograms of the blocks of F (`forms.blocks`), so a
 diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n.
+It is memoised per (F, q), so every S_{a,q} and rho(q) share one table.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, MitmNotApplicable
-from .forms import IntPolynomial, _int64_safe, blocks, grid_values, sym_tensor
+from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, MitmNotApplicable
+from .forms import IntPolynomial, LRUCache, _int64_safe, blocks, grid_values, sym_tensor
 from .weights import WeightSpec, box, lattice_ranges
 
 DEFAULT_BUDGET = 40_000_000
+MEMO_RESIDUES = 1 << 17  # residues the value_counts memo holds over all its tables
 
 
 @dataclass
@@ -164,7 +166,8 @@ def height_count(F: IntPolynomial, P: int, budget: int = DEFAULT_BUDGET) -> Coun
         if m not in cache:
             cache[m] = _nonzero_solution_count(F, m, budget)
         total += int(mu[k]) * cache[m]
-    assert total % 2 == 0, "nonzero primitive solutions come in +- pairs"
+    if total % 2:
+        raise InvariantViolated(f"odd count {total}: nonzero primitive solutions come in +- pairs")
     return CountResult(total // 2, "mobius+mitm", P, time.time() - t0, {"pm_classes": True})
 
 
@@ -202,12 +205,26 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
     by cyclic convolution mod q and shifted by the constant term.  The cost,
     sum_b q^|b| cells plus q^2 multiply-adds for each block joined after the
     first, is checked against `budget` before any allocation.  Counts stay
-    below q^n: int64 when n*log2(q) < 62, else Python ints.
+    below q^n: int64 when n*log2(q) < 62, else Python ints.  Tables are
+    memoised per (F, q), at most MEMO_RESIDUES residues in all, and returned
+    read-only; the budget is checked on a hit as on a miss.  Polynomials that
+    are read once (the twisted sums of `expsums`) go to `_value_counts`
+    without the memo, so they do not evict the tables that are read again.
     """
+    return _value_counts(F, q, budget, _value_counts_memo)
+
+
+def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None = None) -> np.ndarray:
+    """`value_counts`, looked up in and stored to `memo` when one is given."""
     const, parts = blocks(F)
     cost = sum(q ** len(vars_) for vars_, _ in parts) + max(len(parts) - 1, 0) * q * q
     if cost > budget:
         raise BudgetExceeded(f"cost {cost} of the blocks of F mod {q} exceeds budget {budget}")
+    if memo is not None:
+        memo_key = (F.n, frozenset(F.coeffs.items()), q)
+        hit = memo.lookup(memo_key)
+        if hit is not None:
+            return hit
     dt = np.int64 if F.n * math.log2(q) < 62 else object
     dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
     hists = {}  # blocks with the same polynomial share one histogram
@@ -221,7 +238,12 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
         full = np.convolve(dist, hists[key])
         dist = full[:q]
         dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
-    return np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
+    out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
+    out.flags.writeable = False
+    return out if memo is None else memo.store(memo_key, out)
+
+
+_value_counts_memo = LRUCache(MEMO_RESIDUES, size=len)
 
 
 def solutions_mod_q(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:

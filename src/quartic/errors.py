@@ -65,6 +65,10 @@ class PreconditionViolated(QuarticError):
     """Inputs violate a stated precondition of the identity being checked."""
 
 
+class InvariantViolated(QuarticError):
+    """An identity the code relies on failed: a defect, not a bad input."""
+
+
 class Inconclusive(QuarticError):
     """Budget exhausted before a witness or a refutation was found."""
 

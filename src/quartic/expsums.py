@@ -5,8 +5,10 @@ precomputed root-of-unity table (phases are exact residues, so there is no
 trigonometric drift), with a stated error bound.  The direct path reads the
 value distribution of a*F + v.x mod q from `counting.value_counts`; `auto`
 takes it whenever that fits the budget, else the CRT product over the prime
-powers of q.  Aggregates that feed the singular series use an exact integer
-path through solution counts.
+powers of q.  Untwisted sums read the one memoised distribution of F for
+every a: the distribution of a*F is an exact reindexing of it.  Aggregates
+that feed the singular series use an exact integer path through solution
+counts.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import factorint, solutions_mod_q, value_counts
-from .errors import BudgetExceeded, DimensionMismatch, NotCoprime, PreconditionViolated
+from .counting import _value_counts, factorint, solutions_mod_q, value_counts
+from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
 from .forms import CubicData, IntPolynomial, grid_values, hessian
 from .geometry import _xgcd
 
@@ -50,14 +52,29 @@ def _sum_from_counts(counts: np.ndarray, q: int, n: int) -> ExpSumValue:
     return ExpSumValue(value=val, err=err, q=q, n=n)
 
 
+def _scaled_counts(counts: np.ndarray, a: int, q: int) -> np.ndarray:
+    """N_{aF} from N_F, exactly: N_{aF}(s) is the sum of N_F(r) over a*r = s mod q."""
+    out = np.zeros(q, dtype=counts.dtype)
+    np.add.at(out, np.arange(q, dtype=np.int64) * (a % q) % q, counts)
+    return out
+
+
 def _direct_sum(poly: IntPolynomial, a: int, q: int, v, budget: int) -> ExpSumValue:
-    """sum over x mod q of e_q(a poly(x) + v.x), read off the value distribution mod q."""
+    """sum over x mod q of e_q(a poly(x) + v.x), read off the value distribution mod q.
+
+    Untwisted sums reindex the memoised distribution of poly, so every a shares
+    one table.  a = 0 drops every monomial, so 0*poly keeps its own blocks and
+    budget check.  A twisted polynomial a*poly + v.x is read once, so its table
+    is built without the memo.
+    """
     n = poly.n
+    if a and not any(v):
+        return _sum_from_counts(_scaled_counts(value_counts(poly, q, budget), a, q), q, n)
     coeffs = {e: int(a) * c for e, c in poly.coeffs.items()}
     for i, vi in enumerate(v):
         e = tuple(int(i == j) for j in range(n))
         coeffs[e] = coeffs.get(e, 0) + vi
-    return _sum_from_counts(value_counts(IntPolynomial(n, coeffs), q, budget), q, n)
+    return _sum_from_counts(_value_counts(IntPolynomial(n, coeffs), q, budget), q, n)
 
 
 def _sum(poly: IntPolynomial, a: int, q: int, v, method: str, budget: int) -> ExpSumValue:
@@ -204,7 +221,8 @@ def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> Modul
         else:
             c2 *= p ** e
     c = math.isqrt(c2)
-    assert c * c == c2
+    if c * c != c2:
+        raise InvariantViolated(f"c^2 = {c2} is not a square")
     d0 = 1
     if d > 1:
         cd = c // d

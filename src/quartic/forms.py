@@ -6,6 +6,7 @@ form is stored with the 4! denominator cleared so all downstream contractions
 stay in Z.  `grid_values` evaluates a polynomial on a whole Cartesian grid
 (mod m, over Z, or in floating point) for the array-based layers, and
 `blocks` splits a polynomial into parts on disjoint sets of variables.
+`LRUCache` is the bounded memo behind the module-level caches.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -593,3 +595,41 @@ def dehomogenize(F: IntPolynomial) -> IntPolynomial:
     for e, c in F.coeffs.items():
         coeffs[e[:-1]] = coeffs.get(e[:-1], 0) + c
     return IntPolynomial(F.n - 1, coeffs)
+
+
+# -- bounded memos -------------------------------------------------------------------
+
+
+class LRUCache(OrderedDict):
+    """A memo that drops its least recently used entries once it holds more than `bound`.
+
+    `size(value)` is what one entry counts towards the bound (1 by default) and
+    `held` is the running total, so a store costs O(1) amortised.  A value
+    larger than the whole bound is returned but not kept.
+    """
+
+    def __init__(self, bound: int, size=None):
+        super().__init__()
+        self.bound, self.held = bound, 0
+        self.size = size or (lambda value: 1)
+
+    def lookup(self, key):
+        """The value stored at key, now the most recently used, or None."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def store(self, key, value):
+        """Keep value at a key not held yet, evicting the oldest entries past the bound; returns value."""
+        size = self.size(value)
+        if size <= self.bound:
+            self[key] = value
+            self.held += size
+            while self.held > self.bound:
+                self.held -= self.size(self.popitem(last=False)[1])
+        return value
+
+    def clear(self):
+        super().clear()
+        self.held = 0

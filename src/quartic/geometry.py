@@ -21,13 +21,16 @@ from .errors import (
     BudgetExceeded,
     CompositeP,
     DimensionMismatch,
+    InvariantViolated,
     NoAnchor,
     PreconditionViolated,
     SearchExhausted,
 )
-from .forms import CubicData, IntPolynomial, hessian_form_rows
+from .forms import CubicData, IntPolynomial, LRUCache, hessian_form_rows
 
 DEFAULT_BUDGET = 20_000_000
+GF_CACHE_ENTRIES = 32  # fields (p, k) kept built; k >= 2 holds two q x q tables
+RANK_CACHE_ENTRIES = 1024  # (G, p, k) rank histograms kept by _rank_counts
 PROXY_PRIMES = (1009, 1013, 1019)
 BAND_CONSTANT = 4.0
 
@@ -144,15 +147,18 @@ class GF:
 
     For k >= 2 full multiplication tables are precomputed, so grid arithmetic
     is numpy fancy indexing; for k = 1 plain modular arithmetic is used.
+    Built fields are memoised per (p, k), the GF_CACHE_ENTRIES most recently
+    used ones; nothing compares fields by identity.
     """
 
-    _cache: dict = {}
+    _cache = LRUCache(GF_CACHE_ENTRIES)
     MAX_TABLE_Q = 4096  # k >= 2 uses q x q tables; refuse anything bigger
 
     def __new__(cls, p: int, k: int = 1):
         key = (p, k)
-        if key in cls._cache:
-            return cls._cache[key]
+        hit = cls._cache.lookup(key)
+        if hit is not None:
+            return hit
         if not is_prime(p):
             raise CompositeP(f"{p} is not prime")
         if k >= 2 and p ** k > cls.MAX_TABLE_Q:
@@ -162,8 +168,7 @@ class GF:
         self.modulus = find_irreducible(p, k)
         if k >= 2:
             self._build_tables()
-        cls._cache[key] = self
-        return self
+        return cls._cache.store(key, self)
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -447,16 +452,17 @@ def hessian_rank_grid(G: IntPolynomial, p: int, k: int = 1, budget: int = DEFAUL
     return _ranks_of_matrix_grid(entry_vals, gf, n)
 
 
-_rank_count_cache: dict = {}
+_rank_count_cache = LRUCache(RANK_CACHE_ENTRIES)
 
 
 def _rank_counts(G: IntPolynomial, p: int, k: int, budget: int) -> list:
     """counts[r] = #{x in F_{p^k}^n : rank H_G(x) = r}, cached per (G, p, k)."""
     key = (G, p, k)
-    if key not in _rank_count_cache:
-        ranks = hessian_rank_grid(G, p, k, budget=budget)
-        _rank_count_cache[key] = np.bincount(ranks, minlength=G.n + 1).tolist()
-    return _rank_count_cache[key]
+    hit = _rank_count_cache.lookup(key)
+    if hit is not None:
+        return hit
+    ranks = hessian_rank_grid(G, p, k, budget=budget)
+    return _rank_count_cache.store(key, np.bincount(ranks, minlength=G.n + 1).tolist())
 
 
 def _dim_or_none(counts: dict, p: int, C: float, nmax: int):
@@ -771,8 +777,8 @@ def section_data(g: CubicData, m, P: int, k: int = 0, c_anchor: float = 4.0) -> 
         raise ValueError("m must be primitive")
     raw, u0, gcd_m = kernel_basis(m)
     basis = lll_reduce(raw) if n > 2 else [tuple(v) for v in raw]
-    for e in basis:
-        assert sum(a * b for a, b in zip(m, e)) == 0
+    if any(sum(a * b for a, b in zip(m, e)) for e in basis):
+        raise InvariantViolated(f"reduced basis {basis} leaves the kernel of m = {m}")
     L = max(abs(x) for x in m) ** (1.0 / (n - 1))
     if k == 0:
         t = (0,) * n
@@ -821,5 +827,6 @@ def _int_det(M):
         for r in range(i + 1, n):
             f = A[r][i] / A[i][i]
             A[r] = [a - f * b for a, b in zip(A[r], A[i])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise PreconditionViolated(f"determinant {det} of a non-integer matrix")
     return int(det)

@@ -105,7 +105,8 @@ def gen_sum(
 
 def _simpson_1d(fvals: np.ndarray, h: float):
     N = len(fvals) - 1
-    assert N % 2 == 0
+    if N % 2:
+        raise PreconditionViolated(f"Simpson's rule needs an even number of intervals, got {N}")
     wts = np.ones(N + 1)
     wts[1:-1:2] = 4.0
     wts[2:-1:2] = 2.0

@@ -1,11 +1,13 @@
 import cmath
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quartic
 from quartic.cli import FormCache, form_hash, main
 from quartic.errors import CacheCorrupt
 from quartic.forms import parse_form
@@ -285,10 +287,14 @@ class TestBlockFormSums:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same quartic as the tests, installed or not
+        src = str(Path(quartic.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-m", "quartic.cli", "arcs", "--delta", "1.0", "--P", "8"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["disjoint"] is True

@@ -6,7 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from quartic import counting
 from quartic.counting import (
+    MEMO_RESIDUES,
     _contract_two,
     _near_integer,
     auxiliary_counts,
@@ -16,7 +18,7 @@ from quartic.counting import (
     value_counts,
     weighted_count,
 )
-from quartic.errors import BudgetExceeded, MitmNotApplicable
+from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable
 from quartic.forms import IntPolynomial, grid_values, parse_form, sym_tensor
 from quartic.verify import random_form
 from quartic.weights import box, bump, separable_bump
@@ -80,6 +82,12 @@ class TestHeightCount:
 
     def test_pm_classes_n2(self):
         assert height_count(parse_form("x1^4 - x2^4"), 7).count == 2
+
+    def test_odd_count_is_a_typed_error(self, monkeypatch):
+        # nonzero solutions come in +- pairs; an odd total is a defect, raised under -O too
+        monkeypatch.setattr(counting, "_nonzero_solution_count", lambda F, P, budget: 1)
+        with pytest.raises(InvariantViolated):
+            height_count(parse_form("x1^4 - x2^4"), 1)
 
     def test_monotone_in_P(self):
         F = parse_form("x1^4 + x2^4 - 2*x3^4")
@@ -258,6 +266,42 @@ class TestValueCounts:
         # 2*q cells, but one q^2 join: about 1e12 steps at this prime, refused at once
         with pytest.raises(BudgetExceeded):
             value_counts(parse_form("x1^4 + x2^4"), 999983)
+
+
+class TestValueCountsMemo:
+    def test_a_hit_is_the_same_read_only_table(self):
+        F = parse_form("x1^4 + 3*x1*x2^3 + 2")
+        got = value_counts(F, 50)
+        assert value_counts(parse_form("2 + 3*x1*x2^3 + x1^4"), 50) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
+        assert got.tolist() == _python_counts(F, 50)
+
+    def test_budget_is_checked_on_a_hit(self):
+        F = parse_form("x1^4 + x1*x2^3 + x3^4")
+        q = 32
+        cost = q ** 2 + q + q ** 2
+        value_counts(F, q, budget=cost)
+        with pytest.raises(BudgetExceeded):
+            value_counts(F, q, budget=cost - 1)
+
+    def test_residues_held_never_exceed_the_bound(self):
+        F = parse_form("x1^4 + 5")
+        memo = counting._value_counts_memo
+        first = (F.n, frozenset(F.coeffs.items()), 7001)
+        for q in range(7001, 7001 + 2 * MEMO_RESIDUES // 7000):
+            value_counts(F, q)
+            assert memo.held == sum(map(len, memo.values())) <= MEMO_RESIDUES
+        assert first not in memo  # the least recently used tables went first
+        assert (F.n, frozenset(F.coeffs.items()), q) in memo
+
+    def test_a_table_larger_than_the_bound_is_not_kept(self):
+        F = parse_form("x1^4 - 1")
+        q = MEMO_RESIDUES + 1
+        got = value_counts(F, q)
+        assert not got.flags.writeable and got.sum() == q
+        assert (F.n, frozenset(F.coeffs.items()), q) not in counting._value_counts_memo
 
 
 class TestAuxiliaryCounts:

@@ -6,9 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from quartic import counting
 from quartic.counting import factorint, solutions_mod_q, value_counts
-from quartic.errors import NotCoprime
+from quartic.errors import BudgetExceeded, NotCoprime
 from quartic.expsums import (
+    _scaled_counts,
     complete_sum,
     factor_bcd,
     kernel_count_mod,
@@ -70,6 +72,107 @@ class TestCompleteSum:
                     s1 = complete_sum(F, a, q).value
                     s2 = complete_sum(F, q - a, q).value
                     assert abs(s2 - s1.conjugate()) <= 1e-9 * q ** 2
+
+
+def _times(F, a):
+    return IntPolynomial(F.n, {e: a * c for e, c in F.coeffs.items()})
+
+
+F8 = parse_form("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4")
+
+
+class TestEveryMultiplier:
+    """Untwisted sums reindex one memoised value distribution of F for every a."""
+
+    @pytest.mark.parametrize("q", [12, 27, 36])
+    def test_reindexed_counts_equal_counts_of_aF(self, q):
+        rng = random.Random(q)
+        with_const = random_form(rng, 2, 4, bound=5) + IntPolynomial(2, {(0, 0): 7})
+        for F in (random_form(rng, 2, 4, bound=5), with_const):
+            counts = value_counts(F, q)
+            for a in list(range(q + 2)) + [-1, -q]:  # a = 0 and the non-units included
+                got = _scaled_counts(counts, a, q)
+                want = value_counts(_times(F, a), q)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (F, q, a)
+
+    def test_reindexing_keeps_python_ints(self):
+        q = 243  # 8*log2(q) >= 62: the distribution of F8 holds Python ints
+        counts = value_counts(F8, q)
+        for a in (0, 3, 5):
+            got = _scaled_counts(counts, a, q)
+            want = value_counts(_times(F8, a), q)
+            assert got.dtype == want.dtype == object and got.tolist() == want.tolist()
+
+    def test_one_table_serves_every_a(self, monkeypatch):
+        F = parse_form("x1^4 + 2*x1*x2*x3^2 + x2^3*x3 - 5*x3^4 + 11")  # one block
+        counting._value_counts_memo.clear()
+        built = []
+        real = counting._block_histogram
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: built.append(q) or real(G, q))
+        for a in range(1, 22):
+            complete_sum(F, a, 21)
+        assert built == [21]
+
+    def test_twisted_tables_are_not_kept(self):
+        g = random_cubic_data(random.Random(60), 2, bound=4)
+        keys = list(counting._value_counts_memo)
+        for v in product(range(3), repeat=2):
+            if any(v):
+                twisted_sum(g, 1, 15, v, method="direct")
+        assert list(counting._value_counts_memo) == keys
+
+    def test_a_hit_under_a_smaller_budget(self, monkeypatch):
+        import quartic.expsums as expsums
+
+        F = parse_form("x1^4 + x1*x2^3 + 3*x2^4")  # one block of q^2 cells
+        q = 30
+        complete_sum(F, 1, q)  # the table of F mod 30 is now memoised
+        with pytest.raises(BudgetExceeded):
+            complete_sum(F, 7, q, method="direct", budget=q * q - 1)
+        moduli = []
+
+        def recording(G, q, budget):
+            moduli.append(q)
+            return value_counts(G, q, budget)
+
+        monkeypatch.setattr(expsums, "value_counts", recording)
+        got = complete_sum(F, 7, q, budget=q * q - 1)
+        assert moduli == [30, 2, 3, 5]
+        assert repr(got) == repr(complete_sum(F, 7, q, method="crt"))
+
+
+class TestErrOracle:
+    """|S_{a,q} - the same sum in mpmath at 50 digits| <= err, for every a mod q."""
+
+    @staticmethod
+    def check(F, q, counts):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            roots = [mpmath.expjpi(mpmath.mpf(2 * k) / q) for k in range(q)]
+            support = [(r, int(N)) for r, N in enumerate(counts) if N]
+            for a in range(q):
+                got = complete_sum(F, a, q)
+                exact = mpmath.fsum(N * roots[a * r % q] for r, N in support)
+                assert 0 < got.err and abs(mpmath.mpc(got.value) - exact) <= got.err, (F, q, a)
+
+    @pytest.mark.parametrize("n, q", [(1, 128), (2, 45), (2, 101), (3, 16), (3, 128)])
+    def test_seeded_forms(self, n, q):
+        F = random_form(random.Random(50 + n), n, 4, bound=9) + IntPolynomial(n, {(0,) * n: 3})
+        counts = np.bincount(grid_values(F, [np.arange(q)] * n, modulus=q).ravel(), minlength=q)
+        self.check(F, q, counts)
+
+    def test_F8_on_python_ints(self):
+        q = 256
+        assert value_counts(F8, q).dtype == object
+        dist = {0: 1}
+        for sign in (1, 1, 1, 1, -1, -1, -1, -1):
+            new = {}
+            for r, N in dist.items():
+                for x in range(q):
+                    s = (r + sign * x ** 4) % q
+                    new[s] = new.get(s, 0) + N
+            dist = new
+        self.check(F8, q, [dist.get(r, 0) for r in range(q)])
 
 
 class TestUnitSums:

@@ -6,10 +6,21 @@ import numpy as np
 import pytest
 
 from quartic import geometry
-from quartic.errors import AmbiguousDimension, BudgetExceeded, CompositeP, PreconditionViolated, SearchExhausted
+from quartic.errors import (
+    AmbiguousDimension,
+    BudgetExceeded,
+    CompositeP,
+    InvariantViolated,
+    PreconditionViolated,
+    SearchExhausted,
+)
 from quartic.forms import CubicData, IntPolynomial, parse_form
 from quartic.geometry import (
     GF,
+    GF_CACHE_ENTRIES,
+    RANK_CACHE_ENTRIES,
+    _int_det,
+    _rank_counts,
     b_set_profile,
     count_points_ext,
     dim_A_h,
@@ -324,3 +335,35 @@ class TestErrorPaths:
         g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
         with pytest.raises(NoAnchor):
             section_data(g, (1, 0, 0), P=2, k=10 ** 6)
+
+    def test_basis_off_the_kernel_is_a_typed_error(self, monkeypatch):
+        g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
+        monkeypatch.setattr(geometry, "lll_reduce", lambda raw: [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(InvariantViolated):
+            section_data(g, (1, 1, 1), 10)
+
+    def test_int_det(self):
+        assert _int_det([[2, 1], [7, 4]]) == 1
+        assert _int_det([[1, 2], [2, 4]]) == 0
+        with pytest.raises(PreconditionViolated):
+            _int_det([[0.5, 0], [0, 1]])
+
+
+class TestBoundedCaches:
+    def test_fields_past_the_bound(self):
+        primes = geometry.primes_up_to(400)[: GF_CACHE_ENTRIES + 5]
+        for p in primes:
+            GF(p)
+        assert len(GF._cache) == GF_CACHE_ENTRIES
+        assert (primes[0], 1) not in GF._cache and (primes[-1], 1) in GF._cache
+        again = GF(primes[0])  # rebuilt after eviction, and equal in use
+        assert (again.p, again.q, again.modulus) == (primes[0], primes[0], (0, 1))
+        assert GF(primes[-1]) is GF._cache[(primes[-1], 1)]
+
+    def test_rank_counts_past_the_bound(self):
+        cache = geometry._rank_count_cache
+        forms = [IntPolynomial(1, {(3,): c}) for c in range(1, RANK_CACHE_ENTRIES + 10)]
+        for G in forms:
+            assert _rank_counts(G, 5, 1, 10 ** 6) == ([5, 0] if G.coeffs[(3,)] % 5 == 0 else [1, 4])
+        assert len(cache) == cache.held == RANK_CACHE_ENTRIES
+        assert (forms[0], 5, 1) not in cache and (forms[-1], 5, 1) in cache

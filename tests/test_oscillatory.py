@@ -12,6 +12,7 @@ from quartic.forms import CubicData, parse_form
 from quartic.oscillatory import (
     QuadratureConfig,
     _direct_gamma_table,
+    _simpson_1d,
     gen_sum,
     integrate_1d,
     major_arc_model,
@@ -307,3 +308,8 @@ class TestQuadratureGuards:
 
         with pytest.raises(BudgetExceeded):
             gen_sum(parse_form("x1^4 + x2^4"), bump((0.0, 0.0), 1.0), 10 ** 5, a=1, q=3)
+
+    def test_simpson_needs_an_even_interval_count(self):
+        assert _simpson_1d(np.ones(5), 0.25) == pytest.approx(1.0)
+        with pytest.raises(PreconditionViolated):
+            _simpson_1d(np.ones(4), 0.25)

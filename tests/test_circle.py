@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +202,18 @@ class TestInsolubleAt2:
         rep = hasse_report(F, p_max=3, k_max=3)
         assert rep["primes"][2]["soluble"] is None
         assert rep["everywhere_locally_soluble"] is False
+
+
+WITNESSES = Path(__file__).parent / "data" / "hasse_witnesses.jsonl"
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [json.loads(line) for line in WITNESSES.read_text().splitlines()],
+    ids=lambda rec: f"n{rec['form'].count('x')}-{rec['form'][:4]}-p{rec['p']}-seed{rec['seed']}",
+)
+def test_local_witness_keeps_its_recorded_witness(rec):
+    """Witness and level of `local_witness` for every prime <= 199, as recorded before the bulk draws."""
+    x, k = local_witness(parse_form(rec["form"]), rec["p"], seed=rec["seed"])
+    assert (list(x), k) == (rec["witness"], rec["level"])
+    assert all(type(xi) is int for xi in x)

@@ -40,6 +40,16 @@ COMMANDS = [
     ["geometry", "--form-text", "x1^3 + x2^3 + x3^3", "--op", "rank-profile", "--p", "7", "--r", "1"],
     ["verify", "davenport", "--trials", "10", "--seed", "7"],
 ]
+IDS = [argv[0] for argv in COMMANDS]
+
+# Later commands name their own ids, so the ids above stay as they are.
+LATER = {
+    "integral-direct": ["integral", "--form-text", "x1^4 - x2^4", "--weight", "bump",
+                        "--center", "0.5,0.5", "--rho", "0.2", "--R", "2.3"],
+    "hasse-seed2": ["hasse", "--form-text", X1, "--seed", "2", "--p-max", "120"],
+}
+COMMANDS += list(LATER.values())
+IDS += list(LATER)
 
 
 def _run(argv, cache_dir):
@@ -53,7 +63,7 @@ def _golden():
     return {tuple(rec["argv"]): rec for rec in map(json.loads, GOLDEN.read_text().splitlines())}
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+@pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
 def test_cli_output_is_unchanged(argv, tmp_path):
     rec = _golden()[tuple(argv)]
     rc, out = _run(argv, tmp_path / "cache")

@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from quartic.oscillatory import (
     singular_integral_sine,
 )
 from quartic.verify import random_cubic_data, random_form
+from quartic import weights
 from quartic.weights import (
     WeightSpec,
     bump,
@@ -313,3 +316,27 @@ class TestQuadratureGuards:
         assert _simpson_1d(np.ones(5), 0.25) == pytest.approx(1.0)
         with pytest.raises(PreconditionViolated):
             _simpson_1d(np.ones(4), 0.25)
+
+
+J_REPRS = Path(__file__).parent / "data" / "j_reprs.jsonl"
+
+
+def _oracle_weight(rec, n):
+    if rec["weight"] == "separable":
+        return separable_bump(rec["center"], rec["rho"])
+    if rec["weight"] == "bump":
+        return bump(rec["center"], rec["rho"])
+    return getattr(weights, rec["weight"])(n)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [json.loads(line) for line in J_REPRS.read_text().splitlines()],
+    ids=lambda rec: f"{rec['method']}-{rec['weight']}-n{rec['form'].count('x')}-R{rec['R']}",
+)
+def test_singular_integral_keeps_its_recorded_repr(rec):
+    """J(R) on the factored, direct and sine paths, bit for bit as recorded before the gamma memo."""
+    F = parse_form(rec["form"])
+    cfg = QuadratureConfig() if rec["tolerance"] is None else QuadratureConfig(tolerance=rec["tolerance"])
+    J = singular_integral(F, _oracle_weight(rec, F.n), rec["R"], cfg=cfg, method=rec["method"])
+    assert repr(J) == rec["J"]

@@ -12,13 +12,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from .counting import factorint, solutions_mod_q, weighted_count
+from .counting import _check_cost, factorint, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, DeltaOutOfRange, Inconclusive
-from .forms import IntPolynomial, grid_values
-from .geometry import primes_up_to
+from .forms import IntPolynomial, blocks, grid_values
+from .geometry import GF, eval_poly_codes, primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -172,10 +173,24 @@ class SeriesCache:
             self.aq[q] = out
         return self.aq[q]
 
+    def plan(self, prime_powers) -> None:
+        """BudgetExceeded before any work at the first prime power, in the caller's order, whose rho would not fit."""
+        parts = blocks(self.F)[1]
+        for q in prime_powers:
+            if q not in self.aq and q not in self.rho:
+                _check_cost(parts, q, self.budget)
+
+
+def _prime_powers(R: float) -> list:
+    """(p, p^e) with p^e <= R, by p and then e."""
+    m = int(math.floor(R))
+    return [(p, p ** e) for p in primes_up_to(m) for e in range(1, m.bit_length() + 1) if p ** e <= m]
+
 
 def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
-    """S(R) = sum_{q <= R} q^-n A_q as an exact rational."""
+    """S(R) = sum_{q <= R} q^-n A_q as an exact rational; the budget is checked for every q first."""
     cache = cache or SeriesCache(F)
+    cache.plan(sorted(q for _, q in _prime_powers(R)))
     total = Fraction(0)
     n = F.n
     for q in range(1, int(math.floor(R)) + 1):
@@ -186,16 +201,12 @@ def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None
 def euler_view(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
     """prod_p (1 + sum_{p^k <= R} p^-kn A_{p^k}), the Euler grouping of S."""
     cache = cache or SeriesCache(F)
-    n = F.n
-    out = Fraction(1)
-    for p in primes_up_to(int(math.floor(R))):
-        local = Fraction(1)
-        k = 1
-        while p ** k <= R:
-            local += Fraction(cache.a_at(p ** k), p ** (k * n))
-            k += 1
-        out *= local
-    return out
+    powers = _prime_powers(R)
+    cache.plan(q for _, q in powers)
+    local = {}
+    for p, q in powers:
+        local[p] = local.get(p, 1) + Fraction(cache.a_at(q), q ** F.n)
+    return math.prod(local.values(), start=Fraction(1))
 
 
 @dataclass
@@ -270,11 +281,41 @@ def _val_p(x: int, p: int, cap: int = 64) -> int:
     return v
 
 
-def hensel_criterion(F: IntPolynomial, x, p: int, cap: int = 64):
-    """(ok, vF, vGrad): ok when v_p(F(x)) > 2 min_i v_p(dF/dx_i(x))."""
-    vF = _val_p(F.evaluate(list(x)), p, cap)
-    vg = min(_val_p(gi, p, cap) for gi in F.gradient_at(list(x)))
+def hensel_criterion(F: IntPolynomial, x, p: int, cap: int = 64, gradient=None):
+    """(ok, vF, vGrad): ok when v_p(F(x)) > 2 min_i v_p(dF/dx_i(x)); `gradient` is F.gradient(), built once."""
+    vF = _val_p(F.evaluate(x), p, cap)
+    vg = min(_val_p(g.evaluate(x), p, cap) for g in gradient or F.gradient())
     return vF > 2 * vg, vF, vg
+
+
+def _randrange_many(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """[rng.randrange(p) for _ in range(count)] drawn in bulk, leaving rng in the same state.
+
+    randrange(p) is the top k = p.bit_length() <= 32 bits of the first Mersenne Twister word that gives a
+    value < p, and getrandbits(32 m) is m words, first lowest: a copy of rng draws them, rng skips as many.
+    """
+    k = p.bit_length()
+    if k > 32:
+        return np.array([rng.randrange(p) for _ in range(count)], dtype=object)
+    clone, words = random.Random(), np.zeros(0, dtype=np.uint32)
+    clone.setstate(rng.getstate())
+    while np.count_nonzero(words < p) < count:
+        m = count * (1 << k) // p + 64
+        drawn = clone.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words = np.append(words, np.frombuffer(drawn, "<u4") >> (32 - k))
+    hits = np.flatnonzero(words < p)[:count]
+    rng.getrandbits(32 * (int(hits[-1]) + 1) if count else 0)
+    return words[hits].astype(np.int64)
+
+
+def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random) -> list:
+    """Zeros of F mod p among 60 p draws of x, first occurrences only, x = 0 dropped; rng as after a loop."""
+    n = F.n
+    drawn = dict.fromkeys(map(tuple, _randrange_many(rng, p, 60 * p * n).reshape(-1, n).tolist()))
+    drawn.pop((0,) * n, None)
+    X = np.array(list(drawn), dtype=np.int64).reshape(-1, n)
+    zero = eval_poly_codes(F, GF(p), list(X.T)) == 0
+    return [x for x, z in zip(drawn, zero.tolist()) if z]
 
 
 def local_witness(
@@ -283,72 +324,58 @@ def local_witness(
     k_max: int = 12,
     cap: int = 20000,
     seed: int = 1,
+    budget: int = 40_000_000,
 ):
     """Search x (not all = 0 mod p) that Hensel-lifts to a p-adic zero of F.
 
     Returns (x, k) on success; raises Inconclusive when the budget runs out.
     Level k holds solutions of F = 0 mod p^k; each is lifted through the
-    linearization F(x + p^k d) = F(x) + p^k d.grad F(x) mod p^{k+1}.
+    linearization F(x + p^k d) = F(x) + p^k d.grad F(x) mod p^{k+1}.  Full
+    grids mod p run while they fit their caps and `budget`, seeded samples otherwise.
     """
     n = F.n
     rng = random.Random(seed * 1_000_003 + p)
     # level 1 candidates
-    level = []
-    if p ** n <= 200_000:
+    if p ** n <= min(200_000, budget):
         # transposed so candidates come in the order x1 fastest
         vals = grid_values(F, [np.arange(p)] * n, modulus=p).T
         zeros = np.argwhere(vals == 0)[: 10 * cap, ::-1].tolist()
         level = [tuple(x) for x in zeros if any(x)]
     else:
-        seen = set()
-        for _ in range(60 * p):
-            x = tuple(rng.randrange(p) for _ in range(n))
-            if not any(x) or x in seen:
-                continue
-            seen.add(x)
-            if F.evaluate(list(x)) % p == 0:
-                level.append(x)
-    from itertools import product as _product
-
+        level = _sampled_zeros(F, p, rng)
+    gradient = F.gradient()
     for k in range(1, k_max + 1):
         for x in level:
-            ok, vF, vg = hensel_criterion(F, x, p)
+            ok, vF, vg = hensel_criterion(F, x, p, gradient=gradient)
             # the Newton limit stays nonzero when some coordinate valuation
             # is at most vg (coordinates move by multiples of p^{vF - vg})
             if ok and min(_val_p(xi, p) for xi in x) <= vg:
                 return tuple(x), k
         # lift to level k+1 through F(x + p^k d) = F(x) + p^k d.grad F(x)
-        pk = p ** k
-        nxt = []
-        seen = set()
+        pk, nxt, seen = p ** k, [], set()
         for x in level:
             c = (F.evaluate(list(x)) // pk) % p
-            grad = [gi % p for gi in F.gradient_at(list(x))]
+            grad = [g.evaluate(list(x)) % p for g in gradient]
             support = [i for i, gi in enumerate(grad) if gi]
             if not support:
                 if c % p != 0:
                     continue  # no lift on this branch
-                if p ** n <= 4096:
-                    deltas = list(_product(range(p), repeat=n))
+                if p ** n <= min(4096, budget):
+                    deltas = list(product(range(p), repeat=n))
                 else:
                     deltas = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(64)]
             else:
                 i0 = support[0]
                 inv = pow(grad[i0], -1, p)
                 frees = [j for j in range(n) if j != i0]
-                if p ** len(frees) <= 4096:
-                    free_iter = _product(range(p), repeat=len(frees))
+                if p ** len(frees) <= min(4096, budget):
+                    free_iter = product(range(p), repeat=len(frees))
                 else:
-                    free_iter = (
-                        tuple(rng.randrange(p) for _ in frees) for _ in range(64)
-                    )
+                    free_iter = (tuple(rng.randrange(p) for _ in frees) for _ in range(64))
                 deltas = []
-                for fv in free_iter:
-                    d = [0] * n
-                    for j, val in zip(frees, fv):
-                        d[j] = val
-                    rest = sum(grad[j] * d[j] for j in frees)
-                    d[i0] = (-(c + rest) * inv) % p
+                for fv in free_iter:  # d[i0] solves c + d.grad = 0 mod p
+                    d = list(fv)
+                    d.insert(i0, (-(c + sum(grad[j] * v for j, v in zip(frees, fv))) * inv) % p)
                     deltas.append(tuple(d))
             for d in deltas:
                 y = tuple(x[i] + pk * d[i] for i in range(n))
@@ -409,22 +436,19 @@ def hasse_report(
     k_max: int = 12,
     real_probe_budget: int = 2000,
     seed: int = 1,
+    budget: int = 40_000_000,
 ) -> dict:
-    """Local solubility table: R plus every prime p <= p_max."""
+    """Local solubility table: R plus every prime p <= p_max; `budget` bounds the grids of `local_witness`."""
     real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)
     locals_ = {}
-    all_ok = real_ok
     for p in primes_up_to(p_max):
         try:
-            x, k = local_witness(F, p, k_max=k_max, seed=seed)
+            x, k = local_witness(F, p, k_max=k_max, seed=seed, budget=budget)
             locals_[p] = {"soluble": True, "witness": x, "level": k}
         except Inconclusive as exc:
             locals_[p] = {"soluble": None, "note": str(exc)}
-            all_ok = False
     return {
         "real": {"soluble": real_ok, "witness": real_witness},
         "primes": locals_,
-        "everywhere_locally_soluble": all_ok and all(
-            rec["soluble"] for rec in locals_.values()
-        ),
+        "everywhere_locally_soluble": real_ok and all(rec["soluble"] for rec in locals_.values()),
     }

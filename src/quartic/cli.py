@@ -324,7 +324,7 @@ def _cmd_hasse(args, config: RunConfig) -> int:
     from .circle import hasse_report
 
     F = _load_form(args)
-    out = hasse_report(F, p_max=args.p_max, k_max=args.k_max, seed=args.seed)
+    out = hasse_report(F, p_max=args.p_max, k_max=args.k_max, seed=args.seed, budget=config.budget)
     rep = _base(F, args) | {
         "command": "hasse",
         "p_max": args.p_max,

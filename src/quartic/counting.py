@@ -133,21 +133,14 @@ def _nonzero_solution_count(F: IntPolynomial, P: int, budget: int) -> int:
 
 
 def _mobius_sieve(N: int):
+    """mu(0..N) as an int64 array (mu[0] = 1)."""
     mu = np.ones(N + 1, dtype=np.int64)
-    primes = []
-    is_comp = np.zeros(N + 1, dtype=bool)
-    for i in range(2, N + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > N:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
+    composite = np.zeros(N + 1, dtype=bool)
+    for p in range(2, N + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
     return mu
 
 
@@ -214,12 +207,17 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
     return _value_counts(F, q, budget, _value_counts_memo)
 
 
-def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None = None) -> np.ndarray:
-    """`value_counts`, looked up in and stored to `memo` when one is given."""
-    const, parts = blocks(F)
+def _check_cost(parts, q: int, budget: int) -> None:
+    """BudgetExceeded when the blocks `parts` of F cost more than `budget` in `value_counts` mod q."""
     cost = sum(q ** len(vars_) for vars_, _ in parts) + max(len(parts) - 1, 0) * q * q
     if cost > budget:
         raise BudgetExceeded(f"cost {cost} of the blocks of F mod {q} exceeds budget {budget}")
+
+
+def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None = None) -> np.ndarray:
+    """`value_counts`, looked up in and stored to `memo` when one is given."""
+    const, parts = blocks(F)
+    _check_cost(parts, q, budget)
     if memo is not None:
         memo_key = (F.n, frozenset(F.coeffs.items()), q)
         hit = memo.lookup(memo_key)

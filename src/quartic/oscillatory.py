@@ -6,6 +6,11 @@ Richardson-style doubling until the requested tolerance is met.  The Poisson
 identity check evaluates the whole family I(z; v/q) in one batched FFT on a
 uniform grid instead of one quadrature per v, which is what makes the default
 truncation affordable.
+
+J(R) doubles a gamma rule that keeps its old nodes, and I(-gamma) = conj I(gamma)
+for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  The
+factored path keeps each axis grid across doublings, and axes with one weight
+factor and polynomials equal up to sign share one table.
 """
 
 from __future__ import annotations
@@ -314,30 +319,46 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
     return _refine_rows(starts, values, lambda Ns: math.prod(N + 1 for N in Ns) > cfg.max_cells, cfg)
 
 
-def _factored_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig):
-    """I(gamma) for every gamma in one vectorized pass (one-variable blocks, separable w)."""
+def _by_abs_gamma(compute):
+    """gammas -> compute(gammas), memoised by |gamma| and conjugated where gamma < 0."""
+    memo = {}
+
+    def table(gammas):
+        absg = np.abs(gammas).tolist()
+        new = [g for g in dict.fromkeys(absg) if g not in memo]
+        memo.update(zip(new, compute(np.array(new))))
+        vals = np.array([memo[g] for g in absg])
+        return np.where(gammas < 0, vals.conj(), vals)
+
+    return table
+
+
+def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureConfig):
+    """(const, [(sign, table), ...]), I(gamma) = e(gamma const) prod table(sign gamma), |gamma| <= R.
+
+    One-variable blocks, separable w; an axis grid depends on R only.  The key of a table is
+    the weight factor (centre and box) and the polynomial up to sign.
+    """
     const, parts = blocks(F)
     factors = w.separable_factors()
     if factors is None or any(len(vars_) > 1 for vars_, _ in parts):
         raise PreconditionViolated("factored path needs diagonal F and separable w")
-    out = np.exp(2j * np.pi * np.outer(gammas, [const])).ravel()
+    R = abs(float(R))
+    shared, axes = {}, []
     for (i,), fi in parts:
         lo, hi = w.support_box()[i]
-        xs = np.linspace(lo, hi, 2)
-        fv = [float(fi.evaluate([float(t)])) for t in xs]
-        spread = max(fv) - min(fv)
-        cycles = float(np.max(np.abs(gammas))) * max(spread, _grad_bound(fi, [(lo, hi)])[0] * (hi - lo))
-        N = max(cfg.base_points, 4 * math.ceil(cycles + 1), 256)
-        N += N % 2
-        xs = np.linspace(lo, hi, N + 1)
-        fv = np.array([float(fi.evaluate([float(t)])) for t in xs])
-        wts = np.ones(N + 1)
-        wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-        wts *= (hi - lo) / (3.0 * N)
-        wv = factors[i](xs)
-        phase = np.exp(2j * np.pi * np.outer(gammas, fv))
-        out = out * (phase @ (wts * wv))
-    return out
+        sign = -1 if fi.coeffs and fi.coeffs[min(fi.coeffs)] < 0 else 1
+        key = (lo, hi, w.x0[i:i + 1], frozenset((e, sign * c) for e, c in fi.coeffs.items()))
+        if key not in shared:
+            fv = [float(fi.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
+            cycles = R * max(max(fv) - min(fv), _grad_bound(fi, [(lo, hi)])[0] * (hi - lo))
+            N = max(_start_points(cycles, cfg), 256)
+            xs = np.linspace(lo, hi, N + 1)
+            fv = np.array([float(fi.evaluate([float(t)])) for t in xs])
+            wv = _simpson_weights(lo, hi, N) * factors[i](xs)
+            shared[key] = sign, _by_abs_gamma(lambda g, fv=fv, wv=wv: np.exp(2j * np.pi * np.outer(g, fv)) @ wv)
+        axes.append((sign * shared[key][0], shared[key][1]))
+    return const, axes
 
 
 def singular_integral(
@@ -354,11 +375,12 @@ def singular_integral(
         diagonal = all(len(vars_) == 1 for vars_, _ in blocks(F)[1])
         method = "factored" if (diagonal and w.separable_factors() is not None) else "direct"
     if method == "factored":
-        M = 512
-        prev = None
+        const, axes = _factored_axes(F, w, R, cfg)
+        M, prev = 512, None
         for _ in range(cfg.max_refinements):
             gammas = np.linspace(-R, R, M + 1)
-            Iv = _factored_gamma_table(F, w, gammas, cfg)
+            start = np.exp(2j * np.pi * np.outer(gammas, [const])).ravel()
+            Iv = math.prod((table(s * gammas) for s, table in axes), start=start)
             cur = complex(_simpson_1d(Iv, 2 * R / M))
             if prev is not None and abs(cur - prev) <= max(cfg.tolerance, 1e-12):
                 if abs(cur.imag) > 1e-6 * max(abs(cur), 1.0):
@@ -368,13 +390,7 @@ def singular_integral(
             M *= 2
         raise ToleranceNotMet("gamma refinement limit reached")
     if method == "direct":
-        memo = {}  # I(gamma) by gamma: each doubling of the gamma rule keeps every old node
-
-        def fn(gs):
-            new = [g for g in gs.tolist() if g not in memo]
-            memo.update(zip(new, _direct_gamma_table(F, w, np.array(new), cfg)))
-            return np.array([memo[g] for g in gs.tolist()])
-
+        fn = _by_abs_gamma(lambda gammas: _direct_gamma_table(F, w, gammas, cfg))
         val, _ = integrate_1d(fn, -R, R, cfg, cycles=R)
         return float(np.real(val))
     if method == "sine":

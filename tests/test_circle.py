@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from quartic import counting
 from quartic.circle import (
     SeriesCache,
+    _randrange_many,
+    _sampled_zeros,
     arc_partition,
     classify,
     dirichlet_approx,
@@ -20,7 +23,7 @@ from quartic.circle import (
     singular_series,
 )
 from quartic.counting import solutions_mod_q
-from quartic.errors import ArcsOverlap, DeltaOutOfRange, Inconclusive
+from quartic.errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive
 from quartic.forms import parse_form
 from quartic.verify import random_form
 
@@ -217,3 +220,81 @@ def test_local_witness_keeps_its_recorded_witness(rec):
     x, k = local_witness(parse_form(rec["form"]), rec["p"], seed=rec["seed"])
     assert (list(x), k) == (rec["witness"], rec["level"])
     assert all(type(xi) is int for xi in x)
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize("p", [2, 3, 127, 131, 8191, 65537, 2 ** 31 - 1, 2 ** 61 - 1])
+    def test_same_values_and_state_as_randrange(self, p):
+        for seed, count in ((1, 0), (2, 1), (3, 1000), (7, 4999)):
+            bulk, scalar = random.Random(seed), random.Random(seed)
+            assert _randrange_many(bulk, p, count).tolist() == [scalar.randrange(p) for _ in range(count)]
+            assert bulk.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize(
+        "src, p",
+        [
+            ("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4", 23),
+            ("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4", 199),
+            ("x1^4 + x1*x2^3 + 2*x3^4 - 3*x4^4 - x5^4 + x2*x3*x4*x5", 101),
+            ("10*x1^4 + 5*x2^4 - 5*x3^4 - 5*x4^4", 5),  # every x is a zero; 300 draws of 625 repeat often
+            ("2*x1^4 + 2*x2^4", 2),  # x = 0 is drawn
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_sampled_zeros_match_the_scalar_loop(self, src, p, seed):
+        F = parse_form(src)
+        rng, ref = random.Random(seed), random.Random(seed)
+        expect, seen = [], set()
+        for _ in range(60 * p):
+            x = tuple(ref.randrange(p) for _ in range(F.n))
+            if not any(x) or x in seen:
+                continue
+            seen.add(x)
+            if F.evaluate(list(x)) % p == 0:
+                expect.append(x)
+        assert _sampled_zeros(F, p, rng) == expect
+        assert rng.getstate() == ref.getstate()
+
+    def test_budget_turns_the_grids_into_samples(self):
+        F = parse_form("10*x1^4 + 5*x2^4 - 5*x3^4 - 5*x4^4")
+        calls = []
+
+        def sampled(F, p, rng):
+            calls.append(p)
+            return _sampled_zeros(F, p, rng)
+
+        import quartic.circle as circle
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circle, "_sampled_zeros", sampled)
+            x, k = local_witness(F, 5, budget=100)
+        assert calls == [5] and hensel_criterion(F, x, 5)[0]
+        assert local_witness(F, 5) == local_witness(F, 5, budget=625)
+
+
+class TestBudgetPlan:
+    F = parse_form("x1^4 + x2^4")
+
+    @pytest.mark.parametrize(
+        "series, message",
+        [
+            # recorded before the plan: 2q + q^2 passes 150 up to q = 11; euler_view goes 2, 4, 8, 16 first
+            (singular_series, "cost 195 of the blocks of F mod 13 exceeds budget 150"),
+            (euler_view, "cost 288 of the blocks of F mod 16 exceeds budget 150"),
+        ],
+    )
+    def test_first_modulus_over_budget_raises_before_any_histogram(self, series, message, monkeypatch):
+        calls = []
+        histogram = counting._block_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(counting.MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: calls.append(q) or histogram(G, q))
+        with pytest.raises(BudgetExceeded) as exc:
+            series(self.F, 16, SeriesCache(self.F, 150))
+        assert str(exc.value) == message and calls == []
+
+    def test_cached_moduli_are_not_planned(self):
+        cache = SeriesCache(self.F, 150)
+        full = SeriesCache(self.F)
+        singular_series(self.F, 16, full)
+        cache.aq = dict(full.aq)
+        assert singular_series(self.F, 16, cache) == singular_series(self.F, 16) and cache.rho == {}

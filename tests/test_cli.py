@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,37 @@ class TestBudget:
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+    def test_series_error_line_is_planned_before_any_histogram(self, monkeypatch, tmp_path, capsys):
+        from quartic import counting
+
+        calls = []
+        histogram = counting._block_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(counting.MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: calls.append(q) or histogram(G, q))
+        argv = ["--cache-dir", str(tmp_path), "--budget", "150", "series", "--form-text", "x1^4 + x2^4", "--R", "16"]
+        assert main(argv + ["--euler"]) == 1 and calls == []
+        # the line the command printed before the plan
+        assert capsys.readouterr().err == (
+            '{"command": "series", "error": "BudgetExceeded", '
+            '"message": "cost 195 of the blocks of F mod 13 exceeds budget 150"}\n'
+        )
+
+    def test_hasse_sizes_its_grids_to_the_budget(self, monkeypatch, tmp_path, capsys):
+        sizes = []
+        for module in list(sys.modules.values()):
+            original = getattr(module, "grid_values", None)
+            if module.__name__.startswith("quartic") and original is not None:
+                def recording(F, axes, modulus=None, original=original):
+                    sizes.append(math.prod(len(ax) for ax in axes))
+                    return original(F, axes, modulus)
+
+                monkeypatch.setattr(module, "grid_values", recording)
+        x1 = "4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4"
+        argv = ["--cache-dir", str(tmp_path), "--budget", "1000", "hasse", "--form-text", x1, "--p-max", "13"]
+        assert main(argv) == 0
+        assert sizes and max(sizes) <= 1000  # 5^4 = 625 on the grid; 7^4, 11^4 and 13^4 sampled
+        assert json.loads(capsys.readouterr().out)["everywhere_locally_soluble"] is True
 
     def test_block_form_series_fits_the_default_budget(self, capsys):
         # one 2-variable block: about q^2 cells per modulus, not q^6

@@ -145,13 +145,13 @@ class TestErrOracle:
     """|S_{a,q} - the same sum in mpmath at 50 digits| <= err, for every a mod q."""
 
     @staticmethod
-    def check(F, q, counts):
+    def check(F, q, counts, method="auto"):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             roots = [mpmath.expjpi(mpmath.mpf(2 * k) / q) for k in range(q)]
             support = [(r, int(N)) for r, N in enumerate(counts) if N]
             for a in range(q):
-                got = complete_sum(F, a, q)
+                got = complete_sum(F, a, q, method=method)
                 exact = mpmath.fsum(N * roots[a * r % q] for r, N in support)
                 assert 0 < got.err and abs(mpmath.mpc(got.value) - exact) <= got.err, (F, q, a)
 
@@ -161,9 +161,8 @@ class TestErrOracle:
         counts = np.bincount(grid_values(F, [np.arange(q)] * n, modulus=q).ravel(), minlength=q)
         self.check(F, q, counts)
 
-    def test_F8_on_python_ints(self):
-        q = 256
-        assert value_counts(F8, q).dtype == object
+    @staticmethod
+    def f8_counts(q):
         dist = {0: 1}
         for sign in (1, 1, 1, 1, -1, -1, -1, -1):
             new = {}
@@ -172,7 +171,24 @@ class TestErrOracle:
                     s = (r + sign * x ** 4) % q
                     new[s] = new.get(s, 0) + N
             dist = new
-        self.check(F8, q, [dist.get(r, 0) for r in range(q)])
+        return [dist.get(r, 0) for r in range(q)]
+
+    def test_F8_on_python_ints(self):
+        q = 256
+        assert value_counts(F8, q).dtype == object
+        self.check(F8, q, self.f8_counts(q))
+
+    def test_F8_crt_product_on_python_ints(self):
+        q = 240  # 16 * 3 * 5
+        assert value_counts(F8, q).dtype == object
+        self.check(F8, q, self.f8_counts(q), "crt")
+
+    @pytest.mark.parametrize("n, q", [(1, 900), (2, 360), (3, 60), (3, 72)])
+    def test_crt_product_on_seeded_forms(self, n, q):
+        """The err of `_crt_sum`: composite q, so each sum is a product over its prime powers."""
+        F = random_form(random.Random(60 + n), n, 4, bound=9) + IntPolynomial(n, {(0,) * n: 5})
+        counts = np.bincount(grid_values(F, [np.arange(q)] * n, modulus=q).ravel(), minlength=q)
+        self.check(F, q, counts, "crt")
 
 
 class TestUnitSums:

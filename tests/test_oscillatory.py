@@ -236,7 +236,13 @@ class TestDirectGammaTable:
         monkeypatch.setattr(oscillatory, "_direct_gamma_table", recording)
         monkeypatch.setattr(oscillatory, "osc_integral", per_gamma_call)
         singular_integral(parse_form("x1^4 - x2^4"), bump((0.5, 0.5), 0.2), 2, method="direct")
-        assert len(seen) == len(set(seen)) > 65  # the gamma rule doubled at least once
+        # only |gamma| is computed (I(-gamma) is its conjugate): 33 values on the first rule of 65 nodes
+        assert min(seen) >= 0 and len(seen) == len(set(seen)) > 33  # the gamma rule doubled at least once
+
+    @pytest.mark.parametrize("w", [bump((0.5, 0.5), 0.2), separable_bump((0.5, 0.5), 0.2)], ids=["bump", "separable"])
+    def test_negative_gamma_is_the_conjugate(self, w):
+        F, gammas = parse_form("x1^4 - x2^4"), np.linspace(0.0, 3.7, 9)
+        assert np.array_equal(_direct_gamma_table(F, w, -gammas, self.CFG), _direct_gamma_table(F, w, gammas, self.CFG).conj())
 
     @pytest.mark.parametrize(
         "cfg", [QuadratureConfig(max_cells=100), QuadratureConfig(max_refinements=1)], ids=["cells", "refinements"]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quartic import counting
+from quartic import circle, counting
 from quartic.circle import (
     SeriesCache,
     _randrange_many,
@@ -255,21 +255,13 @@ class TestBulkDraws:
         assert _sampled_zeros(F, p, rng) == expect
         assert rng.getstate() == ref.getstate()
 
-    def test_budget_turns_the_grids_into_samples(self):
+    def test_budget_turns_the_grids_into_samples(self, monkeypatch):
         F = parse_form("10*x1^4 + 5*x2^4 - 5*x3^4 - 5*x4^4")
+        assert local_witness(F, 5) == local_witness(F, 5, budget=625)  # 5^4 cells fit: the same grid
         calls = []
-
-        def sampled(F, p, rng):
-            calls.append(p)
-            return _sampled_zeros(F, p, rng)
-
-        import quartic.circle as circle
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(circle, "_sampled_zeros", sampled)
-            x, k = local_witness(F, 5, budget=100)
+        monkeypatch.setattr(circle, "_sampled_zeros", lambda F, p, rng: calls.append(p) or _sampled_zeros(F, p, rng))
+        x, k = local_witness(F, 5, budget=100)
         assert calls == [5] and hensel_criterion(F, x, 5)[0]
-        assert local_witness(F, 5) == local_witness(F, 5, budget=625)
 
 
 class TestBudgetPlan:

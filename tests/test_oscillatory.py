@@ -242,7 +242,8 @@ class TestDirectGammaTable:
     @pytest.mark.parametrize("w", [bump((0.5, 0.5), 0.2), separable_bump((0.5, 0.5), 0.2)], ids=["bump", "separable"])
     def test_negative_gamma_is_the_conjugate(self, w):
         F, gammas = parse_form("x1^4 - x2^4"), np.linspace(0.0, 3.7, 9)
-        assert np.array_equal(_direct_gamma_table(F, w, -gammas, self.CFG), _direct_gamma_table(F, w, gammas, self.CFG).conj())
+        table = _direct_gamma_table(F, w, gammas, self.CFG)
+        assert np.array_equal(_direct_gamma_table(F, w, -gammas, self.CFG), table.conj())
 
     @pytest.mark.parametrize(
         "cfg", [QuadratureConfig(max_cells=100), QuadratureConfig(max_refinements=1)], ids=["cells", "refinements"]
@@ -338,7 +339,7 @@ def _oracle_weight(rec, n):
 @pytest.mark.parametrize(
     "rec",
     [json.loads(line) for line in J_REPRS.read_text().splitlines()],
-    ids=lambda rec: f"{rec['method']}-{rec['weight']}-n{rec['form'].count('x')}-R{rec['R']}",
+    ids=lambda rec: f"{rec['method']}-{rec['weight']}-n{rec['form'].count('x')}-R{rec['R']}-c{rec['center'] or ''}",
 )
 def test_singular_integral_keeps_its_recorded_repr(rec):
     """J(R) on the factored, direct and sine paths, bit for bit as recorded before the gamma memo."""

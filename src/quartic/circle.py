@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .counting import _check_cost, factorint, solutions_mod_q, weighted_count
-from .errors import ArcsOverlap, DeltaOutOfRange, Inconclusive
+from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, weighted_count
+from .errors import ArcsOverlap, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from .forms import IntPolynomial, blocks, grid_values
 from .geometry import GF, eval_poly_codes, primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
@@ -96,10 +96,16 @@ class ArcPartition:
         return 2.0 * self.half_width * len(self.arcs)
 
 
-def arc_partition(delta: float, P: float, verify: bool = True) -> ArcPartition:
-    """Arcs |alpha - a/q| <= P^(delta-4) for q <= P^delta, checked disjoint."""
+def _check_arcs(delta: float, P: float) -> None:
     if not 0 < delta < 4.0 / 3.0:
         raise DeltaOutOfRange("delta must lie in (0, 4/3)")
+    if not P > 0:
+        raise PreconditionViolated(f"P must be positive, got {P}")
+
+
+def arc_partition(delta: float, P: float, verify: bool = True) -> ArcPartition:
+    """Arcs |alpha - a/q| <= P^(delta-4) for q <= P^delta, checked disjoint."""
+    _check_arcs(delta, P)
     q_max = int(math.floor(P ** delta + 1e-9))
     width = float(P) ** (delta - 4.0)
     arcs = []
@@ -122,8 +128,7 @@ def arc_partition(delta: float, P: float, verify: bool = True) -> ArcPartition:
 
 def classify(alpha, delta: float, P: float):
     """('major', a, q) when alpha lies in some arc, else ('minor', None, None)."""
-    if not 0 < delta < 4.0 / 3.0:
-        raise DeltaOutOfRange("delta must lie in (0, 4/3)")
+    _check_arcs(delta, P)
     beta = _to_fraction(alpha)
     beta -= math.floor(beta)
     q_max = int(math.floor(P ** delta + 1e-9))
@@ -148,7 +153,7 @@ def classify(alpha, delta: float, P: float):
 class SeriesCache:
     """Per-form memo of rho(q) and A_q so sweeps over R reuse the counts."""
 
-    def __init__(self, F: IntPolynomial, budget: int = 40_000_000):
+    def __init__(self, F: IntPolynomial, budget: int = DEFAULT_BUDGET):
         self.F = F
         self.budget = budget
         self.rho: dict = {}
@@ -218,10 +223,11 @@ class LocalFactor:
     identity_ok: bool
 
 
-def local_factor(F: IntPolynomial, p: int, K: int, budget: int = 40_000_000) -> LocalFactor:
-    """Exact check of 1 + chi_p(K) = p^{-K(n-1)} rho(p^K) for every K' <= K."""
+def local_factor(F: IntPolynomial, p: int, K: int, budget: int = DEFAULT_BUDGET) -> LocalFactor:
+    """Exact check of 1 + chi_p(K) = p^{-K(n-1)} rho(p^K) for every K' <= K; the budget is checked for p..p^K first."""
     n = F.n
     cache = SeriesCache(F, budget)
+    cache.plan(p ** k for k in range(1, K + 1))
     chi = []
     dens = []
     acc = Fraction(0)
@@ -246,7 +252,7 @@ def main_term_pipeline(
     R_integral: float,
     cfg: QuadratureConfig | None = None,
     cache: SeriesCache | None = None,
-    budget: int = 40_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """N_w(F;P) against the model S(R_series) * J(R_integral) * P^{n-4}."""
     cfg = cfg or QuadratureConfig()
@@ -324,7 +330,7 @@ def local_witness(
     k_max: int = 12,
     cap: int = 20000,
     seed: int = 1,
-    budget: int = 40_000_000,
+    budget: int = DEFAULT_BUDGET,
 ):
     """Search x (not all = 0 mod p) that Hensel-lifts to a p-adic zero of F.
 
@@ -436,7 +442,7 @@ def hasse_report(
     k_max: int = 12,
     real_probe_budget: int = 2000,
     seed: int = 1,
-    budget: int = 40_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Local solubility table: R plus every prime p <= p_max; `budget` bounds the grids of `local_witness`."""
     real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)

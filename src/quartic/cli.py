@@ -20,7 +20,8 @@ from pathlib import Path
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import CacheCorrupt, ConfigInvalid, QuarticError, UnknownCommand
+from .counting import DEFAULT_BUDGET
+from .errors import ArcsOverlap, CacheCorrupt, ConfigInvalid, DeltaOutOfRange, QuarticError, UnknownCommand
 from .forms import IntPolynomial, parse_form
 from .verify import SWEEPS
 from .weights import WeightSpec, box, bump, separable_bump
@@ -30,7 +31,7 @@ CACHE_ENV = "QUARTIC_CACHE_DIR"
 
 @dataclass
 class RunConfig:
-    budget: int = 40_000_000
+    budget: int = DEFAULT_BUDGET
     cache_dir: str | None = None
     output: str = "json"
 
@@ -260,7 +261,7 @@ def _cmd_arcs(args, config: RunConfig) -> int:
             "total_measure": part.total_measure,
             "disjoint": True,
         }
-    except QuarticError as exc:
+    except (ArcsOverlap, DeltaOutOfRange) as exc:
         rep |= {"disjoint": False, "error": str(exc)}
     if args.alpha is not None:
         try:
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     ap.add_argument("--timing", action="store_true", help="timing to stderr; cache-hit flags in reports")
     ap.add_argument("--output", default="json", choices=["json", "table"])
-    ap.add_argument("--budget", type=int, default=40_000_000, help="max enumeration cells")
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max enumeration cells")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)

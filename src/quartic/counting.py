@@ -16,12 +16,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, MitmNotApplicable
-from .forms import IntPolynomial, LRUCache, _int64_safe, blocks, grid_values, sym_tensor
+from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, MitmNotApplicable, PreconditionViolated
+from .forms import IntPolynomial, LRUCache, _grid_points, _int64_safe, blocks, grid_values, sym_tensor
+from .geometry import primes_up_to
 from .weights import WeightSpec, box, lattice_ranges
 
 DEFAULT_BUDGET = 40_000_000
@@ -78,6 +78,8 @@ def weighted_count(
     """N_w(F;P) = sum over integer x with F(x)=0 of w(x/P)."""
     if w.n != F.n:
         raise DimensionMismatch("weight dimension != variable count")
+    if not P > 0:
+        raise PreconditionViolated(f"P must be positive, got {P}")
     t0 = time.time()
     ranges = lattice_ranges(w, P)
     cells = 1
@@ -135,12 +137,9 @@ def _nonzero_solution_count(F: IntPolynomial, P: int, budget: int) -> int:
 def _mobius_sieve(N: int):
     """mu(0..N) as an int64 array (mu[0] = 1)."""
     mu = np.ones(N + 1, dtype=np.int64)
-    composite = np.zeros(N + 1, dtype=bool)
-    for p in range(2, N + 1):
-        if not composite[p]:
-            composite[p * p::p] = True
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
+    for p in primes_up_to(N):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
     return mu
 
 
@@ -255,10 +254,6 @@ def solutions_mod_q(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> i
 # -- auxiliary trilinear counts ---------------------------------------------------
 
 
-def _box_pts(R: int):
-    return np.arange(-R, R + 1, dtype=np.int64)
-
-
 def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, **params) -> int:
     """T(R), N(alpha, P) and S(R, Q) for the trilinear system of F.
 
@@ -266,43 +261,34 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
     N(alpha,P): |w|,|x|,|y| <= c*P with ||alpha L_i|| < 1/P for all i.
     S(R,Q): |w|,|x|,|y| <= R with ||alpha L_i|| < 1/Q for all i.
     alpha is a rational; the tests ||alpha L_i|| < theta are exact integer
-    comparisons (`_near_integer`).
+    comparisons (`_near_integer`).  One pass over slabs of (w, x) pairs
+    forms C = N(w, x, ., .) and L = C y for every y of the box at once.
     """
     T = sym_tensor(F)
     n = F.n
     if kind == "T":
+        R, alpha = int(params["R"]), None
+    elif kind == "N":
+        R = int(math.floor(params.get("c", 1.0) * params["P"]))
+        alpha, theta = Fraction(params["alpha"]), Fraction(1, int(params["P"]))
+    elif kind == "S":
         R = int(params["R"])
-        lim = (2 * R + 1) ** (3 * n)
-        if lim > budget:
-            raise BudgetExceeded(f"T(R) enumeration {lim} exceeds budget")
-        pts = _box_pts(R)
-        count = 0
-        for wv in product(pts.tolist(), repeat=n):
-            for xv in product(pts.tolist(), repeat=n):
-                # L_i(w;x;y) = sum_l C_il y_l with C from contracting twice
-                C = _contract_two(T, wv, xv)
-                count += _kernel_count_in_box(C, R)
-        return count
-    if kind in ("N", "S"):
-        alpha = Fraction(params["alpha"])
-        if kind == "N":
-            R = int(math.floor(params.get("c", 1.0) * params["P"]))
-            theta = Fraction(1, int(params["P"]))
-        else:
-            R = int(params["R"])
-            theta = Fraction(1, int(params["Q"]))
-        lim = (2 * R + 1) ** (3 * n)
-        if lim > budget:
-            raise BudgetExceeded(f"{kind} enumeration {lim} exceeds budget")
-        pts = _box_pts(R).tolist()
-        Y = np.array(list(product(pts, repeat=n)), dtype=np.int64).reshape(-1, n).T
-        count = 0
-        for wv in product(pts, repeat=n):
-            for xv in product(pts, repeat=n):
-                C = np.array(_contract_two(T, wv, xv), dtype=np.int64)
-                count += int(_near_integer(alpha, C @ Y, theta).all(axis=0).sum())
-        return count
-    raise ValueError(f"unknown auxiliary count kind {kind!r}")
+        alpha, theta = Fraction(params["alpha"]), Fraction(1, int(params["Q"]))
+    else:
+        raise ValueError(f"unknown auxiliary count kind {kind!r}")
+    lim = (2 * R + 1) ** (3 * n)
+    if lim > budget:
+        raise BudgetExceeded(f"{'T(R)' if kind == 'T' else kind} enumeration {lim} exceeds budget")
+    # |L_i| <= R^3 sum_jkl |N_ijkl| <= the bound of 24 F on the box: past int64, exact Python ints
+    dt = np.int64 if _int64_safe(T.reconstruct(), [(-R, R)] * n) else object
+    V = _grid_points([np.arange(-R, R + 1)] * n).astype(dt)
+    step = max(1, (1 << 20) // (len(V) ** 2 * n))  # slabs of about 2^20 values of L
+    count = 0
+    for start in range(0, len(V), step):
+        L = T.contract(V[start:start + step, None], V[None]) @ V.T  # L[w, x, i, y]
+        ok = L == 0 if alpha is None else _near_integer(alpha, L, theta)
+        count += int(ok.all(axis=-2).sum())
+    return count
 
 
 def _near_integer(alpha: Fraction, m, theta: Fraction) -> np.ndarray:
@@ -313,32 +299,7 @@ def _near_integer(alpha: Fraction, m, theta: Fraction) -> np.ndarray:
     exactly when d < ceil(q*u/v).  Residues stay int64 while q < 2^31.
     """
     a, q = alpha.numerator, alpha.denominator
-    m = np.asarray(m).astype(np.int64 if q < 1 << 31 else object)
-    r = (a % q) * (m % q) % q
+    m = np.asarray(m)
+    m = (m % q).astype(np.int64) if q < 1 << 31 else m.astype(object) % q
+    r = (a % q) * m % q
     return np.minimum(r, q - r) < -(-q * theta.numerator // theta.denominator)
-
-
-def _contract_two(T, wv, xv):
-    """Matrix C with C[i][l] = sum_{jk} N_ijkl w_j x_k."""
-    n = T.n
-    C = [[0] * n for _ in range(n)]
-    from itertools import permutations as _perms
-
-    for key, val in T.entries.items():
-        for p in set(_perms(key)):
-            C[p[0]][p[3]] += val * wv[p[1]] * xv[p[2]]
-    return C
-
-
-def _kernel_count_in_box(C, R: int) -> int:
-    """#{y in [-R,R]^n : C y = 0} for a small integer matrix C."""
-    n = len(C)
-    pts = _box_pts(R)
-    if n == 1:
-        return len(pts) if C[0][0] == 0 else 1
-    # generic: enumerate the box (small n only)
-    count = 0
-    for yv in product(pts.tolist(), repeat=n):
-        if all(sum(C[i][l] * yv[l] for l in range(n)) == 0 for i in range(n)):
-            count += 1
-    return count

@@ -376,6 +376,11 @@ def grid_values(F: IntPolynomial, axes, modulus: int | None = None) -> np.ndarra
     return total
 
 
+def _grid_points(axes) -> np.ndarray:
+    """Rows of the grid axes[0] x ... x axes[n-1] in the order of `grid_values(...).ravel()`."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def blocks(F: IntPolynomial):
     """(const, [(vars, G), ...]): F = const + sum of G(x[vars]) over blocks of disjoint variables.
 
@@ -440,16 +445,26 @@ class SymTensor:
             coeffs[e] = coeffs.get(e, 0) + val * mult
         return IntPolynomial(self.n, coeffs)
 
+    def contract(self, W, X) -> np.ndarray:
+        """C[..., i, l] = sum_jk N_ijkl w_j x_k over the broadcast leading axes of W and X.
+
+        The ring follows the inputs (int64, or Python ints in object arrays);
+        the caller picks one in which the sums fit.
+        """
+        W, X = np.asarray(W), np.asarray(X)
+        N = np.zeros((self.n,) * 4, dtype=np.result_type(W, X))
+        for key, val in self.entries.items():
+            for p in set(permutations(key)):
+                N[p] = val
+        return np.einsum("ijkl,...j,...k->...il", N, W, X)
+
     def trilinear(self, w, x, y):
         """L_i(w;x;y) = sum_jkl N_ijkl w_j x_k y_l, exactly (eq. uses 4! f)."""
         for v in (w, x, y):
             if len(v) != self.n:
                 raise DimensionMismatch("vector length mismatch in trilinear form")
-        L = [0] * self.n
-        for key, val in self.entries.items():
-            for p in set(permutations(key)):
-                L[p[0]] += val * w[p[1]] * x[p[2]] * y[p[3]]
-        return tuple(L)
+        w, x, y = (np.array(v, dtype=object) for v in (w, x, y))
+        return tuple(self.contract(w, x) @ y)
 
 
 def _n_arrangements(key) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
 )
-from .forms import CubicData, IntPolynomial, LRUCache, hessian_form_rows
+from .forms import CubicData, IntPolynomial, LRUCache, hessian_form_rows, heights
 
 DEFAULT_BUDGET = 20_000_000
 GF_CACHE_ENTRIES = 32  # fields (p, k) kept built; k >= 2 holds two q x q tables
@@ -49,7 +49,15 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int):
-    return [p for p in range(2, n + 1) if is_prime(p)]
+    """The primes p <= n, by a sieve of Eratosthenes on slices."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
 
 
 # -- finite fields -------------------------------------------------------------
@@ -117,15 +125,10 @@ def find_irreducible(p: int, k: int):
     if k == 1:
         return (0, 1)
     for value in range(p ** k):
-        coeffs = []
-        v = value
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        f = tuple(coeffs) + (1,)
+        f = tuple(value // p ** i % p for i in range(k)) + (1,)
         # f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^d) - x, f) = 1
         # for every maximal proper divisor d of k
-        x = (0, 1) + (0,) * (k - 2) if k > 1 else (0,)
+        x = (0, 1) + (0,) * (k - 2)
         xq = _poly_pow_mod(x, p ** k, f, p)
         if xq != x:
             continue
@@ -191,11 +194,7 @@ class GF:
         )
 
     def decode(self, code: int):
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
+        return tuple(code // self.p ** i % self.p for i in range(self.k))
 
     def encode(self, coeffs) -> int:
         return sum(int(c) % self.p * self.p ** i for i, c in enumerate(coeffs))
@@ -223,14 +222,12 @@ class GF:
     def pow_lut(self, e: int):
         """Array L with L[code] = code ** e in the field."""
         lut = np.full(self.q, self.embed(1), dtype=np.int64)
-        base = np.arange(self.q, dtype=np.int64)
-        ee = e
-        acc = base
-        while ee:
-            if ee & 1:
+        acc = np.arange(self.q, dtype=np.int64)
+        while e:
+            if e & 1:
                 lut = self.mul(lut, acc)
             acc = self.mul(acc, acc)
-            ee >>= 1
+            e >>= 1
         return lut
 
 
@@ -252,16 +249,29 @@ def eval_poly_codes(poly: IntPolynomial, gf: GF, coords):
     return total
 
 
-def _affine_grid(gf: GF, n: int, budget: int):
-    N = gf.q ** n
-    if N > budget:
-        raise BudgetExceeded(f"{gf.q}^{n} = {N} grid cells exceeds budget {budget}")
-    idx = np.arange(N, dtype=np.int64)
-    return [(idx // gf.q ** i) % gf.q for i in range(n)]
+def _slabs(q: int, n: int, budget: int, cells: int = 1 << 20):
+    """Broadcast coordinate axes [x_1, ..., x_n] over F_q^n, in slabs of about `cells` points.
+
+    The grid's first axis is x_n, so a slab ravels with x_1 fastest and the
+    slabs follow one another in mixed-radix order.
+    """
+    if q ** n > budget:
+        raise BudgetExceeded(f"{q}^{n} = {q ** n} grid cells exceeds budget {budget}")
+    if n == 0:
+        yield []
+        return
+    axis = np.arange(q, dtype=np.int64)
+    step = max(1, cells // q ** (n - 1))
+    for start in range(0, q, step):
+        yield list(np.ix_(axis[start:start + step], *[axis] * (n - 1))[::-1])
 
 
 def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: int = DEFAULT_BUDGET) -> int:
-    """Exact count of common zeros over F_{p^k} in affine/cone/projective space."""
+    """Exact count of common zeros over F_{p^k} in affine/cone/projective space.
+
+    Projective space is the union of the charts x_1..x_j = 0, x_{j+1} = 1;
+    each chart is a grid of broadcast axes, a fixed coordinate an axis of length one.
+    """
     polys = list(polys)
     if not polys:
         n = 0
@@ -272,36 +282,23 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
     if p ** (k * max(n - (1 if mode == "projective" else 0), 0)) > budget:
         raise BudgetExceeded(f"{p}^{k * n} points exceed budget {budget}")
     gf = GF(p, k)
+    free = np.arange(gf.q, dtype=np.int64)
     if mode in ("affine", "cone"):
-        if n == 0:
-            return 1 if all(g.evaluate([]) % p == 0 for g in polys) else 0
-        coords = _affine_grid(gf, n, budget)
-        ok = np.ones(gf.q ** n, dtype=bool)
+        charts = [[free] * n]
+    elif mode == "projective":
+        if not all(g.is_homogeneous() for g in polys):
+            raise ValueError("projective counting needs homogeneous forms")
+        charts = [[np.zeros(1, np.int64)] * j + [np.ones(1, np.int64)] + [free] * (n - j - 1) for j in range(n)]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    total = 0
+    for axes in charts:
+        coords = np.ix_(*axes)
+        ok = np.ones([len(ax) for ax in axes], dtype=bool)
         for g in polys:
             ok &= eval_poly_codes(g, gf, coords) == 0
-        return int(ok.sum())
-    if mode == "projective":
-        for g in polys:
-            if not g.is_homogeneous():
-                raise ValueError("projective counting needs homogeneous forms")
-        total = 0
-        for j in range(n):  # chart: x_1..x_j = 0, x_{j+1} = 1, rest free
-            free = n - j - 1
-            if gf.q ** max(free, 0) > budget:
-                raise BudgetExceeded("projective chart exceeds budget")
-            if free:
-                tail = _affine_grid(gf, free, budget)
-            else:
-                tail = []
-            coords = [np.zeros(1 if not free else gf.q ** free, dtype=np.int64)] * j
-            coords = coords + [np.full(1 if not free else gf.q ** free, gf.embed(1), dtype=np.int64)]
-            coords = coords + tail
-            ok = np.ones(coords[0].shape, dtype=bool)
-            for g in polys:
-                ok &= eval_poly_codes(g, gf, coords) == 0
-            total += int(ok.sum())
-        return total
-    raise ValueError(f"unknown mode {mode!r}")
+        total += int(ok.sum())
+    return total
 
 
 # -- dimension estimation ------------------------------------------------------
@@ -343,10 +340,6 @@ def estimate_dim(counts: dict, p: int, C: float = BAND_CONSTANT, nmax: int = 64)
     return DimEstimate(dim=d, counts=dict(counts), confident=confident)
 
 
-def _reduced_nonzero(G: IntPolynomial, p: int) -> bool:
-    return any(c % p for c in G.coeffs.values())
-
-
 def sing_dim(
     G: IntPolynomial,
     p: int | None = None,
@@ -365,7 +358,7 @@ def sing_dim(
         vals = [sing_dim(G, q, kmax=1, C=C, budget=budget) for q in proxy_primes]
         return max(vals), "proxy"
     n = G.n
-    if not _reduced_nonzero(G, p):
+    if not any(c % p for c in G.coeffs.values()):
         return n - 1  # convention: G vanishes identically mod p
     if n == 1:
         return -1  # protocol for forms in one variable
@@ -387,69 +380,47 @@ def sing_dim(
 
 
 def _ranks_of_matrix_grid(entry_vals, gf: GF, n: int):
-    """Vectorized rank of many symmetric n x n matrices given as value arrays."""
-    if n == 1:
-        return (np.asarray(entry_vals[0][0]) != 0).astype(np.int8)
-    if n == 2:
-        a, b, d = entry_vals[0][0], entry_vals[0][1], entry_vals[1][1]
-        det = gf.add(gf.mul(a, d), gf.neg(gf.mul(b, b)))
-        nonzero = (a != 0) | (b != 0) | (d != 0)
-        return ((det != 0).astype(np.int8) + nonzero.astype(np.int8)).astype(np.int8)
-    if n == 3:
-        m = entry_vals
+    """Rank of many symmetric n x n matrices given as value arrays, for any n.
 
-        def mul(x, y):
-            return gf.mul(x, y)
-
-        def add(x, y):
-            return gf.add(x, y)
-
-        def sub(x, y):
-            return gf.add(x, gf.neg(y))
-
-        a, b, c = m[0][0], m[0][1], m[0][2]
-        d, e, f = m[1][1], m[1][2], m[2][2]
-        # symmetric matrix [[a,b,c],[b,d,e],[c,e,f]]
-        det = sub(
-            add(add(mul(a, sub(mul(d, f), mul(e, e))), mul(b, sub(mul(c, e), mul(b, f)))),
-                mul(c, sub(mul(b, e), mul(c, d)))),
-            np.zeros_like(a),
-        )
-        minors = [
-            sub(mul(d, f), mul(e, e)),
-            sub(mul(b, f), mul(c, e)),
-            sub(mul(b, e), mul(c, d)),
-            sub(mul(a, f), mul(c, c)),
-            sub(mul(a, e), mul(b, c)),
-            sub(mul(a, d), mul(b, b)),
-        ]
-        any_minor = np.zeros_like(a, dtype=bool)
-        for t in minors:
-            any_minor |= t != 0
-        any_entry = np.zeros_like(a, dtype=bool)
-        for t in (a, b, c, d, e, f):
-            any_entry |= t != 0
-        rank = (det != 0).astype(np.int8) * 3
-        rank = np.where((rank == 0) & any_minor, 2, rank).astype(np.int8)
-        rank = np.where((rank == 0) & any_entry, 1, rank).astype(np.int8)
-        return rank
-    # small-n fallback: Gaussian elimination per point (codes decoded on demand)
-    raise BudgetExceeded("vectorized rank profiles are implemented for n <= 3")
+    A symmetric matrix over any field has rank r exactly when r is the largest
+    order of a nonzero principal minor.  Each minor is computed once, by
+    expansion along its first row, from the minors one order below; only two
+    orders are held at a time.
+    """
+    levels, need = [], set()  # the (rows, cols) of the minors needed, order n first
+    for m in range(n, 0, -1):
+        need |= {(S, S) for S in combinations(range(n), m)}
+        levels.append(need)
+        need = {(rows[1:], cols[:t] + cols[t + 1:]) for rows, cols in need for t in range(m)}
+    rank = np.zeros(np.shape(entry_vals[0][0]) if n else (), dtype=np.int8)
+    below = {((), ()): gf.embed(1)}  # the empty minor
+    for m, keys in enumerate(reversed(levels), start=1):
+        minors = {}
+        for rows, cols in keys:
+            det = 0
+            for t, c in enumerate(cols):
+                term = gf.mul(entry_vals[rows[0]][c], below[rows[1:], cols[:t] + cols[t + 1:]])
+                det = gf.add(det, term if t % 2 == 0 else gf.neg(term))
+            minors[rows, cols] = det
+            if rows == cols:
+                rank[det != 0] = m
+        below = minors
+    return rank
 
 
 def hessian_rank_grid(G: IntPolynomial, p: int, k: int = 1, budget: int = DEFAULT_BUDGET):
-    """Array of rank H_G(x) over all x in F_{p^k}^n (mix-radix order)."""
+    """Array of rank H_G(x) over all x in F_{p^k}^n (x_1 fastest, mix-radix order)."""
     gf = GF(p, k)
     n = G.n
-    coords = _affine_grid(gf, n, budget)
     rows = hessian_form_rows(G)
-    entry_vals = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = eval_poly_codes(rows[i][j], gf, coords)
-            entry_vals[i][j] = v
-            entry_vals[j][i] = v
-    return _ranks_of_matrix_grid(entry_vals, gf, n)
+    out = []
+    for coords in _slabs(gf.q, n, budget):
+        entry_vals = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                entry_vals[i][j] = entry_vals[j][i] = eval_poly_codes(rows[i][j], gf, coords)
+        out.append(_ranks_of_matrix_grid(entry_vals, gf, n).ravel())
+    return np.concatenate(out)
 
 
 _rank_count_cache = LRUCache(RANK_CACHE_ENTRIES)
@@ -550,15 +521,16 @@ def dim_A_h(G: IntPolynomial, p: int, h, budget: int = DEFAULT_BUDGET) -> int:
     gf = GF(p, 1)
     n = G.n
     rows = hessian_form_rows(G)
-    coords = _affine_grid(gf, n, budget)
-    ok = np.ones(gf.q ** n, dtype=bool)
-    for i in range(n):
-        acc = np.zeros(gf.q ** n, dtype=np.int64)
-        for j in range(n):
-            if h[j] % p:
-                acc = gf.add(acc, gf.mul(eval_poly_codes(rows[i][j], gf, coords), h[j] % p))
-        ok &= acc == 0
-    cnt = int(ok.sum())
+    cnt = 0
+    for coords in _slabs(p, n, budget):
+        ok = np.ones(np.broadcast_shapes(*(c.shape for c in coords)), dtype=bool)
+        for i in range(n):
+            acc = 0
+            for j in range(n):
+                if h[j] % p:
+                    acc = gf.add(acc, gf.mul(eval_poly_codes(rows[i][j], gf, coords), h[j] % p))
+            ok &= acc == 0
+        cnt += int(ok.sum())
     return round(math.log(cnt, p)) if cnt > 1 else 0
 
 
@@ -632,7 +604,7 @@ def find_hyperplane(
     """
     n = G.n
     if n < 2:
-        raise ValueError("need at least two variables to slice")
+        raise PreconditionViolated("need at least two variables to slice")
     checked = [p for p in primes if p >= min_prime]
     s_proxy, _ = sing_dim(G, None, C=C, budget=budget, proxy_primes=proxy_primes)
     targets = {"proxy": max(-1, s_proxy - 1)}
@@ -791,8 +763,6 @@ def section_data(g: CubicData, m, P: int, k: int = 0, c_anchor: float = 4.0) -> 
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
     det = _int_det(gram)
     norm2 = sum(x * x for x in m)
-    from .forms import heights  # local import to avoid cycle noise
-
     hP = float(heights(g.poly, P)[1])
     PL = max(P / L, 1.0)
     h_height = max(
@@ -811,11 +781,9 @@ def section_data(g: CubicData, m, P: int, k: int = 0, c_anchor: float = 4.0) -> 
 
 def _int_det(M):
     """Exact determinant of a small integer matrix (fraction-free not needed)."""
-    from fractions import Fraction as Fr
-
     n = len(M)
-    A = [[Fr(x) for x in row] for row in M]
-    det = Fr(1)
+    A = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
     for i in range(n):
         piv = next((r for r in range(i, n) if A[r][i] != 0), None)
         if piv is None:

@@ -29,7 +29,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expsums import complete_sum, twisted_sum
-from .forms import CubicData, IntPolynomial, _abs_bound, blocks, grid_values
+from .forms import CubicData, IntPolynomial, _abs_bound, _grid_points, blocks, grid_values
 from .weights import WeightSpec, lattice_ranges
 
 TWO_PI = 2.0 * math.pi
@@ -58,11 +58,6 @@ def _support_axes(w: WeightSpec, P: float, budget: int):
     if cells > budget:
         raise BudgetExceeded(f"{cells} lattice points exceed budget {budget}")
     return [np.arange(a, b + 1, dtype=np.int64) for a, b in ranges]
-
-
-def _grid_points(axes) -> np.ndarray:
-    """Rows of the grid axes[0] x ... x axes[n-1] in the order of `grid_values(...).ravel()`."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def gen_sum(
@@ -368,7 +363,9 @@ def singular_integral(
     cfg: QuadratureConfig = DEFAULT_CFG,
     method: str = "auto",
 ):
-    """J(R) = integral over |gamma| <= R of integral w(x) e(gamma F(x)) dx dgamma."""
+    """J(R) = integral over |gamma| <= R of integral w(x) e(gamma F(x)) dx dgamma, for R >= 0."""
+    if R < 0:
+        raise PreconditionViolated(f"J(R) needs R >= 0, got {R}")
     if R == 0:
         return 0.0
     if method == "auto":

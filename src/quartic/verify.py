@@ -20,12 +20,11 @@ import numpy as np
 from .counting import _near_integer, factorint
 from .errors import BudgetExceeded, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
-from .forms import CubicData, IntPolynomial, difference_cubic, grid_values, hessian, parse_form, sym_tensor
+from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, difference_cubic, grid_values, hessian
+from .forms import heights, parse_form, sym_tensor
 from .geometry import _rank_locus_profile, sing_dim
-from .oscillatory import _grid_points, gen_sum
-from .weights import WeightSpec, bump, shifted_product, unit_box
-
-TWO_PI = 2.0 * math.pi
+from .oscillatory import gen_sum
+from .weights import WeightSpec, bump, lattice_ranges, shifted_product, unit_box
 
 
 @dataclass
@@ -91,8 +90,6 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
         vals = grid_values(F, axes).ravel()
         ang = ((vals % q).astype(np.int64) * (a / q) if q > 1 else 0.0) + z * vals.astype(float)
         return w.eval_many(_grid_points(axes) / P) * np.exp(2j * np.pi * (ang % 1.0))
-
-    from .weights import lattice_ranges
 
     ranges = lattice_ranges(w, P)
     cells = 1
@@ -160,49 +157,29 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
 
 
 def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int, c: float = 1.0, budget: int = 300_000_000):
-    """Counts of (L_1,...,L_n) mod qq over the triple box |w|,|x|,|y| <= cP."""
-    n = F.n
-    T = sym_tensor(F)
-    R = int(math.floor(c * P))
-    pts = np.arange(-R, R + 1, dtype=np.int64)
-    B = len(pts)
-    if n == 1:
-        Nt = float(T.entries.get((0, 0, 0, 0), 0))
-        hist = np.zeros(qq, dtype=np.int64)
-        wx = np.multiply.outer(pts, pts).ravel()
-        for yv in pts:
-            vals = (int(Nt) * wx * yv) % qq
-            hist += np.bincount(vals, minlength=qq)
-        return hist.reshape((qq,))
-    if n == 2:
-        if B ** 4 * qq ** 2 > budget:
-            raise BudgetExceeded("weyl histogram too large")
-        W1, W2, X1_, X2_ = np.meshgrid(pts, pts, pts, pts, indexing="ij")
-        Wv = np.stack([W1.ravel(), W2.ravel()], axis=1)
-        Xv = np.stack([X1_.ravel(), X2_.ravel()], axis=1)
-        # C[i][l] = sum_jk N_ijkl w_j x_k, vectorized over all (w, x) pairs
-        C = [[np.zeros(len(Wv), dtype=np.int64) for _ in range(2)] for _ in range(2)]
-        from itertools import permutations as _perms
+    """Counts of (L_1,...,L_n) mod qq over the triple box |w|,|x|,|y| <= cP, shaped (qq,)*n.
 
-        for key, val in T.entries.items():
-            for pperm in set(_perms(key)):
-                i, j, k, l = pperm
-                C[i][l] += val * Wv[:, j] * Xv[:, k]
-        hist = np.zeros(qq * qq, dtype=np.int64)
-        ymult = np.bincount(pts % qq, minlength=qq)
-        for y1 in range(qq):
-            m1 = int(ymult[y1])
-            if not m1:
-                continue
-            for y2 in range(qq):
-                m2 = int(ymult[y2])
-                if not m2:
-                    continue
-                l1 = (C[0][0] * y1 + C[0][1] * y2) % qq
-                l2 = (C[1][0] * y1 + C[1][1] * y2) % qq
-                hist += m1 * m2 * np.bincount(l1 * qq + l2, minlength=qq * qq)
-        return hist.reshape((qq, qq))
-    raise BudgetExceeded("weyl histogram supports n <= 2")
+    Every (w, x) pair is enumerated, in slabs, with w and x reduced mod qq;
+    y runs over its residues mod qq, each counted as often as it occurs.
+    """
+    n = F.n
+    R = int(math.floor(c * P))
+    ymult = np.bincount(np.arange(-R, R + 1) % qq, minlength=qq)
+    ys = np.flatnonzero(ymult)  # the residues y_i takes
+    if (2 * R + 1) ** (2 * n) * len(ys) ** n > budget:
+        raise BudgetExceeded("weyl histogram too large")
+    T = SymTensor(n, {key: val % qq for key, val in sym_tensor(F).entries.items()})
+    dt = np.int64 if n * n * qq ** 3 < 1 << 62 else object  # residue sums stay below n^2 qq^3
+    V = _grid_points([np.arange(-R, R + 1)] * n).astype(dt) % qq
+    place = qq ** np.arange(n - 1, -1, -1)  # L_1 is the most significant digit
+    hist = np.zeros(qq ** n, dtype=np.int64)
+    step = max(1, (1 << 20) // (len(V) * n * n))
+    for start in range(0, len(V), step):
+        C = T.contract(V[start:start + step, None], V[None]) % qq
+        for y in product(ys.tolist(), repeat=n):
+            L = (C @ np.array(y, dtype=dt) % qq).astype(np.int64)
+            hist += int(ymult[list(y)].prod()) * np.bincount((L @ place).ravel(), minlength=qq ** n)
+    return hist.reshape((qq,) * n)
 
 
 def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction, c: float = 1.0) -> dict:
@@ -215,7 +192,6 @@ def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction, c: float = 1.0) -> dic
     w = unit_box(n)
     S = gen_sum(F, w, P, a=(aa or qq), q=qq, z=0.0)
     # (weyl1): |S|^2 <= C sum_w |T'_w|
-    ranges = [(1, P)] * n
     sum_T = 0.0
     for hh in product(range(-(P - 1), P), repeat=n):
         g_h = difference_cubic(F, list(hh))
@@ -258,8 +234,7 @@ def davenport_shrink(L, A: float, c: float, Z1: float, Z2: float, alpha: Fractio
         step = max(1, (1 << 18) // max(len(axis), 1) ** (n - 1))  # first-axis slabs of about 2^18 points
         total = 0
         for start in range(0, len(axis), step):
-            axes = np.meshgrid(axis[start:start + step], *[axis] * (n - 1), indexing="ij")
-            u = np.stack([ax.ravel() for ax in axes])
+            u = _grid_points([axis[start:start + step]] + [axis] * (n - 1)).T
             total += int(_near_integer(alpha, L @ u, theta).all(axis=0).sum())
         return total
 
@@ -384,8 +359,6 @@ def prop_t2_bound(
         raise PreconditionViolated("need 1 <= a <= q <= P^2 coprime")
     if abs(z) > 1.0 / (q * P):
         raise PreconditionViolated("need |z| <= 1/(qP)")
-    from .forms import heights
-
     H = max(1.0, float(heights(g.poly, P)[1]))
     if s_map is None:
         s_map = {}

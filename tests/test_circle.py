@@ -23,7 +23,7 @@ from quartic.circle import (
     singular_series,
 )
 from quartic.counting import solutions_mod_q
-from quartic.errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive
+from quartic.errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from quartic.forms import parse_form
 from quartic.verify import random_form
 
@@ -78,6 +78,13 @@ class TestArcs:
             arc_partition(1.34, 16)
         with pytest.raises(DeltaOutOfRange):
             arc_partition(0.0, 16)
+
+    @pytest.mark.parametrize("P", [0, -2, 0.0])
+    def test_P_must_be_positive(self, P):
+        with pytest.raises(PreconditionViolated):
+            arc_partition(1.0, P)
+        with pytest.raises(PreconditionViolated):
+            classify(Fraction(1, 2), 1.0, P)
 
     def test_disjoint_small_delta(self):
         for P in (8, 16, 32):
@@ -283,6 +290,16 @@ class TestBudgetPlan:
         with pytest.raises(BudgetExceeded) as exc:
             series(self.F, 16, SeriesCache(self.F, 150))
         assert str(exc.value) == message and calls == []
+
+    def test_local_factor_plans_every_power_first(self, monkeypatch):
+        calls = []
+        histogram = counting._block_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(counting.MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: calls.append(q) or histogram(G, q))
+        with pytest.raises(BudgetExceeded) as exc:
+            local_factor(self.F, 2, 5, budget=150)
+        # the message is the one raised after the histograms mod 2, 4 and 8 before the plan
+        assert str(exc.value) == "cost 288 of the blocks of F mod 16 exceeds budget 150" and calls == []
 
     def test_cached_moduli_are_not_planned(self):
         cache = SeriesCache(self.F, 150)

@@ -243,6 +243,14 @@ class TestBudget:
         assert rc == 0 and json.loads(out)["R"] == 32.0
 
 
+class TestGeometryAnyN:
+    def test_rank_profile_of_a_four_variable_cubic(self, capsys):
+        argv = ["geometry", "--form-text", "x1^3+x2^3+x3^3+x4^3", "--op", "rank-profile", "--p", "5", "--r", "2"]
+        rc, out = run_cli(argv, capsys)
+        # H = diag(6 x_i): rank H(x) is the number of nonzero x_i, so #T_2 = 1 + 4*4 + 6*4^2
+        assert rc == 0 and json.loads(out)["count"] == 113
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -255,9 +263,15 @@ class TestBadInput:
             ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "rank-profile", "--p", "3"],
             ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set", "--p", "3"],
             ["geometry", "--form-text", "x1^4+x2^4", "--op", "b-set", "--p", "7"],
+            ["geometry", "--form-text", "x1^3", "--op", "hyperplane"],
+            ["arcs", "--delta", "1.0", "--P", "0"],
+            ["arcs", "--delta", "1.0", "--P", "-2", "--alpha", "1/2"],
+            ["count", "--form-text", "x1^4-x2^4", "--P", "0", "--method", "brute"],
+            ["integral", "--form-text", "x1^4-x2^4", "--R", "-1"],
         ],
         ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative", "rank-profile-p-3",
-             "b-set-p-3", "b-set-not-cubic"],
+             "b-set-p-3", "b-set-not-cubic", "hyperplane-one-variable", "arcs-P-0", "arcs-P-negative",
+             "count-P-0", "integral-R-negative"],
     )
     def test_is_one_error_line(self, argv, capsys):
         rc = main(argv)

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ import pytest
 from quartic import counting
 from quartic.counting import (
     MEMO_RESIDUES,
-    _contract_two,
     _near_integer,
     auxiliary_counts,
     height_count,
@@ -18,8 +17,9 @@ from quartic.counting import (
     value_counts,
     weighted_count,
 )
-from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable
-from quartic.forms import IntPolynomial, grid_values, parse_form, sym_tensor
+from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable, PreconditionViolated
+from quartic.geometry import primes_up_to
+from quartic.forms import IntPolynomial, grid_values, parse_form, sym_tensor, weyl_difference
 from quartic.verify import random_form
 from quartic.weights import box, bump, separable_bump
 
@@ -374,8 +374,31 @@ class TestAuxiliaryCounts:
         T = sym_tensor(F)
         for _ in range(20):
             w, x, y = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(3))
-            C = _contract_two(T, w, x)
-            assert tuple(sum(C[i][l] * y[l] for l in range(3)) for i in range(3)) == T.trilinear(w, x, y)
+            assert tuple((T.contract(w, x) @ y).tolist()) == T.trilinear(w, x, y)
+
+    def test_contract_matches_the_entry_loop_and_weyl(self):
+        rng = random.Random(5)
+        for n in (1, 2, 3, 4):
+            T = sym_tensor(F := random_form(rng, n, 4, bound=3))
+            W, X = (np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(5)]) for _ in range(2))
+            C = T.contract(W[:, None], X[None])
+            assert C.shape == (5, 5, n, n)
+            for w, x in product(range(5), repeat=2):
+                assert C[w, x].tolist() == _contract_two(T, W[w].tolist(), X[x].tolist())
+            for w, x in zip(W.tolist(), X.tolist()):
+                y = [rng.randint(-3, 3) for _ in range(n)]
+                # the level-3 Weyl difference is sum_i L_i z_i plus a constant
+                D = weyl_difference(F, 3, [w, x, y])
+                L = [D.coeffs.get(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+                assert L == (T.contract(w, x) @ y).tolist()
+
+    def test_huge_coefficients_stay_exact(self):
+        # |L| reaches 24e18 * R^3, past int64: the pass runs on Python ints
+        F = parse_form(f"{10 ** 18}*x1^4 + 3*x1*x2^3 - x2^4")
+        alpha = Fraction(2, 2 ** 40 + 1)
+        assert auxiliary_counts(F, "N", alpha=alpha, P=1) == _auxiliary_oracle(F, "N", alpha, P=1)
+        alpha = Fraction(1, 7)
+        assert auxiliary_counts(F, "S", alpha=alpha, R=1, Q=5) == _auxiliary_oracle(F, "S", alpha, R=1, Q=5)
 
     def test_distance_equal_to_threshold_is_excluded(self):
         # L = 24*w*x*y, so ||L/96|| = 1/4 = 1/Q exactly whenever w*x*y = +-1
@@ -411,6 +434,16 @@ def _auxiliary_oracle(F, kind, alpha, **params):
     return count
 
 
+def _contract_two(T, wv, xv):
+    """Matrix C with C[i][l] = sum_{jk} N_ijkl w_j x_k, entry by entry."""
+    n = T.n
+    C = [[0] * n for _ in range(n)]
+    for key, val in T.entries.items():
+        for p in set(permutations(key)):
+            C[p[0]][p[3]] += val * wv[p[1]] * xv[p[2]]
+    return C
+
+
 class TestNearInteger:
     @pytest.mark.parametrize(
         "alpha", [Fraction(0), Fraction(-4), Fraction(3, 8), Fraction(-5, 12), Fraction(1, 2 ** 40)]
@@ -420,6 +453,25 @@ class TestNearInteger:
         m = np.arange(-30, 31)
         expect = [min((alpha * t) % 1, 1 - (alpha * t) % 1) < theta for t in m.tolist()]
         assert _near_integer(alpha, m, theta).tolist() == expect
+
+
+class TestSieves:
+    def test_primes_and_mobius_match_trial_division(self):
+        primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        mu = [1] + [0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+                    for f in map(counting.factorint, range(1, 2001))]
+        for N in range(-2, 2001):
+            assert primes_up_to(N) == [p for p in primes if p <= N]
+        for N in range(2001):
+            assert counting._mobius_sieve(N).tolist() == mu[: N + 1]
+
+
+class TestWeightedCountInputs:
+    @pytest.mark.parametrize("P", [0, -3, 0.0])
+    @pytest.mark.parametrize("method", ["brute", "mitm", "auto"])
+    def test_P_must_be_positive(self, P, method):
+        with pytest.raises(PreconditionViolated):
+            weighted_count(parse_form("x1^4 - x2^4"), box(2), P, method=method)
 
 
 class TestBudgets:

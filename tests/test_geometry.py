@@ -37,6 +37,23 @@ from quartic.geometry import (
 )
 
 
+def _rank_mod_p(H, p: int) -> int:
+    """Rank of an integer matrix mod p by Gaussian elimination."""
+    M = np.array(H, dtype=np.int64) % p
+    r = 0
+    for col in range(M.shape[1]):
+        piv = next((row for row in range(r, len(M)) if M[row][col] % p), None)
+        if piv is None:
+            continue
+        M[[r, piv]] = M[[piv, r]]
+        inv = pow(int(M[r][col]), -1, p)
+        for row in range(len(M)):
+            if row != r and M[row][col] % p:
+                M[row] = (M[row] - M[row][col] * inv * M[r]) % p
+        r += 1
+    return r
+
+
 class TestField:
     def test_irreducible_deterministic(self):
         assert find_irreducible(5, 2) == find_irreducible(5, 2)
@@ -153,24 +170,21 @@ class TestRankProfiles:
             idx = rng.sample(range(p ** 3), 40)
             for t in idx:
                 x = [(t // p ** i) % p for i in range(3)]
-                H = np.array(hessian(G, x), dtype=np.int64) % p
-                r = 0
-                M = H.copy()
-                for col in range(3):
-                    piv = None
-                    for row in range(r, 3):
-                        if M[row][col] % p:
-                            piv = row
-                            break
-                    if piv is None:
-                        continue
-                    M[[r, piv]] = M[[piv, r]]
-                    inv = pow(int(M[r][col]), -1, p)
-                    for row in range(3):
-                        if row != r and M[row][col] % p:
-                            M[row] = (M[row] - M[row][col] * inv * M[r]) % p
-                    r += 1
-                assert ranks[t] == r
+                assert ranks[t] == _rank_mod_p(hessian(G, x), p)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_four_variable_rank_grid_vs_gaussian_elimination(self, p):
+        # every point of F_p^4, x1 fastest; p = 2 checks the principal-minor rule in characteristic 2
+        from quartic.forms import hessian
+        from quartic.verify import random_form
+
+        G = random_form(random.Random(p), 4, 3, bound=4)
+        ranks = hessian_rank_grid(G, p, 1)
+        want = [_rank_mod_p(hessian(G, x[::-1]), p) for x in product(range(p), repeat=4)]
+        assert ranks.tolist() == want
+        if p != 3:
+            counts = np.bincount(want, minlength=5).cumsum().tolist()
+            assert [hessian_rank_profile(G, p, r, kmax=1)["count"] for r in range(5)] == counts
 
     def test_b_set_cubic_fermat(self):
         prof = b_set_profile(parse_form("x1^3 + x2^3 + x3^3"), 7, 1)

@@ -160,6 +160,16 @@ class TestSingularIntegral:
         w = bump((0.5,), 0.2)
         assert singular_integral(parse_form("x1^4"), w, 0) == 0.0
 
+    @pytest.mark.parametrize(
+        "w, method",
+        [(separable_bump((0.5, 0.5), 0.2), "auto"), (bump((0.5, 0.5), 0.2), "direct")],
+        ids=["factored", "direct"],
+    )
+    def test_negative_R_is_refused(self, w, method):
+        # unchecked, R = -1 would give -J(1) on the factored path and 0.0 on the direct one
+        with pytest.raises(PreconditionViolated):
+            singular_integral(parse_form("x1^4 - x2^4"), w, -1, method=method)
+
     def test_positive_form_decays(self):
         w = bump((0.5, 0.5), 0.2)
         F = parse_form("x1^4 + x2^4")

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quartic import geometry, verify
 from quartic.errors import PreconditionViolated
-from quartic.forms import CubicData, parse_form
+from quartic.forms import CubicData, parse_form, sym_tensor
 from quartic.verify import (
     avs5_average,
     davenport_shrink,
@@ -82,6 +83,18 @@ class TestWeyl:
                     rhs += min(P, 1.0 / dist) if dist else P
         rhs *= float(P) ** 4
         assert abs(rep["product"].rhs - rhs) <= 1e-6 * rhs
+
+
+    def test_histogram_n3_vs_brute_force(self):
+        F = random_form(random.Random(3), 3, 4, bound=2)
+        T = sym_tensor(F)
+        box = list(product(range(-1, 2), repeat=3))
+        Ls = [T.trilinear(w, x, y) for w, x, y in product(box, repeat=3)]
+        for qq in (2, 5):  # with qq = 2 the residues of y repeat
+            want = np.zeros((qq,) * 3, dtype=np.int64)
+            for L in Ls:
+                want[tuple(t % qq for t in L)] += 1
+            assert np.array_equal(verify._trilinear_residue_histogram(F, 1, qq), want)
 
 
 class TestDavenport:

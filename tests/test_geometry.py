@@ -1,6 +1,9 @@
+import functools
+import json
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +57,57 @@ def _rank_mod_p(H, p: int) -> int:
     return r
 
 
+MODULI = [json.loads(line) for line in (Path(__file__).parent / "data" / "irreducible_moduli.jsonl").open()]
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11) for k in range(2, 8) if p ** k <= 128]
+
+
+def _poly_mul_mod(a, b, modulus, p):
+    """Product of coefficient lists mod (modulus, p), modulus monic of degree k: the field oracle."""
+    k = len(modulus) - 1
+    out = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for i in range(2 * k - 2, k - 1, -1):  # x^i = -x^(i-k) * (c_0 + ... + c_{k-1} x^(k-1))
+        for j in range(k):
+            out[i - k + j] -= out[i] * modulus[j]
+    return [c % p for c in out[:k]]
+
+
+def _check_field_ops(gf, a, b):
+    """gf.mul, gf.add and gf.neg on code pairs (a, b) against polynomial arithmetic mod (modulus, p)."""
+    p, k = gf.p, gf.k
+
+    def digits(code):
+        return [code // p ** i % p for i in range(k)]
+
+    def code(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert gf.mul(a, b).tolist() == [code(_poly_mul_mod(digits(x), digits(y), gf.modulus, p)) for x, y in pairs]
+    assert gf.add(a, b).tolist() == [code([u + v for u, v in zip(digits(x), digits(y))]) for x, y in pairs]
+    assert gf.neg(a).tolist() == [code([-u for u in digits(x)]) for x in a.tolist()]
+
+
 class TestField:
+    @pytest.mark.parametrize("row", MODULI, ids=lambda row: f"{row['p']}^{row['k']}")
+    def test_moduli_match_the_record(self, row):
+        # the least monic irreducible in base-p order, for every k >= 2 field with p^k <= 4096
+        assert find_irreducible(row["p"], row["k"]) == tuple(row["modulus"])
+
+    @pytest.mark.parametrize("p,k", SMALL_FIELDS)
+    def test_small_field_tables_in_full(self, p, k):
+        q = p ** k
+        a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+        _check_field_ops(GF(p, k), a, b)
+
+    @pytest.mark.parametrize("p,k", [(61, 2), (2, 12)])
+    def test_large_field_tables_on_samples(self, p, k):
+        rng = np.random.default_rng(p * 100 + k)
+        a, b = rng.integers(0, p ** k, size=(2, 10 ** 4))
+        _check_field_ops(GF(p, k), a, b)
+
     def test_irreducible_deterministic(self):
         assert find_irreducible(5, 2) == find_irreducible(5, 2)
         # x^2 + 2 is the least irreducible over F_5 in our ordering
@@ -91,6 +144,17 @@ class TestCounting:
     def test_projective_line_count(self):
         # zero form on P^1 has p+1 points
         assert count_points_ext([IntPolynomial(2, {})], 7, 1, "projective") == 8
+
+    @pytest.mark.parametrize("mode", ["affine", "cone", "projective"])
+    @pytest.mark.parametrize("p,k", [(7, 1), (5, 2)])
+    def test_tiny_slabs_match_one_slab(self, mode, p, k, monkeypatch):
+        G = parse_form("x1^3 + 2*x1*x2*x3 - x2^2*x3 + x3^3")
+        system = [G] + [G.partial(i) for i in range(3)]
+        slabs = geometry._slabs
+        monkeypatch.setattr(geometry, "_slabs", functools.partial(slabs, cells=1 << 30))
+        want = count_points_ext(system, p, k, mode)
+        monkeypatch.setattr(geometry, "_slabs", functools.partial(slabs, cells=3))
+        assert count_points_ext(system, p, k, mode) == want
 
     def test_extension_consistency(self):
         # affine count of x1*x2 = 0 over F_{p^k} is 2 q - 1

@@ -349,7 +349,7 @@ def _cmd_geometry(args, config: RunConfig) -> int:
     rep = _base(F, args) | {"command": "geometry", "op": args.op}
     budget = config.budget
     if args.op == "sing-dim":
-        if args.p:
+        if args.p is not None:
             rep |= {"p": args.p, "s_p": sing_dim(F, args.p, budget=budget)}
         else:
             val, tag = sing_dim(F, None, budget=budget)

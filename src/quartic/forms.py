@@ -427,11 +427,12 @@ class SymTensor:
     which is always an integer.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_dense")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = {tuple(k): int(v) for k, v in entries.items() if v}
+        self._dense = {}  # dtype -> the full n^4 tensor, built on first use
 
     def reconstruct(self) -> IntPolynomial:
         """Sum N_ijkl x_i x_j x_k x_l over all ordered index tuples (= 24 F)."""
@@ -452,10 +453,15 @@ class SymTensor:
         the caller picks one in which the sums fit.
         """
         W, X = np.asarray(W), np.asarray(X)
-        N = np.zeros((self.n,) * 4, dtype=np.result_type(W, X))
-        for key, val in self.entries.items():
-            for p in set(permutations(key)):
-                N[p] = val
+        dtype = np.result_type(W, X)
+        N = self._dense.get(dtype)
+        if N is None:
+            N = np.zeros((self.n,) * 4, dtype=dtype)
+            for key, val in self.entries.items():
+                for p in set(permutations(key)):
+                    N[p] = val
+            N.flags.writeable = False
+            self._dense[dtype] = N
         return np.einsum("ijkl,...j,...k->...il", N, W, X)
 
     def trilinear(self, w, x, y):

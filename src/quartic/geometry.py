@@ -63,95 +63,43 @@ def primes_up_to(n: int):
 # -- finite fields -------------------------------------------------------------
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient tuples mod (modulus, p); modulus monic of degree k."""
-    k = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by modulus
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * modulus[j]) % p
-    return tuple(out[:k])
-
-
-def _poly_pow_mod(a, e, modulus, p):
-    result = (1,) + (0,) * (len(modulus) - 2)
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, modulus, p)
-        base = _poly_mul_mod(base, base, modulus, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd_deg(a, b, p):
-    """Degree of gcd of coefficient lists over F_p."""
-    a, b = list(a), list(b)
-
-    def deg(u):
-        d = len(u) - 1
-        while d >= 0 and u[d] % p == 0:
-            d -= 1
-        return d
-
-    while True:
-        da, db = deg(a), deg(b)
-        if db < 0:
-            return da
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], -1, p)
-        f = a[da] * inv % p
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - f * b[j]) % p
-        # loop continues with reduced a
+def _digits(codes, p: int, k: int):
+    """Base-p digits (c_0, ..., c_{k-1}) of field codes, along a new last axis."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // p ** np.arange(k) % p
 
 
 def find_irreducible(p: int, k: int):
     """Lexicographically least monic irreducible of degree k over F_p.
 
     Coefficient tuples (c_0, ..., c_{k-1}, 1) are ordered by the base-p value
-    of (c_{k-1}, ..., c_0), which makes the choice reproducible.
+    of (c_{k-1}, ..., c_0), which makes the choice reproducible.  A sieve over
+    those p^k values strikes out every product of monic factors of degrees d
+    and k - d (d <= k/2); the least survivor is the answer.  The sieve holds
+    p^k cells, so it serves the fields GF tabulates (p^k <= GF.MAX_TABLE_Q).
     """
     if k == 1:
         return (0, 1)
-    for value in range(p ** k):
-        f = tuple(value // p ** i % p for i in range(k)) + (1,)
-        # f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^d) - x, f) = 1
-        # for every maximal proper divisor d of k
-        x = (0, 1) + (0,) * (k - 2)
-        xq = _poly_pow_mod(x, p ** k, f, p)
-        if xq != x:
-            continue
-        ok = True
-        for d in range(1, k):
-            if k % d == 0:
-                xd = _poly_pow_mod(x, p ** d, f, p)
-                diff = tuple((a - b) % p for a, b in zip(xd, x))
-                if _poly_gcd_deg(list(f), list(diff), p) > 0:
-                    ok = False
-                    break
-        if ok:
-            return f
-    raise RuntimeError("no irreducible found (unreachable)")
+    if p ** k > GF.MAX_TABLE_Q:
+        raise BudgetExceeded(f"the degree-{k} sieve over F_{p} needs {p ** k} cells")
+    reducible = np.zeros(p ** k, dtype=bool)
+    for d in range(1, k // 2 + 1):
+        low, high = (np.pad(_digits(np.arange(p ** e), p, e), ((0, 0), (0, 1)), constant_values=1) for e in (d, k - d))
+        prod = np.zeros((p ** d, p ** (k - d), k + 1), dtype=np.int64)
+        for i in range(d + 1):
+            prod[:, :, i:i + k - d + 1] += low[:, None, i, None] * high
+        reducible[prod[..., :k] % p @ p ** np.arange(k)] = True
+    return tuple(_digits(np.argmin(reducible), p, k).tolist()) + (1,)
 
 
 class GF:
-    """F_{p^k} with elements encoded as integers 0..p^k-1 (base-p digits).
+    """F_{p^k}, the element sum c_i x^i mod `modulus` encoded as the integer sum c_i p^i.
 
-    For k >= 2 full multiplication tables are precomputed, so grid arithmetic
-    is numpy fancy indexing; for k = 1 plain modular arithmetic is used.
-    Built fields are memoised per (p, k), the GF_CACHE_ENTRIES most recently
-    used ones; nothing compares fields by identity.
+    For k = 1 the arithmetic is `% p`.  For k >= 2 the q x q product and sum
+    tables are filled in row blocks from the discrete logarithms of g, the
+    least code that generates the unit group: a*b = g^(log a + log b) and
+    a + b = a*(1 + b/a) (Zech logarithms).  Grid arithmetic is then one
+    `np.take` on a flattened table.  Built fields are memoised per (p, k), the
+    GF_CACHE_ENTRIES most recently used ones; nothing compares fields by identity.
     """
 
     _cache = LRUCache(GF_CACHE_ENTRIES)
@@ -170,34 +118,38 @@ class GF:
         self.p, self.k, self.q = p, k, p ** k
         self.modulus = find_irreducible(p, k)
         if k >= 2:
-            self._build_tables()
+            self._fill_tables()
         return cls._cache.store(key, self)
 
-    def _build_tables(self):
+    def _fill_tables(self):
         p, k, q = self.p, self.k, self.q
-        elems = [self.decode(c) for c in range(q)]
-        mul = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            for b in range(a, q):
-                v = self.encode(_poly_mul_mod(elems[a], elems[b], self.modulus, p))
-                mul[a, b] = v
-                mul[b, a] = v
-        digits = np.array(elems, dtype=np.int64)  # (q, k)
-        add = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            s = (digits + digits[a]) % p
-            add[a] = (s * (p ** np.arange(k))).sum(axis=1)
-        self.mul_table = mul
-        self.add_table = add
-        self.neg_table = np.array(
-            [self.encode(tuple((-c) % p for c in e)) for e in elems], dtype=np.int32
-        )
-
-    def decode(self, code: int):
-        return tuple(code // self.p ** i % self.p for i in range(self.k))
-
-    def encode(self, coeffs) -> int:
-        return sum(int(c) % self.p * self.p ** i for i, c in enumerate(coeffs))
+        digits = _digits(np.arange(q), p, k)
+        shifts = [digits]  # shifts[j][b] = the digits of x^j * b: shift up, fold x^k back in
+        for _ in range(k - 1):
+            d = shifts[-1]
+            shifts.append((np.pad(d[:, :-1], ((0, 0), (1, 0))) - d[:, -1:] * self.modulus[:k]) % p)
+        for g in range(2, q):  # the least code whose powers reach q - 1 units before returning to 1
+            times_g = (sum(c * s for c, s in zip(digits[g], shifts)) % p @ p ** np.arange(k)).tolist()
+            powers = [1]
+            while len(powers) < q - 1 and times_g[powers[-1]] != 1:
+                powers.append(times_g[powers[-1]])
+            if len(powers) == q - 1:
+                break
+        exp = np.zeros(3 * (q - 1) + 1, dtype=np.int32)  # g^e for e < 2(q - 1), then 0
+        exp[:2 * (q - 1)] = np.tile(powers, 2)
+        log = np.full(q, 2 * (q - 1), dtype=np.int64)  # log 0 lands every product in the zeros
+        log[powers] = np.arange(q - 1)
+        plus_one = np.arange(q) - digits[:, 0] + (digits[:, 0] + 1) % p
+        self.mul_table = np.zeros(q * q, dtype=np.int32)  # row a = 0 is all zeros
+        self.add_table = np.zeros(q * q, dtype=np.int32)
+        self.add_table[:q] = np.arange(q)
+        block = max(1, (1 << 18) // q)
+        for a in range(1, q, block):
+            la = log[a:a + block, None]
+            rows = slice(a * q, (a + len(la)) * q)
+            self.mul_table[rows] = exp[la + log].ravel()
+            self.add_table[rows] = exp[la + log[plus_one[exp[log - la + q - 1]]]].ravel()
+        self.neg_table = self.mul_table[(p - 1) * q:p * q]  # times the code p - 1, which is -1
 
     def embed(self, c: int) -> int:
         """Image of an integer constant."""
@@ -207,17 +159,17 @@ class GF:
     def add(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        return self.add_table[a, b]
+        return np.take(self.add_table, a * self.q + b)
 
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        return self.mul_table[a, b]
+        return np.take(self.mul_table, a * self.q + b)
 
     def neg(self, a):
         if self.k == 1:
             return (-a) % self.p
-        return self.neg_table[a]
+        return np.take(self.neg_table, a)
 
     def pow_lut(self, e: int):
         """Array L with L[code] = code ** e in the field."""
@@ -239,7 +191,7 @@ def eval_poly_codes(poly: IntPolynomial, gf: GF, coords):
     total = np.full(shape, gf.embed(0), dtype=np.int64)
     luts = {}
     for e, c in poly.coeffs.items():
-        term = np.full(shape, gf.embed(c), dtype=np.int64)
+        term = gf.embed(c)  # grows by broadcasting, one variable at a time
         for i, k in enumerate(e):
             if k:
                 if (i, k) not in luts:
@@ -270,38 +222,40 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
     """Exact count of common zeros over F_{p^k} in affine/cone/projective space.
 
     Projective space is the union of the charts x_1..x_j = 0, x_{j+1} = 1;
-    each chart is a grid of broadcast axes, a fixed coordinate an axis of length one.
+    each chart walks its free coordinates in the slabs of `_slabs`.
     """
     polys = list(polys)
-    if not polys:
-        n = 0
-    else:
-        n = polys[0].n
-        if any(g.n != n for g in polys):
-            raise DimensionMismatch("mixed variable counts in system")
+    n = polys[0].n if polys else 0
+    if any(g.n != n for g in polys):
+        raise DimensionMismatch("mixed variable counts in system")
+    if mode not in ("affine", "cone", "projective"):
+        raise PreconditionViolated(f"unknown mode {mode!r}")
+    if mode == "projective" and not all(g.is_homogeneous() for g in polys):
+        raise PreconditionViolated("projective counting needs homogeneous forms")
     if p ** (k * max(n - (1 if mode == "projective" else 0), 0)) > budget:
         raise BudgetExceeded(f"{p}^{k * n} points exceed budget {budget}")
     gf = GF(p, k)
-    free = np.arange(gf.q, dtype=np.int64)
-    if mode in ("affine", "cone"):
-        charts = [[free] * n]
-    elif mode == "projective":
-        if not all(g.is_homogeneous() for g in polys):
-            raise ValueError("projective counting needs homogeneous forms")
-        charts = [[np.zeros(1, np.int64)] * j + [np.ones(1, np.int64)] + [free] * (n - j - 1) for j in range(n)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    charts = [[0] * j + [1] for j in range(n)] if mode == "projective" else [[]]
     total = 0
-    for axes in charts:
-        coords = np.ix_(*axes)
-        ok = np.ones([len(ax) for ax in axes], dtype=bool)
-        for g in polys:
-            ok &= eval_poly_codes(g, gf, coords) == 0
-        total += int(ok.sum())
+    for fixed in charts:
+        for free in _slabs(gf.q, n - len(fixed), budget):
+            coords = [np.int64(c) for c in fixed] + free
+            ok = np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=bool)
+            for g in polys:
+                ok &= eval_poly_codes(g, gf, coords) == 0
+            total += int(ok.sum())
     return total
 
 
 # -- dimension estimation ------------------------------------------------------
+
+
+def _degrees(p: int, dim: int, kmax: int, budget: int) -> list:
+    """The k <= kmax whose grid of (p^k)^dim cells fits the budget and, for k >= 2, `GF.MAX_TABLE_Q`."""
+    ks = [k for k in range(1, kmax + 1) if (p ** k) ** max(dim, 0) <= budget and (k == 1 or p ** k <= GF.MAX_TABLE_Q)]
+    if not ks:
+        raise BudgetExceeded(f"no extension degree of F_{p} fits the budget {budget} for {p}^{dim} cells")
+    return ks
 
 
 @dataclass
@@ -357,19 +311,16 @@ def sing_dim(
     if p is None:
         vals = [sing_dim(G, q, kmax=1, C=C, budget=budget) for q in proxy_primes]
         return max(vals), "proxy"
+    if not is_prime(p):
+        raise CompositeP(f"s_p needs a prime p, got {p}")
     n = G.n
     if not any(c % p for c in G.coeffs.values()):
         return n - 1  # convention: G vanishes identically mod p
     if n == 1:
         return -1  # protocol for forms in one variable
     system = [G] + [G.partial(i) for i in range(n)]
-    counts = {}
-    for k in range(1, kmax + 1):
-        if (p ** k) ** max(n - 1, 0) > budget or (k >= 2 and p ** k > GF.MAX_TABLE_Q):
-            break
-        counts[k] = count_points_ext(system, p, k, mode="projective", budget=budget)
-    if not counts:
-        raise BudgetExceeded(f"no extension degree of F_{p} fits the budget")
+    counts = {k: count_points_ext(system, p, k, mode="projective", budget=budget)
+              for k in _degrees(p, n - 1, kmax, budget)}
     if all(c == 0 for c in counts.values()):
         return -1
     est = estimate_dim(counts, p, C=C, nmax=n - 2)
@@ -459,16 +410,12 @@ def _rank_locus_profile(
     Counts come from F_{p^k} for every k <= kmax that fits the budget; s_p is
     computed here unless the caller passes it.
     """
+    if not is_prime(p):
+        raise CompositeP(f"Hessian rank loci need a prime p, got {p}")
     if p % 3 == 0:
         raise PreconditionViolated(f"Hessian rank loci need p prime to 3 (cubic forms), got p={p}")
     n = G.n
-    if p ** n > budget:
-        raise BudgetExceeded(f"{p}^{n} grid cells exceed budget {budget}")
-    counts = {}
-    for k in range(1, kmax + 1):
-        if (p ** k) ** n > budget or (k >= 2 and p ** k > GF.MAX_TABLE_Q):
-            break
-        counts[k] = int(sum(_rank_counts(G, p, k, budget)[: min(m, n) + 1]))
+    counts = {k: int(sum(_rank_counts(G, p, k, budget)[: min(m, n) + 1])) for k in _degrees(p, n, kmax, budget)}
     if s_p is None:
         s_p = sing_dim(G, p, kmax=kmax, C=C, budget=budget)
     bound = min(n, m + s_p + 1)
@@ -518,19 +465,10 @@ def b_set_profile(
 
 def dim_A_h(G: IntPolynomial, p: int, h, budget: int = DEFAULT_BUDGET) -> int:
     """Affine dimension of A_h = {x: H_G(x) h = 0} over F_p by direct count."""
-    gf = GF(p, 1)
     n = G.n
     rows = hessian_form_rows(G)
-    cnt = 0
-    for coords in _slabs(p, n, budget):
-        ok = np.ones(np.broadcast_shapes(*(c.shape for c in coords)), dtype=bool)
-        for i in range(n):
-            acc = 0
-            for j in range(n):
-                if h[j] % p:
-                    acc = gf.add(acc, gf.mul(eval_poly_codes(rows[i][j], gf, coords), h[j] % p))
-            ok &= acc == 0
-        cnt += int(ok.sum())
+    system = [sum((int(h[j]) % p * rows[i][j] for j in range(n)), IntPolynomial(n)) for i in range(n)]
+    cnt = count_points_ext(system, p, 1, "affine", budget)
     return round(math.log(cnt, p)) if cnt > 1 else 0
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import quartic
+from quartic import errors
 from quartic.cli import FormCache, form_hash, main
 from quartic.errors import CacheCorrupt
 from quartic.forms import parse_form
@@ -268,17 +269,23 @@ class TestBadInput:
             ["arcs", "--delta", "1.0", "--P", "-2", "--alpha", "1/2"],
             ["count", "--form-text", "x1^4-x2^4", "--P", "0", "--method", "brute"],
             ["integral", "--form-text", "x1^4-x2^4", "--R", "-1"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--p", "1"],
+            ["geometry", "--form-text", "4*x1^3+4*x2^3+4*x3^3", "--op", "sing-dim", "--p", "4"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--p", "0"],
+            ["geometry", "--form-text", "x1^3+x2", "--op", "sing-dim", "--p", "7"],
         ],
         ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative", "rank-profile-p-3",
              "b-set-p-3", "b-set-not-cubic", "hyperplane-one-variable", "arcs-P-0", "arcs-P-negative",
-             "count-P-0", "integral-R-negative"],
+             "count-P-0", "integral-R-negative", "sing-dim-p-1", "sing-dim-p-4-vanishing", "sing-dim-p-0",
+             "sing-dim-not-a-form"],
     )
     def test_is_one_error_line(self, argv, capsys):
+        # a composite p (CompositeP) is one kind of violated precondition
         rc = main(argv)
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1
-        assert json.loads(lines[0])["error"] == "PreconditionViolated"
+        assert issubclass(getattr(errors, json.loads(lines[0])["error"]), errors.PreconditionViolated)
 
 
     @pytest.mark.parametrize(

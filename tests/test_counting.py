@@ -392,6 +392,15 @@ class TestAuxiliaryCounts:
                 L = [D.coeffs.get(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
                 assert L == (T.contract(w, x) @ y).tolist()
 
+    def test_dense_tensor_is_built_once_per_ring(self):
+        T = sym_tensor(parse_form("x1^4 + 3*x1*x2^3 - x2^4"))
+        w, x, y = [1, -2], [3, 1], [2, 5]
+        want = (T.contract(np.array(w), np.array(x)).tolist(), T.trilinear(w, x, y))
+        built = dict(T._dense)
+        assert set(built) == {np.dtype(np.int64), np.dtype(object)}
+        assert (T.contract(np.array(w), np.array(x)).tolist(), T.trilinear(w, x, y)) == want
+        assert all(T._dense[dt] is N for dt, N in built.items())
+
     def test_huge_coefficients_stay_exact(self):
         # |L| reaches 24e18 * R^3, past int64: the pass runs on Python ints
         F = parse_form(f"{10 ** 18}*x1^4 + 3*x1*x2^3 - x2^4")

@@ -121,6 +121,16 @@ class TestField:
     def test_composite_p(self):
         with pytest.raises(CompositeP):
             GF(6, 1)
+        G = parse_form("4*x1^3 + 4*x2^3 + 4*x3^3")
+        for p in (0, 1, 4):  # 4 | G would otherwise pass as "G vanishes mod p"
+            with pytest.raises(CompositeP):
+                sing_dim(G, p)
+        with pytest.raises(CompositeP):
+            hessian_rank_profile(G, 4, 1)
+
+    def test_sieve_past_the_tables_is_refused(self):
+        with pytest.raises(BudgetExceeded):
+            find_irreducible(2, 13)
 
     def test_frobenius_count(self):
         # number of roots of x^p - x in F_{p^2} is exactly p

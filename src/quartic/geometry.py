@@ -83,7 +83,9 @@ def find_irreducible(p: int, k: int):
         raise BudgetExceeded(f"the degree-{k} sieve over F_{p} needs {p ** k} cells")
     reducible = np.zeros(p ** k, dtype=bool)
     for d in range(1, k // 2 + 1):
-        low, high = (np.pad(_digits(np.arange(p ** e), p, e), ((0, 0), (0, 1)), constant_values=1) for e in (d, k - d))
+        # every monic polynomial of degree d and of degree k - d: its digits, then the leading 1
+        low, high = (np.pad(_digits(np.arange(p ** e), p, e), ((0, 0), (0, 1)), constant_values=1)
+                     for e in (d, k - d))
         prod = np.zeros((p ** d, p ** (k - d), k + 1), dtype=np.int64)
         for i in range(d + 1):
             prod[:, :, i:i + k - d + 1] += low[:, None, i, None] * high
@@ -239,7 +241,7 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
     total = 0
     for fixed in charts:
         for free in _slabs(gf.q, n - len(fixed), budget):
-            coords = [np.int64(c) for c in fixed] + free
+            coords = fixed + free
             ok = np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=bool)
             for g in polys:
                 ok &= eval_poly_codes(g, gf, coords) == 0
@@ -252,7 +254,7 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
 
 def _degrees(p: int, dim: int, kmax: int, budget: int) -> list:
     """The k <= kmax whose grid of (p^k)^dim cells fits the budget and, for k >= 2, `GF.MAX_TABLE_Q`."""
-    ks = [k for k in range(1, kmax + 1) if (p ** k) ** max(dim, 0) <= budget and (k == 1 or p ** k <= GF.MAX_TABLE_Q)]
+    ks = [k for k in range(1, kmax + 1) if (p ** k) ** dim <= budget and (k == 1 or p ** k <= GF.MAX_TABLE_Q)]
     if not ks:
         raise BudgetExceeded(f"no extension degree of F_{p} fits the budget {budget} for {p}^{dim} cells")
     return ks

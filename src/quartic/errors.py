@@ -25,6 +25,10 @@ class BudgetExceeded(QuarticError):
     """Requested enumeration is larger than the configured budget."""
 
 
+class CompositeP(QuarticError):
+    """A prime was required but a composite was supplied."""
+
+
 class AmbiguousDimension(QuarticError):
     """Point counts do not single out one dimension within the band constant."""
 
@@ -59,10 +63,6 @@ class MitmNotApplicable(QuarticError):
 
 class PreconditionViolated(QuarticError):
     """Inputs violate a stated precondition of the identity being checked."""
-
-
-class CompositeP(PreconditionViolated):
-    """A prime was required but a composite (or 0, 1, a negative) was supplied."""
 
 
 class InvariantViolated(QuarticError):

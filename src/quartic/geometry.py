@@ -115,7 +115,9 @@ class GF:
         if not is_prime(p):
             raise CompositeP(f"{p} is not prime")
         if k >= 2 and p ** k > cls.MAX_TABLE_Q:
-            raise BudgetExceeded(f"F_{p}^{k} needs {p ** (2 * k)} table cells")
+            raise BudgetExceeded(
+                f"F_{p}^{k} needs {p ** (2 * k)} table cells, past the table budget q <= {cls.MAX_TABLE_Q}"
+            )
         self = super().__new__(cls)
         self.p, self.k, self.q = p, k, p ** k
         self.modulus = find_irreducible(p, k)
@@ -224,7 +226,8 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
     """Exact count of common zeros over F_{p^k} in affine/cone/projective space.
 
     Projective space is the union of the charts x_1..x_j = 0, x_{j+1} = 1;
-    each chart walks its free coordinates in the slabs of `_slabs`.
+    each chart walks its free coordinates in the slabs of `_slabs`, which
+    also holds the budget rule.
     """
     polys = list(polys)
     n = polys[0].n if polys else 0
@@ -234,8 +237,6 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
         raise PreconditionViolated(f"unknown mode {mode!r}")
     if mode == "projective" and not all(g.is_homogeneous() for g in polys):
         raise PreconditionViolated("projective counting needs homogeneous forms")
-    if p ** (k * max(n - (1 if mode == "projective" else 0), 0)) > budget:
-        raise BudgetExceeded(f"{p}^{k * n} points exceed budget {budget}")
     gf = GF(p, k)
     charts = [[0] * j + [1] for j in range(n)] if mode == "projective" else [[]]
     total = 0

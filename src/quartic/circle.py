@@ -99,8 +99,8 @@ class ArcPartition:
 def _check_arcs(delta: float, P: float) -> None:
     if not 0 < delta < 4.0 / 3.0:
         raise DeltaOutOfRange("delta must lie in (0, 4/3)")
-    if not P > 0:
-        raise PreconditionViolated(f"P must be positive, got {P}")
+    if not 0 < P < math.inf:
+        raise PreconditionViolated(f"P must be positive and finite, got {P}")
 
 
 def arc_partition(delta: float, P: float, verify: bool = True) -> ArcPartition:
@@ -187,7 +187,9 @@ class SeriesCache:
 
 
 def _prime_powers(R: float) -> list:
-    """(p, p^e) with p^e <= R, by p and then e."""
+    """(p, p^e) with p^e <= R, by p and then e; S(R) and its Euler view need a finite R >= 0."""
+    if not 0 <= R < math.inf:
+        raise PreconditionViolated(f"S(R) needs a finite R >= 0, got {R}")
     m = int(math.floor(R))
     return [(p, p ** e) for p in primes_up_to(m) for e in range(1, m.bit_length() + 1) if p ** e <= m]
 
@@ -445,6 +447,8 @@ def hasse_report(
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Local solubility table: R plus every prime p <= p_max; `budget` bounds the grids of `local_witness`."""
+    if p_max < 2 or k_max < 1:
+        raise PreconditionViolated(f"the Hasse report needs p_max >= 2 and k_max >= 1, got {p_max} and {k_max}")
     real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)
     locals_ = {}
     for p in primes_up_to(p_max):

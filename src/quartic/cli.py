@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 from . import __version__
 from .counting import DEFAULT_BUDGET
-from .errors import ArcsOverlap, CacheCorrupt, ConfigInvalid, DeltaOutOfRange, QuarticError, UnknownCommand
+from .errors import (
+    ArcsOverlap, CacheCorrupt, ConfigInvalid, DeltaOutOfRange, PreconditionViolated, QuarticError, UnknownCommand,
+)
 from .forms import IntPolynomial, parse_form
 from .verify import SWEEPS
 from .weights import WeightSpec, box, bump, separable_bump
@@ -164,7 +166,7 @@ def _cmd_count(args, config: RunConfig) -> int:
     w = _load_weight(args, F.n)
     rep = _base(F, args) | {"P": args.P, "command": "count"}
     if args.projective:
-        res = height_count(F, int(args.P), budget=config.budget)
+        res = height_count(F, args.P, budget=config.budget)
         rep |= {"count": res.count, "method": res.method, "projective": True}
     else:
         methods = ["brute", "mitm"] if args.method == "both" else [args.method]
@@ -373,6 +375,8 @@ def _default_calibration_path() -> Path:
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
+    if args.trials < 1:
+        raise PreconditionViolated(f"a sweep needs trials >= 1, got {args.trials}")
     rep = {"command": "verify", "lemma": args.lemma, "seed": args.seed, "trials": args.trials,
            "version": __version__}
     rep |= SWEEPS[args.lemma](seed=args.seed, trials=args.trials)

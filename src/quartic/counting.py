@@ -78,8 +78,8 @@ def weighted_count(
     """N_w(F;P) = sum over integer x with F(x)=0 of w(x/P)."""
     if w.n != F.n:
         raise DimensionMismatch("weight dimension != variable count")
-    if not P > 0:
-        raise PreconditionViolated(f"P must be positive, got {P}")
+    if not 0 < P < math.inf:
+        raise PreconditionViolated(f"P must be positive and finite, got {P}")
     t0 = time.time()
     ranges = lattice_ranges(w, P)
     cells = 1
@@ -143,10 +143,13 @@ def _mobius_sieve(N: int):
     return mu
 
 
-def height_count(F: IntPolynomial, P: int, budget: int = DEFAULT_BUDGET) -> CountResult:
+def height_count(F: IntPolynomial, P: float, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Projective points of height <= P: primitive vectors mod sign with F = 0."""
+    if not 1 <= P < math.inf:
+        raise PreconditionViolated(f"projective heights need a finite P >= 1, got {P}")
+    P = int(P)
     t0 = time.time()
-    mu = _mobius_sieve(max(P, 1))
+    mu = _mobius_sieve(P)
     cache = {}
     total = 0
     for k in range(1, P + 1):

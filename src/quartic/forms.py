@@ -327,9 +327,11 @@ def grid_values(F: IntPolynomial, axes, modulus: int | None = None) -> np.ndarra
     `_int64_safe` proves they fit and Python ints in an object array
     otherwise; float axes give float64.  Each monomial is a product of
     per-axis power tables broadcast over its own variables only, and the
-    monomials are added in `F.coeffs` order, so every value equals the
-    point-by-point sum c * x_i^k * x_j^l * ... exactly, float rounding
-    included.
+    monomials are added in `F.coeffs` order.  Exact results equal the
+    point-by-point sum c * x_i^k * x_j^l * ...; float results equal, bit for
+    bit, the numpy loop that adds float(c) * x_i ** k * x_j ** l * ... over the
+    monomials in that order, and can differ from `IntPolynomial.evaluate` on
+    Python floats in the last bit.
     """
     n = F.n
     if len(axes) != n:

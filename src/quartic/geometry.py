@@ -29,7 +29,7 @@ from .errors import (
 from .forms import CubicData, IntPolynomial, LRUCache, hessian_form_rows, heights
 
 DEFAULT_BUDGET = 20_000_000
-GF_CACHE_ENTRIES = 32  # fields (p, k) kept built; k >= 2 holds two q x q tables
+GF_CACHE_ENTRIES = 32  # GF's cache bound: a field counts 1, or 1 per 2^19 cells of its q x q tables
 RANK_CACHE_ENTRIES = 1024  # (G, p, k) rank histograms kept by _rank_counts
 PROXY_PRIMES = (1009, 1013, 1019)
 BAND_CONSTANT = 4.0
@@ -101,10 +101,12 @@ class GF:
     least code that generates the unit group: a*b = g^(log a + log b) and
     a + b = a*(1 + b/a) (Zech logarithms).  Grid arithmetic is then one
     `np.take` on a flattened table.  Built fields are memoised per (p, k), the
-    GF_CACHE_ENTRIES most recently used ones; nothing compares fields by identity.
+    most recently used ones within GF_CACHE_ENTRIES: a field with tables counts
+    once per 2^19 of its q^2 cells, rounded up, so the tables held cover at most
+    2^24 cells (134 MB in two int32 tables).  Nothing compares fields by identity.
     """
 
-    _cache = LRUCache(GF_CACHE_ENTRIES)
+    _cache = LRUCache(GF_CACHE_ENTRIES, size=lambda gf: 1 if gf.k == 1 else math.ceil(gf.q ** 2 / 2 ** 19))
     MAX_TABLE_Q = 4096  # k >= 2 uses q x q tables; refuse anything bigger
 
     def __new__(cls, p: int, k: int = 1):
@@ -418,9 +420,9 @@ def _rank_locus_profile(
     if p % 3 == 0:
         raise PreconditionViolated(f"Hessian rank loci need p prime to 3 (cubic forms), got p={p}")
     n = G.n
-    counts = {k: int(sum(_rank_counts(G, p, k, budget)[: min(m, n) + 1])) for k in _degrees(p, n, kmax, budget)}
-    if s_p is None:
+    if s_p is None:  # first, since sing_dim is what refuses a non-form
         s_p = sing_dim(G, p, kmax=kmax, C=C, budget=budget)
+    counts = {k: int(sum(_rank_counts(G, p, k, budget)[: min(m, n) + 1])) for k in _degrees(p, n, kmax, budget)}
     bound = min(n, m + s_p + 1)
     dim = _dim_or_none(counts, p, C, n)
     return {

@@ -2,7 +2,10 @@
 
 Quadrature is tensor-product composite Simpson with oscillation-aware initial
 grids (at least four points per expected cycle of the dominant phase) and
-Richardson-style doubling until the requested tolerance is met.  The Poisson
+doubling until the requested tolerance is met.  `_refine_rows` is the one
+doubling-and-stopping rule: `_direct_gamma_table` computes I(gamma; beta) for a
+batch of gamma with it, I(z; beta) is the one-row case `osc_integral`, and
+`integrate_1d` and both gamma rules of J(R) are one-row calls.  The Poisson
 identity check evaluates the whole family I(z; v/q) in one batched FFT on a
 uniform grid instead of one quadrature per v, which is what makes the default
 truncation affordable.
@@ -10,13 +13,15 @@ truncation affordable.
 J(R) doubles a gamma rule that keeps its old nodes, and I(-gamma) = conj I(gamma)
 for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  The
 factored path keeps each axis grid across doublings, and axes with one weight
-factor and polynomials equal up to sign share one table.
+factor and polynomials equal up to sign share one table.  The sine kernel
+(`singular_integral_sine`) keeps a loop of its own: it is the independent
+reference J is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from fractions import Fraction
 
@@ -126,21 +131,14 @@ def _simpson_weights(lo: float, hi: float, N: int) -> np.ndarray:
 
 
 def integrate_1d(fn, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG, cycles: float = 0.0):
-    """Adaptive composite Simpson of a vectorized callable on [a, b]."""
+    """Adaptive composite Simpson of a vectorized callable on [a, b]: one row of `_refine_rows`."""
     if b <= a:
-        return 0.0, 0.0
-    N = _start_points(cycles, cfg)
-    prev = None
-    for _ in range(cfg.max_refinements):
-        xs = np.linspace(a, b, N + 1)
-        cur = _simpson_1d(fn(xs), (b - a) / N)
-        if prev is not None and abs(cur - prev) <= cfg.tolerance:
-            return cur, abs(cur - prev)
-        prev = cur
-        N *= 2
-        if N > cfg.max_points_1d:
-            raise ToleranceNotMet(f"1-D quadrature did not reach {cfg.tolerance}")
-    raise ToleranceNotMet("refinement limit reached")
+        return 0.0
+
+    def values(Ns, rows):
+        return [_simpson_1d(fn(np.linspace(a, b, Ns[0] + 1)), (b - a) / Ns[0])]
+
+    return _refine_rows([(_start_points(cycles, cfg),)], values, lambda Ns: Ns[0] > cfg.max_points_1d, cfg)[0]
 
 
 def _grad_bound(f: IntPolynomial, box_phys) -> list:
@@ -159,73 +157,7 @@ def _grad_bound(f: IntPolynomial, box_phys) -> list:
     return out
 
 
-def osc_integral(
-    f: IntPolynomial,
-    w: WeightSpec,
-    z: float,
-    beta,
-    cfg: QuadratureConfig = DEFAULT_CFG,
-    P: float = 1.0,
-):
-    """I(z; beta) = integral of w(x/P) e(z f(x) - beta.x) dx.
-
-    Separable weight + f with one-variable blocks factor into 1-D integrals;
-    otherwise a tensor-product Simpson grid is used (n <= 3).
-    """
-    n = f.n
-    if len(beta) != n:
-        raise DimensionMismatch("beta length != variable count")
-    box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
-    factors = w.separable_factors()
-    const, parts = blocks(f)
-    if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
-        total = complex(np.exp(2j * np.pi * z * const))
-        err = 0.0
-        for (i,), fi in parts:
-            lo, hi = box_phys[i]
-            cycles = (abs(z) * _grad_bound(fi, [(lo, hi)])[0] + abs(beta[i])) * (hi - lo)
-
-            def fn(xs, i=i, fi=fi):
-                ph = z * np.array([float(fi.evaluate([float(t)])) for t in xs]) - beta[i] * xs
-                return factors[i](xs / P) * np.exp(2j * np.pi * ph)
-
-            val, e1 = integrate_1d(fn, lo, hi, cfg, cycles)
-            err = err * abs(val) + e1 * abs(total)
-            total *= val
-        return total, err
-    if n > 3:
-        raise BudgetExceeded("tensor-grid quadrature supports n <= 3")
-    gb = _grad_bound(f, box_phys)
-    axes_pts = [
-        _start_points((abs(z) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys)
-    ]
-    prev = None
-    for _ in range(cfg.max_refinements):
-        cells = 1
-        for N in axes_pts:
-            cells *= N + 1
-        if cells > cfg.max_cells:
-            raise ToleranceNotMet("tensor grid exceeded the cell budget before converging")
-        grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, axes_pts)]
-        pts = _grid_points(grids)
-        fv = grid_values(f, grids).ravel()
-        integrand = (
-            w.eval_many(pts / P)
-            * np.exp(2j * np.pi * (z * fv - pts @ np.asarray(beta, dtype=float)))
-        ).reshape([N + 1 for N in axes_pts])
-        cur = integrand
-        for ax in range(n - 1, -1, -1):
-            wts = _simpson_weights(*box_phys[ax], axes_pts[ax])
-            cur = np.tensordot(cur, wts, axes=([ax], [0])) if cur.ndim > 1 else cur @ wts
-        cur = complex(cur)
-        if prev is not None and abs(cur - prev) <= cfg.tolerance:
-            return cur, abs(cur - prev)
-        prev = cur
-        axes_pts = [2 * N for N in axes_pts]
-    raise ToleranceNotMet("tensor quadrature refinement limit reached")
-
-
-# -- singular integral ------------------------------------------------------------------
+# -- oscillatory integrals ------------------------------------------------------------------
 
 
 def _phase_sums(gammas: np.ndarray, fv: np.ndarray, wv: np.ndarray) -> np.ndarray:
@@ -248,7 +180,7 @@ def _refine_rows(starts, values, too_big, cfg: QuadratureConfig) -> np.ndarray:
     on grid Ns for an index array of rows.  Grids go smallest first, so each
     one is built once however many rows reach it.
     """
-    out = np.empty(len(starts), dtype=complex)
+    out = [None] * len(starts)
     prev = {}
     grid = dict(enumerate(starts))
     steps = dict.fromkeys(grid, 0)
@@ -267,19 +199,25 @@ def _refine_rows(starts, values, too_big, cfg: QuadratureConfig) -> np.ndarray:
                 prev[j] = cur
                 grid[j] = tuple(2 * N for N in Ns)
                 steps[j] += 1
-    return out
+    return np.array(out)
 
 
-def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig):
-    """I(gamma) = integral of w(x) e(gamma F(x)) dx for every gamma in one batched pass.
+def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig, beta=None):
+    """I(gamma; beta) = integral of w(x) e(gamma F(x) - beta.x) dx for every gamma in one batched pass.
 
-    Each value is the one `osc_integral(F, w, gamma, [0] * n, cfg)` returns,
-    up to summation order: the same starting grid for its |gamma|, the same
-    doubling, stopping rule and errors.  The gammas on one grid share the F
+    `osc_integral` is the one-row case.  Row gamma starts on the grid with at
+    least four points per expected cycle of gamma F - beta.x, and `_refine_rows`
+    doubles it until it meets cfg.tolerance.  The gammas on one grid share the F
     values, the weight and the Simpson weights, and cells of zero weight are
-    dropped.  Separable w with one-variable blocks uses per-axis 1-D grids.
+    dropped; a nonzero beta multiplies the Simpson weights by e(-beta.x).
+    Separable w with one-variable blocks uses per-axis 1-D grids.
     """
     box_phys = w.support_box()
+    beta = np.zeros(F.n) if beta is None else np.asarray(beta, dtype=float)
+
+    def twisted(wv, pts, b):
+        return wv * np.exp(-2j * np.pi * (pts @ b)) if b.any() else wv
+
     factors = w.separable_factors()
     const, parts = blocks(F)
     if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
@@ -290,10 +228,10 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
 
             def values(Ns, rows):
                 xs = np.linspace(lo, hi, Ns[0] + 1)
-                wv = factors[i](xs) * _simpson_weights(lo, hi, Ns[0])
+                wv = twisted(factors[i](xs) * _simpson_weights(lo, hi, Ns[0]), xs[:, None], beta[i:i + 1])
                 return _phase_sums(gammas[rows], grid_values(fi, [xs]), wv)
 
-            starts = [(_start_points(abs(g) * gb * (hi - lo), cfg),) for g in gammas.tolist()]
+            starts = [(_start_points((abs(g) * gb + abs(beta[i])) * (hi - lo), cfg),) for g in gammas.tolist()]
             out = out * _refine_rows(starts, values, lambda Ns: Ns[0] > cfg.max_points_1d, cfg)
         return out
     if F.n > 3:
@@ -303,15 +241,26 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
     def values(Ns, rows):
         grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, Ns)]
         simpson = reduce(np.multiply.outer, [_simpson_weights(lo, hi, N) for (lo, hi), N in zip(box_phys, Ns)])
-        wv = w.eval_many(_grid_points(grids)) * simpson.ravel()
+        pts = _grid_points(grids)
+        wv = twisted(w.eval_many(pts) * simpson.ravel(), pts, beta)
         keep = wv != 0.0
         return _phase_sums(gammas[rows], grid_values(F, grids).ravel()[keep], wv[keep])
 
     starts = [
-        tuple(_start_points(abs(g) * gb[i] * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys))
+        tuple(_start_points((abs(g) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys))
         for g in gammas.tolist()
     ]
     return _refine_rows(starts, values, lambda Ns: math.prod(N + 1 for N in Ns) > cfg.max_cells, cfg)
+
+
+def osc_integral(f: IntPolynomial, w: WeightSpec, z: float, beta, cfg: QuadratureConfig = DEFAULT_CFG) -> complex:
+    """I(z; beta) = integral of w(x) e(z f(x) - beta.x) dx, the one row gamma = z of `_direct_gamma_table`."""
+    if len(beta) != f.n:
+        raise DimensionMismatch("beta length != variable count")
+    return complex(_direct_gamma_table(f, w, np.array([float(z)]), cfg, beta)[0])
+
+
+# -- singular integral ------------------------------------------------------------------
 
 
 def _by_abs_gamma(compute):
@@ -364,8 +313,8 @@ def singular_integral(
     method: str = "auto",
 ):
     """J(R) = integral over |gamma| <= R of integral w(x) e(gamma F(x)) dx dgamma, for R >= 0."""
-    if R < 0:
-        raise PreconditionViolated(f"J(R) needs R >= 0, got {R}")
+    if not 0 <= R < math.inf:
+        raise PreconditionViolated(f"J(R) needs a finite R >= 0, got {R}")
     if R == 0:
         return 0.0
     if method == "auto":
@@ -373,23 +322,20 @@ def singular_integral(
         method = "factored" if (diagonal and w.separable_factors() is not None) else "direct"
     if method == "factored":
         const, axes = _factored_axes(F, w, R, cfg)
-        M, prev = 512, None
-        for _ in range(cfg.max_refinements):
-            gammas = np.linspace(-R, R, M + 1)
+
+        def Iv(gammas):
             start = np.exp(2j * np.pi * np.outer(gammas, [const])).ravel()
-            Iv = math.prod((table(s * gammas) for s, table in axes), start=start)
-            cur = complex(_simpson_1d(Iv, 2 * R / M))
-            if prev is not None and abs(cur - prev) <= max(cfg.tolerance, 1e-12):
-                if abs(cur.imag) > 1e-6 * max(abs(cur), 1.0):
-                    raise ToleranceNotMet("singular integral should be real")
-                return cur.real
-            prev = cur
-            M *= 2
-        raise ToleranceNotMet("gamma refinement limit reached")
+            return math.prod((table(s * gammas) for s, table in axes), start=start)
+
+        # the rule the recorded J reprs come from: 512 gamma nodes to start, tolerance at least 1e-12, no node cap
+        rule = replace(cfg, tolerance=max(cfg.tolerance, 1e-12), base_points=512, max_points_1d=math.inf)
+        J = complex(integrate_1d(Iv, -R, R, rule))
+        if abs(J.imag) > 1e-6 * max(abs(J), 1.0):
+            raise ToleranceNotMet("singular integral should be real")
+        return J.real
     if method == "direct":
         fn = _by_abs_gamma(lambda gammas: _direct_gamma_table(F, w, gammas, cfg))
-        val, _ = integrate_1d(fn, -R, R, cfg, cycles=R)
-        return float(np.real(val))
+        return float(np.real(integrate_1d(fn, -R, R, cfg, cycles=R)))
     if method == "sine":
         return singular_integral_sine(F, w, R, cfg)
     raise ValueError(f"unknown method {method!r}")
@@ -467,6 +413,8 @@ def poisson_check(
     n = poly.n
     if math.gcd(a, q) != 1 or not 1 <= a <= q:
         raise PreconditionViolated("need 1 <= a <= q with gcd(a, q) = 1")
+    if not (0 < P < math.inf and math.isfinite(z)):
+        raise PreconditionViolated(f"the Poisson check needs a finite P > 0 and a finite z, got P={P}, z={z}")
     box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
     if v_cut is None:
         v_cut = _default_v_cut(poly, q, z, box_phys)
@@ -546,7 +494,7 @@ def major_arc_model(
         raise PreconditionViolated("major arc model needs |z| <= P^-3")
     S = gen_sum(F, w, P, a=a, q=q, z=z, budget=budget)
     Saq = complete_sum(F, a, q).value
-    Iz, err = osc_integral(F, w, z * P ** 4, [0.0] * F.n, cfg=cfg)
+    Iz = osc_integral(F, w, z * P ** 4, [0.0] * F.n, cfg=cfg)
     model = q ** -n * P ** n * Saq * Iz
     diff = abs(S - model)
     return {

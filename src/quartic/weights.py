@@ -52,6 +52,8 @@ class WeightSpec:
                 raise DimensionMismatch("center length != n")
             if not 0 < self.rho <= 1:
                 raise PreconditionViolated(f"rho must lie in (0, 1], got {self.rho}")
+            if not all(map(math.isfinite, self.x0)):
+                raise PreconditionViolated(f"the center must be finite, got {self.x0}")
         elif self.kind == "shifted_product":
             if self.base is None or len(self.h) != self.n:
                 raise DimensionMismatch("shifted_product needs base and h of length n")

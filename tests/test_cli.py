@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import quartic
+from quartic import geometry
 from quartic.cli import FormCache, form_hash, main
 from quartic.errors import CacheCorrupt
-from quartic.forms import parse_form
+from quartic.forms import LRUCache, parse_form
+from quartic.verify import SWEEPS
 
 
 def run_cli(argv, capsys):
@@ -272,11 +274,50 @@ class TestBadInput:
             (["geometry", "--form-text", "4*x1^3+4*x2^3+4*x3^3", "--op", "sing-dim", "--p", "4"], "CompositeP"),
             (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--p", "0"], "CompositeP"),
             (["geometry", "--form-text", "x1^3+x2", "--op", "sing-dim", "--p", "7"], "PreconditionViolated"),
-        ],
+            (["count", "--form-text", "x1^4-x2^4", "--P", "inf"], "PreconditionViolated"),
+            (["count", "--form-text", "x1^4-x2^4", "--projective", "--P", "nan"], "PreconditionViolated"),
+            (["count", "--form-text", "x1^4-x2^4", "--projective", "--P", "inf"], "PreconditionViolated"),
+            (["count", "--form-text", "x1^4-x2^4", "--projective", "--P", "-1"], "PreconditionViolated"),
+            (["count", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "nan,0.5", "--P", "5"],
+             "PreconditionViolated"),
+            (["count", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "inf,0.5", "--P", "5"],
+             "PreconditionViolated"),
+            (["integral", "--form-text", "x1^4-x2^4", "--weight", "separable", "--center", "nan,0.5", "--rho", "0.2",
+              "--R", "2"], "PreconditionViolated"),
+            (["integral", "--form-text", "x1^4-x2^4", "--weight", "separable", "--center", "inf,0.5", "--rho", "0.2",
+              "--R", "2"], "PreconditionViolated"),
+            (["integral", "--form-text", "x1^4-x2^4", "--R", "nan"], "PreconditionViolated"),
+            (["integral", "--form-text", "x1^4-x2^4", "--R", "inf"], "PreconditionViolated"),
+            (["arcs", "--delta", "1.0", "--P", "inf"], "PreconditionViolated"),
+            (["series", "--form-text", "x1^4-x2^4", "--R", "nan"], "PreconditionViolated"),
+            (["series", "--form-text", "x1^4-x2^4", "--R", "inf"], "PreconditionViolated"),
+            (["series", "--form-text", "x1^4-x2^4", "--R", "-1"], "PreconditionViolated"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "inf"], "PreconditionViolated"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "nan"], "PreconditionViolated"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "inf"], "PreconditionViolated"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "-1"], "PreconditionViolated"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "4", "--R-integral", "nan"],
+             "PreconditionViolated"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "4", "--R-integral", "inf"],
+             "PreconditionViolated"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--P", "nan"], "PreconditionViolated"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--P", "inf"], "PreconditionViolated"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--P", "-1"], "PreconditionViolated"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--z", "nan"], "PreconditionViolated"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--z", "inf"], "PreconditionViolated"),
+            (["hasse", "--form-text", "x1^4-2*x2^4", "--p-max", "-1"], "PreconditionViolated"),
+            (["hasse", "--form-text", "x1^4-2*x2^4", "--k-max", "0"], "PreconditionViolated"),
+        ] + [(["verify", lemma, "--trials", "-1"], "PreconditionViolated") for lemma in SWEEPS],
         ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative", "rank-profile-p-3",
              "b-set-p-3", "b-set-not-cubic", "hyperplane-one-variable", "arcs-P-0", "arcs-P-negative",
              "count-P-0", "integral-R-negative", "sing-dim-p-1", "sing-dim-p-4-vanishing", "sing-dim-p-0",
-             "sing-dim-not-a-form"],
+             "sing-dim-not-a-form", "count-P-inf", "projective-P-nan", "projective-P-inf", "projective-P-negative",
+             "count-center-nan", "count-center-inf", "integral-center-nan", "integral-center-inf", "integral-R-nan",
+             "integral-R-inf", "arcs-P-inf", "series-R-nan", "series-R-inf", "series-R-negative", "pipeline-P-inf",
+             "pipeline-R-series-nan", "pipeline-R-series-inf", "pipeline-R-series-negative",
+             "pipeline-R-integral-nan", "pipeline-R-integral-inf", "poisson-P-nan", "poisson-P-inf",
+             "poisson-P-negative", "poisson-z-nan", "poisson-z-inf", "hasse-p-max-negative", "hasse-k-max-0"]
+        + [f"verify-{lemma}-trials-negative" for lemma in SWEEPS],
     )
     def test_is_one_error_line(self, argv, error, capsys):
         rc = main(argv)
@@ -285,6 +326,19 @@ class TestBadInput:
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    def test_rank_profile_refuses_a_non_form_before_any_rank_grid(self, monkeypatch, capsys):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return grid(*args, **kwargs)
+
+        grid = geometry.hessian_rank_grid
+        monkeypatch.setattr(geometry, "hessian_rank_grid", recording)
+        monkeypatch.setattr(geometry, "_rank_count_cache", LRUCache(geometry.RANK_CACHE_ENTRIES))
+        rc = main(["geometry", "--form-text", "x1^3+x2", "--op", "rank-profile", "--p", "7"])
+        assert rc == 1 and json.loads(capsys.readouterr().err)["error"] == "PreconditionViolated"
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv",

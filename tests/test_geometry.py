@@ -448,6 +448,15 @@ class TestBoundedCaches:
         assert (again.p, again.q, again.modulus) == (primes[0], primes[0], (0, 1))
         assert GF(primes[-1]) is GF._cache[(primes[-1], 1)]
 
+    def test_fields_count_by_their_tables(self):
+        # 2^24, 3721^2 and 2187^2 table cells count 32, 27 and 10 towards the bound
+        for p, k in ((2, 12), (61, 2), (3, 7)):
+            gf = GF(p, k)
+            assert GF._cache.held == sum(map(GF._cache.size, GF._cache.values())) <= GF_CACHE_ENTRIES
+            assert sum(f.q ** 2 for f in GF._cache.values() if f.k > 1) <= 2 ** 24
+        assert GF._cache[(3, 7)] is gf
+        GF._cache.clear()
+
     def test_rank_counts_past_the_bound(self):
         cache = geometry._rank_count_cache
         forms = [IntPolynomial(1, {(3,): c}) for c in range(1, RANK_CACHE_ENTRIES + 10)]

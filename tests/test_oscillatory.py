@@ -10,11 +10,14 @@ import pytest
 
 from quartic import oscillatory
 from quartic.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, ToleranceNotMet
-from quartic.forms import CubicData, parse_form
+from quartic.forms import CubicData, _grid_points, blocks, grid_values, parse_form
 from quartic.oscillatory import (
     QuadratureConfig,
     _direct_gamma_table,
+    _grad_bound,
     _simpson_1d,
+    _simpson_weights,
+    _start_points,
     gen_sum,
     integrate_1d,
     major_arc_model,
@@ -33,6 +36,67 @@ from quartic.weights import (
     separable_bump,
     shifted_product,
 )
+
+
+def _integrate_1d_oracle(fn, a, b, cfg, cycles):
+    """Adaptive composite Simpson on [a, b], doubling until two grids agree within cfg.tolerance."""
+    N = _start_points(cycles, cfg)
+    prev = None
+    for _ in range(cfg.max_refinements):
+        cur = _simpson_1d(fn(np.linspace(a, b, N + 1)), (b - a) / N)
+        if prev is not None and abs(cur - prev) <= cfg.tolerance:
+            return cur
+        prev = cur
+        N *= 2
+        if N > cfg.max_points_1d:
+            raise ToleranceNotMet(f"1-D quadrature did not reach {cfg.tolerance}")
+    raise ToleranceNotMet("refinement limit reached")
+
+
+def _osc_integral_oracle(f, w, z, beta, cfg=QuadratureConfig()):
+    """I(z; beta) one z at a time: a product of 1-D integrals with F evaluated node by node, or a tensor grid.
+
+    The reference the batched gamma table is checked against.
+    """
+    n = f.n
+    box_phys = w.support_box()
+    factors = w.separable_factors()
+    const, parts = blocks(f)
+    if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
+        total = complex(np.exp(2j * np.pi * z * const))
+        for (i,), fi in parts:
+            lo, hi = box_phys[i]
+            cycles = (abs(z) * _grad_bound(fi, [(lo, hi)])[0] + abs(beta[i])) * (hi - lo)
+
+            def fn(xs, i=i, fi=fi):
+                ph = z * np.array([float(fi.evaluate([float(t)])) for t in xs]) - beta[i] * xs
+                return factors[i](xs) * np.exp(2j * np.pi * ph)
+
+            total *= _integrate_1d_oracle(fn, lo, hi, cfg, cycles)
+        return total
+    gb = _grad_bound(f, box_phys)
+    axes_pts = [
+        _start_points((abs(z) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys)
+    ]
+    prev = None
+    for _ in range(cfg.max_refinements):
+        if math.prod(N + 1 for N in axes_pts) > cfg.max_cells:
+            raise ToleranceNotMet("tensor grid exceeded the cell budget before converging")
+        grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, axes_pts)]
+        pts = _grid_points(grids)
+        fv = grid_values(f, grids).ravel()
+        cur = (
+            w.eval_many(pts) * np.exp(2j * np.pi * (z * fv - pts @ np.asarray(beta, dtype=float)))
+        ).reshape([N + 1 for N in axes_pts])
+        for ax in range(n - 1, -1, -1):
+            wts = _simpson_weights(*box_phys[ax], axes_pts[ax])
+            cur = np.tensordot(cur, wts, axes=([ax], [0])) if cur.ndim > 1 else cur @ wts
+        cur = complex(cur)
+        if prev is not None and abs(cur - prev) <= cfg.tolerance:
+            return cur
+        prev = cur
+        axes_pts = [2 * N for N in axes_pts]
+    raise ToleranceNotMet("tensor quadrature refinement limit reached")
 
 
 class TestWeights:
@@ -116,19 +180,19 @@ class TestGenSum:
 class TestOscIntegral:
     def test_product_of_1d(self):
         w = separable_bump((0.0, 0.0), 0.5)
-        val, err = osc_integral(parse_form("x1^3 + x2^3"), w, 0.0, [0.0, 0.0])
-        K1 = integrate_1d(lambda t: gamma_bump(t), -1, 1)[0]
+        val = osc_integral(parse_form("x1^3 + x2^3"), w, 0.0, [0.0, 0.0])
+        K1 = integrate_1d(lambda t: gamma_bump(t), -1, 1)
         assert abs(val - (0.5 * K1) ** 2) < 1e-8
 
     def test_tiny_support(self):
         w = bump((0.37,), 0.01)
-        val, err = osc_integral(parse_form("x1^3"), w, 0.0, [3.0])
+        val = osc_integral(parse_form("x1^3"), w, 0.0, [3.0])
         assert abs(val) < 0.01
 
     def test_refinement_oracle(self):
         w = bump((0.0,), 1.0)
-        v1, _ = osc_integral(parse_form("x1^3"), w, 0.1, [0.0])
-        v2, _ = osc_integral(
+        v1 = osc_integral(parse_form("x1^3"), w, 0.1, [0.0])
+        v2 = osc_integral(
             parse_form("x1^3"), w, 0.1, [0.0], cfg=QuadratureConfig(base_points=512)
         )
         assert abs(v1 - v2) < 1e-6
@@ -138,20 +202,20 @@ class TestOscIntegral:
         w1 = bump((0.0,), 0.5)
         w2 = bump((0.2,), 0.3)
         z, beta = 0.3, [0.7]
-        a1, e1 = osc_integral(F, w1, z, beta)
-        a2, e2 = osc_integral(F, w2, z, beta)
+        a1 = osc_integral(F, w1, z, beta)
+        a2 = osc_integral(F, w2, z, beta)
 
         def fn(xs):
             ph = np.exp(2j * np.pi * (z * xs ** 3 - beta[0] * xs))
             return (w1.eval_many(xs[:, None]) + w2.eval_many(xs[:, None])) * ph
 
-        both, _ = integrate_1d(fn, -1.0, 1.0, cycles=2)
+        both = integrate_1d(fn, -1.0, 1.0, cycles=2)
         assert abs(both - (a1 + a2)) <= 1e-6
 
     def test_fourier_decay_at_zero_z(self):
         # I(0; beta) is the Fourier transform of the weight: decreasing along a ray
         w = bump((0.0,), 0.5)
-        vals = [abs(osc_integral(parse_form("x1^3"), w, 0.0, [b])[0]) for b in (0.0, 2.0, 6.0, 12.0)]
+        vals = [abs(osc_integral(parse_form("x1^3"), w, 0.0, [b])) for b in (0.0, 2.0, 6.0, 12.0)]
         assert vals == sorted(vals, reverse=True)
 
 
@@ -204,26 +268,38 @@ class TestDirectGammaTable:
     CFG = QuadratureConfig(tolerance=1e-6, base_points=16)
     R = 4.0
 
-    @pytest.mark.parametrize(
-        "src, w",
-        [
-            ("x1^4", bump((0.3,), 0.5)),
-            ("x1^4", separable_bump((0.3,), 0.5)),
-            ("x1^4 - x2^4", bump((0.5, 0.5), 0.2)),
-            ("x1^4 - x2^4 + 1", separable_bump((0.5, 0.5), 0.2)),
-            ("x1^4 + x1*x2^3", separable_bump((0.5, 0.5), 0.2)),
-            ("x1^4 + x2^4 - x3^4", separable_bump((0.5, 0.5, 0.5), 0.3)),
-            ("x1^2*x2*x3 + x3^4", bump((0.2, 0.2, 0.2), 0.2)),
-        ],
-    )
+    FORMS = [
+        ("x1^4", bump((0.3,), 0.5)),
+        ("x1^4", separable_bump((0.3,), 0.5)),
+        ("x1^4 - x2^4", bump((0.5, 0.5), 0.2)),
+        ("x1^4 - x2^4 + 1", separable_bump((0.5, 0.5), 0.2)),
+        ("x1^4 + x1*x2^3", separable_bump((0.5, 0.5), 0.2)),
+        ("x1^4 + x2^4 - x3^4", separable_bump((0.5, 0.5, 0.5), 0.3)),
+        ("x1^2*x2*x3 + x3^4", bump((0.2, 0.2, 0.2), 0.2)),
+    ]
+
+    @pytest.mark.parametrize("src, w", FORMS)
     def test_matches_per_gamma_osc_integral(self, src, w):
         F = parse_form(src)
         gammas = np.array([0.0, 1e-3, -1e-3, self.R, -self.R])
         table = _direct_gamma_table(F, w, gammas, self.CFG)
-        per_gamma = [osc_integral(F, w, float(g), [0.0] * F.n, cfg=self.CFG)[0] for g in gammas]
+        per_gamma = [_osc_integral_oracle(F, w, float(g), [0.0] * F.n, cfg=self.CFG) for g in gammas]
         scale = abs(per_gamma[0])  # the mass of w
         for got, want in zip(table, per_gamma):
             assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, -2.5, 4.0])
+    @pytest.mark.parametrize(
+        "beta", [lambda n: [0.7] * n, lambda n: [-3.0] + [0.25] * (n - 1), lambda n: [0.0] * (n - 1) + [5.0]],
+        ids=["all-0.7", "-3-then-0.25", "last-5"],
+    )
+    @pytest.mark.parametrize("src, w", FORMS)
+    def test_twisted_osc_integral_matches_oracle(self, src, w, beta, z):
+        F = parse_form(src)
+        got = osc_integral(F, w, z, beta(F.n), cfg=self.CFG)
+        want = _osc_integral_oracle(F, w, z, beta(F.n), cfg=self.CFG)
+        mass = abs(_osc_integral_oracle(F, w, 0.0, [0.0] * F.n, cfg=self.CFG))
+        assert abs(got - want) <= 1e-12 * mass
 
     @pytest.mark.parametrize("R", [1, 2, 10])
     def test_direct_J_matches_sine_kernel(self, R):

@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, weighted_count
-from .errors import ArcsOverlap, DeltaOutOfRange, Inconclusive, PreconditionViolated
+from .errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
+from .expsums import unit_sum_prime_power
 from .forms import IntPolynomial, blocks, grid_values
 from .geometry import GF, eval_poly_codes, primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
@@ -96,17 +97,25 @@ class ArcPartition:
         return 2.0 * self.half_width * len(self.arcs)
 
 
-def _check_arcs(delta: float, P: float) -> None:
+def _check_arcs(delta: float, P: float, budget: int, pairs: bool) -> int:
+    """q_max = floor(P^delta), once the walk over q <= q_max (every a/q when `pairs`) fits `budget`."""
     if not 0 < delta < 4.0 / 3.0:
         raise DeltaOutOfRange("delta must lie in (0, 4/3)")
     if not 0 < P < math.inf:
         raise PreconditionViolated(f"P must be positive and finite, got {P}")
+    try:
+        q_max = int(math.floor(P ** delta + 1e-9))
+        walk = q_max * (q_max + 1) // 2 if pairs else q_max
+    except OverflowError:  # P^delta is past the largest double
+        walk = math.inf
+    if walk > budget:
+        raise BudgetExceeded(f"the arcs with q <= {P}^{delta} walk more than budget {budget} steps")
+    return q_max
 
 
-def arc_partition(delta: float, P: float, verify: bool = True) -> ArcPartition:
-    """Arcs |alpha - a/q| <= P^(delta-4) for q <= P^delta, checked disjoint."""
-    _check_arcs(delta, P)
-    q_max = int(math.floor(P ** delta + 1e-9))
+def arc_partition(delta: float, P: float, budget: int = DEFAULT_BUDGET) -> ArcPartition:
+    """Arcs |alpha - a/q| <= P^(delta-4) for q <= P^delta, checked disjoint; `budget` bounds the a/q walked."""
+    q_max = _check_arcs(delta, P, budget, pairs=True)
     width = float(P) ** (delta - 4.0)
     arcs = []
     for q in range(1, q_max + 1):
@@ -114,30 +123,24 @@ def arc_partition(delta: float, P: float, verify: bool = True) -> ArcPartition:
             if math.gcd(a, q) == 1:
                 arcs.append((a, q, Fraction(a, q)))
     arcs.sort(key=lambda t: t[2])
-    if verify:
-        centers = [c for (_, _, c) in arcs]
-        for c1, c2 in zip(centers, centers[1:]):
-            if float(c2 - c1) <= 2 * width:
-                raise ArcsOverlap(
-                    f"arcs at {c1} and {c2} overlap for delta={delta}, P={P}"
-                )
-        if len(centers) > 1 and float(centers[0] + 1 - centers[-1]) <= 2 * width:
-            raise ArcsOverlap("wrap-around overlap at 0 = 1")
+    centers = [c for (_, _, c) in arcs]
+    for c1, c2 in zip(centers, centers[1:]):
+        if float(c2 - c1) <= 2 * width:
+            raise ArcsOverlap(f"arcs at {c1} and {c2} overlap for delta={delta}, P={P}")
+    if len(centers) > 1 and float(centers[0] + 1 - centers[-1]) <= 2 * width:
+        raise ArcsOverlap("wrap-around overlap at 0 = 1")
     return ArcPartition(delta=delta, P=P, q_max=q_max, half_width=width, arcs=arcs)
 
 
-def classify(alpha, delta: float, P: float):
-    """('major', a, q) when alpha lies in some arc, else ('minor', None, None)."""
-    _check_arcs(delta, P)
+def classify(alpha, delta: float, P: float, budget: int = DEFAULT_BUDGET):
+    """('major', a, q) when alpha lies in some arc, else ('minor', None, None); `budget` bounds the q walked."""
+    q_max = _check_arcs(delta, P, budget, pairs=False)
     beta = _to_fraction(alpha)
     beta -= math.floor(beta)
-    q_max = int(math.floor(P ** delta + 1e-9))
     width = Fraction(float(P) ** (delta - 4.0))
     for q in range(1, q_max + 1):
-        a = round(beta * q)
-        aa = int(a)
-        cand = Fraction(aa, q)
-        if abs(beta - cand) <= width:
+        aa = round(beta * q)
+        if abs(beta - Fraction(aa, q)) <= width:
             if aa == 0:
                 aa, qq = 1, 1
             else:
@@ -168,13 +171,9 @@ class SeriesCache:
         if q not in self.aq:
             out = 1
             for p, e in factorint(q).items():
-                key = p ** e
-                if key not in self.aq:
-                    n = self.F.n
-                    self.aq[key] = p ** e * self.rho_at(p ** e) - p ** (
-                        n + e - 1
-                    ) * self.rho_at(p ** (e - 1))
-                out *= self.aq[key]
+                if p ** e not in self.aq:
+                    self.aq[p ** e] = unit_sum_prime_power(self.F, p, e, self.budget)
+                out *= self.aq[p ** e]
             self.aq[q] = out
         return self.aq[q]
 
@@ -186,18 +185,25 @@ class SeriesCache:
                 _check_cost(parts, q, self.budget)
 
 
-def _prime_powers(R: float) -> list:
+def _primes_within(m: int, budget: int) -> list:
+    """primes_up_to(m), once its sieve of m + 1 cells fits `budget`."""
+    if m + 1 > budget:
+        raise BudgetExceeded(f"a sieve of {m + 1} cells exceeds budget {budget}")
+    return primes_up_to(m)
+
+
+def _prime_powers(R: float, budget: int) -> list:
     """(p, p^e) with p^e <= R, by p and then e; S(R) and its Euler view need a finite R >= 0."""
     if not 0 <= R < math.inf:
         raise PreconditionViolated(f"S(R) needs a finite R >= 0, got {R}")
     m = int(math.floor(R))
-    return [(p, p ** e) for p in primes_up_to(m) for e in range(1, m.bit_length() + 1) if p ** e <= m]
+    return [(p, p ** e) for p in _primes_within(m, budget) for e in range(1, m.bit_length() + 1) if p ** e <= m]
 
 
 def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
     """S(R) = sum_{q <= R} q^-n A_q as an exact rational; the budget is checked for every q first."""
     cache = cache or SeriesCache(F)
-    cache.plan(sorted(q for _, q in _prime_powers(R)))
+    cache.plan(sorted(q for _, q in _prime_powers(R, cache.budget)))
     total = Fraction(0)
     n = F.n
     for q in range(1, int(math.floor(R)) + 1):
@@ -208,7 +214,7 @@ def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None
 def euler_view(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
     """prod_p (1 + sum_{p^k <= R} p^-kn A_{p^k}), the Euler grouping of S."""
     cache = cache or SeriesCache(F)
-    powers = _prime_powers(R)
+    powers = _prime_powers(R, cache.budget)
     cache.plan(q for _, q in powers)
     local = {}
     for p, q in powers:
@@ -337,9 +343,13 @@ def local_witness(
     """Search x (not all = 0 mod p) that Hensel-lifts to a p-adic zero of F.
 
     Returns (x, k) on success; raises Inconclusive when the budget runs out.
-    Level k holds solutions of F = 0 mod p^k; each is lifted through the
-    linearization F(x + p^k d) = F(x) + p^k d.grad F(x) mod p^{k+1}.  Full
-    grids mod p run while they fit their caps and `budget`, seeded samples otherwise.
+    Level k holds solutions of F = 0 mod p^k, none of them 0 mod p; full grids
+    mod p run while they fit their caps and `budget`, seeded samples otherwise.
+    One pass per level checks each point with `hensel_criterion` and lifts the
+    ones that fail it.  Lifting needs no gradient: a point has v_p F >= 1 and
+    some coordinate prime to p, so it fails only when grad F = 0 mod p.  Then
+    F(x + p^k d) = F(x) mod p^{k+1} for every d, and x lifts exactly when
+    v_p F(x) > k, to x + p^k d for every d mod p (or 64 seeded d).
     """
     n = F.n
     rng = random.Random(seed * 1_000_003 + p)
@@ -353,76 +363,46 @@ def local_witness(
         level = _sampled_zeros(F, p, rng)
     gradient = F.gradient()
     for k in range(1, k_max + 1):
+        pk, nxt = p ** k, {}  # nxt: the next level as an ordered set
         for x in level:
-            ok, vF, vg = hensel_criterion(F, x, p, gradient=gradient)
-            # the Newton limit stays nonzero when some coordinate valuation
-            # is at most vg (coordinates move by multiples of p^{vF - vg})
-            if ok and min(_val_p(xi, p) for xi in x) <= vg:
-                return tuple(x), k
-        # lift to level k+1 through F(x + p^k d) = F(x) + p^k d.grad F(x)
-        pk, nxt, seen = p ** k, [], set()
-        for x in level:
-            c = (F.evaluate(list(x)) // pk) % p
-            grad = [g.evaluate(list(x)) % p for g in gradient]
-            support = [i for i, gi in enumerate(grad) if gi]
-            if not support:
-                if c % p != 0:
-                    continue  # no lift on this branch
-                if p ** n <= min(4096, budget):
-                    deltas = list(product(range(p), repeat=n))
-                else:
-                    deltas = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(64)]
+            ok, vF, _ = hensel_criterion(F, x, p, gradient=gradient)
+            if ok:
+                return x, k
+            if vF <= k or len(nxt) >= cap:
+                continue
+            if p ** n <= min(4096, budget):
+                deltas = product(range(p), repeat=n)
             else:
-                i0 = support[0]
-                inv = pow(grad[i0], -1, p)
-                frees = [j for j in range(n) if j != i0]
-                if p ** len(frees) <= min(4096, budget):
-                    free_iter = product(range(p), repeat=len(frees))
-                else:
-                    free_iter = (tuple(rng.randrange(p) for _ in frees) for _ in range(64))
-                deltas = []
-                for fv in free_iter:  # d[i0] solves c + d.grad = 0 mod p
-                    d = list(fv)
-                    d.insert(i0, (-(c + sum(grad[j] * v for j, v in zip(frees, fv))) * inv) % p)
-                    deltas.append(tuple(d))
+                deltas = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(64)]
             for d in deltas:
-                y = tuple(x[i] + pk * d[i] for i in range(n))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
+                nxt[tuple(xi + pk * di for xi, di in zip(x, d))] = None
                 if len(nxt) >= cap:
                     break
-            if len(nxt) >= cap:
-                break
-        level = nxt
+        level = list(nxt)
         if not level:
             break
     raise Inconclusive(f"no Hensel witness mod {p} within k <= {k_max}")
 
 
 def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
-    """Nonsingular real zero on the unit sphere via sign change + bisection."""
+    """Nonsingular real zero on the unit sphere via sign change + bisection.
+
+    The probes are the n unit vectors and then normalised Gaussian draws up
+    to `budget`; F is evaluated at all of them in one call on their columns.
+    """
     n = F.n
     rng = random.Random(seed)
-    probes = []
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        probes.append(tuple(e))
-    while len(probes) < budget:
-        v = [rng.gauss(0, 1) for _ in range(n)]
-        norm = math.sqrt(sum(t * t for t in v))
-        probes.append(tuple(t / norm for t in v))
-    vals = [float(F.evaluate(list(x))) for x in probes]
-    pos = next((i for i, v in enumerate(vals) if v > 0), None)
-    neg = next((i for i, v in enumerate(vals) if v < 0), None)
-    zero = next((i for i, v in enumerate(vals) if v == 0), None)
-    if zero is not None and any(F.gradient_at(list(probes[zero]))):
-        return True, probes[zero]
-    if pos is None or neg is None:
+    G = np.array([rng.gauss(0, 1) for _ in range(max(budget - n, 0) * n)]).reshape(-1, n)
+    # squares summed left to right, not pairwise, so each probe is the double it is when normalised alone
+    probes = np.vstack([np.eye(n), G / np.sqrt(sum(g * g for g in G.T))[:, None]])
+    vals = F.evaluate(list(probes.T)) + np.zeros(len(probes))  # a constant F gives a scalar
+    pos, neg, zero = (np.flatnonzero(hit)[:1] for hit in (vals > 0, vals < 0, vals == 0))
+    if len(zero) and any(F.gradient_at(probes[zero[0]].tolist())):
+        return True, tuple(probes[zero[0]].tolist())
+    if not len(pos) or not len(neg):
         return False, None
     # bisect along the great-circle-ish segment between the two probes
-    xa, xb = probes[pos], probes[neg]
+    xa, xb = tuple(probes[pos[0]].tolist()), tuple(probes[neg[0]].tolist())
     for _ in range(200):
         mid = tuple((a + b) / 2 for a, b in zip(xa, xb))
         v = float(F.evaluate(list(mid)))
@@ -446,12 +426,13 @@ def hasse_report(
     seed: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Local solubility table: R plus every prime p <= p_max; `budget` bounds the grids of `local_witness`."""
+    """Local solubility table: R plus every prime p <= p_max; `budget` bounds the sieve and `local_witness`'s grids."""
     if p_max < 2 or k_max < 1:
         raise PreconditionViolated(f"the Hasse report needs p_max >= 2 and k_max >= 1, got {p_max} and {k_max}")
+    primes = _primes_within(p_max, budget)
     real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)
     locals_ = {}
-    for p in primes_up_to(p_max):
+    for p in primes:
         try:
             x, k = local_witness(F, p, k_max=k_max, seed=seed, budget=budget)
             locals_[p] = {"soluble": True, "witness": x, "level": k}

@@ -255,7 +255,7 @@ def _cmd_arcs(args, config: RunConfig) -> int:
 
     rep = {"command": "arcs", "delta": args.delta, "P": args.P, "version": __version__}
     try:
-        part = arc_partition(args.delta, args.P)
+        part = arc_partition(args.delta, args.P, budget=config.budget)
         rep |= {
             "arc_count": len(part.arcs),
             "q_max": part.q_max,
@@ -270,7 +270,7 @@ def _cmd_arcs(args, config: RunConfig) -> int:
             alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
             raise ConfigInvalid(f"--alpha must be a rational number, got {args.alpha!r}") from None
-        kind, a, q = classify(alpha, args.delta, args.P)
+        kind, a, q = classify(alpha, args.delta, args.P, budget=config.budget)
         rep["classify"] = {"alpha": args.alpha, "kind": kind, "a": a, "q": q}
     _emit(rep, output=config.output)
     return 0

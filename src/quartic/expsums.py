@@ -7,8 +7,8 @@ value distribution of a*F + v.x mod q from `counting.value_counts`; `auto`
 takes it whenever that fits the budget, else the CRT product over the prime
 powers of q.  Untwisted sums read the one memoised distribution of F for
 every a: the distribution of a*F is an exact reindexing of it.  Aggregates
-that feed the singular series use an exact integer path through solution
-counts.
+that feed the singular series are exact integers: A_{p^k} is read from the
+one distribution mod p^k.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import _value_counts, factorint, solutions_mod_q, value_counts
+from .counting import _value_counts, factorint, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
 from .forms import CubicData, IntPolynomial, grid_values, hessian
 from .geometry import _xgcd
@@ -139,17 +139,16 @@ def _scale_v(v, s, q):
 
 
 def unit_sum_prime_power(F: IntPolynomial, p: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
-    """A_{p^k} = sum over gcd(a,p)=1 of S_{a,p^k}, exactly.
+    """A_{p^k} = sum over gcd(a,p)=1 of S_{a,p^k}, exactly, from the one table N = N_{p^k}.
 
     Summing S_{a,q} over all a mod q counts solutions, so
-    A_{p^k} = p^k rho(p^k) - p^{n+k-1} rho(p^{k-1}).
+    A_{p^k} = p^k rho(p^k) - p^{n+k-1} rho(p^{k-1}), and p^n rho(p^{k-1}) is
+    the sum of N(r) over r = 0 mod p^{k-1}.
     """
-    n = F.n
     if k == 0:
         return 1
-    rho_k = solutions_mod_q(F, p ** k, budget=budget)
-    rho_km1 = solutions_mod_q(F, p ** (k - 1), budget=budget)
-    return p ** k * rho_k - p ** (n + k - 1) * rho_km1
+    N = value_counts(F, p ** k, budget)
+    return p ** k * int(N[0]) - p ** (k - 1) * int(N[:: p ** (k - 1)].sum())
 
 
 def sum_over_units(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -156,7 +156,7 @@ class IntPolynomial:
     # -- calculus ------------------------------------------------------------
 
     def evaluate(self, x):
-        """Exact value at an integer or Fraction point."""
+        """Exact value at an integer or Fraction point; on arrays of coordinates, one per variable, elementwise."""
         if len(x) != self.n:
             raise DimensionMismatch(f"point has length {len(x)}, expected {self.n}")
         total = 0

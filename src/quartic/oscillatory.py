@@ -296,7 +296,9 @@ def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureCon
         if key not in shared:
             fv = [float(fi.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
             cycles = R * max(max(fv) - min(fv), _grad_bound(fi, [(lo, hi)])[0] * (hi - lo))
-            N = max(_start_points(cycles, cfg), 256)
+            N = max(_start_points(min(cycles, cfg.max_points_1d), cfg), 256)  # min: past the cap either way
+            if N > cfg.max_points_1d:
+                raise ToleranceNotMet(f"grid {(N,)} exceeded the cell budget before converging")
             xs = np.linspace(lo, hi, N + 1)
             fv = np.array([float(fi.evaluate([float(t)])) for t in xs])
             wv = _simpson_weights(lo, hi, N) * factors[i](xs)
@@ -415,6 +417,8 @@ def poisson_check(
         raise PreconditionViolated("need 1 <= a <= q with gcd(a, q) = 1")
     if not (0 < P < math.inf and math.isfinite(z)):
         raise PreconditionViolated(f"the Poisson check needs a finite P > 0 and a finite z, got P={P}, z={z}")
+    if v_cut is not None and v_cut < 0:
+        raise PreconditionViolated(f"the Poisson check needs v_cut >= 0, got {v_cut}")
     box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
     if v_cut is None:
         v_cut = _default_v_cut(poly, q, z, box_phys)

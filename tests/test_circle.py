@@ -2,8 +2,10 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quartic import circle, counting
@@ -11,6 +13,7 @@ from quartic.circle import (
     SeriesCache,
     _randrange_many,
     _sampled_zeros,
+    _val_p,
     arc_partition,
     classify,
     dirichlet_approx,
@@ -24,7 +27,8 @@ from quartic.circle import (
 )
 from quartic.counting import solutions_mod_q
 from quartic.errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
-from quartic.forms import parse_form
+from quartic.expsums import DEFAULT_BUDGET
+from quartic.forms import IntPolynomial, grid_values, parse_form
 from quartic.verify import random_form
 
 X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
@@ -85,6 +89,17 @@ class TestArcs:
             arc_partition(1.0, P)
         with pytest.raises(PreconditionViolated):
             classify(Fraction(1, 2), 1.0, P)
+
+    def test_budget_bounds_the_walk(self):
+        # q <= 100: 5050 fractions a/q for the partition, 100 denominators for classify
+        assert arc_partition(1.0, 100, budget=5050).q_max == 100
+        assert classify(Fraction(1, 3), 1.0, 100, budget=100) == ("major", 1, 3)
+        with pytest.raises(BudgetExceeded):
+            arc_partition(1.0, 100, budget=5049)
+        with pytest.raises(BudgetExceeded):
+            classify(Fraction(1, 3), 1.0, 100, budget=99)
+        with pytest.raises(BudgetExceeded):  # P^delta past the largest double
+            classify(Fraction(1, 3), 1.3, 1e300)
 
     def test_disjoint_small_delta(self):
         for P in (8, 16, 32):
@@ -307,3 +322,145 @@ class TestBudgetPlan:
         singular_series(self.F, 16, full)
         cache.aq = dict(full.aq)
         assert singular_series(self.F, 16, cache) == singular_series(self.F, 16) and cache.rho == {}
+
+
+def _local_witness_oracle(F, p, k_max=12, cap=20000, seed=1, budget=DEFAULT_BUDGET):
+    """The two-pass search with its linearised lifting step, as it was before the one-pass search."""
+    n = F.n
+    rng = random.Random(seed * 1_000_003 + p)
+    if p ** n <= min(200_000, budget):
+        vals = grid_values(F, [np.arange(p)] * n, modulus=p).T
+        zeros = np.argwhere(vals == 0)[: 10 * cap, ::-1].tolist()
+        level = [tuple(x) for x in zeros if any(x)]
+    else:
+        level = _sampled_zeros(F, p, rng)
+    gradient = F.gradient()
+    for k in range(1, k_max + 1):
+        for x in level:
+            ok, vF, vg = hensel_criterion(F, x, p, gradient=gradient)
+            if ok and min(_val_p(xi, p) for xi in x) <= vg:
+                return tuple(x), k
+        pk, nxt, seen = p ** k, [], set()
+        for x in level:
+            c = (F.evaluate(list(x)) // pk) % p
+            grad = [g.evaluate(list(x)) % p for g in gradient]
+            support = [i for i, gi in enumerate(grad) if gi]
+            if not support:
+                if c % p != 0:
+                    continue
+                if p ** n <= min(4096, budget):
+                    deltas = list(product(range(p), repeat=n))
+                else:
+                    deltas = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(64)]
+            else:
+                i0 = support[0]
+                inv = pow(grad[i0], -1, p)
+                frees = [j for j in range(n) if j != i0]
+                if p ** len(frees) <= min(4096, budget):
+                    free_iter = product(range(p), repeat=len(frees))
+                else:
+                    free_iter = (tuple(rng.randrange(p) for _ in frees) for _ in range(64))
+                deltas = []
+                for fv in free_iter:
+                    d = list(fv)
+                    d.insert(i0, (-(c + sum(grad[j] * v for j, v in zip(frees, fv))) * inv) % p)
+                    deltas.append(tuple(d))
+            for d in deltas:
+                y = tuple(x[i] + pk * d[i] for i in range(n))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                if len(nxt) >= cap:
+                    break
+            if len(nxt) >= cap:
+                break
+        level = nxt
+        if not level:
+            break
+    raise Inconclusive(f"no Hensel witness mod {p} within k <= {k_max}")
+
+
+def _real_point_probe_oracle(F, budget=2000, seed=1):
+    """The probe that evaluates F at one point at a time, as it was before the batched evaluation."""
+    n = F.n
+    rng = random.Random(seed)
+    probes = []
+    for i in range(n):
+        e = [0.0] * n
+        e[i] = 1.0
+        probes.append(tuple(e))
+    while len(probes) < budget:
+        v = [rng.gauss(0, 1) for _ in range(n)]
+        norm = math.sqrt(sum(t * t for t in v))
+        probes.append(tuple(t / norm for t in v))
+    vals = [float(F.evaluate(list(x))) for x in probes]
+    pos = next((i for i, v in enumerate(vals) if v > 0), None)
+    neg = next((i for i, v in enumerate(vals) if v < 0), None)
+    zero = next((i for i, v in enumerate(vals) if v == 0), None)
+    if zero is not None and any(F.gradient_at(list(probes[zero]))):
+        return True, probes[zero]
+    if pos is None or neg is None:
+        return False, None
+    xa, xb = probes[pos], probes[neg]
+    for _ in range(200):
+        mid = tuple((a + b) / 2 for a, b in zip(xa, xb))
+        v = float(F.evaluate(list(mid)))
+        if v == 0.0:
+            break
+        if v > 0:
+            xa = mid
+        else:
+            xb = mid
+    mid = tuple((a + b) / 2 for a, b in zip(xa, xb))
+    grad = F.gradient_at(list(mid))
+    gnorm = math.sqrt(sum(float(g) ** 2 for g in grad))
+    return gnorm > 1e-9, mid
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except Inconclusive as exc:
+        return "Inconclusive", str(exc)
+
+
+def _scaled(F, m):
+    return IntPolynomial(F.n, {e: m * c for e, c in F.coeffs.items()})
+
+
+_forms_rng = random.Random(13)
+# with k_max = 6 these searches end at levels 1, 2 and 3 and with empty levels
+SEARCH_FORMS = (
+    [random_form(_forms_rng, n, 4, 9) for n in (2, 3, 4, 5)]
+    + [_scaled(X1, 899)]  # 899 = 29 * 31: every point mod 29 and mod 31 is singular
+    + [_scaled(random_form(_forms_rng, n, 4, 5), m) for m, n in ((2, 2), (4, 3), (8, 4), (8, 2))]
+    # p^2 | F: every point mod p lifts, through the 64 seeded deltas where p^n passes the budget
+    + [_scaled(random_form(_forms_rng, 3, 4, 5), 900), _scaled(parse_form("-4*x1^4 - x1^3*x2 - x1*x2^3 + 2*x2^4"), 961)]
+)
+PROBE_FORMS = (
+    [random_form(_forms_rng, n, 4, 5) for n in (1, 2, 3, 4)]
+    # sparse forms up to n = 12, positive at every unit vector: sum a_i x_i^4 - 3 sum x_i^2 x_{i+1}^2
+    + [IntPolynomial(n, {tuple(4 * (j == i) for j in range(n)): _forms_rng.choice((1, 2)) for i in range(n)}
+                     | {tuple(2 * (j in (i, i + 1)) for j in range(n)): -3 for i in range(n - 1)}) for n in (5, 8, 12)]
+    # no sign change; a bisection; a unit vector that is a smooth zero, and one that is a singular zero; a constant
+    + [parse_form("x1^4 + x2^4 + x3^4 + x4^4"), parse_form("x1^2 - x2^2"), parse_form("x1^3*x2 + x2^4 - x3^4"),
+       parse_form("x1^2*x2^2 + x2^4 - x3^4"), IntPolynomial(3, {(0, 0, 0): 5})]
+)
+
+
+class TestAgainstOracles:
+    """The one-pass search and the batched probe return what the earlier code returned."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 29, 31])
+    def test_local_witness(self, p):
+        for F, seed, budget in product(SEARCH_FORMS, (1, 2), (40_000_000, 100)):
+            new = _outcome(local_witness, F, p, k_max=6, seed=seed, budget=budget)
+            assert new == _outcome(_local_witness_oracle, F, p, k_max=6, seed=seed, budget=budget)
+            assert new[0] == "Inconclusive" or all(type(xi) is int for xi in new[0])
+
+    @pytest.mark.parametrize("budget", [2000, 50, 3])
+    def test_real_point_probe(self, budget):
+        for F, seed in product(PROBE_FORMS, (1, 2)):
+            new = real_point_probe(F, budget=budget, seed=seed)
+            assert new == _real_point_probe_oracle(F, budget=budget, seed=seed)
+            assert new[1] is None or all(type(t) is float for t in new[1])

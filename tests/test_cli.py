@@ -197,9 +197,11 @@ class TestBudget:
             ["--budget", "100", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set", "--p", "7"],
             ["--budget", "10", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--p", "7"],
             ["--budget", "100", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "hyperplane", "--primes", "7"],
+            # q <= 100: 5050 fractions a/q to walk
+            ["--budget", "1000", "arcs", "--delta", "1.0", "--P", "100"],
         ],
         ids=["before-subcommand", "after-subcommand", "series", "poisson", "geometry-rank-profile",
-             "geometry-b-set", "geometry-sing-dim", "geometry-hyperplane"],
+             "geometry-b-set", "geometry-sing-dim", "geometry-hyperplane", "arcs"],
     )
     def test_budget_is_enforced(self, argv, capsys):
         rc = main(argv)
@@ -307,6 +309,15 @@ class TestBadInput:
             (["poisson", "--form-text", "x1^3", "--weight", "bump", "--z", "inf"], "PreconditionViolated"),
             (["hasse", "--form-text", "x1^4-2*x2^4", "--p-max", "-1"], "PreconditionViolated"),
             (["hasse", "--form-text", "x1^4-2*x2^4", "--k-max", "0"], "PreconditionViolated"),
+            (["arcs", "--delta", "0.5", "--P", "1e300"], "BudgetExceeded"),
+            (["arcs", "--delta", "1.3", "--P", "1e300"], "BudgetExceeded"),
+            (["series", "--form-text", "x1^4-x2^4", "--R", "1e300"], "BudgetExceeded"),
+            (["integral", "--form-text", "x1^4-x2^4", "--R", "1e300"], "ToleranceNotMet"),
+            (["hasse", "--form-text", "x1^2-x2^2", "--p-max", "1000000000000000000"], "BudgetExceeded"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "1e300"], "BudgetExceeded"),
+            (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "4", "--R-integral", "1e300"],
+             "ToleranceNotMet"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--v-cut", "-5"], "PreconditionViolated"),
         ] + [(["verify", lemma, "--trials", "-1"], "PreconditionViolated") for lemma in SWEEPS],
         ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative", "rank-profile-p-3",
              "b-set-p-3", "b-set-not-cubic", "hyperplane-one-variable", "arcs-P-0", "arcs-P-negative",
@@ -316,7 +327,9 @@ class TestBadInput:
              "integral-R-inf", "arcs-P-inf", "series-R-nan", "series-R-inf", "series-R-negative", "pipeline-P-inf",
              "pipeline-R-series-nan", "pipeline-R-series-inf", "pipeline-R-series-negative",
              "pipeline-R-integral-nan", "pipeline-R-integral-inf", "poisson-P-nan", "poisson-P-inf",
-             "poisson-P-negative", "poisson-z-nan", "poisson-z-inf", "hasse-p-max-negative", "hasse-k-max-0"]
+             "poisson-P-negative", "poisson-z-nan", "poisson-z-inf", "hasse-p-max-negative", "hasse-k-max-0",
+             "arcs-P-1e300", "arcs-P-delta-past-double", "series-R-1e300", "integral-R-1e300", "hasse-p-max-1e18",
+             "pipeline-R-series-1e300", "pipeline-R-integral-1e300", "poisson-v-cut-negative"]
         + [f"verify-{lemma}-trials-negative" for lemma in SWEEPS],
     )
     def test_is_one_error_line(self, argv, error, capsys):

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quartic import counting
+from quartic import counting, expsums
 from quartic.counting import factorint, solutions_mod_q, value_counts
 from quartic.errors import BudgetExceeded, NotCoprime
 from quartic.expsums import (
@@ -230,6 +230,31 @@ class TestUnitSums:
                 mu = (-1) ** len(fac)
                 direct += mu * (q // qp) ** n * qp * solutions_mod_q(F, qp)
             assert direct == sum_over_units(F, q)
+
+    @pytest.mark.parametrize("F", [
+        parse_form("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4"),
+        parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4"),
+        parse_form("x1^4 + x1*x2^3 + x3^4 + x4^4 - x5^4 - x6^4"),
+    ], ids=["F8", "X1", "n6-blocks"])
+    def test_ramanujan_sums(self, F):
+        """A_q = sum_r N_q(r) c_q(r) with the exact Ramanujan sums c_q(r) = sum_{d | (q, r)} mu(q/d) d."""
+        def mu(m):
+            fac = factorint(m)
+            return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+        for q in range(1, 129):
+            N = value_counts(F, q)
+            divisors = [d for d in range(1, q + 1) if q % d == 0]
+            c = [sum(mu(q // d) * d for d in divisors if r % d == 0) for r in range(q)]
+            assert sum_over_units(F, q) == sum(int(N[r]) * c[r] for r in range(q))
+
+    def test_prime_power_reads_one_table(self, monkeypatch):
+        F = parse_form("x1^4 + x1*x2^3 - 3*x2^4 + 2*x3^4")
+        moduli, rho = [], [solutions_mod_q(F, 3 ** k) for k in range(5)]
+        monkeypatch.setattr(expsums, "value_counts", lambda F, q, b: moduli.append(q) or value_counts(F, q, b))
+        for k in range(1, 5):
+            assert unit_sum_prime_power(F, 3, k) == 3 ** k * rho[k] - 3 ** (F.n + k - 1) * rho[k - 1]
+        assert moduli == [3, 9, 27, 81]
 
 
 class TestTwisted:

@@ -19,8 +19,8 @@ import numpy as np
 from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from .expsums import unit_sum_prime_power
-from .forms import IntPolynomial, blocks, grid_values
-from .geometry import GF, eval_poly_codes, primes_up_to
+from .forms import IntPolynomial, _values_at, blocks, grid_values
+from .geometry import GF, primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -328,7 +328,7 @@ def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random) -> list:
     drawn = dict.fromkeys(map(tuple, _randrange_many(rng, p, 60 * p * n).reshape(-1, n).tolist()))
     drawn.pop((0,) * n, None)
     X = np.array(list(drawn), dtype=np.int64).reshape(-1, n)
-    zero = eval_poly_codes(F, GF(p), list(X.T)) == 0
+    zero = _values_at(F, list(X.T), GF(p)) == 0
     return [x for x, z in zip(drawn, zero.tolist()) if z]
 
 

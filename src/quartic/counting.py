@@ -211,6 +211,8 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
 
 def _check_cost(parts, q: int, budget: int) -> None:
     """BudgetExceeded when the blocks `parts` of F cost more than `budget` in `value_counts` mod q."""
+    if q >= 1 << 31:  # refused at any budget: residue products mod q would overflow int64
+        raise BudgetExceeded(f"value tables mod {q} >= 2^31 are refused at any budget")
     cost = sum(q ** len(vars_) for vars_, _ in parts) + max(len(parts) - 1, 0) * q * q
     if cost > budget:
         raise BudgetExceeded(f"cost {cost} of the blocks of F mod {q} exceeds budget {budget}")

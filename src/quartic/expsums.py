@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import _value_counts, factorint, value_counts
+from .counting import _check_cost, _value_counts, factorint, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
-from .forms import CubicData, IntPolynomial, grid_values, hessian
+from .forms import CubicData, IntPolynomial, _grid_points, blocks, grid_values, hessian
 from .geometry import _xgcd
 
 DEFAULT_BUDGET = 20_000_000
@@ -108,6 +108,28 @@ def twisted_sum(
     if len(v) != poly.n:
         raise DimensionMismatch("v length != variable count")
     return _sum(poly, a, q, tuple(int(x) for x in v), method, budget)
+
+
+def _twisted_table(poly: IntPolynomial, a: int, q: int, budget: int) -> np.ndarray:
+    """T(a, q; v) for every v in [0, q)^n, bit for bit as `twisted_sum(..., method="direct")`.
+
+    a*poly(y) mod q comes from one residue pass; each slab of rows v adds v.y
+    and counts the residues of every row, and T(a, q; v) is read off the count
+    vector of row v as in `twisted_sum`.
+    """
+    n = poly.n
+    if q > 1:  # the budget rule of twisted_sum: value_counts on the blocks of poly, which v.y keeps
+        _check_cost(blocks(poly)[1], q, budget)
+    ys = _grid_points([np.arange(q)] * n)
+    ag = grid_values(poly, [np.arange(q)] * n, modulus=q).ravel() * a % q
+    table = np.empty(len(ys), dtype=complex)
+    step = max(1, (1 << 22) // len(ys))
+    for start in range(0, len(ys), step):
+        vals = (ys[start:start + step] @ ys.T + ag) % q  # row v holds a*poly(y) + v.y mod q
+        vals += q * np.arange(len(vals))[:, None]  # row v counts into bins [v q, (v + 1) q)
+        counts = np.bincount(vals.ravel(), minlength=len(vals) * q).reshape(-1, q)
+        table[start:start + len(vals)] = [_sum_from_counts(row, q, n).value for row in counts]
+    return table.reshape((q,) * n)
 
 
 def _crt_sum(poly: IntPolynomial, a: int, q: int, v, budget: int) -> ExpSumValue:

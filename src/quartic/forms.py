@@ -4,7 +4,8 @@ Everything here is exact: coefficients are Python integers, evaluation at
 integer (or Fraction) points is exact, and the symmetric tensor of a quartic
 form is stored with the 4! denominator cleared so all downstream contractions
 stay in Z.  `grid_values` evaluates a polynomial on a whole Cartesian grid
-(mod m, over Z, or in floating point) for the array-based layers, and
+(mod m, over F_{p^k}, over Z, or in floating point) for the array-based
+layers, through the one body `_values_at` that other point sets use too, and
 `blocks` splits a polynomial into parts on disjoint sets of variables.
 `LRUCache` is the bounded memo behind the module-level caches.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -319,60 +321,68 @@ def _int64_safe(F: IntPolynomial, ranges) -> bool:
     return _abs_bound(F, ranges) < 2 ** 62
 
 
-def grid_values(F: IntPolynomial, axes, modulus: int | None = None) -> np.ndarray:
+def grid_values(F: IntPolynomial, axes, modulus=None) -> np.ndarray:
     """F on the grid axes[0] x ... x axes[n-1], as an array of shape (len(axes[0]), ...).
 
-    The ring follows the inputs: with `modulus` the result holds int64
-    residues mod modulus; integer axes give exact values, int64 when
-    `_int64_safe` proves they fit and Python ints in an object array
-    otherwise; float axes give float64.  Each monomial is a product of
-    per-axis power tables broadcast over its own variables only, and the
-    monomials are added in `F.coeffs` order.  Exact results equal the
+    The ring follows the inputs: with an integer `modulus` the result holds
+    int64 residues mod modulus; with a finite field as `modulus` (anything
+    with `embed`, `add` and `mul` on arrays of element codes, like
+    `geometry.GF`) the axes and the result hold its codes; integer axes give
+    exact values, int64 when `_int64_safe` proves they fit and Python ints in
+    an object array otherwise; float axes give float64.  Each monomial is a
+    product of per-axis power tables broadcast over its own variables only,
+    and the monomials are added in `F.coeffs` order.  Exact results equal the
     point-by-point sum c * x_i^k * x_j^l * ...; float results equal, bit for
     bit, the numpy loop that adds float(c) * x_i ** k * x_j ** l * ... over the
     monomials in that order, and can differ from `IntPolynomial.evaluate` on
     Python floats in the last bit.
     """
-    n = F.n
-    if len(axes) != n:
-        raise DimensionMismatch(f"{len(axes)} axes for {n} variables")
-    axes = [np.asarray(ax) for ax in axes]
-    if modulus is not None:
+    coords = [np.asarray(ax).reshape([-1 if j == i else 1 for j in range(len(axes))]) for i, ax in enumerate(axes)]
+    return _values_at(F, coords, modulus)  # each axis along its own dimension
+
+
+def _values_at(F: IntPolynomial, coords, modulus=None) -> np.ndarray:
+    """F elementwise on broadcast coordinate arrays coords[0], ..., coords[n-1], in the ring of `grid_values`."""
+    if len(coords) != F.n:
+        raise DimensionMismatch(f"{len(coords)} coordinate arrays for {F.n} variables")
+    coords = [np.asarray(c) for c in coords]
+    shape = np.broadcast(*coords).shape if coords else ()
+    field = hasattr(modulus, "mul")
+    embed, add, mul = int, operator.iadd, operator.mul
+    if field:
+        dtype, embed, add, mul = np.int64, modulus.embed, modulus.add, modulus.mul
+    elif modulus is not None:
         if not 0 < modulus < 1 << 31:
             raise ValueError(f"modulus {modulus} outside [1, 2^31): residue products must fit int64")
-        dtype = np.int64
-        axes = [ax.astype(np.int64) % modulus for ax in axes]
-    elif all(ax.dtype.kind in "iu" for ax in axes):
-        ranges = [(int(ax.min()), int(ax.max())) if ax.size else (0, 0) for ax in axes]
+        dtype, embed = np.int64, (lambda c: c % modulus)
+        coords = [c.astype(np.int64) % modulus for c in coords]
+
+        def mul(a, b):  # in place: a term can span the whole grid
+            out = a * b
+            out %= modulus
+            return out
+    elif all(c.dtype.kind in "iu" for c in coords):
+        ranges = [(int(c.min()), int(c.max())) if c.size else (0, 0) for c in coords]
         dtype = np.int64 if _int64_safe(F, ranges) else object
-        axes = [ax.astype(dtype) for ax in axes]
     else:
-        dtype = np.float64
-        axes = [ax.astype(np.float64) for ax in axes]
-    tables = {}
+        dtype, embed = np.float64, float
+    coords = [c.astype(dtype, copy=False) for c in coords]
+    tables = {(i, 1): c for i, c in enumerate(coords)}
 
     def power(i, k):
-        # x_i^k on axis i, shaped to broadcast along that axis only
+        # x_i^k: by ** over Z and the floats, by repeated products in a finite ring
         if (i, k) not in tables:
-            if modulus is None:
-                table = axes[i] ** k
-            elif k == 1:
-                table = axes[i]
-            else:
-                table = power(i, k - 1).ravel() * axes[i] % modulus
-            tables[(i, k)] = table.reshape([-1 if j == i else 1 for j in range(n)])
-        return tables[(i, k)]
+            tables[i, k] = coords[i] ** k if modulus is None else mul(power(i, k - 1), coords[i])
+        return tables[i, k]
 
-    total = np.zeros([len(ax) for ax in axes], dtype=dtype)
+    total = np.zeros(shape, dtype=dtype)
     for e, c in F.coeffs.items():
-        term = float(c) if dtype is np.float64 else (c if modulus is None else c % modulus)
+        term = embed(c)
         for i, k in enumerate(e):
             if k:
-                term = term * power(i, k)
-                if modulus is not None:
-                    term %= modulus
-        total += term
-    if modulus is not None:
+                term = mul(term, power(i, k))
+        total = add(total, term)
+    if modulus is not None and not field:
         # each term is a residue, so the sum of len(F.coeffs) of them fits int64
         total %= modulus
     return total

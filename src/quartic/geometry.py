@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
 )
-from .forms import CubicData, IntPolynomial, LRUCache, hessian_form_rows, heights
+from .forms import CubicData, IntPolynomial, LRUCache, _values_at, hessian_form_rows, heights
 
 DEFAULT_BUDGET = 20_000_000
 GF_CACHE_ENTRIES = 32  # GF's cache bound: a field counts 1, or 1 per 2^19 cells of its q x q tables
@@ -177,35 +177,6 @@ class GF:
             return (-a) % self.p
         return np.take(self.neg_table, a)
 
-    def pow_lut(self, e: int):
-        """Array L with L[code] = code ** e in the field."""
-        lut = np.full(self.q, self.embed(1), dtype=np.int64)
-        acc = np.arange(self.q, dtype=np.int64)
-        while e:
-            if e & 1:
-                lut = self.mul(lut, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return lut
-
-
-def eval_poly_codes(poly: IntPolynomial, gf: GF, coords):
-    """Evaluate poly over arrays of field codes; coords is a list of n arrays."""
-    if len(coords) != poly.n:
-        raise DimensionMismatch("coordinate arrays do not match variable count")
-    shape = np.broadcast(*[np.asarray(c) for c in coords]).shape if coords else ()
-    total = np.full(shape, gf.embed(0), dtype=np.int64)
-    luts = {}
-    for e, c in poly.coeffs.items():
-        term = gf.embed(c)  # grows by broadcasting, one variable at a time
-        for i, k in enumerate(e):
-            if k:
-                if (i, k) not in luts:
-                    luts[(i, k)] = gf.pow_lut(k)
-                term = gf.mul(term, luts[(i, k)][coords[i]])
-        total = gf.add(total, term)
-    return total
-
 
 def _slabs(q: int, n: int, budget: int, cells: int = 1 << 20):
     """Broadcast coordinate axes [x_1, ..., x_n] over F_q^n, in slabs of about `cells` points.
@@ -225,7 +196,7 @@ def _slabs(q: int, n: int, budget: int, cells: int = 1 << 20):
 
 
 def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: int = DEFAULT_BUDGET) -> int:
-    """Exact count of common zeros over F_{p^k} in affine/cone/projective space.
+    """Exact count of common zeros over F_{p^k} in affine or projective space.
 
     Projective space is the union of the charts x_1..x_j = 0, x_{j+1} = 1;
     each chart walks its free coordinates in the slabs of `_slabs`, which
@@ -235,7 +206,7 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
     n = polys[0].n if polys else 0
     if any(g.n != n for g in polys):
         raise DimensionMismatch("mixed variable counts in system")
-    if mode not in ("affine", "cone", "projective"):
+    if mode not in ("affine", "projective"):
         raise PreconditionViolated(f"unknown mode {mode!r}")
     if mode == "projective" and not all(g.is_homogeneous() for g in polys):
         raise PreconditionViolated("projective counting needs homogeneous forms")
@@ -247,7 +218,7 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
             coords = fixed + free
             ok = np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=bool)
             for g in polys:
-                ok &= eval_poly_codes(g, gf, coords) == 0
+                ok &= _values_at(g, coords, gf) == 0
             total += int(ok.sum())
     return total
 
@@ -303,18 +274,16 @@ def sing_dim(
     G: IntPolynomial,
     p: int | None = None,
     kmax: int = 2,
-    C: float = BAND_CONSTANT,
     budget: int = DEFAULT_BUDGET,
-    proxy_primes=PROXY_PRIMES,
 ):
     """Projective dimension s_v of the singular locus of the hypersurface G = 0.
 
     With a prime p this is s_p; with p=None it is the rational proxy
-    max over a configured set of large primes of s_p (sound upper bound only,
+    max over the large primes PROXY_PRIMES of s_p (sound upper bound only,
     since s_p >= s_infinity for every p), returned as (value, "proxy").
     """
     if p is None:
-        vals = [sing_dim(G, q, kmax=1, C=C, budget=budget) for q in proxy_primes]
+        vals = [sing_dim(G, q, kmax=1, budget=budget) for q in PROXY_PRIMES]
         return max(vals), "proxy"
     if not is_prime(p):
         raise CompositeP(f"s_p needs a prime p, got {p}")
@@ -328,7 +297,7 @@ def sing_dim(
               for k in _degrees(p, n - 1, kmax, budget)}
     if all(c == 0 for c in counts.values()):
         return -1
-    est = estimate_dim(counts, p, C=C, nmax=n - 2)
+    est = estimate_dim(counts, p, nmax=n - 2)
     return min(est.dim, n - 2)
 
 
@@ -371,10 +340,8 @@ def hessian_rank_grid(G: IntPolynomial, p: int, k: int = 1, budget: int = DEFAUL
     rows = hessian_form_rows(G)
     out = []
     for coords in _slabs(gf.q, n, budget):
-        entry_vals = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entry_vals[i][j] = entry_vals[j][i] = eval_poly_codes(rows[i][j], gf, coords)
+        vals = {(i, j): _values_at(rows[i][j], coords, gf) for i in range(n) for j in range(i, n)}
+        entry_vals = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
         out.append(_ranks_of_matrix_grid(entry_vals, gf, n).ravel())
     return np.concatenate(out)
 
@@ -392,25 +359,15 @@ def _rank_counts(G: IntPolynomial, p: int, k: int, budget: int) -> list:
     return _rank_count_cache.store(key, np.bincount(ranks, minlength=G.n + 1).tolist())
 
 
-def _dim_or_none(counts: dict, p: int, C: float, nmax: int):
-    if all(c == 0 for c in counts.values()):
-        return -1
-    try:
-        return estimate_dim(counts, p, C=C, nmax=nmax).dim
-    except AmbiguousDimension:
-        return None
-
-
-def _rank_locus_profile(
+def hessian_rank_profile(
     G: IntPolynomial,
     p: int,
-    m: int,
+    r: int,
     kmax: int = 2,
-    C: float = BAND_CONSTANT,
     budget: int = DEFAULT_BUDGET,
     s_p: int | None = None,
 ) -> dict:
-    """#{x in F_p^n : rank H_G(x) <= m} with the check dim <= min(n, m + s_p + 1).
+    """#T_r = #{x in F_p^n : rank H_G(x) <= r} with the check dim T_r <= min(n, r + s_p + 1).
 
     Counts come from F_{p^k} for every k <= kmax that fits the budget; s_p is
     computed here unless the caller passes it.
@@ -421,10 +378,13 @@ def _rank_locus_profile(
         raise PreconditionViolated(f"Hessian rank loci need p prime to 3 (cubic forms), got p={p}")
     n = G.n
     if s_p is None:  # first, since sing_dim is what refuses a non-form
-        s_p = sing_dim(G, p, kmax=kmax, C=C, budget=budget)
-    counts = {k: int(sum(_rank_counts(G, p, k, budget)[: min(m, n) + 1])) for k in _degrees(p, n, kmax, budget)}
-    bound = min(n, m + s_p + 1)
-    dim = _dim_or_none(counts, p, C, n)
+        s_p = sing_dim(G, p, kmax=kmax, budget=budget)
+    counts = {k: int(sum(_rank_counts(G, p, k, budget)[: min(r, n) + 1])) for k in _degrees(p, n, kmax, budget)}
+    bound = min(n, r + s_p + 1)
+    try:  # dim is None when the bands leave more than one candidate
+        dim = estimate_dim(counts, p, nmax=n).dim if any(counts.values()) else -1
+    except AmbiguousDimension:
+        dim = None
     return {
         "count": counts[1],
         "counts": counts,
@@ -436,24 +396,11 @@ def _rank_locus_profile(
     }
 
 
-def hessian_rank_profile(
-    G: IntPolynomial,
-    p: int,
-    r: int,
-    kmax: int = 2,
-    C: float = BAND_CONSTANT,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
-    """#T_r over F_p plus a dimension check against dim T_r <= r + s_p + 1."""
-    return _rank_locus_profile(G, p, r, kmax, C, budget)
-
-
 def b_set_profile(
     G: IntPolynomial,
     p: int,
     s: int,
     kmax: int = 2,
-    C: float = BAND_CONSTANT,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """#B_s over F_p for a cubic form G, with its dimension check.
@@ -465,7 +412,7 @@ def b_set_profile(
         raise PreconditionViolated("b_set_profile expects a cubic form")
     if s > G.n:
         return {"count": 0, "counts": {}, "dim": -1, "s_p": None, "bound": -1, "dim_ok": True, "ratio": 0.0}
-    return _rank_locus_profile(G, p, G.n - s, kmax, C, budget)
+    return hessian_rank_profile(G, p, G.n - s, kmax, budget)
 
 
 def dim_A_h(G: IntPolynomial, p: int, h, budget: int = DEFAULT_BUDGET) -> int:
@@ -534,9 +481,7 @@ def find_hyperplane(
     kappa: float = 0.5,
     min_prime: int = 5,
     kmax: int = 2,
-    C: float = BAND_CONSTANT,
     budget: int = DEFAULT_BUDGET,
-    proxy_primes=PROXY_PRIMES,
 ) -> dict:
     """Search for a primitive m whose hyperplane section drops s_v by one.
 
@@ -549,10 +494,10 @@ def find_hyperplane(
     if n < 2:
         raise PreconditionViolated("need at least two variables to slice")
     checked = [p for p in primes if p >= min_prime]
-    s_proxy, _ = sing_dim(G, None, C=C, budget=budget, proxy_primes=proxy_primes)
+    s_proxy, _ = sing_dim(G, None, budget=budget)
     targets = {"proxy": max(-1, s_proxy - 1)}
     for p in checked:
-        targets[p] = max(-1, sing_dim(G, p, kmax=kmax, C=C, budget=budget) - 1)
+        targets[p] = max(-1, sing_dim(G, p, kmax=kmax, budget=budget) - 1)
     for m in _primitive_vectors_by_norm(n, M_max):
         L = max(abs(x) for x in m) ** (1.0 / (n - 1))
         if not shortest_orthogonal_gap(m, kappa * L):
@@ -561,16 +506,16 @@ def find_hyperplane(
         observed = {}
         for p in checked:
             sec = restrict_to_hyperplane_mod_p(G, m, p)
-            sv = sing_dim(sec, p, kmax=kmax, C=C, budget=budget) if sec.n > 1 else -1
+            sv = sing_dim(sec, p, kmax=kmax, budget=budget) if sec.n > 1 else -1
             observed[p] = sv
             if sv != targets[p]:
                 ok = False
                 break
         if ok:
             vals = []
-            for p in proxy_primes:
+            for p in PROXY_PRIMES:
                 sec = restrict_to_hyperplane_mod_p(G, m, p)
-                vals.append(sing_dim(sec, p, kmax=1, C=C, budget=budget) if sec.n > 1 else -1)
+                vals.append(sing_dim(sec, p, kmax=1, budget=budget) if sec.n > 1 else -1)
             observed["proxy"] = max(vals)
             if observed["proxy"] != targets["proxy"]:
                 ok = False

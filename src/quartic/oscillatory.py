@@ -8,7 +8,7 @@ batch of gamma with it, I(z; beta) is the one-row case `osc_integral`, and
 `integrate_1d` and both gamma rules of J(R) are one-row calls.  The Poisson
 identity check evaluates the whole family I(z; v/q) in one batched FFT on a
 uniform grid instead of one quadrature per v, which is what makes the default
-truncation affordable.
+truncation affordable, and reads every T(a, q; v) from one residue pass.
 
 J(R) doubles a gamma rule that keeps its old nodes, and I(-gamma) = conj I(gamma)
 for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  The
@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     ToleranceNotMet,
 )
-from .expsums import complete_sum, twisted_sum
+from .expsums import _twisted_table, complete_sum
 from .forms import CubicData, IntPolynomial, _abs_bound, _grid_points, blocks, grid_values
 from .weights import WeightSpec, lattice_ranges
 
@@ -441,10 +441,7 @@ def poisson_check(
     fv = grid_values(poly, grids).ravel()
     u = (w.eval_many(pts / P) * np.exp(2j * np.pi * z * fv)).reshape([N for (_, _, N, _) in axes])
     U = np.fft.fftn(u, s=[L for (_, _, _, L) in axes], axes=list(range(n)))
-    # T table over residues
-    Ttab = np.zeros((q,) * n, dtype=complex)
-    for idx in np.ndindex(*(q,) * n):
-        Ttab[idx] = twisted_sum(poly, a, q, list(idx), method="direct", budget=budget).value
+    Ttab = _twisted_table(poly, a, q, budget)
     vs = np.arange(-v_cut, v_cut + 1)
     vgrids = np.meshgrid(*[vs] * n, indexing="ij")
     hprod = 1.0

@@ -22,7 +22,7 @@ from .errors import BudgetExceeded, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
 from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, difference_cubic, grid_values, hessian
 from .forms import heights, parse_form, sym_tensor
-from .geometry import _rank_locus_profile, sing_dim
+from .geometry import hessian_rank_profile, sing_dim
 from .oscillatory import gen_sum
 from .weights import WeightSpec, bump, lattice_ranges, shifted_product, unit_box
 
@@ -413,7 +413,7 @@ def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n:
         for p in primes:
             sp = None  # the first locus computes s_p, the others reuse it
             for m in range(n + 1):
-                prof = _rank_locus_profile(G, p, m, kmax=1, s_p=sp)
+                prof = hessian_rank_profile(G, p, m, kmax=1, s_p=sp)
                 sp = prof["s_p"]
                 worst = max(worst, prof["ratio"])
                 shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]

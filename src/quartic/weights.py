@@ -72,19 +72,13 @@ class WeightSpec:
         if self.kind == "bump":
             r = np.sqrt(((X - np.asarray(self.x0)) ** 2).sum(axis=1))
             return np.asarray(gamma_bump(r / self.rho))
-        if self.kind == "separable_bump":
-            out = np.ones(X.shape[0])
-            for i in range(self.n):
-                out *= gamma_bump((X[:, i] - self.x0[i]) / self.rho)
-            return out
-        if self.kind == "box":
-            return (np.abs(X) <= 1.0).all(axis=1).astype(float)
-        if self.kind == "unit_box":
-            return ((X > 0.0) & (X <= 1.0)).all(axis=1).astype(float)
         if self.kind == "shifted_product":
             shift = np.asarray(self.h, dtype=float) / self.P
             return self.base.eval_many(X + shift) * self.base.eval_many(X)
-        raise AssertionError
+        out = np.ones(X.shape[0])  # separable kinds: the product of the factors in axis order
+        for i, factor in enumerate(self.separable_factors()):
+            out *= factor(X[:, i])
+        return out
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -93,9 +87,7 @@ class WeightSpec:
 
     def support_box(self):
         """Per-axis closed interval [lo_i, hi_i] containing the support."""
-        if self.kind == "bump":
-            return [(c - self.rho, c + self.rho) for c in self.x0]
-        if self.kind == "separable_bump":
+        if self.kind in ("bump", "separable_bump"):
             return [(c - self.rho, c + self.rho) for c in self.x0]
         if self.kind == "box":
             return [(-1.0, 1.0)] * self.n

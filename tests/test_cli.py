@@ -53,6 +53,13 @@ class TestDispatch:
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "MalformedExponent"
 
+    def test_modulus_past_two_to_the_31_is_one_error_line(self, capsys):
+        rc = main(["--budget", "10000000000", "expsum", "--form-text", "x1", "--q", "2147483648"])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
     def test_verify_deterministic(self, capsys):
         rc1, out1 = run_cli(["verify", "davenport", "--trials", "8", "--seed", "7"], capsys)
         rc2, out2 = run_cli(["verify", "davenport", "--trials", "8", "--seed", "7"], capsys)

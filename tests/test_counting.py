@@ -495,3 +495,8 @@ class TestBudgets:
 
         with pytest.raises(BudgetExceeded):
             solutions_mod_q(parse_form("x1^3*x2 + x2^4"), 97, budget=100)
+
+    @pytest.mark.parametrize("q", [1 << 31, 3 ** 20])
+    def test_modulus_past_two_to_the_31_is_refused_at_any_budget(self, q):
+        with pytest.raises(BudgetExceeded):
+            value_counts(parse_form("x1"), q, budget=10 ** 12)

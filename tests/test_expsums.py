@@ -140,6 +140,13 @@ class TestEveryMultiplier:
         assert moduli == [30, 2, 3, 5]
         assert repr(got) == repr(complete_sum(F, 7, q, method="crt"))
 
+    def test_a_modulus_past_int64_residues_goes_through_its_prime_powers(self):
+        F, q = parse_form("x1^2"), 65536 * 65537  # q >= 2^31, its prime powers are not
+        with pytest.raises(BudgetExceeded):
+            complete_sum(F, 1, q, method="direct", budget=10 ** 10)
+        got = complete_sum(F, 1, q, budget=10 ** 10)
+        assert repr(got) == repr(complete_sum(F, 1, q, method="crt", budget=10 ** 10))
+
 
 class TestErrOracle:
     """|S_{a,q} - the same sum in mpmath at 50 digits| <= err, for every a mod q."""

@@ -26,6 +26,7 @@ from quartic.oscillatory import (
     singular_integral,
     singular_integral_sine,
 )
+from quartic.expsums import _twisted_table, twisted_sum
 from quartic.verify import random_cubic_data, random_form
 from quartic import weights
 from quartic.weights import (
@@ -135,6 +136,30 @@ class TestWeights:
     def test_separable_smoothness_scale(self):
         w = separable_bump((0.1, 0.2), 0.3)
         assert abs(w((0.1, 0.2)) - math.exp(-2)) < 1e-15
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_separable_kinds_are_the_per_kind_formulas_byte_for_byte(self, n):
+        # the product of the separable factors against each kind's own formula, boundary points included
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-1.2, 1.2, size=(300, n))
+        X[:40] = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(40, n))
+        x0, h = tuple(rng.uniform(-0.3, 0.3, n)), tuple(int(t) for t in rng.integers(-2, 3, n))
+
+        def formula(w, X):
+            if w.kind == "shifted_product":
+                return formula(w.base, X + np.asarray(w.h, dtype=float) / w.P) * formula(w.base, X)
+            if w.kind == "box":
+                return (np.abs(X) <= 1.0).all(axis=1).astype(float)
+            if w.kind == "unit_box":
+                return ((X > 0.0) & (X <= 1.0)).all(axis=1).astype(float)
+            out = np.ones(X.shape[0])
+            for i in range(w.n):
+                out *= gamma_bump((X[:, i] - w.x0[i]) / w.rho)
+            return out
+
+        for base in (weights.box(n), weights.unit_box(n), separable_bump(x0, 0.7)):
+            for w in (base, shifted_product(base, h, 5), shifted_product(shifted_product(base, h, 5), h, 7)):
+                assert w.eval_many(X).tobytes() == formula(w, X).tobytes()
 
 
 class TestGenSum:
@@ -345,6 +370,21 @@ class TestDirectGammaTable:
 
 
 class TestPoisson:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2, 7, 12])
+    def test_twisted_table_is_twisted_sum(self, n, q):
+        g = random_cubic_data(random.Random(10 * n + q), n, bound=3).poly
+        for a in [t for t in range(1, q + 1) if math.gcd(t, q) == 1][:3]:
+            table = _twisted_table(g, a, q, 4_000_000)
+            want = np.array([twisted_sum(g, a, q, list(v), method="direct").value for v in np.ndindex(*(q,) * n)])
+            assert np.array_equal(table.ravel(), want)
+
+    def test_twisted_table_budget_is_that_of_the_blocks(self):
+        g = parse_form("x1^3 + x1*x2^2")  # one block of two variables: 7^2 cells mod 7
+        assert _twisted_table(g, 1, 7, 49).shape == (7, 7)
+        with pytest.raises(BudgetExceeded):
+            _twisted_table(g, 1, 7, 48)
+
     def test_classical_q1(self):
         g = CubicData.from_poly(parse_form("x1^3"))
         rep = poisson_check(g, bump((0.0,), 1.0), 30, 1, 1, 0.0)

@@ -1,8 +1,9 @@
 """Exact point counts: weighted counts, projective height counts, counts mod q.
 
 Two backends: brute enumeration over the weight's support box, and a
-meet-in-the-middle (mitm) path for diagonal forms that hashes partial sums of
-one half of the variables against the other half.  Both are exact; they agree
+meet-in-the-middle (mitm) path for block forms F = sum_b G_b(x_b) with a
+separable weight, which joins the value distribution of one half of the
+blocks (`forms.blocks`) against the other half.  Both are exact; they agree
 wherever both run.  `value_counts` gives the value distribution of a
 polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
 it convolves the value histograms of the blocks of F (`forms.blocks`), so a
@@ -16,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -38,34 +40,42 @@ class CountResult:
 
 
 def is_diagonal(F: IntPolynomial) -> bool:
-    """True when every monomial involves at most one variable."""
+    """True when every monomial involves at most one variable (perfbench reads it; counting reads `forms.blocks`)."""
     return all(sum(1 for k in e if k) <= 1 for e in F.coeffs)
 
 
-def _merge_half(parts, w: WeightSpec, P, ranges, weighted: bool):
-    """Value distribution of the sum of the one-variable blocks `parts` of F.
+def _merge_half(parts, factors, P, ranges, budget: int, exact: bool):
+    """Value distribution of the sum of the blocks `parts` of F, weighted by w.
 
-    Returns (sorted distinct int64 values, accumulated weights); weight factors
-    come from the separable factors of w when `weighted`.
+    Each block adds its grid of values, each cell weighted by the product of
+    the block's separable weight `factors` in variable order; cells of weight
+    0 drop out.  Returns (sorted distinct int64 values, accumulated weights):
+    float64, or Python ints when `exact`.  Each step's outer product of the
+    distinct values by the block's cells is checked against `budget` first.
     """
-    factors = w.separable_factors() if weighted else None
     vals = np.array([0], dtype=np.int64)
-    wts = np.array([1.0])
-    for (i,), G in parts:
-        a, b = ranges[i]
-        xs = np.arange(a, b + 1, dtype=np.int64)
-        axis = grid_values(G, [xs])
-        if weighted:
-            fw = factors[i](xs / P)
-            keep = fw > 0
-            xs, axis, fw = xs[keep], axis[keep], fw[keep]
-        else:
-            fw = np.ones(len(xs))
+    wts = np.array([1], dtype=object) if exact else np.array([1.0])
+    for vars_, G in parts:
+        axes = [np.arange(ranges[i][0], ranges[i][1] + 1, dtype=np.int64) for i in vars_]
+        step = len(vals) * math.prod(map(len, axes))
+        if step > budget:
+            raise BudgetExceeded(f"mitm join step of {step} cells exceeds budget {budget}")
+        fw = reduce(np.multiply.outer, [factors[i](ax / P) for i, ax in zip(vars_, axes)]).ravel()
+        keep = fw > 0
+        axis, fw = grid_values(G, axes).ravel()[keep], fw[keep]
+        if exact:  # indicator weights: 0 or 1, as Python ints
+            fw = fw.astype(np.int64).astype(object)
         newv = (vals[:, None] + axis[None, :]).ravel()
         neww = (wts[:, None] * fw[None, :]).ravel()
         vals, inverse = np.unique(newv, return_inverse=True)
-        wts = np.bincount(inverse, weights=neww, minlength=len(vals))
+        wts = np.zeros(len(vals), dtype=wts.dtype)
+        np.add.at(wts, inverse, neww)  # in index order, as np.bincount adds float64 weights
     return vals, wts
+
+
+def _auto_method(F: IntPolynomial, parts, w: WeightSpec, ranges) -> str:
+    """mitm when F has two or more blocks, w is separable and F fits int64 on the box; else brute."""
+    return "mitm" if len(parts) > 1 and w.separable_factors() is not None and _int64_safe(F, ranges) else "brute"
 
 
 def weighted_count(
@@ -82,56 +92,41 @@ def weighted_count(
         raise PreconditionViolated(f"P must be positive and finite, got {P}")
     t0 = time.time()
     ranges = lattice_ranges(w, P)
-    cells = 1
-    for a, b in ranges:
-        cells *= max(b - a + 1, 0)
+    cells = math.prod(max(b - a + 1, 0) for a, b in ranges)
+    const, parts = blocks(F)
     if method == "auto":
-        method = "mitm" if (is_diagonal(F) and w.separable_factors() is not None) else "brute"
-        if method == "brute" and cells > budget:
-            raise BudgetExceeded(f"{cells} cells exceed budget and mitm not applicable")
+        method = _auto_method(F, parts, w, ranges)
     if method == "brute":
         if cells > budget:
             raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
         axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in ranges]
         zeros = np.nonzero(grid_values(F, axes) == 0)
         pts = np.stack([ax[z] for ax, z in zip(axes, zeros)], axis=1)
-        weights = w.eval_many(pts / P) if len(pts) else np.zeros(0)
-        total = float(weights.sum())
-        if not w.smooth:
-            total = int(round(total))
-        return CountResult(total, "brute", P, time.time() - t0, {"cells": cells})
-    if method == "mitm":
-        const, parts = blocks(F)
-        if any(len(vars_) > 1 for vars_, _ in parts):
-            raise MitmNotApplicable("mitm needs a diagonal form")
-        if w.separable_factors() is None:
+        total, meta = w.eval_many(pts / P).sum(), {"cells": cells}
+    elif method == "mitm":
+        factors = w.separable_factors()
+        if factors is None:
             raise MitmNotApplicable("mitm needs a separable (or box) weight")
         if not _int64_safe(F, ranges):
             raise BudgetExceeded("mitm partial values overflow int64 at this height")
-        weighted = w.smooth
-        half = F.n // 2
-        lv, lw = _merge_half(parts[:half], w, P, ranges, weighted)
-        rv, rw = _merge_half(parts[half:], w, P, ranges, weighted)
+        exact = not w.smooth and cells >= 1 << 53  # below 2^53 cells float64 sums of 0/1 weights are exact
+        half = len(parts) // 2
+        lv, lw = _merge_half(parts[:half], factors, P, ranges, budget, exact)
+        rv, rw = _merge_half(parts[half:], factors, P, ranges, budget, exact)
         # join: lv + rv + const = 0  ->  rv = -(lv + const)
         target = -(lv + const)
-        pos = np.searchsorted(rv, target, side="left")
-        pos = np.clip(pos, 0, len(rv) - 1) if len(rv) else pos
-        total = 0.0
-        if len(rv):
-            hit = rv[pos] == target
-            total = float((lw[hit] * rw[pos[hit]]).sum())
-        if not weighted:
-            total = int(round(total))
-        return CountResult(total, "mitm", P, time.time() - t0, {"left": len(lv), "right": len(rv)})
-    raise ValueError(f"unknown method {method!r}")
+        pos = np.searchsorted(rv, target)
+        hit = np.searchsorted(rv, target, side="right") > pos  # rv holds target at pos
+        total, meta = (lw[hit] * rw[pos[hit]]).sum(), {"left": len(lv), "right": len(rv)}
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    total = float(total) if w.smooth else int(round(total))
+    return CountResult(total, method, P, time.time() - t0, meta)
 
 
 def _nonzero_solution_count(F: IntPolynomial, P: int, budget: int) -> int:
-    """#{x != 0, |x| <= P, F(x) = 0} via mitm (diagonal) or brute."""
-    w = box(F.n)
-    method = "mitm" if is_diagonal(F) else "brute"
-    res = weighted_count(F, w, P, method=method, budget=budget)
-    return int(res.count) - 1  # remove x = 0
+    """#{x != 0, |x| <= P, F(x) = 0} by `weighted_count` on the box."""
+    return int(weighted_count(F, box(F.n), P, budget=budget).count) - 1  # remove x = 0
 
 
 def _mobius_sieve(N: int):
@@ -163,7 +158,8 @@ def height_count(F: IntPolynomial, P: float, budget: int = DEFAULT_BUDGET) -> Co
         total += int(mu[k]) * cache[m]
     if total % 2:
         raise InvariantViolated(f"odd count {total}: nonzero primitive solutions come in +- pairs")
-    return CountResult(total // 2, "mobius+mitm", P, time.time() - t0, {"pm_classes": True})
+    method = _auto_method(F, blocks(F)[1], box(F.n), [(-P, P)] * F.n)  # the join that counted at height P
+    return CountResult(total // 2, "mobius+" + method, P, time.time() - t0, {"pm_classes": True})
 
 
 # -- counts mod q ----------------------------------------------------------------

@@ -58,7 +58,7 @@ class ToleranceNotMet(QuarticError):
 
 
 class MitmNotApplicable(QuarticError):
-    """Meet-in-the-middle path needs a diagonal form and separable weight."""
+    """Meet-in-the-middle path needs a separable weight."""
 
 
 class PreconditionViolated(QuarticError):

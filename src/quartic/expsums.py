@@ -118,8 +118,10 @@ def _twisted_table(poly: IntPolynomial, a: int, q: int, budget: int) -> np.ndarr
     vector of row v as in `twisted_sum`.
     """
     n = poly.n
-    if q > 1:  # the budget rule of twisted_sum: value_counts on the blocks of poly, which v.y keeps
+    if q > 1:  # the budget rule of twisted_sum (value_counts on the blocks of poly), and the q^2n cells walked
         _check_cost(blocks(poly)[1], q, budget)
+        if q ** (2 * n) > budget:
+            raise BudgetExceeded(f"twisted table of {q ** (2 * n)} cells mod {q} exceeds budget {budget}")
     ys = _grid_points([np.arange(q)] * n)
     ag = grid_values(poly, [np.arange(q)] * n, modulus=q).ravel() * a % q
     table = np.empty(len(ys), dtype=complex)

@@ -31,6 +31,14 @@ class TestDispatch:
         rep = json.loads(out)
         assert rc == 0 and rep["agree"] and rep["count_brute"] == 21
 
+    def test_count_both_on_a_block_form(self, capsys):
+        rc, out = run_cli(
+            ["count", "--form-text", "x1^4 + x1*x2^3 + x3^4 - x4^4", "--P", "6", "--method", "both"],
+            capsys,
+        )
+        rep = json.loads(out)
+        assert rc == 0 and rep["agree"] is True and rep["count_mitm"] == 657
+
     def test_series_exact_string(self, capsys, tmp_path):
         f = tmp_path / "form.json"
         f.write_text(parse_form("x1^4 + x2^4").to_json())
@@ -206,9 +214,12 @@ class TestBudget:
             ["--budget", "100", "geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "hyperplane", "--primes", "7"],
             # q <= 100: 5050 fractions a/q to walk
             ["--budget", "1000", "arcs", "--delta", "1.0", "--P", "100"],
+            # the second join step alone is 41 distinct values x 81 cells
+            ["--budget", "1000", "count", "--form-text", "x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4",
+             "--P", "40", "--method", "mitm"],
         ],
         ids=["before-subcommand", "after-subcommand", "series", "poisson", "geometry-rank-profile",
-             "geometry-b-set", "geometry-sing-dim", "geometry-hyperplane", "arcs"],
+             "geometry-b-set", "geometry-sing-dim", "geometry-hyperplane", "arcs", "count-mitm"],
     )
     def test_budget_is_enforced(self, argv, capsys):
         rc = main(argv)

@@ -21,7 +21,7 @@ from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable,
 from quartic.geometry import primes_up_to
 from quartic.forms import IntPolynomial, grid_values, parse_form, sym_tensor, weyl_difference
 from quartic.verify import random_form
-from quartic.weights import box, bump, separable_bump
+from quartic.weights import box, bump, separable_bump, unit_box
 
 X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
 
@@ -64,9 +64,52 @@ class TestWeightedCount:
             m = weighted_count(F, box(3), 6, method="mitm").count
             assert b == m
 
-    def test_mitm_rejects_nondiagonal(self):
-        with pytest.raises(MitmNotApplicable):
-            weighted_count(parse_form("x1^3*x2"), box(2), 5, method="mitm")
+    @pytest.mark.parametrize(
+        "sizes, const, unused",
+        [((2, 1, 1), 0, 0), ((1, 2), 3, 0), ((2,), -5, 1), ((1, 1), 0, 2), ((3, 1), 0, 0), ((2, 2), -1, 0)],
+        ids=["2+1+1", "const", "unused+const", "two-unused", "3+1", "2+2+const"],
+    )
+    def test_mitm_equals_brute_on_block_forms(self, sizes, const, unused):
+        rng = random.Random(f"mitm:{sizes}:{const}:{unused}")
+        for _ in range(3):
+            F = _random_block_form(rng, sizes, const, unused)
+            center = tuple(rng.uniform(-0.3, 0.3) for _ in range(F.n))
+            for w in (box(F.n), unit_box(F.n)):
+                assert weighted_count(F, w, 5, method="mitm").count == weighted_count(F, w, 5, method="brute").count
+            w = separable_bump(center, 0.6)
+            b = weighted_count(F, w, 8, method="brute").count
+            m = weighted_count(F, w, 8, method="mitm").count
+            assert abs(b - m) <= 1e-12 * max(1.0, abs(b)), (F, b, m)
+
+    def test_mitm_one_block_form(self):
+        # one block of two variables: x1^3*x2 = 0 where x1 = 0 or x2 = 0, 11 + 11 - 1 = 21 points of the box
+        F = parse_form("x1^3*x2")
+        assert weighted_count(F, box(2), 5, method="mitm").count == 21
+        assert weighted_count(F, box(2), 5).method == "brute"  # auto: one block has nothing to join
+
+    def test_auto_counts_past_int64_by_brute(self):
+        # |F| passes 2^62 on the box, where mitm refuses; x1 = x3 = 0 and x2 free: 5 points
+        F = parse_form(f"{2 ** 62}*x1^4 + x1*x2^3 - x3^4")
+        res = weighted_count(F, box(3), 2)
+        assert (res.method, res.count) == ("brute", 5)
+
+    def test_unit_box_drops_the_zero_coordinates(self):
+        # x1 = x2 in (0, 5]: five points; the lattice range of the unit box starts at 0, where w = 0
+        F = parse_form("x1^4 - x2^4")
+        assert [weighted_count(F, unit_box(2), 5, method=m).count for m in ("brute", "mitm", "auto")] == [5, 5, 5]
+
+    def test_box_count_past_two_to_the_53_is_exact(self):
+        # the n = 41 diagonal form of the paper's range, at P = 3: 7^41 ~ 4.5e34 box cells
+        coeffs = [1] * 20 + [-1] * 19 + [-2, 1]
+        F = IntPolynomial(41, {tuple(4 * (j == i) for j in range(41)): c for i, c in enumerate(coeffs)})
+        dist = {0: 1}  # the value distribution over the box, one variable at a time, in Python ints
+        for c in coeffs:
+            step = {}
+            for v, k in dist.items():
+                for x in range(-3, 4):
+                    step[v + c * x ** 4] = step.get(v + c * x ** 4, 0) + k
+            dist = step
+        assert weighted_count(F, box(41), 3).count == dist[0]
 
     def test_mitm_rejects_radial_bump(self):
         with pytest.raises(MitmNotApplicable):
@@ -82,6 +125,10 @@ class TestHeightCount:
 
     def test_pm_classes_n2(self):
         assert height_count(parse_form("x1^4 - x2^4"), 7).count == 2
+
+    def test_method_names_the_join_that_ran(self):
+        assert height_count(X1, 10).method == "mobius+mitm"
+        assert height_count(parse_form("x1^3*x2 - x2^4"), 10).method == "mobius+brute"  # one block
 
     def test_odd_count_is_a_typed_error(self, monkeypatch):
         # nonzero solutions come in +- pairs; an odd total is a defect, raised under -O too

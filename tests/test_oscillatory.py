@@ -380,10 +380,10 @@ class TestPoisson:
             assert np.array_equal(table.ravel(), want)
 
     def test_twisted_table_budget_is_that_of_the_blocks(self):
-        g = parse_form("x1^3 + x1*x2^2")  # one block of two variables: 7^2 cells mod 7
-        assert _twisted_table(g, 1, 7, 49).shape == (7, 7)
+        g = parse_form("x1^3 + x1*x2^2")  # 7^2 rows v of 7^2 cells y each: 7^4 table cells walked mod 7
+        assert _twisted_table(g, 1, 7, 2401).shape == (7, 7)
         with pytest.raises(BudgetExceeded):
-            _twisted_table(g, 1, 7, 48)
+            _twisted_table(g, 1, 7, 2400)
 
     def test_classical_q1(self):
         g = CubicData.from_poly(parse_form("x1^3"))

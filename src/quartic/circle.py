@@ -285,6 +285,9 @@ def main_term_pipeline(
 # -- local solubility ------------------------------------------------------------------
 
 
+GRID_CAP = 200_000  # `local_witness` walks the full grid mod p up to this many cells, and samples past it
+
+
 def _val_p(x: int, p: int, cap: int = 64) -> int:
     if x == 0:
         return cap
@@ -354,7 +357,7 @@ def local_witness(
     n = F.n
     rng = random.Random(seed * 1_000_003 + p)
     # level 1 candidates
-    if p ** n <= min(200_000, budget):
+    if p ** n <= min(GRID_CAP, budget):
         # transposed so candidates come in the order x1 fastest
         vals = grid_values(F, [np.arange(p)] * n, modulus=p).T
         zeros = np.argwhere(vals == 0)[: 10 * cap, ::-1].tolist()
@@ -426,10 +429,13 @@ def hasse_report(
     seed: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Local solubility table: R plus every prime p <= p_max; `budget` bounds the sieve and `local_witness`'s grids."""
+    """Local solubility table: R plus every prime p <= p_max; `budget` bounds the sieve and `local_witness`'s walks."""
     if p_max < 2 or k_max < 1:
         raise PreconditionViolated(f"the Hasse report needs p_max >= 2 and k_max >= 1, got {p_max} and {k_max}")
     primes = _primes_within(p_max, budget)
+    drawn = sum(60 * p * F.n for p in primes if p ** F.n > min(GRID_CAP, budget))  # residues sampled past the cap
+    if drawn > budget:
+        raise BudgetExceeded(f"{drawn} residues drawn past the grid cap up to p = {p_max} exceed budget {budget}")
     real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)
     locals_ = {}
     for p in primes:

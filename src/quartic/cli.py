@@ -77,7 +77,11 @@ class FormCache:
 
     Line format: {"checksum": sha256-prefix, "payload": {form_hash, kind, a, q,
     re/im or int, err}}; a line cut short or failing its checksum raises CacheCorrupt.
+    A file that still starts with the bytes this process last loaded from its
+    path (same length and sha256) has only the lines appended since parsed.
     """
+
+    _loaded: dict = {}  # resolved path -> (byte length, sha256 of those bytes, entries parsed from them)
 
     def __init__(self, directory: str | None):
         self.dir = Path(directory) if directory else None
@@ -89,20 +93,27 @@ class FormCache:
                 self._load()
 
     def _load(self):
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    raise CacheCorrupt(f"unreadable line in {self.path}") from None
-                payload = obj.get("payload", {})
-                blob = json.dumps(payload, sort_keys=True).encode()
-                if hashlib.sha256(blob).hexdigest()[:16] != obj.get("checksum"):
-                    raise CacheCorrupt(f"bad checksum in {self.path}")
-                self.entries[self._key(payload)] = payload
+        data, key = self.path.read_bytes(), self.path.resolve()
+        size, digest, entries = self._loaded.get(key, (0, None, {}))
+        sha = hashlib.sha256(data[:size])
+        if sha.hexdigest() != digest or size > len(data):  # not the bytes of the last load: parse it all
+            size, sha, entries = 0, hashlib.sha256(), {}
+        self.entries = dict(entries)
+        for line in data[size:].decode().splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                raise CacheCorrupt(f"unreadable line in {self.path}") from None
+            payload = obj.get("payload", {})
+            blob = json.dumps(payload, sort_keys=True).encode()
+            if hashlib.sha256(blob).hexdigest()[:16] != obj.get("checksum"):
+                raise CacheCorrupt(f"bad checksum in {self.path}")
+            self.entries[self._key(payload)] = payload
+        sha.update(data[size:])
+        self._loaded[key] = (len(data), sha.hexdigest(), dict(self.entries))
 
     @staticmethod
     def _key(payload: dict):

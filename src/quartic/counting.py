@@ -7,7 +7,8 @@ blocks (`forms.blocks`) against the other half.  Both are exact; they agree
 wherever both run.  `value_counts` gives the value distribution of a
 polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
 it convolves the value histograms of the blocks of F (`forms.blocks`), so a
-diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n.
+diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n;
+a homogeneous block mod p^k may read its unit orbits instead of its grid.
 It is memoised per (F, q), so every S_{a,q} and rho(q) share one table.
 """
 
@@ -17,7 +18,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .weights import WeightSpec, box, lattice_ranges
 
 DEFAULT_BUDGET = 40_000_000
 MEMO_RESIDUES = 1 << 17  # residues the value_counts memo holds over all its tables
+PASS_CELLS = 1 << 12  # cells that cost about as much as the fixed cost of one numpy pass
 
 
 @dataclass
@@ -165,27 +168,69 @@ def height_count(F: IntPolynomial, P: float, budget: int = DEFAULT_BUDGET) -> Co
 # -- counts mod q ----------------------------------------------------------------
 
 
-def factorint(q: int):
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple:
+    """The primes below 2^16, sieved once: trial division by them factors any q < 2^32."""
+    return tuple(primes_up_to(1 << 16))
+
+
+def factorint(q: int) -> dict:
+    """{p: e} with q = prod p^e in increasing p ({} for q <= 1): trial division by the primes below 2^16, then the odd d."""
     out = {}
-    d = 2
-    while d * d <= q:
-        while q % d == 0:
-            out[d] = out.get(d, 0) + 1
-            q //= d
-        d += 1
+    for p in chain(_small_primes(), range(1 << 16 | 1, q, 2)):
+        if p * p > q:
+            break
+        while q % p == 0:
+            out[p] = out.get(p, 0) + 1
+            q //= p
     if q > 1:
-        out[q] = out.get(q, 0) + 1
+        out[q] = 1
     return out
 
 
-def _block_histogram(G: IntPolynomial, q: int) -> np.ndarray:
-    """Histogram of G mod q over [0, q)^G.n, built in first-axis slabs of about 2^22 cells."""
-    axis = np.arange(q, dtype=np.int64)
-    step = max(1, (1 << 22) // q ** (G.n - 1))
+def _grid_histogram(G: IntPolynomial, axes, q: int) -> np.ndarray:
+    """Histogram of G mod q over the grid `axes`, built in first-axis slabs of about 2^22 cells."""
+    step = max(1, (1 << 22) // math.prod(map(len, axes[1:])))
     hist = np.zeros(q, dtype=np.int64)
-    for start in range(0, q, step):
-        vals = grid_values(G, [axis[start:start + step]] + [axis] * (G.n - 1), modulus=q)
+    for start in range(0, len(axes[0]), step):
+        vals = grid_values(G, [axes[0][start:start + step]] + axes[1:], modulus=q)
         hist += np.bincount(vals.ravel(), minlength=q)
+    return hist
+
+
+@lru_cache(maxsize=64)
+def _unit_powers(d: int, q: int) -> tuple:
+    """((t, c), ...): the distinct d-th powers t of the units mod q, and how many units have each."""
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    t, c = np.unique(grid_values(IntPolynomial(1, {(d,): 1}), [units], modulus=q), return_counts=True)
+    return tuple(zip(t.tolist(), c.tolist()))
+
+
+def _table_cells(m: int, d: int, p: int, k: int) -> int:
+    """Cells of the cheaper path of `_block_histogram` for a degree-d form in m variables mod p^k."""
+    reps = sum(p ** ((k - 1) * i + k * (m - 1 - i)) for i in range(m)) + m * PASS_CELLS
+    spread = len(_unit_powers(d, p ** k)) * (p ** k + PASS_CELLS)
+    below = _table_cells(m, d, p, k - 1) if k > 1 else 1 + PASS_CELLS
+    return min(p ** (k * m) + PASS_CELLS, reps + spread + below + PASS_CELLS)
+
+
+def _block_histogram(G: IntPolynomial, q: int) -> np.ndarray:
+    """Histogram of G mod q over [0, q)^G.n: its grid, or its unit orbits when they build fewer cells.
+
+    The orbits serve a homogeneous G of degree d >= 1 in two or more variables
+    mod q = p^k.  A unit u maps G(x) to u^d G(x); each orbit of primitive x
+    has one representative whose first unit coordinate is 1, and their
+    histogram is spread over the d-th powers t of the units, one gather per t.
+    The x = p y have G(x) = p^d G(y): the table mod p^(k-1), mapped by s -> p^d s.
+    """
+    m, d, axis = G.n, G.degree, np.arange(q, dtype=np.int64)
+    fac = factorint(q) if m > 1 and d >= 1 and G.is_homogeneous() else {}
+    (p, k), = fac.items() if len(fac) == 1 else [(q, 0)]
+    if not k or _table_cells(m, d, p, k) == q ** m + PASS_CELLS:
+        return _grid_histogram(G, [axis] * m, q)
+    reps = sum(_grid_histogram(G, [p * axis[:q // p]] * i + [axis[1:2]] + [axis] * (m - 1 - i), q) for i in range(m))
+    hist = sum(c * reps[pow(t, -1, q) * axis % q] for t, c in _unit_powers(d, q))
+    np.add.at(hist, pow(p, d, q) * axis[:q // p] % q, _block_histogram(G, q // p))
     return hist
 
 
@@ -193,14 +238,18 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
     """N_q(r) = #{x mod q : F(x) = r mod q} for r in [0, q), exact.
 
     One histogram per distinct block polynomial of F (`forms.blocks`), joined
-    by cyclic convolution mod q and shifted by the constant term.  The cost,
+    by cyclic convolution mod q and shifted by the constant term.  A block
+    walks its q^|b| grid, or, homogeneous mod p^k, about q^|b|/phi(q) orbit
+    representatives, one gather of q cells per d-th power of a unit and the
+    table mod p^(k-1) when those are fewer (`_block_histogram`).  The cost,
     sum_b q^|b| cells plus q^2 multiply-adds for each block joined after the
-    first, is checked against `budget` before any allocation.  Counts stay
-    below q^n: int64 when n*log2(q) < 62, else Python ints.  Tables are
-    memoised per (F, q), at most MEMO_RESIDUES residues in all, and returned
-    read-only; the budget is checked on a hit as on a miss.  Polynomials that
-    are read once (the twisted sums of `expsums`) go to `_value_counts`
-    without the memo, so they do not evict the tables that are read again.
+    first, bounds that work and is checked against `budget` before any
+    allocation.  Counts stay below q^n: int64 when n*log2(q) < 62, else
+    Python ints.  Tables are memoised per (F, q), at most MEMO_RESIDUES
+    residues in all, and returned read-only; the budget is checked on a hit
+    as on a miss.  Polynomials that are read once (the twisted sums of
+    `expsums`) go to `_value_counts` without the memo, so they do not evict
+    the tables that are read again.
     """
     return _value_counts(F, q, budget, _value_counts_memo)
 

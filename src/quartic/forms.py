@@ -304,10 +304,10 @@ def parse_form(source: str, n: int | None = None) -> IntPolynomial:
 # -- grid evaluation -------------------------------------------------------------
 
 
-def _abs_bound(F: IntPolynomial, ranges):
-    """sum of |c| * prod max(|a_i|, |b_i|)^k_i over the monomials: |F| <= it on the box."""
+def _abs_bound(coeffs: dict, ranges):
+    """sum of |c| * prod max(|a_i|, |b_i|)^k_i over the monomials {e: c}: |F| <= it on the box."""
     bound = 0
-    for e, c in F.coeffs.items():
+    for e, c in coeffs.items():
         term = abs(c)
         for (a, b), k in zip(ranges, e):
             if k:
@@ -318,7 +318,7 @@ def _abs_bound(F: IntPolynomial, ranges):
 
 def _int64_safe(F: IntPolynomial, ranges) -> bool:
     """Can every partial sum of axis values be held exactly in int64?"""
-    return _abs_bound(F, ranges) < 2 ** 62
+    return _abs_bound(F.coeffs, ranges) < 2 ** 62
 
 
 def grid_values(F: IntPolynomial, axes, modulus=None) -> np.ndarray:
@@ -348,19 +348,20 @@ def _values_at(F: IntPolynomial, coords, modulus=None) -> np.ndarray:
     coords = [np.asarray(c) for c in coords]
     shape = np.broadcast(*coords).shape if coords else ()
     field = hasattr(modulus, "mul")
-    embed, add, mul = int, operator.iadd, operator.mul
+    embed, add, mul, coeffs = int, operator.iadd, operator.mul, F.coeffs
     if field:
         dtype, embed, add, mul = np.int64, modulus.embed, modulus.add, modulus.mul
     elif modulus is not None:
         if not 0 < modulus < 1 << 31:
             raise ValueError(f"modulus {modulus} outside [1, 2^31): residue products must fit int64")
-        dtype, embed = np.int64, (lambda c: c % modulus)
-        coords = [c.astype(np.int64) % modulus for c in coords]
+        coeffs = {e: c % modulus for e, c in coeffs.items() if c % modulus}
+        dtype, coords = np.int64, [c.astype(np.int64) % modulus for c in coords]
+        if _abs_bound(coeffs, [(0, modulus - 1)] * F.n) >= 1 << 62:  # else no value passes 2^62: reduce at the end
 
-        def mul(a, b):  # in place: a term can span the whole grid
-            out = a * b
-            out %= modulus
-            return out
+            def mul(a, b):  # in place: a term can span the whole grid
+                out = a * b
+                out %= modulus
+                return out
     elif all(c.dtype.kind in "iu" for c in coords):
         ranges = [(int(c.min()), int(c.max())) if c.size else (0, 0) for c in coords]
         dtype = np.int64 if _int64_safe(F, ranges) else object
@@ -376,14 +377,14 @@ def _values_at(F: IntPolynomial, coords, modulus=None) -> np.ndarray:
         return tables[i, k]
 
     total = np.zeros(shape, dtype=dtype)
-    for e, c in F.coeffs.items():
+    for e, c in coeffs.items():
         term = embed(c)
         for i, k in enumerate(e):
             if k:
                 term = mul(term, power(i, k))
         total = add(total, term)
     if modulus is not None and not field:
-        # each term is a residue, so the sum of len(F.coeffs) of them fits int64
+        # the terms are residues, or every value is at most _abs_bound(coeffs) < 2^62: the sum fits int64
         total %= modulus
     return total
 
@@ -599,7 +600,7 @@ def weyl_difference(F: IntPolynomial, level: int, points) -> IntPolynomial:
     return out
 
 
-# -- heights and homogenization ------------------------------------------------------
+# -- heights -----------------------------------------------------------------------
 
 
 def heights(g: IntPolynomial, P: int):
@@ -611,23 +612,6 @@ def heights(g: IntPolynomial, P: int):
     for e, c in g.coeffs.items():
         hP = max(hP, Fraction(abs(c)) * Fraction(P) ** (sum(e) - 3))
     return h, hP
-
-
-def homogenize(f: IntPolynomial) -> IntPolynomial:
-    """F(x, z) = z^d f(x/z); appends z as the last variable."""
-    d = max(f.degree, 0)
-    coeffs = {}
-    for e, c in f.coeffs.items():
-        coeffs[e + (d - sum(e),)] = c
-    return IntPolynomial(f.n + 1, coeffs)
-
-
-def dehomogenize(F: IntPolynomial) -> IntPolynomial:
-    """Set the last variable to 1."""
-    coeffs = {}
-    for e, c in F.coeffs.items():
-        coeffs[e[:-1]] = coeffs.get(e[:-1], 0) + c
-    return IntPolynomial(F.n - 1, coeffs)
 
 
 # -- bounded memos -------------------------------------------------------------------

@@ -349,7 +349,7 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
     if n > 3:
         raise BudgetExceeded("sine-kernel form supports n <= 3")
     box_phys = w.support_box()
-    N = _start_points(R * _abs_bound(F, box_phys), cfg)
+    N = _start_points(R * _abs_bound(F.coeffs, box_phys), cfg)
     prev = None
     for _ in range(cfg.max_refinements):
         grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
@@ -422,6 +422,7 @@ def poisson_check(
     box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
     if v_cut is None:
         v_cut = _default_v_cut(poly, q, z, box_phys)
+    Ttab = _twisted_table(poly, a, q, budget)  # refused at this budget before any other pass
     lhs = gen_sum(poly, w, P, a=a, q=q, z=z, budget=budget)
     mass = abs(gen_sum(poly, w, P, a=q, q=q, z=0.0, budget=budget))
     # grid: step h = q/M, FFT length L a multiple of M covering the support
@@ -441,7 +442,6 @@ def poisson_check(
     fv = grid_values(poly, grids).ravel()
     u = (w.eval_many(pts / P) * np.exp(2j * np.pi * z * fv)).reshape([N for (_, _, N, _) in axes])
     U = np.fft.fftn(u, s=[L for (_, _, _, L) in axes], axes=list(range(n)))
-    Ttab = _twisted_table(poly, a, q, budget)
     vs = np.arange(-v_cut, v_cut + 1)
     vgrids = np.meshgrid(*[vs] * n, indexing="ij")
     hprod = 1.0

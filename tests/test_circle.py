@@ -29,6 +29,7 @@ from quartic.counting import solutions_mod_q
 from quartic.errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from quartic.expsums import DEFAULT_BUDGET
 from quartic.forms import IntPolynomial, grid_values, parse_form
+from quartic.geometry import primes_up_to
 from quartic.verify import random_form
 
 X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
@@ -194,6 +195,22 @@ class TestLocalSolubility:
         rep = hasse_report(X1, p_max=20)
         assert rep["real"]["soluble"]
         assert rep["everywhere_locally_soluble"]
+
+    def test_hasse_report_plans_its_sampled_draws(self, monkeypatch):
+        # primes 449..2999 are past the grid cap of x1^4 - 2 x2^4: 120 p residues each, about 6.9e7 in all
+        def no_witness(*args, **kwargs):
+            raise AssertionError("a prime was searched before the draws were planned")
+
+        monkeypatch.setattr(circle, "local_witness", no_witness)
+        F = parse_form("x1^4 - 2*x2^4")
+        drawn = sum(120 * p for p in primes_up_to(3000) if p * p > 200_000)
+        with pytest.raises(BudgetExceeded, match=f"^{drawn} residues drawn past the grid cap"):
+            hasse_report(F, p_max=3000, budget=drawn - 1)
+        monkeypatch.undo()
+        # under a budget of 120 * 127 only p = 127 is past the grid cap, and its draws just fit
+        assert set(hasse_report(F, p_max=127, budget=120 * 127)["primes"]) == set(primes_up_to(127))
+        with pytest.raises(BudgetExceeded):
+            hasse_report(F, p_max=127, budget=120 * 127 - 1)
 
     def test_posdef_fails_at_real(self):
         rep = hasse_report(parse_form("x1^4 + x2^4 + x3^4 + x4^4"), p_max=5)

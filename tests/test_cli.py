@@ -147,6 +147,70 @@ class TestCache:
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "CacheCorrupt"
 
+    @staticmethod
+    def _payload(q, value):
+        return {"form_hash": "abc", "kind": "Aq", "a": None, "q": q, "int": value, "err": 0}
+
+    @staticmethod
+    def _fresh_load(monkeypatch, tmp_path):
+        with monkeypatch.context() as m:
+            m.setattr(FormCache, "_loaded", {})
+            return FormCache(str(tmp_path)).entries
+
+    def test_appended_lines_are_the_only_ones_parsed_again(self, monkeypatch, tmp_path):
+        import quartic.cli as cli
+
+        writer = FormCache(str(tmp_path))
+        for q in range(2, 6):
+            writer.store(self._payload(q, q * q))
+        FormCache(str(tmp_path))  # the first load in this process parses every line
+        for q in range(6, 9):
+            writer.store(self._payload(q, -q))
+        parsed = []
+        loads = cli.json.loads
+        monkeypatch.setattr(cli.json, "loads", lambda text: parsed.append(text) or loads(text))
+        again = FormCache(str(tmp_path))
+        assert len(parsed) == 3
+        monkeypatch.undo()
+        assert again.entries == self._fresh_load(monkeypatch, tmp_path)
+        assert again.load("abc", "Aq", None, 8) == self._payload(8, -8)
+
+    def test_an_earlier_line_edited_between_loads_is_cache_corrupt(self, tmp_path):
+        cache = FormCache(str(tmp_path))
+        cache.store(self._payload(3, 7))
+        cache.store(self._payload(4, 9))
+        FormCache(str(tmp_path))
+        path = tmp_path / "expsums.jsonl"
+        path.write_text(path.read_text().replace('"int": 7', '"int": 8'))  # same length, same line count
+        cache.store(self._payload(5, 11))
+        with pytest.raises(CacheCorrupt):
+            FormCache(str(tmp_path))
+
+    def test_a_shortened_file_is_loaded_in_full(self, monkeypatch, tmp_path):
+        cache = FormCache(str(tmp_path))
+        for q in (3, 4, 5):
+            cache.store(self._payload(q, q + 1))
+        FormCache(str(tmp_path))
+        path = tmp_path / "expsums.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))  # a rewrite drops the last line
+        entries = FormCache(str(tmp_path)).entries
+        assert entries == self._fresh_load(monkeypatch, tmp_path)
+        assert sorted(key[3] for key in entries) == [3, 4]
+
+    def test_lines_a_second_writer_appends_are_read(self, capsys, tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "expsum", "--form-text", "x1^4 + x2^4", "--q", "6", "--units"]
+        assert main(argv) == 0 and len(FormCache(str(tmp_path)).entries) == 1
+        src = str(Path(quartic.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-m", "quartic.cli"] + argv[:-2] + ["7", "--units"],
+                               capture_output=True, text=True, env=env)
+        assert child.returncode == 0
+        entries = FormCache(str(tmp_path)).entries
+        fh = form_hash(parse_form("x1^4 + x2^4"))
+        assert sorted(entries) == [(fh, "Aq", None, 6), (fh, "Aq", None, 7)]
+        assert entries[fh, "Aq", None, 7]["int"] == json.loads(child.stdout)["int"]
+        capsys.readouterr()
+
     def test_cache_hit_skips_recompute(self, capsys, tmp_path):
         argv = ["--cache-dir", str(tmp_path), "--timing", "expsum",
                 "--form-text", "x1^4 + x2^4", "--q", "6", "--units"]
@@ -254,10 +318,25 @@ class TestBudget:
 
                 monkeypatch.setattr(module, "grid_values", recording)
         x1 = "4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4"
-        argv = ["--cache-dir", str(tmp_path), "--budget", "1000", "hasse", "--form-text", x1, "--p-max", "13"]
+        argv = ["--cache-dir", str(tmp_path), "--budget", "6000", "hasse", "--form-text", x1, "--p-max", "13"]
         assert main(argv) == 0
-        assert sizes and max(sizes) <= 1000  # 5^4 = 625 on the grid; 7^4, 11^4 and 13^4 sampled
+        # 5^4 and 7^4 on the grid; 11^4 and 13^4 sampled, 4 * 60 * (11 + 13) = 5760 draws
+        assert sizes and max(sizes) <= 6000
         assert json.loads(capsys.readouterr().out)["everywhere_locally_soluble"] is True
+        # under 1000 the draws for 7, 11 and 13 (7440) are refused before any prime
+        sizes.clear()
+        assert main(argv[:2] + ["--budget", "1000"] + argv[4:]) == 1 and sizes == []
+        assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
+
+    def test_hasse_refuses_unplanned_draws_at_once(self, capsys):
+        argv = ["--budget", "1000000", "hasse", "--form-text", "x1^4-2*x2^4", "--p-max", "3000"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "command": "hasse", "error": "BudgetExceeded",
+            "message": "69184800 residues drawn past the grid cap up to p = 3000 exceed budget 1000000"}
 
     def test_block_form_series_fits_the_default_budget(self, capsys):
         # one 2-variable block: about q^2 cells per modulus, not q^6

@@ -5,6 +5,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic import counting
 from quartic.counting import (
@@ -315,6 +317,75 @@ class TestValueCounts:
             value_counts(parse_form("x1^4 + x2^4"), 999983)
 
 
+def _reduce_every_product_histogram(F, q):
+    """Histogram of F mod q over [0, q)^n, each product and each sum reduced mod q at once."""
+    coords = [(np.arange(q, dtype=np.int64) % q).reshape([-1 if j == i else 1 for j in range(F.n)])
+              for i in range(F.n)]
+    total = np.zeros((q,) * F.n, dtype=np.int64)
+    for e, c in F.coeffs.items():
+        term = np.int64(c % q)
+        for x, k in zip(coords, e):
+            for _ in range(k):
+                term = term * x % q
+        total = (total + term) % q
+    return np.bincount(total.ravel(), minlength=q)
+
+
+@st.composite
+def polynomials_mod_prime_powers(draw):
+    """(F, q): F in 1..5 variables of degree 1..4, homogeneous or not, q = p^k with q^n small.
+
+    Coefficients are often multiples of p, some variables are absent, and
+    inhomogeneous polynomials may carry a constant.
+    """
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, max(1, min(4, int(math.log(4096, p) / n)))))
+    used = draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    degrees = [d] if draw(st.sampled_from([True, True, False])) else range(d + 1)
+    monomials = [e for e in product(range(d + 1), repeat=n) if sum(e) in degrees
+                 and all(e[i] == 0 for i in range(n) if i not in used)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    coefficient = st.one_of(st.integers(-30, 30), st.integers(-6, 6).map(lambda c: c * p))
+    return IntPolynomial(n, {e: draw(coefficient) for e in chosen}), p ** k
+
+
+class TestUnitOrbitHistograms:
+    @settings(max_examples=200, deadline=None)
+    @given(polynomials_mod_prime_powers())
+    def test_value_counts_equal_the_grid(self, case):
+        F, q = case
+        got = counting._value_counts(F, q, counting.DEFAULT_BUDGET)
+        assert got.tolist() == _reduce_every_product_histogram(F, q).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(polynomials_mod_prime_powers())
+    def test_every_block_takes_the_orbits_when_passes_are_free(self, case):
+        # with no fixed cost per pass the orbit path runs on small grids too
+        F, q = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "PASS_CELLS", 0)
+            for _, G in counting.blocks(F)[1]:
+                assert counting._block_histogram(G, q).tolist() == _reduce_every_product_histogram(G, q).tolist()
+
+    @pytest.mark.parametrize("text, q", [("x1^4 + x1^3*x2 + x2^2*x3^2 + x1*x2*x3*x4 + x3*x4^3", 32),
+                                         ("3*x1^4 - x1*x2*x3^2 + 9*x3^4", 81), ("x1^3*x2 - 5*x2^4", 1024)])
+    def test_large_prime_powers_take_the_orbits(self, text, q, monkeypatch):
+        G = parse_form(text)
+        passes = []
+        grid = counting._grid_histogram
+        monkeypatch.setattr(counting, "_grid_histogram", lambda G, axes, q: passes.append(axes) or grid(G, axes, q))
+        got = counting._block_histogram(G, q)
+        assert got.tolist() == _reduce_every_product_histogram(G, q).tolist()
+        assert sum(math.prod(map(len, axes)) for axes in passes) < q ** G.n // 4
+
+    def test_singular_and_one_variable_blocks(self):
+        # x1^2 x2^2 vanishes on the axes; one-variable blocks stay on the grid
+        for text, q in [("x1^2*x2^2", 64), ("x1*x2*x3*x4", 16), ("2*x1^4", 81)]:
+            F = parse_form(text)
+            assert value_counts(F, q).tolist() == _reduce_every_product_histogram(F, q).tolist()
+
+
 class TestValueCountsMemo:
     def test_a_hit_is_the_same_read_only_table(self):
         F = parse_form("x1^4 + 3*x1*x2^3 + 2")
@@ -512,6 +583,24 @@ class TestNearInteger:
 
 
 class TestSieves:
+    def test_factorint_matches_trial_division(self):
+        def trial(q):
+            out, d = {}, 2
+            while d * d <= q:
+                while q % d == 0:
+                    out[d] = out.get(d, 0) + 1
+                    q //= d
+                d += 1
+            if q > 1:
+                out[q] = out.get(q, 0) + 1
+            return out
+
+        near = [(1 << 31) - 1, (1 << 31) - 19, (1 << 31) + 11, 46337 ** 2, 46337 * 46349, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]
+        for q in [-5, 0, 1] + list(range(2, 10 ** 5 + 1)) + near:
+            got = counting.factorint(q)
+            assert got == trial(q) and list(got) == sorted(got) and all(type(p) is int for p in got), q
+
+
     def test_primes_and_mobius_match_trial_division(self):
         primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
         mu = [1] + [0 if any(e > 1 for e in f.values()) else (-1) ** len(f)

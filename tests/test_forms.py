@@ -17,17 +17,29 @@ from quartic.forms import (
     CubicData,
     IntPolynomial,
     blocks,
-    dehomogenize,
     difference_cubic,
     grid_values,
     heights,
     hessian,
     hessian_form_rows,
-    homogenize,
     parse_form,
     sym_tensor,
     weyl_difference,
 )
+
+
+def homogenize(f: IntPolynomial) -> IntPolynomial:
+    """F(x, z) = z^d f(x/z); appends z as the last variable."""
+    d = max(f.degree, 0)
+    return IntPolynomial(f.n + 1, {e + (d - sum(e),): c for e, c in f.coeffs.items()})
+
+
+def dehomogenize(F: IntPolynomial) -> IntPolynomial:
+    """Set the last variable to 1."""
+    coeffs = {}
+    for e, c in F.coeffs.items():
+        coeffs[e[:-1]] = coeffs.get(e[:-1], 0) + c
+    return IntPolynomial(F.n - 1, coeffs)
 
 
 def random_form(rng, n, degree, bound=9, homogeneous=True):
@@ -323,6 +335,16 @@ class TestGridValues:
     @given(SMALL_INT_GRIDS, st.integers(1, 60))
     def test_mod_m(self, case, m):
         F, axes = case
+        vals = grid_values(F, axes, modulus=m)
+        assert vals.dtype == np.int64
+        _pointwise(F, axes, vals, lambda v: v % m)
+
+    @pytest.mark.parametrize("m", [(1 << 31) - 1, (1 << 31) - 19, 1 << 30, 3 ** 19, 65537])
+    def test_mod_m_near_two_to_the_31(self, m):
+        # residues near m put the bound of F past 2^62, so each product is reduced as it is formed
+        F = parse_form("x1^4 + 3*x1^3*x2 - 7*x2^4 + x1*x2*x3^2 - x3^3 + x2 - 5", 3)
+        F = F + IntPolynomial(3, {(2, 1, 1): m - 2, (0, 0, 4): -(m - 1), (0, 0, 0): 5 * m + 3})
+        axes = [np.arange(m - 13, m + 2, 2), np.arange(0, 2 * m, m // 5), np.array([-m - 1, -7, 2 ** 40 + 1])]
         vals = grid_values(F, axes, modulus=m)
         assert vals.dtype == np.int64
         _pointwise(F, axes, vals, lambda v: v % m)

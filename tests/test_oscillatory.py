@@ -385,6 +385,17 @@ class TestPoisson:
         with pytest.raises(BudgetExceeded):
             _twisted_table(g, 1, 7, 2400)
 
+    def test_a_refused_table_costs_no_other_pass(self, monkeypatch):
+        # 120^4 table cells exceed the budget 4,000,000: refused before either gen_sum pass or the FFT
+        def no_pass(*args, **kwargs):
+            raise AssertionError("gen_sum ran before the table was checked")
+
+        monkeypatch.setattr(oscillatory, "gen_sum", no_pass)
+        monkeypatch.setattr(np.fft, "fftn", no_pass)
+        g = CubicData.from_poly(parse_form("x1^3 + x2^3"))
+        with pytest.raises(BudgetExceeded):
+            poisson_check(g, bump((0.0, 0.0), 0.3), 30, 1, 120, 0.0)
+
     def test_classical_q1(self):
         g = CubicData.from_poly(parse_form("x1^3"))
         rep = poisson_check(g, bump((0.0,), 1.0), 30, 1, 1, 0.0)

@@ -288,9 +288,9 @@ def main_term_pipeline(
 GRID_CAP = 200_000  # `local_witness` walks the full grid mod p up to this many cells, and samples past it
 
 
-def _val_p(x: int, p: int, cap: int = 64) -> int:
+def _val_p(x: int, p: int) -> int:
     if x == 0:
-        return cap
+        return 64  # v_p(0) is infinite: 64 stands in for it
     v = 0
     while x % p == 0:
         x //= p
@@ -298,10 +298,10 @@ def _val_p(x: int, p: int, cap: int = 64) -> int:
     return v
 
 
-def hensel_criterion(F: IntPolynomial, x, p: int, cap: int = 64, gradient=None):
+def hensel_criterion(F: IntPolynomial, x, p: int, gradient=None):
     """(ok, vF, vGrad): ok when v_p(F(x)) > 2 min_i v_p(dF/dx_i(x)); `gradient` is F.gradient(), built once."""
-    vF = _val_p(F.evaluate(x), p, cap)
-    vg = min(_val_p(g.evaluate(x), p, cap) for g in gradient or F.gradient())
+    vF = _val_p(F.evaluate(x), p)
+    vg = min(_val_p(g.evaluate(x), p) for g in gradient or F.gradient())
     return vF > 2 * vg, vF, vg
 
 
@@ -425,7 +425,6 @@ def hasse_report(
     F: IntPolynomial,
     p_max: int = 100,
     k_max: int = 12,
-    real_probe_budget: int = 2000,
     seed: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
@@ -436,7 +435,7 @@ def hasse_report(
     drawn = sum(60 * p * F.n for p in primes if p ** F.n > min(GRID_CAP, budget))  # residues sampled past the cap
     if drawn > budget:
         raise BudgetExceeded(f"{drawn} residues drawn past the grid cap up to p = {p_max} exceed budget {budget}")
-    real_ok, real_witness = real_point_probe(F, budget=real_probe_budget, seed=seed)
+    real_ok, real_witness = real_point_probe(F, seed=seed)
     locals_ = {}
     for p in primes:
         try:

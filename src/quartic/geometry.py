@@ -480,7 +480,6 @@ def find_hyperplane(
     M_max: int,
     kappa: float = 0.5,
     min_prime: int = 5,
-    kmax: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Search for a primitive m whose hyperplane section drops s_v by one.
@@ -497,7 +496,7 @@ def find_hyperplane(
     s_proxy, _ = sing_dim(G, None, budget=budget)
     targets = {"proxy": max(-1, s_proxy - 1)}
     for p in checked:
-        targets[p] = max(-1, sing_dim(G, p, kmax=kmax, budget=budget) - 1)
+        targets[p] = max(-1, sing_dim(G, p, budget=budget) - 1)
     for m in _primitive_vectors_by_norm(n, M_max):
         L = max(abs(x) for x in m) ** (1.0 / (n - 1))
         if not shortest_orthogonal_gap(m, kappa * L):
@@ -506,7 +505,7 @@ def find_hyperplane(
         observed = {}
         for p in checked:
             sec = restrict_to_hyperplane_mod_p(G, m, p)
-            sv = sing_dim(sec, p, kmax=kmax, budget=budget) if sec.n > 1 else -1
+            sv = sing_dim(sec, p, budget=budget) if sec.n > 1 else -1
             observed[p] = sv
             if sv != targets[p]:
                 ok = False

@@ -11,9 +11,10 @@ uniform grid instead of one quadrature per v, which is what makes the default
 truncation affordable, and reads every T(a, q; v) from one residue pass.
 
 J(R) doubles a gamma rule that keeps its old nodes, and I(-gamma) = conj I(gamma)
-for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  The
-factored path keeps each axis grid across doublings, and axes with one weight
-factor and polynomials equal up to sign share one table.  The sine kernel
+for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  J and
+I(gamma) factor over the blocks of F for a separable weight: the factored path
+keeps one table per block across doublings, and blocks with equal weights and
+polynomials equal up to sign share one.  The sine kernel
 (`singular_integral_sine`) keeps a loop of its own: it is the independent
 reference J is checked against.
 """
@@ -202,54 +203,52 @@ def _refine_rows(starts, values, too_big, cfg: QuadratureConfig) -> np.ndarray:
     return np.array(out)
 
 
+def _block_weight(w: WeightSpec, vars_) -> WeightSpec:
+    """The separable weight w on the variables vars_ alone: the product of their factors."""
+    return replace(w, n=len(vars_), x0=tuple(w.x0[i] for i in vars_) if w.x0 else ())
+
+
 def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig, beta=None):
     """I(gamma; beta) = integral of w(x) e(gamma F(x) - beta.x) dx for every gamma in one batched pass.
 
-    `osc_integral` is the one-row case.  Row gamma starts on the grid with at
-    least four points per expected cycle of gamma F - beta.x, and `_refine_rows`
-    doubles it until it meets cfg.tolerance.  The gammas on one grid share the F
-    values, the weight and the Simpson weights, and cells of zero weight are
-    dropped; a nonzero beta multiplies the Simpson weights by e(-beta.x).
-    Separable w with one-variable blocks uses per-axis 1-D grids.
+    `osc_integral` is the one-row case.  For a separable w and two or more blocks
+    of F = c + sum_b G_b(x_b) (`forms.blocks`), I = e(gamma c) prod_b I_b with I_b
+    this table of G_b over its own variables.  Otherwise row gamma starts on one
+    grid over every variable (n <= 3) with at least four points per expected cycle
+    of gamma F - beta.x, and `_refine_rows` doubles it until it meets
+    cfg.tolerance.  The gammas on one grid share the F values and the weight times
+    the Simpson weights (times e(-beta.x) for a nonzero beta).  A grid of two or
+    more axes drops its cells of zero weight and is capped at cfg.max_cells; a
+    one-axis grid keeps them and is capped at cfg.max_points_1d.
     """
-    box_phys = w.support_box()
     beta = np.zeros(F.n) if beta is None else np.asarray(beta, dtype=float)
-
-    def twisted(wv, pts, b):
-        return wv * np.exp(-2j * np.pi * (pts @ b)) if b.any() else wv
-
-    factors = w.separable_factors()
     const, parts = blocks(F)
-    if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
+    if w.separable_factors() is not None and len(parts) > 1:
         out = np.exp(2j * np.pi * gammas * const)
-        for (i,), fi in parts:
-            lo, hi = box_phys[i]
-            gb = _grad_bound(fi, [(lo, hi)])[0]
-
-            def values(Ns, rows):
-                xs = np.linspace(lo, hi, Ns[0] + 1)
-                wv = twisted(factors[i](xs) * _simpson_weights(lo, hi, Ns[0]), xs[:, None], beta[i:i + 1])
-                return _phase_sums(gammas[rows], grid_values(fi, [xs]), wv)
-
-            starts = [(_start_points((abs(g) * gb + abs(beta[i])) * (hi - lo), cfg),) for g in gammas.tolist()]
-            out = out * _refine_rows(starts, values, lambda Ns: Ns[0] > cfg.max_points_1d, cfg)
+        for vars_, G in parts:
+            out = out * _direct_gamma_table(G, _block_weight(w, vars_), gammas, cfg, beta[list(vars_)])
         return out
     if F.n > 3:
-        raise BudgetExceeded("tensor-grid quadrature supports n <= 3")
+        raise BudgetExceeded("tensor-grid quadrature supports n <= 3 variables per block")
+    box_phys = w.support_box()
     gb = _grad_bound(F, box_phys)
 
     def values(Ns, rows):
         grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, Ns)]
         simpson = reduce(np.multiply.outer, [_simpson_weights(lo, hi, N) for (lo, hi), N in zip(box_phys, Ns)])
         pts = _grid_points(grids)
-        wv = twisted(w.eval_many(pts) * simpson.ravel(), pts, beta)
-        keep = wv != 0.0
+        wv = w.eval_many(pts) * simpson.ravel()
+        if beta.any():
+            wv = wv * np.exp(-2j * np.pi * (pts @ beta))
+        keep = wv != 0.0 if F.n > 1 else slice(None)
         return _phase_sums(gammas[rows], grid_values(F, grids).ravel()[keep], wv[keep])
 
     starts = [
         tuple(_start_points((abs(g) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys))
         for g in gammas.tolist()
     ]
+    if F.n == 1:
+        return _refine_rows(starts, values, lambda Ns: Ns[0] > cfg.max_points_1d, cfg)
     return _refine_rows(starts, values, lambda Ns: math.prod(N + 1 for N in Ns) > cfg.max_cells, cfg)
 
 
@@ -280,28 +279,32 @@ def _by_abs_gamma(compute):
 def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureConfig):
     """(const, [(sign, table), ...]), I(gamma) = e(gamma const) prod table(sign gamma), |gamma| <= R.
 
-    One-variable blocks, separable w; an axis grid depends on R only.  The key of a table is
-    the weight factor (centre and box) and the polynomial up to sign.
+    Separable w, one table per block of F (`forms.blocks`).  A one-variable block
+    gets an axis grid that depends on R only; a larger block gets its
+    `_direct_gamma_table` rows.  The key of a table is the block's weight (centres
+    and box) and its polynomial up to sign.
     """
+    if w.separable_factors() is None:
+        raise PreconditionViolated("factored path needs separable w")
     const, parts = blocks(F)
-    factors = w.separable_factors()
-    if factors is None or any(len(vars_) > 1 for vars_, _ in parts):
-        raise PreconditionViolated("factored path needs diagonal F and separable w")
     R = abs(float(R))
     shared, axes = {}, []
-    for (i,), fi in parts:
-        lo, hi = w.support_box()[i]
-        sign = -1 if fi.coeffs and fi.coeffs[min(fi.coeffs)] < 0 else 1
-        key = (lo, hi, w.x0[i:i + 1], frozenset((e, sign * c) for e, c in fi.coeffs.items()))
-        if key not in shared:
-            fv = [float(fi.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
-            cycles = R * max(max(fv) - min(fv), _grad_bound(fi, [(lo, hi)])[0] * (hi - lo))
+    for vars_, G in parts:
+        wb = _block_weight(w, vars_)
+        sign = -1 if G.coeffs and G.coeffs[min(G.coeffs)] < 0 else 1
+        key = (wb, frozenset((e, sign * c) for e, c in G.coeffs.items()))
+        if key not in shared and len(vars_) > 1:
+            shared[key] = sign, _by_abs_gamma(lambda g, G=G, wb=wb: _direct_gamma_table(G, wb, g, cfg))
+        elif key not in shared:
+            [(lo, hi)] = wb.support_box()
+            fv = [float(G.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
+            cycles = R * max(max(fv) - min(fv), _grad_bound(G, [(lo, hi)])[0] * (hi - lo))
             N = max(_start_points(min(cycles, cfg.max_points_1d), cfg), 256)  # min: past the cap either way
             if N > cfg.max_points_1d:
                 raise ToleranceNotMet(f"grid {(N,)} exceeded the cell budget before converging")
             xs = np.linspace(lo, hi, N + 1)
-            fv = np.array([float(fi.evaluate([float(t)])) for t in xs])
-            wv = _simpson_weights(lo, hi, N) * factors[i](xs)
+            fv = np.array([float(G.evaluate([float(t)])) for t in xs])
+            wv = _simpson_weights(lo, hi, N) * wb.separable_factors()[0](xs)
             shared[key] = sign, _by_abs_gamma(lambda g, fv=fv, wv=wv: np.exp(2j * np.pi * np.outer(g, fv)) @ wv)
         axes.append((sign * shared[key][0], shared[key][1]))
     return const, axes
@@ -319,9 +322,9 @@ def singular_integral(
         raise PreconditionViolated(f"J(R) needs a finite R >= 0, got {R}")
     if R == 0:
         return 0.0
-    if method == "auto":
-        diagonal = all(len(vars_) == 1 for vars_, _ in blocks(F)[1])
-        method = "factored" if (diagonal and w.separable_factors() is not None) else "direct"
+    if method == "auto":  # factored unless w is not separable or F is one block of two or more variables
+        split = F.n == 1 or len(blocks(F)[1]) > 1
+        method = "factored" if split and w.separable_factors() is not None else "direct"
     if method == "factored":
         const, axes = _factored_axes(F, w, R, cfg)
 
@@ -385,11 +388,11 @@ class PoissonReport:
     mass: float
 
 
-def _default_v_cut(g: IntPolynomial, q: int, z: float, box_phys, margin_cycles: float = 30.0) -> int:
+def _default_v_cut(g: IntPolynomial, q: int, z: float, box_phys) -> int:
     gb = _grad_bound(g, box_phys)
     v0max = max(q * abs(z) * b for b in gb) if gb else 0.0
     width = min(hi - lo for lo, hi in box_phys)
-    margin = q * margin_cycles / max(width, 1e-9)
+    margin = q * 30.0 / max(width, 1e-9)  # 30 cycles across the narrowest side
     return max(4 * q, math.ceil(v0max + margin))
 
 
@@ -401,15 +404,13 @@ def poisson_check(
     q: int,
     z: float,
     v_cut: int | None = None,
-    oversample: int = 4,
-    max_cells: int = 1 << 25,
     budget: int = 4_000_000,
 ) -> PoissonReport:
     """Residual of T(a/q+z) = q^-n sum_v T(a,q;v) I(z; v/q) with truncation |v| <= v_cut.
 
     The I values for the whole v-box come from one zero-padded FFT per run on
-    a uniform grid whose step resolves v_cut/q cycles per unit with the given
-    oversampling; the reported tail estimate is the boundary-shell mass.
+    a uniform grid of four points per cycle of v_cut/q and at most 2^25 cells;
+    the reported tail estimate is the boundary-shell mass.
     """
     poly = g.poly if isinstance(g, CubicData) else g
     n = poly.n
@@ -426,7 +427,7 @@ def poisson_check(
     lhs = gen_sum(poly, w, P, a=a, q=q, z=z, budget=budget)
     mass = abs(gen_sum(poly, w, P, a=q, q=q, z=0.0, budget=budget))
     # grid: step h = q/M, FFT length L a multiple of M covering the support
-    M = oversample * max(v_cut, 1)
+    M = 4 * max(v_cut, 1)
     axes = []
     cells = 1
     for lo, hi in box_phys:
@@ -435,8 +436,8 @@ def poisson_check(
         L = M * int(math.ceil(N / M))
         axes.append((lo, h, N, L))
         cells *= L
-    if cells > max_cells:
-        raise BudgetExceeded(f"FFT grid of {cells} cells exceeds {max_cells}")
+    if cells > 1 << 25:
+        raise BudgetExceeded(f"FFT grid of {cells} cells exceeds {1 << 25}")
     grids = [lo + h * np.arange(N) for (lo, h, N, L) in axes]
     pts = _grid_points(grids)
     fv = grid_values(poly, grids).ravel()

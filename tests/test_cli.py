@@ -500,6 +500,22 @@ class TestBlockFormSums:
         assert json.loads(lines[0])["error"] == "BudgetExceeded"
 
 
+class TestBlockFormIntegral:
+    """J(R) factors over the blocks of F, so a form with a two-variable block is integrated at n = 6."""
+
+    FORM = "x1^4+x1*x2^3+x3^4+x4^4-x5^4-x6^4"
+    WEIGHT = ["--weight", "separable", "--center", "0.5,0.5,0.5,0.5,0.5,0.5", "--rho", "0.25"]
+
+    def test_integral_and_pipeline_run(self, capsys):
+        reps = []
+        for argv in (["integral", "--R", "20"], ["pipeline", "--P", "8", "--R-series", "16", "--R-integral", "20"]):
+            rc, out = run_cli(argv[:1] + ["--form-text", self.FORM] + self.WEIGHT + argv[1:], capsys)
+            assert rc == 0 and len(out.splitlines()) == 1
+            reps.append(json.loads(out))
+        assert [rep["command"] for rep in reps] == ["integral", "pipeline"]
+        assert reps[0]["J_R"] == reps[1]["J_R"] > 0
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # the child imports the same quartic as the tests, installed or not

@@ -55,26 +55,29 @@ def _integrate_1d_oracle(fn, a, b, cfg, cycles):
 
 
 def _osc_integral_oracle(f, w, z, beta, cfg=QuadratureConfig()):
-    """I(z; beta) one z at a time: a product of 1-D integrals with F evaluated node by node, or a tensor grid.
+    """I(z; beta) one z at a time: a product over the blocks of f for a separable w, else a 1-D integral
+    with f evaluated node by node, or a tensor grid.
 
     The reference the batched gamma table is checked against.
     """
     n = f.n
     box_phys = w.support_box()
-    factors = w.separable_factors()
     const, parts = blocks(f)
-    if factors is not None and all(len(vars_) == 1 for vars_, _ in parts):
+    if w.separable_factors() is not None and len(parts) > 1:
         total = complex(np.exp(2j * np.pi * z * const))
-        for (i,), fi in parts:
-            lo, hi = box_phys[i]
-            cycles = (abs(z) * _grad_bound(fi, [(lo, hi)])[0] + abs(beta[i])) * (hi - lo)
-
-            def fn(xs, i=i, fi=fi):
-                ph = z * np.array([float(fi.evaluate([float(t)])) for t in xs]) - beta[i] * xs
-                return factors[i](xs) * np.exp(2j * np.pi * ph)
-
-            total *= _integrate_1d_oracle(fn, lo, hi, cfg, cycles)
+        for vars_, G in parts:
+            wb = separable_bump([w.x0[i] for i in vars_], w.rho) if w.x0 else WeightSpec(w.kind, len(vars_))
+            total *= _osc_integral_oracle(G, wb, z, [beta[i] for i in vars_], cfg)
         return total
+    if n == 1:
+        [(lo, hi)] = box_phys
+        cycles = (abs(z) * _grad_bound(f, box_phys)[0] + abs(beta[0])) * (hi - lo)
+
+        def fn(xs):
+            ph = z * np.array([float(f.evaluate([float(t)])) for t in xs]) - beta[0] * xs
+            return w.eval_many(xs[:, None]) * np.exp(2j * np.pi * ph)
+
+        return complex(_integrate_1d_oracle(fn, lo, hi, cfg, cycles))
     gb = _grad_bound(f, box_phys)
     axes_pts = [
         _start_points((abs(z) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys)
@@ -301,6 +304,8 @@ class TestDirectGammaTable:
         ("x1^4 + x1*x2^3", separable_bump((0.5, 0.5), 0.2)),
         ("x1^4 + x2^4 - x3^4", separable_bump((0.5, 0.5, 0.5), 0.3)),
         ("x1^2*x2*x3 + x3^4", bump((0.2, 0.2, 0.2), 0.2)),
+        ("x1^4 + x1*x2^3 - x3^4", separable_bump((0.5, 0.5, 0.5), 0.25)),
+        ("x1^4 + x1*x2^3 - x3^4 + 2*x3 - 1", separable_bump((0.5, 0.5, 0.5), 0.25)),
     ]
 
     @pytest.mark.parametrize("src, w", FORMS)
@@ -367,6 +372,34 @@ class TestDirectGammaTable:
         F = parse_form("x1^4 + x2^4 - x3^4 - x4^4")
         with pytest.raises(BudgetExceeded):
             singular_integral(F, bump((0.5,) * 4, 0.2), 2, method="direct")
+
+    def test_block_of_four_variables_is_refused(self):
+        F, w = parse_form("x1*x2*x3*x4 + x5^4"), separable_bump((0.5,) * 5, 0.2)
+        with pytest.raises(BudgetExceeded):
+            singular_integral(F, w, 2)
+        with pytest.raises(BudgetExceeded):
+            osc_integral(F, w, 1.0, [0.0] * 5)
+
+    def test_block_product_up_to_n8(self):
+        """A separable w over the blocks {1, 2}, {3}, {4, 5}, {6}, {7, 8}: the product of the blocks' own integrals."""
+        F = parse_form("x1^4 + x1*x2^3 - x3^4 + x4^2*x5^2 - 2*x6^4 + x7*x8^3 + 3")
+        centre = (0.5, 0.4, 0.6, 0.5, 0.3, 0.45, 0.55, 0.5)
+        block_forms = [
+            ("x1^4 + x1*x2^3", (0, 1)), ("-x1^4", (2,)), ("x1^2*x2^2", (3, 4)), ("-2*x1^4", (5,)), ("x1*x2^3", (6, 7)),
+        ]
+        gammas = np.array([0.0, 1e-3, -2.5, self.R])
+        table = _direct_gamma_table(F, separable_bump(centre, 0.2), gammas, self.CFG)
+        want = np.exp(2j * np.pi * 3 * gammas)
+        for src, vars_ in block_forms:
+            wb = separable_bump([centre[i] for i in vars_], 0.2)
+            want = want * [osc_integral(parse_form(src), wb, float(g), [0.0] * len(vars_), cfg=self.CFG) for g in gammas]
+        assert np.abs(table - want).max() <= 1e-12 * abs(want[0])
+
+    @pytest.mark.parametrize("src", ["x1^4 + x1*x2^3 - x3^4", "x1^4 + x1*x2^3 - x3^4 + 2*x3 - 1"])
+    def test_block_J_matches_sine_kernel(self, src):
+        F, w, R = parse_form(src), separable_bump((0.5, 0.5, 0.5), 0.25), 1
+        block = singular_integral(F, w, R)
+        assert abs(block - singular_integral_sine(F, w, R)) <= 2 * R * QuadratureConfig().tolerance
 
 
 class TestPoisson:

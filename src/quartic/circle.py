@@ -262,8 +262,8 @@ def main_term_pipeline(
     cache: SeriesCache | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """N_w(F;P) against the model S(R_series) * J(R_integral) * P^{n-4}."""
-    cfg = cfg or QuadratureConfig()
+    """N_w(F;P) against the model S(R_series) * J(R_integral) * P^{n-4}; `budget` also caps the J grids."""
+    cfg = (cfg or QuadratureConfig()).within(budget)
     n = F.n
     count = weighted_count(F, w, P, budget=budget)
     S = singular_series(F, R_series, cache=cache or SeriesCache(F, budget))

@@ -251,11 +251,11 @@ def _cmd_series(args, config: RunConfig) -> int:
 
 
 def _cmd_integral(args, config: RunConfig) -> int:
-    from .oscillatory import singular_integral
+    from .oscillatory import QuadratureConfig, singular_integral
 
     F = _load_form(args)
     w = _load_weight(args, F.n)
-    J = singular_integral(F, w, args.R)
+    J = singular_integral(F, w, args.R, cfg=QuadratureConfig().within(config.budget))
     rep = _base(F, args) | {"command": "integral", "R": args.R, "J_R": J, "weight": args.weight}
     _emit(rep, output=config.output)
     return 0

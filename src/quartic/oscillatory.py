@@ -49,6 +49,10 @@ class QuadratureConfig:
     max_cells: int = 1 << 24
     max_refinements: int = 12
 
+    def within(self, budget: int) -> "QuadratureConfig":
+        """This config with no grid of more than `budget` cells or points per axis."""
+        return replace(self, max_cells=min(self.max_cells, budget), max_points_1d=min(self.max_points_1d, budget))
+
 
 DEFAULT_CFG = QuadratureConfig()
 
@@ -92,10 +96,9 @@ def gen_sum(
     elif a is None or q is None:
         raise ValueError("supply alpha or (a, q, z)")
     axes = _support_axes(w, P, budget)
-    pts = _grid_points(axes)
-    if not len(pts):
+    wv = w.eval_grid([ax / P for ax in axes]).ravel()
+    if not len(wv):
         return 0.0 + 0.0j
-    wv = w.eval_many(pts / P)
     keep = wv > 0
     wv = wv[keep]
     vals = grid_values(poly, axes).ravel()[keep]
@@ -236,10 +239,9 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
     def values(Ns, rows):
         grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, Ns)]
         simpson = reduce(np.multiply.outer, [_simpson_weights(lo, hi, N) for (lo, hi), N in zip(box_phys, Ns)])
-        pts = _grid_points(grids)
-        wv = w.eval_many(pts) * simpson.ravel()
+        wv = (w.eval_grid(grids) * simpson).ravel()
         if beta.any():
-            wv = wv * np.exp(-2j * np.pi * (pts @ beta))
+            wv = wv * np.exp(-2j * np.pi * (_grid_points(grids) @ beta))
         keep = wv != 0.0 if F.n > 1 else slice(None)
         return _phase_sums(gammas[rows], grid_values(F, grids).ravel()[keep], wv[keep])
 
@@ -355,11 +357,11 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
     N = _start_points(R * _abs_bound(F.coeffs, box_phys), cfg)
     prev = None
     for _ in range(cfg.max_refinements):
+        if (N + 1) ** n > cfg.max_cells:  # every grid, the first one included, before it is built
+            raise ToleranceNotMet("sine-kernel grid exceeded cell budget")
         grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
-        pts = _grid_points(grids)
-        fv = grid_values(F, grids).ravel()
-        kernel = 2.0 * R * np.sinc(2.0 * R * fv)  # sin(2 pi R F)/(pi F)
-        cur = (w.eval_many(pts) * kernel).reshape([N + 1] * n)
+        kernel = 2.0 * R * np.sinc(2.0 * R * grid_values(F, grids))  # sin(2 pi R F)/(pi F)
+        cur = w.eval_grid(grids) * kernel
         for ax in range(n - 1, -1, -1):
             wts = _simpson_weights(*box_phys[ax], N)
             cur = np.tensordot(cur, wts, axes=([ax], [0])) if np.ndim(cur) > 1 else cur @ wts
@@ -368,8 +370,6 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
             return cur
         prev = cur
         N *= 2
-        if (N + 1) ** n > cfg.max_cells:
-            raise ToleranceNotMet("sine-kernel grid exceeded cell budget")
     raise ToleranceNotMet("sine-kernel refinement limit reached")
 
 
@@ -439,9 +439,7 @@ def poisson_check(
     if cells > 1 << 25:
         raise BudgetExceeded(f"FFT grid of {cells} cells exceeds {1 << 25}")
     grids = [lo + h * np.arange(N) for (lo, h, N, L) in axes]
-    pts = _grid_points(grids)
-    fv = grid_values(poly, grids).ravel()
-    u = (w.eval_many(pts / P) * np.exp(2j * np.pi * z * fv)).reshape([N for (_, _, N, _) in axes])
+    u = w.eval_grid([g / P for g in grids]) * np.exp(2j * np.pi * z * grid_values(poly, grids))
     U = np.fft.fftn(u, s=[L for (_, _, _, L) in axes], axes=list(range(n)))
     vs = np.arange(-v_cut, v_cut + 1)
     vgrids = np.meshgrid(*[vs] * n, indexing="ij")

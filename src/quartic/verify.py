@@ -89,7 +89,7 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
     def f_at(axes):
         vals = grid_values(F, axes).ravel()
         ang = ((vals % q).astype(np.int64) * (a / q) if q > 1 else 0.0) + z * vals.astype(float)
-        return w.eval_many(_grid_points(axes) / P) * np.exp(2j * np.pi * (ang % 1.0))
+        return w.eval_grid([ax / P for ax in axes]).ravel() * np.exp(2j * np.pi * (ang % 1.0))
 
     ranges = lattice_ranges(w, P)
     cells = 1

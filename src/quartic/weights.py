@@ -3,13 +3,15 @@
 The basic profile is gamma(t) = exp(-1/(1-t^2)) on |t|<1, zero outside; it is
 infinitely differentiable with gamma(0) = 1/e.  A `WeightSpec` describes one
 of a few weight families; evaluation is exact up to float rounding and the
-support box is available in closed form for lattice enumeration.
+support box is available in closed form for lattice enumeration.  `eval_grid`
+evaluates on a tensor grid one axis at a time, with the bits of `eval_many`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -79,6 +81,18 @@ class WeightSpec:
         for i, factor in enumerate(self.separable_factors()):
             out *= factor(X[:, i])
         return out
+
+    def eval_grid(self, axes) -> np.ndarray:
+        """w on the grid axes[0] x ... x axes[n-1], in its shape: `eval_many` of its stacked points, bit for bit."""
+        axes = [np.asarray(ax, dtype=float) for ax in axes]
+        if len(axes) != self.n:
+            raise DimensionMismatch(f"grid has {len(axes)} axes, weight has n={self.n}")
+        if self.kind == "bump":  # squared offsets summed in axis order, as eval_many's row sums are
+            return gamma_bump(np.sqrt(reduce(np.add.outer, [(ax - c) ** 2 for ax, c in zip(axes, self.x0)])) / self.rho)
+        if self.kind == "shifted_product":
+            shift = np.asarray(self.h, dtype=float) / self.P
+            return self.base.eval_grid([ax + s for ax, s in zip(axes, shift)]) * self.base.eval_grid(axes)
+        return reduce(np.multiply.outer, [factor(ax) for factor, ax in zip(self.separable_factors(), axes)])
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])

@@ -292,6 +292,19 @@ class TestBudget:
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize("argv", [["integral", "--R", "5"], ["pipeline", "--P", "5", "--R-series", "4", "--R-integral", "5"]])
+    def test_integral_grids_fit_the_budget(self, argv, capsys):
+        # under 100 cells the 256-point axis table is refused; the default budget gives the recorded J
+        weight = ["--form-text", "x1^4 - x2^4", "--weight", "separable", "--center", "0.5,0.5", "--rho", "0.2"]
+        rc = main(["--budget", "100"] + argv[:1] + weight + argv[1:])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {"command": argv[0], "error": "ToleranceNotMet",
+                                        "message": "grid (256,) exceeded the cell budget before converging"}
+        rc, out = run_cli(argv[:1] + weight + argv[1:], capsys)
+        assert rc == 0 and json.loads(out)["J_R"] == 0.048843168764357014
+
     def test_series_error_line_is_planned_before_any_histogram(self, monkeypatch, tmp_path, capsys):
         from quartic import counting
 

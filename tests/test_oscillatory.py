@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quartic import oscillatory
+from quartic import oscillatory, verify
 from quartic.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, ToleranceNotMet
 from quartic.forms import CubicData, _grid_points, blocks, grid_values, parse_form
 from quartic.oscillatory import (
@@ -165,6 +167,70 @@ class TestWeights:
                 assert w.eval_many(X).tobytes() == formula(w, X).tobytes()
 
 
+COORDS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+AXES = st.one_of(  # a few loose points, or a run of seeded uniform points whose offsets round unevenly
+    st.lists(COORDS, max_size=6).map(np.array),
+    st.builds(lambda seed, k: np.sort(np.random.default_rng(seed).uniform(-2.0, 2.0, k)), st.integers(0, 2 ** 32 - 1),
+              st.integers(0, 12)),
+)
+
+
+@st.composite
+def weights_on_grids(draw):
+    """(w, axes): every weight kind at n = 1..3 on axes of 0 to 12 points, in and out of the support."""
+    n = draw(st.integers(1, 3))
+    center = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    rho = draw(st.floats(0.05, 1.0))
+    kinds = [bump(center, rho), separable_bump(center, rho), weights.box(n), weights.unit_box(n)]
+    w = draw(st.sampled_from(kinds))
+    if draw(st.booleans()):
+        w = shifted_product(w, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), draw(st.integers(1, 9)))
+    axes = [draw(AXES) for _ in range(n)]
+    return w, axes
+
+
+class TestEvalGrid:
+    @settings(deadline=None, max_examples=300)
+    @given(weights_on_grids())
+    def test_is_eval_many_on_the_stacked_points_bit_for_bit(self, case):
+        w, axes = case
+        got = w.eval_grid(axes)
+        want = w.eval_many(_grid_points(axes)).reshape([len(ax) for ax in axes])
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_dense_grids_across_the_supports(self):
+        # 15^3 uniform points over every support: offsets that round differently in another summation order
+        rng = np.random.default_rng(7)
+        c = tuple(rng.uniform(-0.3, 0.3, 3))
+        for base in (bump(c, 0.7), separable_bump(c, 0.7), weights.box(3), weights.unit_box(3)):
+            for w in (base, shifted_product(base, (5, -3, 2), 7)):
+                axes = [np.sort(rng.uniform(-1.2, 1.2, 15)) for _ in range(3)]
+                got, want = w.eval_grid(axes), w.eval_many(_grid_points(axes)).reshape(15, 15, 15)
+                assert got.any() and got.tobytes() == want.tobytes()
+
+    def test_integer_axes_and_dimension_mismatch(self):
+        w = separable_bump((0.0, 0.0), 1.0)
+        axes = [np.arange(-3, 4), np.arange(-2, 1)]
+        assert w.eval_grid([ax / 4 for ax in axes]).tobytes() == w.eval_many(_grid_points(axes) / 4).tobytes()
+        with pytest.raises(DimensionMismatch):
+            w.eval_grid(axes[:1])
+
+    def test_no_tensor_grid_stacks_its_points(self, monkeypatch):
+        # each of these evaluates w on a tensor grid axis by axis; only a nonzero beta needs the points
+        def refuse(axes):
+            raise AssertionError("stacked grid points")
+
+        monkeypatch.setattr(oscillatory, "_grid_points", refuse)
+        monkeypatch.setattr(verify, "_grid_points", refuse)
+        F, w = parse_form("x1^4 - x2^4"), separable_bump((0.5, 0.5), 0.2)
+        assert singular_integral_sine(F, w, 8) > 0
+        assert singular_integral(F, bump((0.5, 0.5), 0.2), 2, method="direct") > 0
+        assert osc_integral(F, bump((0.5, 0.5), 0.2), 1.5, [0.0, 0.0]) != 0
+        assert gen_sum(F, w, 20, a=1, q=3) != 0
+        assert poisson_check(parse_form("x1^3 + x2"), bump((0.0, 0.0), 0.3), 30, 1, 3, 0.0).relative <= 1e-3
+        assert verify.vdc_identity(F, bump((0.0, 0.0), 1.0), 12, 3, Fraction(1, 7))["pair_counts_ok"]
+
+
 class TestGenSum:
     def test_alpha0_positive(self):
         w = bump((0.0,), 0.5)
@@ -283,6 +349,18 @@ class TestSingularIntegral:
         a = singular_integral(F, w, 10, method="factored")
         b = singular_integral(F, w, 10, method="direct")
         assert abs(a - b) <= 1e-5 * max(1.0, abs(a))
+
+    def test_sine_kernel_checks_its_first_grid(self, monkeypatch):
+        # R = 50 starts on a 105^2 grid: past 10^4 cells, it is refused before any grid is built
+        built = []
+        values = oscillatory.grid_values
+        monkeypatch.setattr(oscillatory, "grid_values", lambda F, axes: built.append(len(axes[0])) or values(F, axes))
+        F, w = parse_form("x1^4 - x2^4"), separable_bump((0.5, 0.5), 0.2)
+        with pytest.raises(ToleranceNotMet):
+            singular_integral_sine(F, w, 50, QuadratureConfig(max_cells=10 ** 4))
+        assert built == []
+        singular_integral_sine(F, w, 50, QuadratureConfig(max_cells=10 ** 6))
+        assert built[0] == 105
 
     def test_sine_kernel_agrees(self):
         F = parse_form("x1^4 - x2^4")
@@ -517,3 +595,26 @@ def test_singular_integral_keeps_its_recorded_repr(rec):
     cfg = QuadratureConfig() if rec["tolerance"] is None else QuadratureConfig(tolerance=rec["tolerance"])
     J = singular_integral(F, _oracle_weight(rec, F.n), rec["R"], cfg=cfg, method=rec["method"])
     assert repr(J) == rec["J"]
+
+
+SINE_REPRS = Path(__file__).parent / "data" / "sine_reprs.jsonl"
+
+
+def _spec_weight(spec, n):
+    """WeightSpec from a record {"kind", ...}; a shifted product holds its base as a nested record."""
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()}
+    if "base" in spec:
+        fields["base"] = _spec_weight(spec["base"], n)
+    return WeightSpec(n=n, **fields)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [json.loads(line) for line in SINE_REPRS.read_text().splitlines()],
+    ids=lambda rec: f"{rec['weight']['kind']}-{rec['form']}-R{rec['R']}",
+)
+def test_sine_kernel_keeps_its_recorded_repr(rec):
+    """The sine kernel at n = 1 and n = 3 and on box and shifted-product weights, bit for bit as recorded."""
+    F = parse_form(rec["form"])
+    cfg = QuadratureConfig() if rec["tolerance"] is None else QuadratureConfig(tolerance=rec["tolerance"])
+    assert repr(singular_integral_sine(F, _spec_weight(rec["weight"], F.n), rec["R"], cfg)) == rec["J"]

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ class RunConfig:
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(budget=args.budget, cache_dir=args.cache_dir, output=args.output).validate()
+    cache_dir = os.environ.get(CACHE_ENV) if args.cache_dir is None else args.cache_dir  # "" turns the cache off
+    return RunConfig(budget=args.budget, cache_dir=cache_dir, output=args.output).validate()
 
 
 def form_hash(F: IntPolynomial) -> str:
@@ -412,9 +414,11 @@ def _cmd_verify(args, config: RunConfig) -> int:
 # -- dispatch -------------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `--cache-dir` defaults to $QUARTIC_CACHE_DIR per call."""
     ap = argparse.ArgumentParser(prog="quartic", description=__doc__)
-    ap.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
+    ap.add_argument("--cache-dir", default=None)
     ap.add_argument("--timing", action="store_true", help="timing to stderr; cache-hit flags in reports")
     ap.add_argument("--output", default="json", choices=["json", "table"])
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max enumeration cells")

@@ -8,8 +8,9 @@ wherever both run.  `value_counts` gives the value distribution of a
 polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
 it convolves the value histograms of the blocks of F (`forms.blocks`), so a
 diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n;
-a homogeneous block mod p^k may read its unit orbits instead of its grid.
-It is memoised per (F, q), so every S_{a,q} and rho(q) share one table.
+a homogeneous block mod p^k may read its unit orbits instead of its grid,
+and the table mod a composite q is the product of its prime-power tables
+(CRT).  It is memoised per (F, q), so every S_{a,q} and rho(q) share one table.
 """
 
 from __future__ import annotations
@@ -237,14 +238,15 @@ def _block_histogram(G: IntPolynomial, q: int) -> np.ndarray:
 def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """N_q(r) = #{x mod q : F(x) = r mod q} for r in [0, q), exact.
 
-    One histogram per distinct block polynomial of F (`forms.blocks`), joined
-    by cyclic convolution mod q and shifted by the constant term.  A block
-    walks its q^|b| grid, or, homogeneous mod p^k, about q^|b|/phi(q) orbit
+    Mod p^k: one histogram per distinct block polynomial of F (`forms.blocks`),
+    joined by cyclic convolution mod q and shifted by the constant term.  A
+    block walks its q^|b| grid, or, homogeneous, about q^|b|/phi(q) orbit
     representatives, one gather of q cells per d-th power of a unit and the
-    table mod p^(k-1) when those are fewer (`_block_histogram`).  The cost,
-    sum_b q^|b| cells plus q^2 multiply-adds for each block joined after the
-    first, bounds that work and is checked against `budget` before any
-    allocation.  Counts stay below q^n: int64 when n*log2(q) < 62, else
+    table mod p^(k-1) when those are fewer (`_block_histogram`).  Mod q with
+    two or more prime factors: N_q(t) = prod_{p^e || q} N_{p^e}(t mod p^e).
+    The cost, sum_b q^|b| cells plus q^2 multiply-adds for each block joined
+    after the first, bounds either path and is checked against `budget` before
+    any allocation.  Counts stay below q^n: int64 when n*log2(q) < 62, else
     Python ints.  Tables are memoised per (F, q), at most MEMO_RESIDUES
     residues in all, and returned read-only; the budget is checked on a hit
     as on a miss.  Polynomials that are read once (the twisted sums of
@@ -273,19 +275,25 @@ def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None =
         if hit is not None:
             return hit
     dt = np.int64 if F.n * math.log2(q) < 62 else object
-    dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
-    hists = {}  # blocks with the same polynomial share one histogram
-    for i, (vars_, G) in enumerate(parts):
-        key = (len(vars_), frozenset(G.coeffs.items()))  # cheaper to hash than G
-        if key not in hists:
-            hists[key] = _block_histogram(G, q).astype(dt, copy=False)
-        if i == 0:
-            dist = hists[key]
-            continue
-        full = np.convolve(dist, hists[key])
-        dist = full[:q]
-        dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
-    out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
+    fac = factorint(q)
+    if len(fac) > 1:  # CRT: N_q(t) = prod over p^e || q of N_{p^e}(t mod p^e)
+        t = np.arange(q)
+        tables = [_value_counts(F, p ** e, budget, memo).astype(dt)[t % p ** e] for p, e in fac.items()]
+        out = reduce(np.multiply, tables)
+    else:
+        dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
+        hists = {}  # blocks with the same polynomial share one histogram
+        for i, (vars_, G) in enumerate(parts):
+            key = (len(vars_), frozenset(G.coeffs.items()))  # cheaper to hash than G
+            if key not in hists:
+                hists[key] = _block_histogram(G, q).astype(dt, copy=False)
+            if i == 0:
+                dist = hists[key]
+                continue
+            full = np.convolve(dist, hists[key])
+            dist = full[:q]
+            dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
+        out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
     out.flags.writeable = False
     return out if memo is None else memo.store(memo_key, out)
 

@@ -3,12 +3,13 @@
 Individual sums S_{a,q} and T(a,q;v) are computed as complex doubles from a
 precomputed root-of-unity table (phases are exact residues, so there is no
 trigonometric drift), with a stated error bound.  The direct path reads the
-value distribution of a*F + v.x mod q from `counting.value_counts`; `auto`
-takes it whenever that fits the budget, else the CRT product over the prime
-powers of q.  Untwisted sums read the one memoised distribution of F for
-every a: the distribution of a*F is an exact reindexing of it.  Aggregates
-that feed the singular series are exact integers: A_{p^k} is read from the
-one distribution mod p^k.
+value distribution of a*F + v.x mod q from `counting.value_counts` (which
+builds a composite q's table from its prime-power tables, the same integers
+as its grid); `auto` takes it whenever that fits the budget, else the CRT
+product of the sums over the prime powers of q.  Untwisted sums read the
+one memoised distribution of F for every a: the distribution of a*F is an
+exact reindexing of it.  Aggregates that feed the singular series are exact
+integers: A_{p^k} is read from the one distribution mod p^k.
 """
 
 from __future__ import annotations

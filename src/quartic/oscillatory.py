@@ -334,8 +334,8 @@ def singular_integral(
             start = np.exp(2j * np.pi * np.outer(gammas, [const])).ravel()
             return math.prod((table(s * gammas) for s, table in axes), start=start)
 
-        # the rule the recorded J reprs come from: 512 gamma nodes to start, tolerance at least 1e-12, no node cap
-        rule = replace(cfg, tolerance=max(cfg.tolerance, 1e-12), base_points=512, max_points_1d=math.inf)
+        # the rule the recorded J reprs come from: 512 gamma nodes to start, tolerance at least 1e-12, max_cells nodes
+        rule = replace(cfg, tolerance=max(cfg.tolerance, 1e-12), base_points=512, max_points_1d=cfg.max_cells)
         J = complex(integrate_1d(Iv, -R, R, rule))
         if abs(J.imag) > 1e-6 * max(abs(J), 1.0):
             raise ToleranceNotMet("singular integral should be real")

@@ -221,6 +221,19 @@ class TestCache:
         assert rep1["cache_hit"] is False and rep2["cache_hit"] is True
         assert rep1["int"] == rep2["int"]
 
+    def test_the_cache_dir_follows_the_environment_at_each_call(self, capsys, monkeypatch, tmp_path):
+        from quartic.cli import CACHE_ENV
+
+        argv = ["expsum", "--form-text", "x1^4 + x2^4", "--q", "6", "--units"]
+        for name in ("first", "second"):
+            monkeypatch.setenv(CACHE_ENV, str(tmp_path / name))
+            assert main(argv) == 0
+        assert all(len(FormCache(str(tmp_path / name)).entries) == 1 for name in ("first", "second"))
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "third"))
+        assert main(["--cache-dir", ""] + argv) == 0  # an explicit empty flag still turns the cache off
+        assert not (tmp_path / "third").exists()
+        capsys.readouterr()
+
     def test_hash_invalidates_on_edit(self):
         assert form_hash(parse_form("x1^4")) != form_hash(parse_form("2*x1^4"))
 

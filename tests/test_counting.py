@@ -386,6 +386,74 @@ class TestUnitOrbitHistograms:
             assert value_counts(F, q).tolist() == _reduce_every_product_histogram(F, q).tolist()
 
 
+COMPOSITE_Q = (6, 12, 36, 77, 90, 900)
+
+
+@st.composite
+def polynomials_mod_composites(draw):
+    """(F, q): F in 1..3 variables (two at q = 900) of degree 1..4 with a constant and absent variables allowed."""
+    q = draw(st.sampled_from(COMPOSITE_Q))
+    n, d = draw(st.integers(1, 2 if q > 100 else 3)), draw(st.integers(1, 4))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    monomials = [e for e in product(range(d + 1), repeat=n)
+                 if sum(e) <= d and all(e[i] == 0 for i in range(n) if i not in used)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+    return IntPolynomial(n, {e: draw(st.integers(-40, 40)) for e in chosen}), q
+
+
+class TestCrtTables:
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials_mod_composites(), st.data())
+    def test_composite_tables_equal_the_grid(self, case, data):
+        F, q = case
+        assert value_counts(F, q).tolist() == _reduce_every_product_histogram(F, q).tolist()
+        # a twisted a*F + v.x, as `expsums` builds it, without the memo
+        a = data.draw(st.integers(0, q - 1))
+        v = data.draw(st.lists(st.integers(0, q - 1), min_size=F.n, max_size=F.n))
+        coeffs = {e: a * c for e, c in F.coeffs.items()}
+        for i, vi in enumerate(v):
+            e = tuple(int(i == j) for j in range(F.n))
+            coeffs[e] = coeffs.get(e, 0) + vi
+        T = IntPolynomial(F.n, coeffs)
+        got = counting._value_counts(T, q, counting.DEFAULT_BUDGET)
+        assert not got.flags.writeable and got.tolist() == _reduce_every_product_histogram(T, q).tolist()
+
+    def test_F8_mod_2310_holds_python_ints(self):
+        F8 = parse_form(" + ".join(f"x{i}^4" for i in range(1, 9)))
+        q = 2310
+        got = value_counts(F8, q)
+        assert got.dtype == object and sum(got.tolist()) == q ** 8 and max(got) > 1 << 63
+        # independent: two int64 cyclic self-convolutions of the table of x^4 give that of x1^4 + ... + x4^4,
+        # and N(t) is the cyclic self-convolution of that table at t, in Python ints
+        h = np.bincount(np.arange(q, dtype=np.int64) ** 4 % q, minlength=q)
+        for _ in range(2):
+            full = np.convolve(h, h)
+            h = full[:q] + np.append(full[q:], 0)
+        h4 = h.tolist()
+        for t in random.Random(8).sample(range(q), 12):
+            assert got[t] == sum(h4[s] * h4[(t - s) % q] for s in range(q))
+
+    def test_no_composite_modulus_reaches_the_grid(self, monkeypatch):
+        moduli = []
+        grid = counting._grid_histogram
+        monkeypatch.setattr(counting, "_grid_histogram", lambda G, axes, q: moduli.append(q) or grid(G, axes, q))
+        counting._value_counts_memo.clear()
+        for text in ("x1^4 + 3*x1*x2^3 - 2*x2^4 + 5", "x1^3*x2 + x2*x3^3 + x3^4", "2*x1^4 - x2 + 1", "x1*x2 + x3"):
+            F = parse_form(text)
+            for q in (12, 77, 90, 210):
+                value_counts(F, q)
+                counting._value_counts(F, q, counting.DEFAULT_BUDGET)  # without the memo
+        assert moduli and all(len(counting.factorint(q)) == 1 for q in moduli)
+
+    def test_a_composite_past_the_budget_keeps_its_message(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: built.append(q))
+        F = parse_form("x1^4 + x1*x2^3 + 3*x2^4 + 1")
+        with pytest.raises(BudgetExceeded, match="^cost 810000 of the blocks of F mod 900 exceeds budget 809999$"):
+            value_counts(F, 900, budget=900 ** 2 - 1)
+        assert built == []
+
+
 class TestValueCountsMemo:
     def test_a_hit_is_the_same_read_only_table(self):
         F = parse_form("x1^4 + 3*x1*x2^3 + 2")

@@ -362,6 +362,12 @@ class TestSingularIntegral:
         singular_integral_sine(F, w, 50, QuadratureConfig(max_cells=10 ** 6))
         assert built[0] == 105
 
+    def test_factored_gamma_nodes_are_capped_by_the_budget(self):
+        # 257-point axis tables fit within(300); the 512 gamma nodes the rule starts on do not
+        F, w = parse_form("x1^4 - x2^4"), separable_bump((0.5, 0.5), 0.2)
+        with pytest.raises(ToleranceNotMet):
+            singular_integral(F, w, 50, QuadratureConfig().within(300), method="factored")
+
     def test_sine_kernel_agrees(self):
         F = parse_form("x1^4 - x2^4")
         w = separable_bump((0.5, 0.5), 0.2)

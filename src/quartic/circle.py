@@ -12,15 +12,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from .expsums import unit_sum_prime_power
-from .forms import IntPolynomial, _values_at, blocks, grid_values
-from .geometry import GF, primes_up_to
+from .forms import IntPolynomial, _grid_points, _values_at, blocks, grid_values
+from .geometry import primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -178,11 +177,12 @@ class SeriesCache:
         return self.aq[q]
 
     def plan(self, prime_powers) -> None:
-        """BudgetExceeded before any work at the first prime power, in the caller's order, whose rho would not fit."""
+        """BudgetExceeded before any work at the first prime power (caller's order), or all, whose rho would not fit."""
         parts = blocks(self.F)[1]
-        for q in prime_powers:
-            if q not in self.aq and q not in self.rho:
-                _check_cost(parts, q, self.budget)
+        todo = [q for q in prime_powers if q not in self.aq and q not in self.rho]
+        total = sum(_check_cost(parts, q, self.budget) for q in todo)
+        if total > self.budget:
+            raise BudgetExceeded(f"summed cost {total} of F mod {len(todo)} prime powers exceeds budget {self.budget}")
 
 
 def _primes_within(m: int, budget: int) -> list:
@@ -197,7 +197,9 @@ def _prime_powers(R: float, budget: int) -> list:
     if not 0 <= R < math.inf:
         raise PreconditionViolated(f"S(R) needs a finite R >= 0, got {R}")
     m = int(math.floor(R))
-    return [(p, p ** e) for p in _primes_within(m, budget) for e in range(1, m.bit_length() + 1) if p ** e <= m]
+    # p^e <= m needs e <= log2(m) / log2(p) <= m.bit_length() // (p.bit_length() - 1)
+    tops = ((p, m.bit_length() // (p.bit_length() - 1)) for p in _primes_within(m, budget))
+    return [(p, p ** e) for p, top in tops for e in range(1, top + 1) if p ** e <= m]
 
 
 def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
@@ -325,14 +327,35 @@ def _randrange_many(rng: random.Random, p: int, count: int) -> np.ndarray:
     return words[hits].astype(np.int64)
 
 
+def _first_rows(A: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row of A, increasing: a stable sort over the columns, valid
+    for any entries (a packed int64 key per row overflows once p^n >= 2^63); uint16 keys, where they fit, radix-sort."""
+    keys = A.T[::-1]
+    order = np.lexsort(keys.astype(np.uint16) if A.size and 0 <= A.min() and A.max() < 1 << 16 else keys)
+    S = A[order]
+    first = np.ones(len(S), dtype=bool)
+    first[1:] = (S[1:] != S[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+def _val_p_many(a: np.ndarray, p: int) -> np.ndarray:
+    """[_val_p(x, p) for x in a] on an integer array (int64, or Python ints in an object array)."""
+    v, live, r = np.where(a == 0, 64, 0), np.flatnonzero(a), a[a != 0]
+    while live.size:
+        hit = r % p == 0
+        live, r = live[hit], r[hit] // p
+        v[live] += 1
+    return v
+
+
 def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random) -> list:
-    """Zeros of F mod p among 60 p draws of x, first occurrences only, x = 0 dropped; rng as after a loop."""
+    """Zeros of F mod p among 60 p draws of x, first occurrences only (_first_rows), 0 dropped; rng as after a loop."""
     n = F.n
-    drawn = dict.fromkeys(map(tuple, _randrange_many(rng, p, 60 * p * n).reshape(-1, n).tolist()))
-    drawn.pop((0,) * n, None)
-    X = np.array(list(drawn), dtype=np.int64).reshape(-1, n)
-    zero = _values_at(F, list(X.T), GF(p)) == 0
-    return [x for x, z in zip(drawn, zero.tolist()) if z]
+    X = _randrange_many(rng, p, 60 * p * n).reshape(-1, n)
+    X = X[_first_rows(X)]
+    X = X[X.any(axis=1)]
+    zero = _values_at(F, list(X.T), p) == 0
+    return list(map(tuple, X[zero].tolist()))
 
 
 def local_witness(
@@ -345,14 +368,15 @@ def local_witness(
 ):
     """Search x (not all = 0 mod p) that Hensel-lifts to a p-adic zero of F.
 
-    Returns (x, k) on success; raises Inconclusive when the budget runs out.
-    Level k holds solutions of F = 0 mod p^k, none of them 0 mod p; full grids
-    mod p run while they fit their caps and `budget`, seeded samples otherwise.
-    One pass per level checks each point with `hensel_criterion` and lifts the
-    ones that fail it.  Lifting needs no gradient: a point has v_p F >= 1 and
-    some coordinate prime to p, so it fails only when grad F = 0 mod p.  Then
-    F(x + p^k d) = F(x) mod p^{k+1} for every d, and x lifts exactly when
-    v_p F(x) > k, to x + p^k d for every d mod p (or 64 seeded d).
+    Returns (x, k), x a tuple of Python ints, or raises Inconclusive.  Level k
+    holds solutions of F = 0 mod p^k, none 0 mod p, as array rows: full grids
+    mod p while they fit their caps and `budget`, seeded samples otherwise.  A
+    level is one pass: F and grad F exactly on every row, and the first row with
+    v_p F > 2 min_i v_p dF/dx_i (`hensel_criterion`) is the witness.  Lifting
+    needs no gradient: a point has v_p F >= 1 and some coordinate prime to p,
+    so it fails only when grad F = 0 mod p.  Then F(x + p^k d) = F(x) mod
+    p^{k+1} for every d, and x lifts exactly when v_p F(x) > k, to x + p^k d for
+    every d mod p (or 64 seeded d, repeats dropped) up to `cap` rows.
     """
     n = F.n
     rng = random.Random(seed * 1_000_003 + p)
@@ -360,42 +384,61 @@ def local_witness(
     if p ** n <= min(GRID_CAP, budget):
         # transposed so candidates come in the order x1 fastest
         vals = grid_values(F, [np.arange(p)] * n, modulus=p).T
-        zeros = np.argwhere(vals == 0)[: 10 * cap, ::-1].tolist()
-        level = [tuple(x) for x in zeros if any(x)]
+        X = np.argwhere(vals == 0)[: 10 * cap, ::-1]
+        X = X[X.any(axis=1)]
     else:
-        level = _sampled_zeros(F, p, rng)
+        X = np.array(_sampled_zeros(F, p, rng), dtype=np.int64).reshape(-1, n)
     gradient = F.gradient()
+    grid = _grid_points([np.arange(p)] * n) if p ** n <= min(4096, budget) else None
     for k in range(1, k_max + 1):
-        pk, nxt = p ** k, {}  # nxt: the next level as an ordered set
-        for x in level:
-            ok, vF, _ = hensel_criterion(F, x, p, gradient=gradient)
-            if ok:
-                return x, k
-            if vF <= k or len(nxt) >= cap:
-                continue
-            if p ** n <= min(4096, budget):
-                deltas = product(range(p), repeat=n)
-            else:
-                deltas = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(64)]
-            for d in deltas:
-                nxt[tuple(xi + pk * di for xi, di in zip(x, d))] = None
-                if len(nxt) >= cap:
-                    break
-        level = list(nxt)
-        if not level:
+        vF, *vg = (_val_p_many(_values_at(g, list(X.T)), p) for g in [F] + gradient)
+        ok = np.flatnonzero(vF > 2 * np.min(vg, axis=0))
+        if ok.size:
+            return tuple(X[ok[0]].tolist()), k
+        # Python ints once the next level's coordinates pass int64
+        X, pk = X[vF > k].astype(object if p ** (k + 1) >= 1 << 63 else X.dtype), p ** k
+        if grid is not None:
+            rows = np.arange(min(cap, len(X) * len(grid)))
+            X = X[rows // len(grid)] + pk * grid[rows % len(grid)].astype(X.dtype)
+        else:
+            lifts, first = [], 0
+            while (got := sum(map(len, lifts))) < cap and first < len(X):
+                reach = min(-(-(cap - got) // 64), len(X) - first)  # at most 64 lifts a row: each of them draws
+                owner = np.repeat(np.arange(first, first + reach), 64)
+                d = _randrange_many(rng, p, 64 * n * reach).reshape(-1, n)
+                keep = _first_rows(np.column_stack([owner, d]))[: cap - got]
+                lifts.append(X[owner[keep]] + pk * d[keep].astype(X.dtype))
+                first += reach
+            X = np.concatenate(lifts or [X])
+        if not len(X):
             break
     raise Inconclusive(f"no Hensel witness mod {p} within k <= {k_max}")
+
+
+def _gauss_many(rng: random.Random, count: int) -> np.ndarray:
+    """[rng.gauss(0, 1) for _ in range(count)] in bulk, rng left in the same state: Box-Muller pairs from random()
+    doubles of two Mersenne Twister words each, with log, cos and sin mapped through math (the same libm)."""
+    if rng.gauss_next is not None and count:  # the second value of a pair drawn before comes first
+        return np.concatenate([[rng.gauss(0, 1)], _gauss_many(rng, count - 1)])
+    m = (count + 1) // 2
+    w = np.frombuffer(rng.getrandbits(128 * m).to_bytes(16 * m, "little"), "<u4")
+    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)  # random()
+    x2pi, g2rad = u[0::2] * (2.0 * math.pi), np.sqrt(-2.0 * np.fromiter(map(math.log, 1.0 - u[1::2]), float, m))
+    z = np.stack([np.fromiter(map(f, x2pi), float, m) * g2rad for f in (math.cos, math.sin)], axis=1).ravel()
+    rng.gauss_next = float(z[-1]) if count % 2 else None
+    return z[:count] + 0.0  # gauss returns 0 + z: -0.0 becomes 0.0
 
 
 def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
     """Nonsingular real zero on the unit sphere via sign change + bisection.
 
     The probes are the n unit vectors and then normalised Gaussian draws up
-    to `budget`; F is evaluated at all of them in one call on their columns.
+    to `budget`, drawn in bulk by `_gauss_many`; F is evaluated at all of
+    them in one call on their columns.
     """
     n = F.n
     rng = random.Random(seed)
-    G = np.array([rng.gauss(0, 1) for _ in range(max(budget - n, 0) * n)]).reshape(-1, n)
+    G = _gauss_many(rng, max(budget - n, 0) * n).reshape(-1, n)
     # squares summed left to right, not pairwise, so each probe is the double it is when normalised alone
     probes = np.vstack([np.eye(n), G / np.sqrt(sum(g * g for g in G.T))[:, None]])
     vals = F.evaluate(list(probes.T)) + np.zeros(len(probes))  # a constant F gives a scalar

@@ -256,13 +256,14 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
     return _value_counts(F, q, budget, _value_counts_memo)
 
 
-def _check_cost(parts, q: int, budget: int) -> None:
-    """BudgetExceeded when the blocks `parts` of F cost more than `budget` in `value_counts` mod q."""
+def _check_cost(parts, q: int, budget: int) -> int:
+    """The cost of the blocks `parts` of F in `value_counts` mod q; BudgetExceeded when it passes `budget`."""
     if q >= 1 << 31:  # refused at any budget: residue products mod q would overflow int64
         raise BudgetExceeded(f"value tables mod {q} >= 2^31 are refused at any budget")
     cost = sum(q ** len(vars_) for vars_, _ in parts) + max(len(parts) - 1, 0) * q * q
     if cost > budget:
         raise BudgetExceeded(f"cost {cost} of the blocks of F mod {q} exceeds budget {budget}")
+    return cost
 
 
 def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None = None) -> np.ndarray:

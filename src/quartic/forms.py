@@ -19,7 +19,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -215,9 +215,20 @@ class IntPolynomial:
         return out
 
     def shift(self, h) -> "IntPolynomial":
-        """g(x + h) for an integer vector h."""
-        eye = [[1 if i == j else 0 for i in range(self.n)] for j in range(self.n)]
-        return self.substitute_affine(h, eye)
+        """g(x + h) for an integer vector h: c x^e expands to c prod_i C(e_i, j_i) h_i^(e_i - j_i) x^j over j <= e, with
+        `coeffs` in the order of `substitute_affine(h, identity)` (by monomial of g, then j lexicographic; a cancelled
+        monomial is appended again when it comes back)."""
+        if len(h) != self.n:
+            raise DimensionMismatch("affine map shape does not match variable count")
+        out = {}
+        for e, c in self.coeffs.items():
+            axes = [[(j, b) for j in range(k + 1) if (b := math.comb(k, j) * int(t) ** (k - j))] for k, t in zip(e, h)]
+            for terms in product(*axes):
+                key = tuple(j for j, _ in terms)
+                out[key] = out.get(key, 0) + c * math.prod(b for _, b in terms)
+                if not out[key]:
+                    del out[key]
+        return IntPolynomial(self.n, out)
 
     # -- serialization ---------------------------------------------------------
 
@@ -327,9 +338,10 @@ def grid_values(F: IntPolynomial, axes, modulus=None) -> np.ndarray:
     The ring follows the inputs: with an integer `modulus` the result holds
     int64 residues mod modulus; with a finite field as `modulus` (anything
     with `embed`, `add` and `mul` on arrays of element codes, like
-    `geometry.GF`) the axes and the result hold its codes; integer axes give
-    exact values, int64 when `_int64_safe` proves they fit and Python ints in
-    an object array otherwise; float axes give float64.  Each monomial is a
+    `geometry.GF`) the axes and the result hold its codes; integer axes (int64,
+    or Python ints in an object array) give exact values, int64 when
+    `_int64_safe` proves they fit and Python ints in an object array
+    otherwise; float axes give float64.  Each monomial is a
     product of per-axis power tables broadcast over its own variables only,
     and the monomials are added in `F.coeffs` order.  Exact results equal the
     point-by-point sum c * x_i^k * x_j^l * ...; float results equal, bit for
@@ -362,18 +374,21 @@ def _values_at(F: IntPolynomial, coords, modulus=None) -> np.ndarray:
                 out = a * b
                 out %= modulus
                 return out
-    elif all(c.dtype.kind in "iu" for c in coords):
+    elif all(c.dtype.kind in "iuO" for c in coords):  # object arrays hold Python ints
         ranges = [(int(c.min()), int(c.max())) if c.size else (0, 0) for c in coords]
-        dtype = np.int64 if _int64_safe(F, ranges) else object
+        fits = all(-(1 << 63) <= a and b < 1 << 63 for a, b in ranges)  # variables absent from F too
+        dtype = np.int64 if fits and _int64_safe(F, ranges) else object
     else:
         dtype, embed = np.float64, float
     coords = [c.astype(dtype, copy=False) for c in coords]
     tables = {(i, 1): c for i, c in enumerate(coords)}
 
     def power(i, k):
-        # x_i^k: by ** over Z and the floats, by repeated products in a finite ring
-        if (i, k) not in tables:
-            tables[i, k] = coords[i] ** k if modulus is None else mul(power(i, k - 1), coords[i])
+        # x_i^k: by ** over Z and the floats, by repeated products in a finite ring; a loop, as a closure
+        # that calls itself is a reference cycle that keeps every table alive until the collector runs
+        for j in range(k if modulus is None else 2, k + 1):
+            if (i, j) not in tables:
+                tables[i, j] = coords[i] ** j if modulus is None else mul(tables[i, j - 1], coords[i])
         return tables[i, k]
 
     total = np.zeros(shape, dtype=dtype)

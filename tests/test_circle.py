@@ -11,6 +11,7 @@ import pytest
 from quartic import circle, counting
 from quartic.circle import (
     SeriesCache,
+    _gauss_many,
     _randrange_many,
     _sampled_zeros,
     _val_p,
@@ -294,6 +295,32 @@ class TestBulkDraws:
         assert _sampled_zeros(F, p, rng) == expect
         assert rng.getstate() == ref.getstate()
 
+    def test_sampled_zeros_past_int64_rows(self):
+        # 601^7 >= 2^63: no row fits one int64 key; 60 * 601 draws of 7 coordinates, few of them repeats
+        F, p, seed = parse_form("x1^4 + 2*x2^4 - 3*x3^4 + x4^4 - x5^4 + 5*x6^4 - 7*x7^4"), 601, 3
+        assert p ** F.n >= 2 ** 63
+        rng, ref = random.Random(seed), random.Random(seed)
+        expect, seen = [], set()
+        for _ in range(60 * p):
+            x = tuple(ref.randrange(p) for _ in range(F.n))
+            if not any(x) or x in seen:
+                continue
+            seen.add(x)
+            if F.evaluate(list(x)) % p == 0:
+                expect.append(x)
+        assert _sampled_zeros(F, p, rng) == expect
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [1, 2, 5, 2 ** 40 + 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 999, 7984])
+    def test_same_values_and_state_as_gauss(self, seed, count):
+        bulk, scalar = random.Random(seed), random.Random(seed)
+        assert _gauss_many(bulk, count).tolist() == [scalar.gauss(0, 1) for _ in range(count)]
+        assert bulk.getstate() == scalar.getstate() and bulk.gauss_next == scalar.gauss_next
+        # an odd count leaves one value pending: the next draws start from it
+        assert _gauss_many(bulk, 3).tolist() == [scalar.gauss(0, 1) for _ in range(3)]
+        assert bulk.getstate() == scalar.getstate() and bulk.gauss_next == scalar.gauss_next
+
     def test_budget_turns_the_grids_into_samples(self, monkeypatch):
         F = parse_form("10*x1^4 + 5*x2^4 - 5*x3^4 - 5*x4^4")
         assert local_witness(F, 5) == local_witness(F, 5, budget=625)  # 5^4 cells fit: the same grid
@@ -332,6 +359,19 @@ class TestBudgetPlan:
             local_factor(self.F, 2, 5, budget=150)
         # the message is the one raised after the histograms mod 2, 4 and 8 before the plan
         assert str(exc.value) == "cost 288 of the blocks of F mod 16 exceeds budget 150" and calls == []
+
+    def test_summed_cost_raises_before_any_histogram(self, monkeypatch):
+        # every q <= 3000 fits 100,000 alone (cost q for one variable); the 466 prime powers sum to 621,475
+        calls = []
+        histogram = counting._block_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(counting.MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: calls.append(q) or histogram(G, q))
+        F = parse_form("x1^4")
+        with pytest.raises(BudgetExceeded) as exc:
+            singular_series(F, 3000, SeriesCache(F, 100_000))
+        assert str(exc.value) == "summed cost 621475 of F mod 466 prime powers exceeds budget 100000"
+        assert calls == []
+        assert singular_series(F, 3000, SeriesCache(F, 621_475)) == singular_series(F, 3000)
 
     def test_cached_moduli_are_not_planned(self):
         cache = SeriesCache(self.F, 150)
@@ -474,6 +514,17 @@ class TestAgainstOracles:
             new = _outcome(local_witness, F, p, k_max=6, seed=seed, budget=budget)
             assert new == _outcome(_local_witness_oracle, F, p, k_max=6, seed=seed, budget=budget)
             assert new[0] == "Inconclusive" or all(type(xi) is int for xi in new[0])
+
+    @pytest.mark.parametrize("p", [41, 43])
+    def test_local_witness_past_int64(self, p):
+        # x1^2 - 4 p^22 x2^2: the first witness, x1 = 2 p^11 x2, is found at level 12, whose rows pass 2^63
+        F = IntPolynomial(2, {(2, 0): 1, (0, 2): -4 * p ** 22})
+        new = local_witness(F, p, k_max=13, cap=2000, seed=3)
+        assert new == _local_witness_oracle(F, p, k_max=13, cap=2000, seed=3) and new[1] == 12
+        assert all(type(xi) is int for xi in new[0])
+        F3 = IntPolynomial(3, {(2, 0, 0): 1, (0, 2, 0): -4 * p ** 22})  # 64 seeded d a row past the p^2 grid
+        assert _outcome(local_witness, F3, p, k_max=13, cap=500, seed=3) == _outcome(
+            _local_witness_oracle, F3, p, k_max=13, cap=500, seed=3)
 
     @pytest.mark.parametrize("budget", [2000, 50, 3])
     def test_real_point_probe(self, budget):

@@ -290,23 +290,6 @@ def main_term_pipeline(
 GRID_CAP = 200_000  # `local_witness` walks the full grid mod p up to this many cells, and samples past it
 
 
-def _val_p(x: int, p: int) -> int:
-    if x == 0:
-        return 64  # v_p(0) is infinite: 64 stands in for it
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def hensel_criterion(F: IntPolynomial, x, p: int, gradient=None):
-    """(ok, vF, vGrad): ok when v_p(F(x)) > 2 min_i v_p(dF/dx_i(x)); `gradient` is F.gradient(), built once."""
-    vF = _val_p(F.evaluate(x), p)
-    vg = min(_val_p(g.evaluate(x), p) for g in gradient or F.gradient())
-    return vF > 2 * vg, vF, vg
-
-
 def _randrange_many(rng: random.Random, p: int, count: int) -> np.ndarray:
     """[rng.randrange(p) for _ in range(count)] drawn in bulk, leaving rng in the same state.
 
@@ -339,7 +322,7 @@ def _first_rows(A: np.ndarray) -> np.ndarray:
 
 
 def _val_p_many(a: np.ndarray, p: int) -> np.ndarray:
-    """[_val_p(x, p) for x in a] on an integer array (int64, or Python ints in an object array)."""
+    """v_p(x) for each x of an integer array (int64, or Python ints in an object array); 64 stands in for v_p(0)."""
     v, live, r = np.where(a == 0, 64, 0), np.flatnonzero(a), a[a != 0]
     while live.size:
         hit = r % p == 0
@@ -372,7 +355,8 @@ def local_witness(
     holds solutions of F = 0 mod p^k, none 0 mod p, as array rows: full grids
     mod p while they fit their caps and `budget`, seeded samples otherwise.  A
     level is one pass: F and grad F exactly on every row, and the first row with
-    v_p F > 2 min_i v_p dF/dx_i (`hensel_criterion`) is the witness.  Lifting
+    v_p F > 2 min_i v_p dF/dx_i is the witness, since by Hensel's lemma such an
+    x lifts to a p-adic zero of F (v_p(0) counts as 64 here).  Lifting
     needs no gradient: a point has v_p F >= 1 and some coordinate prime to p,
     so it fails only when grad F = 0 mod p.  Then F(x + p^k d) = F(x) mod
     p^{k+1} for every d, and x lifts exactly when v_p F(x) > k, to x + p^k d for

@@ -1,9 +1,15 @@
 """Command-line surface: form I/O, caching, and JSON-line reports.
 
+Each `_cmd_*` handler maps the parsed arguments to the fields of its report.
+`dispatch` does the rest once for every subcommand: it refuses `--budget` <= 0,
+resolves `--cache-dir` against $QUARTIC_CACHE_DIR, adds `command` and
+`version`, prints `elapsed` to stderr under --timing, and prints the report,
+or for a `QuarticError` one JSON error line on stderr with exit code 1.
+
 Every report embeds the form hash, package version, and the parameter record
 needed to reproduce it.  Output is deterministic for fixed inputs and seed:
 keys are sorted, rationals are printed as "num/den" strings, and timing goes
-to stderr only (under --timing) so byte-for-byte comparisons stay stable.
+to stderr only, so byte-for-byte comparisons stay stable.
 """
 
 from __future__ import annotations
@@ -18,37 +24,18 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from dataclasses import dataclass
-
 from . import __version__
-from .counting import DEFAULT_BUDGET
-from .errors import (
-    ArcsOverlap, CacheCorrupt, ConfigInvalid, DeltaOutOfRange, PreconditionViolated, QuarticError, UnknownCommand,
-)
-from .forms import IntPolynomial, parse_form
+from .circle import SeriesCache, arc_partition, classify, euler_view, hasse_report, main_term_pipeline, singular_series
+from .counting import DEFAULT_BUDGET, height_count, weighted_count
+from .errors import ArcsOverlap, CacheCorrupt, ConfigInvalid, DeltaOutOfRange, PreconditionViolated, QuarticError
+from .expsums import complete_sum, sum_over_units, twisted_sum
+from .forms import CubicData, IntPolynomial, parse_form
+from .geometry import b_set_profile, find_hyperplane, hessian_rank_profile, sing_dim
+from .oscillatory import QuadratureConfig, poisson_check, singular_integral
 from .verify import SWEEPS
 from .weights import WeightSpec, box, bump, separable_bump
 
 CACHE_ENV = "QUARTIC_CACHE_DIR"
-
-
-@dataclass
-class RunConfig:
-    budget: int = DEFAULT_BUDGET
-    cache_dir: str | None = None
-    output: str = "json"
-
-    def validate(self):
-        if self.budget <= 0:
-            raise ConfigInvalid("budget must be positive")
-        if self.output not in ("json", "table"):
-            raise ConfigInvalid(f"unknown output format {self.output!r}")
-        return self
-
-
-def config_from_args(args) -> RunConfig:
-    cache_dir = os.environ.get(CACHE_ENV) if args.cache_dir is None else args.cache_dir  # "" turns the cache off
-    return RunConfig(budget=args.budget, cache_dir=cache_dir, output=args.output).validate()
 
 
 def form_hash(F: IntPolynomial) -> str:
@@ -139,136 +126,114 @@ class FormCache:
 # -- argument plumbing ----------------------------------------------------------------
 
 
+def _numbers(text: str, kind, flag: str) -> list:
+    """The comma-separated values of option `flag`, each parsed by `kind` (int or float)."""
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigInvalid(f"{flag} must be comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 def _load_form(args) -> IntPolynomial:
-    if getattr(args, "form", None):
-        text = Path(args.form).read_text()
+    if args.form:
+        try:
+            text = Path(args.form).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(f"cannot read --form: {exc}") from None
         try:
             return IntPolynomial.from_json(text)
         except json.JSONDecodeError:
             return parse_form(text.strip())
-    if getattr(args, "form_text", None):
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"--form {args.form!r} is not a form: {type(exc).__name__} {exc}") from None
+    if args.form_text:
         return parse_form(args.form_text)
     raise ConfigInvalid("supply --form FILE or --form-text EXPR")
 
 
 def _load_weight(args, n: int) -> WeightSpec:
-    kind = getattr(args, "weight", "box")
-    if kind == "box":
+    if args.weight == "box":
         return box(n)
-    center = [float(t) for t in (args.center.split(",") if args.center else ["0"] * n)]
+    center = _numbers(args.center, float, "--center") if args.center else [0.0] * n
     if len(center) == 1 and n > 1:
         center = center * n
-    if kind == "bump":
-        return bump(center, args.rho)
-    if kind == "separable":
-        return separable_bump(center, args.rho)
-    raise ConfigInvalid(f"unknown weight kind {kind!r}")
+    return (bump if args.weight == "bump" else separable_bump)(center, args.rho)
 
 
-def _base(F: IntPolynomial, args) -> dict:
-    return {"form_hash": form_hash(F), "version": __version__, "n": F.n}
+def _base(F: IntPolynomial) -> dict:
+    return {"form_hash": form_hash(F), "n": F.n}
 
 
-# -- subcommands -------------------------------------------------------------------------
+# -- subcommands: each returns the fields of its report ---------------------------------------
 
 
-def _cmd_count(args, config: RunConfig) -> int:
-    from .counting import height_count, weighted_count
-
+def _cmd_count(args) -> dict:
     F = _load_form(args)
     w = _load_weight(args, F.n)
-    rep = _base(F, args) | {"P": args.P, "command": "count"}
+    rep = _base(F) | {"P": args.P}
     if args.projective:
-        res = height_count(F, args.P, budget=config.budget)
-        rep |= {"count": res.count, "method": res.method, "projective": True}
-    else:
-        methods = ["brute", "mitm"] if args.method == "both" else [args.method]
-        for m in methods:
-            res = weighted_count(F, w, args.P, method=m, budget=config.budget)
-            rep[f"count_{m}"] = res.count
-        if args.method == "both":
-            rep["agree"] = rep["count_brute"] == rep["count_mitm"]
-        rep["method"] = args.method
-    _emit(rep, output=config.output)
-    return 0
+        res = height_count(F, args.P, budget=args.budget)
+        return rep | {"count": res.count, "method": res.method, "projective": True}
+    methods = ["brute", "mitm"] if args.method == "both" else [args.method]
+    for m in methods:
+        rep[f"count_{m}"] = weighted_count(F, w, args.P, method=m, budget=args.budget).count
+    if args.method == "both":
+        rep["agree"] = rep["count_brute"] == rep["count_mitm"]
+    return rep | {"method": args.method}
 
 
-def _cmd_expsum(args, config: RunConfig) -> int:
-    from .expsums import complete_sum, sum_over_units, twisted_sum
-
+def _cmd_expsum(args) -> dict:
     F = _load_form(args)
-    cache = FormCache(config.cache_dir)
-    fh = form_hash(F)
-    rep = _base(F, args) | {"command": "expsum", "a": args.a, "q": args.q}
-    t0 = time.time()
-    if args.units:
-        hit = cache.load(fh, "Aq", None, args.q)
-        if hit:
-            rep |= {"int": hit["int"], "cache_hit": True}
-        else:
-            val = sum_over_units(F, args.q, budget=config.budget)
-            cache.store({"form_hash": fh, "kind": "Aq", "a": None, "q": args.q, "int": val, "err": 0})
-            rep |= {"int": val, "cache_hit": False}
-    elif args.v:
-        v = [int(t) for t in args.v.split(",")]
-        s = twisted_sum(F, args.a, args.q, v, budget=config.budget)
-        rep |= {"re": s.value.real, "im": s.value.imag, "err": s.err, "v": v}
-    else:
-        hit = cache.load(fh, "Saq", args.a, args.q)
-        if hit:
-            rep |= {"re": hit["re"], "im": hit["im"], "err": hit["err"], "cache_hit": True}
-        else:
-            s = complete_sum(F, args.a, args.q, budget=config.budget)
-            cache.store(
-                {"form_hash": fh, "kind": "Saq", "a": args.a, "q": args.q,
-                 "re": s.value.real, "im": s.value.imag, "err": s.err}
-            )
-            rep |= {"re": s.value.real, "im": s.value.imag, "err": s.err, "cache_hit": False}
+    cache = FormCache(args.cache_dir)
+    rep = _base(F) | {"a": args.a, "q": args.q}
+    if args.v and not args.units:
+        v = _numbers(args.v, int, "--v")
+        s = twisted_sum(F, args.a, args.q, v, budget=args.budget)
+        return rep | {"re": s.value.real, "im": s.value.imag, "err": s.err, "v": v}
+    # A_q (--units) or S_{a,q}, served from the cache when it holds them
+    kind, a = ("Aq", None) if args.units else ("Saq", args.a)
+    payload = cache.load(rep["form_hash"], kind, a, args.q)
     if args.timing:
-        print(f"elapsed {time.time() - t0:.3f}s", file=sys.stderr)
-    if not args.timing:
-        rep.pop("cache_hit", None)
-    _emit(rep, output=config.output)
-    return 0
+        rep["cache_hit"] = payload is not None
+    if payload is None:
+        if args.units:
+            payload = {"int": sum_over_units(F, args.q, budget=args.budget), "err": 0}
+        else:
+            s = complete_sum(F, args.a, args.q, budget=args.budget)
+            payload = {"re": s.value.real, "im": s.value.imag, "err": s.err}
+        payload |= {"form_hash": rep["form_hash"], "kind": kind, "a": a, "q": args.q}
+        cache.store(payload)
+    return rep | {k: payload[k] for k in (["int"] if args.units else ["re", "im", "err"])}
 
 
-def _cmd_series(args, config: RunConfig) -> int:
-    from .circle import SeriesCache, euler_view, singular_series
-
+def _cmd_series(args) -> dict:
     F = _load_form(args)
-    cache = SeriesCache(F, config.budget)
-    disk = FormCache(config.cache_dir)
-    fh = form_hash(F)
+    cache = SeriesCache(F, args.budget)
+    disk = FormCache(args.cache_dir)
+    rep = _base(F) | {"R": args.R}
+    fh = rep["form_hash"]
     for (h, kind, a, q), payload in disk.entries.items():
         if h == fh and kind == "Aq":
             cache.aq[q] = payload["int"]
-    S = singular_series(F, args.R, cache=cache)
-    rep = _base(F, args) | {"command": "series", "R": args.R, "S_R": _fr(S)}
+    rep["S_R"] = _fr(singular_series(F, args.R, cache=cache))
     if args.euler:
         rep["euler_view"] = _fr(euler_view(F, args.R, cache=cache))
     for q, val in sorted(cache.aq.items()):
         disk.store({"form_hash": fh, "kind": "Aq", "a": None, "q": q, "int": val, "err": 0})
-    _emit(rep, output=config.output)
-    return 0
+    return rep
 
 
-def _cmd_integral(args, config: RunConfig) -> int:
-    from .oscillatory import QuadratureConfig, singular_integral
-
+def _cmd_integral(args) -> dict:
     F = _load_form(args)
     w = _load_weight(args, F.n)
-    J = singular_integral(F, w, args.R, cfg=QuadratureConfig().within(config.budget))
-    rep = _base(F, args) | {"command": "integral", "R": args.R, "J_R": J, "weight": args.weight}
-    _emit(rep, output=config.output)
-    return 0
+    J = singular_integral(F, w, args.R, cfg=QuadratureConfig().within(args.budget))
+    return _base(F) | {"R": args.R, "J_R": J, "weight": args.weight}
 
 
-def _cmd_arcs(args, config: RunConfig) -> int:
-    from .circle import arc_partition, classify
-
-    rep = {"command": "arcs", "delta": args.delta, "P": args.P, "version": __version__}
+def _cmd_arcs(args) -> dict:
+    rep = {"delta": args.delta, "P": args.P}
     try:
-        part = arc_partition(args.delta, args.P, budget=config.budget)
+        part = arc_partition(args.delta, args.P, budget=args.budget)
         rep |= {
             "arc_count": len(part.arcs),
             "q_max": part.q_max,
@@ -283,22 +248,17 @@ def _cmd_arcs(args, config: RunConfig) -> int:
             alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
             raise ConfigInvalid(f"--alpha must be a rational number, got {args.alpha!r}") from None
-        kind, a, q = classify(alpha, args.delta, args.P, budget=config.budget)
+        kind, a, q = classify(alpha, args.delta, args.P, budget=args.budget)
         rep["classify"] = {"alpha": args.alpha, "kind": kind, "a": a, "q": q}
-    _emit(rep, output=config.output)
-    return 0
+    return rep
 
 
-def _cmd_poisson(args, config: RunConfig) -> int:
-    from .forms import CubicData
-    from .oscillatory import poisson_check
-
+def _cmd_poisson(args) -> dict:
     F = _load_form(args)
     g = CubicData.from_poly(F)
     w = _load_weight(args, F.n)
-    rep0 = poisson_check(g, w, args.P, args.a, args.q, args.z, v_cut=args.v_cut, budget=config.budget)
-    rep = _base(F, args) | {
-        "command": "poisson",
+    rep0 = poisson_check(g, w, args.P, args.a, args.q, args.z, v_cut=args.v_cut, budget=args.budget)
+    return _base(F) | {
         "P": args.P,
         "a": args.a,
         "q": args.q,
@@ -311,18 +271,13 @@ def _cmd_poisson(args, config: RunConfig) -> int:
         "tail_estimate": rep0.tail_estimate,
         "grid": list(rep0.grid_shape),
     }
-    _emit(rep, output=config.output)
-    return 0
 
 
-def _cmd_pipeline(args, config: RunConfig) -> int:
-    from .circle import main_term_pipeline
-
+def _cmd_pipeline(args) -> dict:
     F = _load_form(args)
     w = _load_weight(args, F.n)
-    out = main_term_pipeline(F, w, args.P, args.R_series, args.R_integral, budget=config.budget)
-    rep = _base(F, args) | {
-        "command": "pipeline",
+    out = main_term_pipeline(F, w, args.P, args.R_series, args.R_integral, budget=args.budget)
+    return _base(F) | {
         "P": args.P,
         "N_omega": out["N_omega"],
         "count_method": out["count_method"],
@@ -332,17 +287,12 @@ def _cmd_pipeline(args, config: RunConfig) -> int:
         "main": out["main"],
         "ratio": out["ratio"],
     }
-    _emit(rep, output=config.output)
-    return 0
 
 
-def _cmd_hasse(args, config: RunConfig) -> int:
-    from .circle import hasse_report
-
+def _cmd_hasse(args) -> dict:
     F = _load_form(args)
-    out = hasse_report(F, p_max=args.p_max, k_max=args.k_max, seed=args.seed, budget=config.budget)
-    rep = _base(F, args) | {
-        "command": "hasse",
+    out = hasse_report(F, p_max=args.p_max, k_max=args.k_max, seed=args.seed, budget=args.budget)
+    return _base(F) | {
         "p_max": args.p_max,
         "real_soluble": out["real"]["soluble"],
         "everywhere_locally_soluble": out["everywhere_locally_soluble"],
@@ -351,52 +301,36 @@ def _cmd_hasse(args, config: RunConfig) -> int:
             for p, rec in out["primes"].items()
         },
     }
-    _emit(rep, output=config.output)
-    return 0
 
 
-def _cmd_geometry(args, config: RunConfig) -> int:
-    from .geometry import b_set_profile, find_hyperplane, hessian_rank_profile, sing_dim
-
+def _cmd_geometry(args) -> dict:
     if args.op in ("rank-profile", "b-set") and args.p is None:
         raise ConfigInvalid(f"--op {args.op} needs a prime --p")
     F = _load_form(args)
-    rep = _base(F, args) | {"command": "geometry", "op": args.op}
-    budget = config.budget
+    rep = _base(F) | {"op": args.op}
+    if args.op == "sing-dim" and args.p is not None:
+        return rep | {"p": args.p, "s_p": sing_dim(F, args.p, budget=args.budget)}
     if args.op == "sing-dim":
-        if args.p is not None:
-            rep |= {"p": args.p, "s_p": sing_dim(F, args.p, budget=budget)}
-        else:
-            val, tag = sing_dim(F, None, budget=budget)
-            rep |= {"s_proxy": val, "tag": tag}
-    elif args.op == "rank-profile":
-        rep |= {"p": args.p, "r": args.r} | hessian_rank_profile(F, args.p, args.r, budget=budget)
-    elif args.op == "b-set":
-        rep |= {"p": args.p, "s": args.s} | b_set_profile(F, args.p, args.s, budget=budget)
-    elif args.op == "hyperplane":
-        primes = [int(t) for t in args.primes.split(",")] if args.primes else []
-        out = find_hyperplane(F, primes, args.M_max, budget=budget)
-        rep |= {"m": list(out["m"]), "norm": out["norm"], "observed": {str(k): v for k, v in out["observed"].items()}}
-    else:
-        raise UnknownCommand(f"geometry op {args.op!r}")
-    _emit(rep, output=config.output)
-    return 0
+        val, tag = sing_dim(F, None, budget=args.budget)
+        return rep | {"s_proxy": val, "tag": tag}
+    if args.op == "rank-profile":
+        return rep | {"p": args.p, "r": args.r} | hessian_rank_profile(F, args.p, args.r, budget=args.budget)
+    if args.op == "b-set":
+        return rep | {"p": args.p, "s": args.s} | b_set_profile(F, args.p, args.s, budget=args.budget)
+    primes = _numbers(args.primes, int, "--primes") if args.primes else []
+    out = find_hyperplane(F, primes, args.M_max, budget=args.budget)
+    return rep | {"m": list(out["m"]), "norm": out["norm"], "observed": {str(k): v for k, v in out["observed"].items()}}
 
 
-def _default_calibration_path() -> Path:
-    return Path(__file__).parent / "data" / "calibration.json"
-
-
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> dict:
     if args.trials < 1:
         raise PreconditionViolated(f"a sweep needs trials >= 1, got {args.trials}")
-    rep = {"command": "verify", "lemma": args.lemma, "seed": args.seed, "trials": args.trials,
-           "version": __version__}
+    rep = {"lemma": args.lemma, "seed": args.seed, "trials": args.trials}
     rep |= SWEEPS[args.lemma](seed=args.seed, trials=args.trials)
-    path = Path(args.calibration) if args.calibration else _default_calibration_path()
+    path = Path(args.calibration) if args.calibration else Path(__file__).parent / "data" / "calibration.json"
     if args.write_calibration:
         data = json.loads(path.read_text()) if path.exists() else {}
-        data[args.lemma] = {k: v for k, v in rep.items() if k not in ("command", "version")}
+        data[args.lemma] = dict(rep)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
         rep["calibration_written"] = str(path)
@@ -407,8 +341,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
             keys = [k for k in rep if k.startswith("max_ratio")]
             ok = all(rep[k] <= 2.0 * stored[k] for k in keys if k in stored)
             rep["calibration_ok"] = ok
-    _emit(rep, output=config.output)
-    return 0
+    return rep
 
 
 # -- dispatch -------------------------------------------------------------------------------
@@ -529,14 +462,20 @@ def dispatch(argv) -> int:
     if not args.command:
         ap.print_help()
         return 2
-    handler = _HANDLERS.get(args.command)
-    if handler is None:
-        raise UnknownCommand(args.command)
     try:
-        return handler(args, config_from_args(args))
+        if args.budget <= 0:
+            raise ConfigInvalid("budget must be positive")
+        if args.cache_dir is None:
+            args.cache_dir = os.environ.get(CACHE_ENV)  # an explicit "" turns the cache off
+        t0 = time.perf_counter()
+        rep = _HANDLERS[args.command](args) | {"command": args.command, "version": __version__}
     except QuarticError as exc:
         _emit({"command": args.command, "error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 1
+    if args.timing:
+        print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    _emit(rep, output=args.output)
+    return 0
 
 
 def main(argv=None) -> int:

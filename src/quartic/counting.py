@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -190,12 +190,19 @@ def factorint(q: int) -> dict:
 
 
 def _grid_histogram(G: IntPolynomial, axes, q: int) -> np.ndarray:
-    """Histogram of G mod q over the grid `axes`, built in first-axis slabs of about 2^22 cells."""
-    step = max(1, (1 << 22) // math.prod(map(len, axes[1:])))
+    """Histogram of G mod q over the grid `axes`, built in slabs of at most 2^22 cells (or one last-axis row).
+
+    A slab cuts axis k, the first axis whose later axes span at most 2^22 cells,
+    and holds one point of each axis before it.
+    """
+    sizes = list(map(len, axes))
+    k = next(k for k in range(len(axes)) if math.prod(sizes[k + 1:]) <= 1 << 22)
+    step = max(1, (1 << 22) // math.prod(sizes[k + 1:]))
     hist = np.zeros(q, dtype=np.int64)
-    for start in range(0, len(axes[0]), step):
-        vals = grid_values(G, [axes[0][start:start + step]] + axes[1:], modulus=q)
-        hist += np.bincount(vals.ravel(), minlength=q)
+    for lead in product(*map(range, sizes[:k])):
+        for start in range(0, sizes[k], step):
+            slab = [ax[i:i + 1] for ax, i in zip(axes, lead)] + [axes[k][start:start + step]] + axes[k + 1:]
+            hist += np.bincount(grid_values(G, slab, modulus=q).ravel(), minlength=q)
     return hist
 
 

@@ -73,10 +73,6 @@ class Inconclusive(QuarticError):
     """Budget exhausted before a witness or a refutation was found."""
 
 
-class UnknownCommand(QuarticError):
-    """CLI dispatch got an unrecognized subcommand."""
-
-
 class ConfigInvalid(QuarticError):
     """Run configuration failed validation."""
 

@@ -49,17 +49,18 @@ class IntPolynomial:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs=None):
-        if n < 0:
-            raise ValueError("variable count must be >= 0")
+        if n < 0 or n != int(n):
+            raise ValueError(f"variable count must be an integer >= 0, got {n!r}")
         self.n = int(n)
         clean = {}
-        for e, c in (coeffs or {}).items():
-            e = tuple(int(x) for x in e)
+        for e0, c0 in (coeffs or {}).items():
+            e, c = tuple(int(x) for x in e0), int(c0)
             if len(e) != self.n:
                 raise DimensionMismatch(f"exponent {e} has length {len(e)}, expected {self.n}")
-            if any(x < 0 for x in e):
-                raise MalformedExponent(f"negative exponent in {e}")
-            c = int(c)
+            if any(x < 0 for x in e) or e != tuple(e0):
+                raise MalformedExponent(f"exponents must be integers >= 0, got {tuple(e0)}")
+            if c != c0:
+                raise NonIntegerCoefficient(f"non-integer coefficient {c0!r}")
             if c != 0:
                 clean[e] = clean.get(e, 0) + c
                 if clean[e] == 0:

@@ -256,8 +256,8 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
 
 def osc_integral(f: IntPolynomial, w: WeightSpec, z: float, beta, cfg: QuadratureConfig = DEFAULT_CFG) -> complex:
     """I(z; beta) = integral of w(x) e(z f(x) - beta.x) dx, the one row gamma = z of `_direct_gamma_table`."""
-    if len(beta) != f.n:
-        raise DimensionMismatch("beta length != variable count")
+    if w.n != f.n or len(beta) != f.n:
+        raise DimensionMismatch("weight dimension or beta length != variable count")
     return complex(_direct_gamma_table(f, w, np.array([float(z)]), cfg, beta)[0])
 
 
@@ -320,6 +320,8 @@ def singular_integral(
     method: str = "auto",
 ):
     """J(R) = integral over |gamma| <= R of integral w(x) e(gamma F(x)) dx dgamma, for R >= 0."""
+    if w.n != F.n:
+        raise DimensionMismatch("weight dimension != variable count")
     if not 0 <= R < math.inf:
         raise PreconditionViolated(f"J(R) needs a finite R >= 0, got {R}")
     if R == 0:

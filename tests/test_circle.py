@@ -14,13 +14,11 @@ from quartic.circle import (
     _gauss_many,
     _randrange_many,
     _sampled_zeros,
-    _val_p,
     arc_partition,
     classify,
     dirichlet_approx,
     euler_view,
     hasse_report,
-    hensel_criterion,
     local_factor,
     local_witness,
     real_point_probe,
@@ -34,6 +32,23 @@ from quartic.geometry import primes_up_to
 from quartic.verify import random_form
 
 X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
+
+
+def _val_p(x: int, p: int) -> int:
+    if x == 0:
+        return 64  # v_p(0) is infinite: 64 stands in for it, as in `local_witness`
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def hensel_criterion(F: IntPolynomial, x, p: int, gradient=None):
+    """(ok, vF, vGrad): ok when v_p(F(x)) > 2 min_i v_p(dF/dx_i(x)), the rule `local_witness` applies to its rows."""
+    vF = _val_p(F.evaluate(x), p)
+    vg = min(_val_p(g.evaluate(x), p) for g in gradient or F.gradient())
+    return vF > 2 * vg, vF, vg
 
 
 class TestDirichlet:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import quartic
 from quartic import geometry
-from quartic.cli import FormCache, form_hash, main
+from quartic.cli import CACHE_ENV, FormCache, form_hash, main
 from quartic.errors import CacheCorrupt
 from quartic.forms import LRUCache, parse_form
 from quartic.verify import SWEEPS
@@ -239,12 +240,38 @@ class TestCache:
 
 
 class TestRunConfig:
-    def test_invalid_budget(self):
-        from quartic.cli import RunConfig
-        from quartic.errors import ConfigInvalid
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("place", ["before", "after"])
+    def test_invalid_budget(self, budget, place, capsys):
+        command = ["arcs", "--delta", "1.0", "--P", "8"]
+        rc = main(["--budget", budget] + command if place == "before" else command + ["--budget", budget])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {"command": "arcs", "error": "ConfigInvalid", "message": "budget must be positive"}
 
-        with pytest.raises(ConfigInvalid):
-            RunConfig(budget=0).validate()
+    def test_timing_adds_one_elapsed_line_to_stderr_only(self, capsys, monkeypatch):
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        for argv in (
+            ["arcs", "--delta", "1.0", "--P", "8", "--alpha", "1/3"],
+            ["count", "--form-text", "x1^4 - x2^4", "--P", "5"],
+            ["expsum", "--form-text", "x1^4 + x2^4", "--q", "6", "--units"],
+            ["expsum", "--form-text", "x1^4 + x2^4", "--a", "2", "--q", "5"],
+            ["series", "--form-text", "x1^4 + x2^4", "--R", "8", "--euler"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--p", "7"],
+            ["verify", "vdc", "--trials", "2"],
+        ):
+            assert main(argv) == 0
+            plain = capsys.readouterr()
+            assert main(["--timing"] + argv) == 0
+            timed = capsys.readouterr()
+            out = timed.out
+            if argv[0] == "expsum":  # the one field --timing adds to a report
+                rep = json.loads(out)
+                assert rep.pop("cache_hit") is False
+                out = json.dumps(rep, sort_keys=True) + "\n"
+            assert out == plain.out and plain.err == ""
+            assert re.fullmatch(r"elapsed \d+\.\d{3}s\n", timed.err)
 
     def test_table_output(self, capsys):
         rc, out = run_cli(
@@ -441,6 +468,10 @@ class TestBadInput:
             (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "4", "--R-integral", "1e300"],
              "ToleranceNotMet"),
             (["poisson", "--form-text", "x1^3", "--weight", "bump", "--v-cut", "-5"], "PreconditionViolated"),
+            (["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "0.1,0.2,0.3", "--R", "2"],
+             "DimensionMismatch"),
+            (["expsum", "--form", "{tmp}/coefficient-1.5.json", "--q", "5"], "NonIntegerCoefficient"),
+            (["expsum", "--form", "{tmp}/exponent-4.5.json", "--q", "5"], "MalformedExponent"),
         ] + [(["verify", lemma, "--trials", "-1"], "PreconditionViolated") for lemma in SWEEPS],
         ids=["rho-0", "q-0", "q-negative", "units-q-0", "twisted-q-negative", "rank-profile-p-3",
              "b-set-p-3", "b-set-not-cubic", "hyperplane-one-variable", "arcs-P-0", "arcs-P-negative",
@@ -452,11 +483,14 @@ class TestBadInput:
              "pipeline-R-integral-nan", "pipeline-R-integral-inf", "poisson-P-nan", "poisson-P-inf",
              "poisson-P-negative", "poisson-z-nan", "poisson-z-inf", "hasse-p-max-negative", "hasse-k-max-0",
              "arcs-P-1e300", "arcs-P-delta-past-double", "series-R-1e300", "integral-R-1e300", "hasse-p-max-1e18",
-             "pipeline-R-series-1e300", "pipeline-R-integral-1e300", "poisson-v-cut-negative"]
+             "pipeline-R-series-1e300", "pipeline-R-integral-1e300", "poisson-v-cut-negative",
+             "integral-center-of-three-for-two-variables", "form-file-coefficient-1.5", "form-file-exponent-4.5"]
         + [f"verify-{lemma}-trials-negative" for lemma in SWEEPS],
     )
-    def test_is_one_error_line(self, argv, error, capsys):
-        rc = main(argv)
+    def test_is_one_error_line(self, argv, error, capsys, tmp_path):
+        (tmp_path / "coefficient-1.5.json").write_text('{"n": 1, "monomials": [[[4], 1.5]]}')
+        (tmp_path / "exponent-4.5.json").write_text('{"n": 1, "monomials": [[[4.5], 1]]}')
+        rc = main([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1
@@ -482,11 +516,23 @@ class TestBadInput:
             ["arcs", "--delta", "1.0", "--P", "16", "--alpha", "abc"],
             ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "rank-profile"],
             ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set"],
+            ["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "abc", "--R", "2"],
+            ["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", ",,", "--R", "2"],
+            ["expsum", "--form-text", "x1^4", "--q", "5", "--v", "a"],
+            ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "hyperplane", "--primes", "x"],
+            ["expsum", "--form", "{tmp}/missing.json", "--q", "5"],
+            ["expsum", "--form", "{tmp}", "--q", "5"],
+            ["expsum", "--form", "{tmp}/list.json", "--q", "5"],
+            ["expsum", "--form", "{tmp}/n-only.json", "--q", "5"],
         ],
-        ids=["alpha-not-rational", "rank-profile-without-p", "b-set-without-p"],
+        ids=["alpha-not-rational", "rank-profile-without-p", "b-set-without-p", "center-not-a-number",
+             "center-empty-entries", "v-not-an-integer", "primes-not-an-integer", "form-file-missing",
+             "form-file-a-directory", "form-file-a-json-list", "form-file-without-monomials"],
     )
-    def test_bad_option_is_one_config_error_line(self, argv, capsys):
-        rc = main(argv)
+    def test_bad_option_is_one_config_error_line(self, argv, capsys, tmp_path):
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "n-only.json").write_text('{"n": 2}')
+        rc = main([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -378,6 +379,17 @@ class TestUnitOrbitHistograms:
         got = counting._block_histogram(G, q)
         assert got.tolist() == _reduce_every_product_histogram(G, q).tolist()
         assert sum(math.prod(map(len, axes)) for axes in passes) < q ** G.n // 4
+
+    def test_every_pass_holds_at_most_2_to_the_22_cells(self, monkeypatch):
+        # the orbit grid [axis[1:2]] + [axis] * 2 mod 3^7 has 3^14 > 2^22 cells behind its one leading point
+        F, q, built = parse_form("x1^3+2*x2^3+x1*x2*x3"), 3 ** 7, []
+        monkeypatch.setattr(counting, "grid_values",
+                            lambda G, axes, **kw: built.append(math.prod(map(len, axes))) or grid_values(G, axes, **kw))
+        table = counting._value_counts(F, q, 3 ** 21 + 10 ** 6)
+        assert max(built) <= 1 << 22 and sum(built) > 3 ** 14
+        # the table recorded before passes were cut past the leading axis
+        digest = "abe559f8a347cd86e10ae255fe48573c5928cd3fa904a7d037fc4289a64ff091"
+        assert hashlib.sha256(table.astype(np.int64).tobytes()).hexdigest() == digest
 
     def test_singular_and_one_variable_blocks(self):
         # x1^2 x2^2 vanishes on the axes; one-variable blocks stay on the grid

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -89,6 +90,23 @@ class TestParse:
     def test_json_roundtrip(self):
         F = parse_form("3*x1^2*x2 - x3 + 7")
         assert IntPolynomial.from_json(F.to_json()) == F
+
+    @pytest.mark.parametrize(
+        "coeffs, error",
+        [({(4,): 1.5}, NonIntegerCoefficient), ({(4,): Fraction(3, 2)}, NonIntegerCoefficient),
+         ({(4.5,): 1}, MalformedExponent), ({(-1,): 1}, MalformedExponent)],
+        ids=["float-coefficient", "fraction-coefficient", "float-exponent", "negative-exponent"],
+    )
+    def test_constructor_refuses_what_it_would_truncate(self, coeffs, error):
+        # int(1.5) used to read 1.5*x1^4 as x1^4
+        with pytest.raises(error):
+            IntPolynomial(1, coeffs)
+        with pytest.raises(error):
+            IntPolynomial.from_json(json.dumps({"n": 1, "monomials": [[list(e), float(c)] for e, c in coeffs.items()]}))
+
+    def test_constructor_keeps_integral_values_of_any_type(self):
+        F = IntPolynomial(2, {(np.int64(4), 0.0): np.int64(3), (0, 4): 2.0})
+        assert F == parse_form("3*x1^4 + 2*x2^4") and all(type(c) is int for c in F.coeffs.values())
 
     def test_canonical_order_is_graded(self):
         F = parse_form("x1 + x2^3 + 5")

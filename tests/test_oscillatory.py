@@ -306,6 +306,10 @@ class TestOscIntegral:
         both = integrate_1d(fn, -1.0, 1.0, cycles=2)
         assert abs(both - (a1 + a2)) <= 1e-6
 
+    def test_weight_of_another_dimension_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            osc_integral(parse_form("x1^3 + x2^3"), bump((0.1, 0.2, 0.3), 0.5), 0.1, [0.0, 0.0])
+
     def test_fourier_decay_at_zero_z(self):
         # I(0; beta) is the Fourier transform of the weight: decreasing along a ray
         w = bump((0.0,), 0.5)
@@ -317,6 +321,13 @@ class TestSingularIntegral:
     def test_R0(self):
         w = bump((0.5,), 0.2)
         assert singular_integral(parse_form("x1^4"), w, 0) == 0.0
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "factored", "sine"])
+    def test_weight_of_another_dimension_is_refused(self, method):
+        # the direct table used to die with an IndexError
+        w = bump((0.1, 0.2, 0.3), 0.5) if method != "factored" else separable_bump((0.1, 0.2, 0.3), 0.5)
+        with pytest.raises(DimensionMismatch):
+            singular_integral(parse_form("x1^4 - x2^4"), w, 2, method=method)
 
     @pytest.mark.parametrize(
         "w, method",

@@ -141,14 +141,18 @@ def _load_form(args) -> IntPolynomial:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigInvalid(f"cannot read --form: {exc}") from None
         try:
-            return IntPolynomial.from_json(text)
+            F = IntPolynomial.from_json(text)
         except json.JSONDecodeError:
-            return parse_form(text.strip())
+            F = parse_form(text.strip())
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"--form {args.form!r} is not a form: {type(exc).__name__} {exc}") from None
-    if args.form_text:
-        return parse_form(args.form_text)
-    raise ConfigInvalid("supply --form FILE or --form-text EXPR")
+    elif args.form_text:
+        F = parse_form(args.form_text)
+    else:
+        raise ConfigInvalid("supply --form FILE or --form-text EXPR")
+    if F.n == 0:
+        raise ConfigInvalid("the form has no variables")
+    return F
 
 
 def _load_weight(args, n: int) -> WeightSpec:
@@ -325,22 +329,26 @@ def _cmd_geometry(args) -> dict:
 def _cmd_verify(args) -> dict:
     if args.trials < 1:
         raise PreconditionViolated(f"a sweep needs trials >= 1, got {args.trials}")
+    path = Path(args.calibration) if args.calibration else Path(__file__).parent / "data" / "calibration.json"
+    data = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise ConfigInvalid(f"cannot read --calibration: {type(exc).__name__} {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"--calibration {str(path)!r} holds no JSON object")
     rep = {"lemma": args.lemma, "seed": args.seed, "trials": args.trials}
     rep |= SWEEPS[args.lemma](seed=args.seed, trials=args.trials)
-    path = Path(args.calibration) if args.calibration else Path(__file__).parent / "data" / "calibration.json"
     if args.write_calibration:
-        data = json.loads(path.read_text()) if path.exists() else {}
         data[args.lemma] = dict(rep)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
         rep["calibration_written"] = str(path)
-    elif path.exists():
-        data = json.loads(path.read_text())
-        if args.lemma in data:
-            stored = data[args.lemma]
-            keys = [k for k in rep if k.startswith("max_ratio")]
-            ok = all(rep[k] <= 2.0 * stored[k] for k in keys if k in stored)
-            rep["calibration_ok"] = ok
+    elif args.lemma in data:
+        stored = data[args.lemma]
+        keys = [k for k in rep if k.startswith("max_ratio")]
+        rep["calibration_ok"] = all(rep[k] <= 2.0 * stored[k] for k in keys if k in stored)
     return rep
 
 

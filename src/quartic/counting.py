@@ -20,12 +20,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, MitmNotApplicable, PreconditionViolated
-from .forms import IntPolynomial, LRUCache, _grid_points, _int64_safe, blocks, grid_values, sym_tensor
+from .forms import IntPolynomial, LRUCache, _grid_points, _grid_slabs, _int64_safe, blocks, grid_values, sym_tensor
 from .geometry import primes_up_to
 from .weights import WeightSpec, box, lattice_ranges
 
@@ -103,10 +103,11 @@ def weighted_count(
     if method == "brute":
         if cells > budget:
             raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
-        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in ranges]
-        zeros = np.nonzero(grid_values(F, axes) == 0)
-        pts = np.stack([ax[z] for ax, z in zip(axes, zeros)], axis=1)
-        total, meta = w.eval_many(pts / P).sum(), {"cells": cells}
+        pts = []  # the zeros of each slab, in grid order
+        for slab in _grid_slabs([np.arange(a, b + 1, dtype=np.int64) for a, b in ranges], 1 << 22):
+            zeros = np.nonzero(grid_values(F, slab) == 0)
+            pts.append(np.stack([ax[z] for ax, z in zip(slab, zeros)], axis=1))
+        total, meta = w.eval_many(np.concatenate(pts) / P).sum(), {"cells": cells}
     elif method == "mitm":
         factors = w.separable_factors()
         if factors is None:
@@ -190,19 +191,10 @@ def factorint(q: int) -> dict:
 
 
 def _grid_histogram(G: IntPolynomial, axes, q: int) -> np.ndarray:
-    """Histogram of G mod q over the grid `axes`, built in slabs of at most 2^22 cells (or one last-axis row).
-
-    A slab cuts axis k, the first axis whose later axes span at most 2^22 cells,
-    and holds one point of each axis before it.
-    """
-    sizes = list(map(len, axes))
-    k = next(k for k in range(len(axes)) if math.prod(sizes[k + 1:]) <= 1 << 22)
-    step = max(1, (1 << 22) // math.prod(sizes[k + 1:]))
+    """Histogram of G mod q over the grid `axes`, built in the slabs of `forms._grid_slabs` of at most 2^22 cells."""
     hist = np.zeros(q, dtype=np.int64)
-    for lead in product(*map(range, sizes[:k])):
-        for start in range(0, sizes[k], step):
-            slab = [ax[i:i + 1] for ax, i in zip(axes, lead)] + [axes[k][start:start + step]] + axes[k + 1:]
-            hist += np.bincount(grid_values(G, slab, modulus=q).ravel(), minlength=q)
+    for slab in _grid_slabs(axes, 1 << 22):
+        hist += np.bincount(grid_values(G, slab, modulus=q).ravel(), minlength=q)
     return hist
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .counting import _check_cost, _value_counts, factorint, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
-from .forms import CubicData, IntPolynomial, _grid_points, blocks, grid_values, hessian
+from .forms import CubicData, IntPolynomial, _grid_points, _grid_slabs, blocks, grid_values, hessian
 from .geometry import _xgcd
 
 DEFAULT_BUDGET = 20_000_000
@@ -234,44 +234,22 @@ def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> Modul
     0 <= i <= n (r_i multiplies the p^e || bd with s_p = i-1).
     """
     fac = factorint(q) if q > 1 else {}
-    b = d = 1
-    c2 = 1
-    for p, e in fac.items():
-        if e <= 2:
-            b *= p ** e
-        elif e % 2 == 1:
-            d *= p
-            c2 *= p ** (e - 1)
-        else:
-            c2 *= p ** e
+    parts = {p: (p ** e, 1) if e <= 2 else (1, p ** (e % 2)) for p, e in fac.items()}  # p -> (b part, d part)
+    b, d = math.prod(bp for bp, _ in parts.values()), math.prod(dp for _, dp in parts.values())
+    c2 = q // (b * d)
     c = math.isqrt(c2)
     if c * c != c2:
         raise InvariantViolated(f"c^2 = {c2} is not a square")
-    d0 = 1
-    if d > 1:
-        cd = c // d
-        for p in factorint(d):
-            if cd % p == 0 and cd % (p * p) != 0:
-                d0 *= p
+    cd = c // d
+    d0 = math.prod(p for p, (_, dp) in parts.items() if dp > 1 and cd % p == 0 and cd % (p * p) != 0)
     mf = ModulusFactorization(q=q, b=b, c=c, d=d, d0=d0, prime_table=dict(sorted(fac.items())))
     if s_map is not None:
         if n is None:
             n = max((s + 1 for s in s_map.values()), default=0) + 1
-        b_i, d_i, r_i = [], [], []
-        for i in range(n + 1):
-            bi = di = 1
-            for p, e in fac.items():
-                sp = s_map.get(p)
-                if sp is None or sp != i - 1:
-                    continue
-                if e <= 2:
-                    bi *= p ** e
-                elif e % 2 == 1:
-                    di *= p
-            b_i.append(bi)
-            d_i.append(di)
-            r_i.append(bi * di)
-        mf.b_i, mf.d_i, mf.r_i = b_i, d_i, r_i
+        classes = [[parts[p] for p in parts if s_map.get(p) == i - 1] for i in range(n + 1)]
+        mf.b_i = [math.prod(bp for bp, _ in cls) for cls in classes]
+        mf.d_i = [math.prod(dp for _, dp in cls) for cls in classes]
+        mf.r_i = [bi * di for bi, di in zip(mf.b_i, mf.d_i)]
     return mf
 
 
@@ -402,12 +380,8 @@ def s_va(
     # indexed by residue; Python ints, so the products are exact
     tables = [np.array([_residue_count_in_window(int(v0[i]), V, c, t) for t in range(c)], dtype=object)
               for i in range(n)]
-    # slabs of the first axis bound the working set to about 2^20 residues r
-    axis = np.arange(c)
-    step = max(1, (1 << 20) // c ** (n - 1)) if n else c
     total_int, total_float, exact = 0, 0.0, True
-    for start in range(0, c, step):
-        axes = [axis[start:start + step]] + [axis] * (n - 1) if n else []
+    for axes in _grid_slabs([np.arange(c)] * n, 1 << 20):
         Md = md[np.ix_(*[ax % d for ax in axes])]
         window = np.ones(Md.shape, dtype=object)
         for i in range(n):

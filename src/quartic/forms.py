@@ -5,8 +5,9 @@ integer (or Fraction) points is exact, and the symmetric tensor of a quartic
 form is stored with the 4! denominator cleared so all downstream contractions
 stay in Z.  `grid_values` evaluates a polynomial on a whole Cartesian grid
 (mod m, over F_{p^k}, over Z, or in floating point) for the array-based
-layers, through the one body `_values_at` that other point sets use too, and
-`blocks` splits a polynomial into parts on disjoint sets of variables.
+layers, through the one body `_values_at` that other point sets use too;
+`_grid_slabs` cuts a grid into the bounded passes of every exact enumeration,
+`blocks` splits a polynomial into parts on disjoint sets of variables, and
 `LRUCache` is the bounded memo behind the module-level caches.
 """
 
@@ -410,6 +411,24 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _grid_slabs(axes, cells: int):
+    """Sub-grids (lists of axis slices) that tile axes[0] x ... x axes[n-1] in C order, each of at most `cells` cells.
+
+    A slab cuts axis k, the first axis whose later axes span at most `cells`
+    cells, and holds one point of each axis before it.  A grid with no axes is
+    the one slab [], and a grid with an empty axis is one slab of no cells.
+    """
+    sizes = list(map(len, axes))
+    if not sizes or 0 in sizes:
+        yield list(axes)
+        return
+    k = next(k for k in range(len(axes)) if math.prod(sizes[k + 1:]) <= cells)
+    step = max(1, cells // math.prod(sizes[k + 1:]))
+    for lead in product(*map(range, sizes[:k])):
+        for start in range(0, sizes[k], step):
+            yield [ax[i:i + 1] for ax, i in zip(axes, lead)] + [axes[k][start:start + step]] + list(axes[k + 1:])
+
+
 def blocks(F: IntPolynomial):
     """(const, [(vars, G), ...]): F = const + sum of G(x[vars]) over blocks of disjoint variables.
 
@@ -528,22 +547,15 @@ def sym_tensor(F: IntPolynomial) -> SymTensor:
 
 
 def hessian(g: IntPolynomial, x):
-    """Symmetric matrix of second partials of g at x (exact; x may be rational)."""
+    """Symmetric matrix of second partials of g at x: `hessian_form_rows(g)` there (exact; x may be rational)."""
     if len(x) != g.n:
         raise DimensionMismatch("point length mismatch in hessian")
-    H = [[0] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        gi = g.partial(i)
-        for j in range(i, g.n):
-            v = gi.partial(j).evaluate(x)
-            H[i][j] = v
-            H[j][i] = v
-    return H
+    return [[h.evaluate(x) for h in row] for row in hessian_form_rows(g)]
 
 
 def hessian_form_rows(g0: IntPolynomial):
     """Hessian of a form as a matrix of polynomials (linear forms for cubic g0)."""
-    return [[g0.partial(i).partial(j) for j in range(g0.n)] for i in range(g0.n)]
+    return [[gi.partial(j) for j in range(g0.n)] for gi in map(g0.partial, range(g0.n))]
 
 
 # -- cubic data -------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
 )
-from .forms import CubicData, IntPolynomial, LRUCache, _values_at, hessian_form_rows, heights
+from .forms import CubicData, IntPolynomial, LRUCache, _grid_slabs, _values_at, hessian_form_rows, heights
 
 DEFAULT_BUDGET = 20_000_000
 GF_CACHE_ENTRIES = 32  # GF's cache bound: a field counts 1, or 1 per 2^19 cells of its q x q tables
@@ -179,20 +179,15 @@ class GF:
 
 
 def _slabs(q: int, n: int, budget: int, cells: int = 1 << 20):
-    """Broadcast coordinate axes [x_1, ..., x_n] over F_q^n, in slabs of about `cells` points.
+    """Broadcast coordinate axes [x_1, ..., x_n] over F_q^n, in slabs of at most `cells` points (`forms._grid_slabs`).
 
     The grid's first axis is x_n, so a slab ravels with x_1 fastest and the
     slabs follow one another in mixed-radix order.
     """
     if q ** n > budget:
         raise BudgetExceeded(f"{q}^{n} = {q ** n} grid cells exceeds budget {budget}")
-    if n == 0:
-        yield []
-        return
-    axis = np.arange(q, dtype=np.int64)
-    step = max(1, cells // q ** (n - 1))
-    for start in range(0, q, step):
-        yield list(np.ix_(axis[start:start + step], *[axis] * (n - 1))[::-1])
+    for slab in _grid_slabs([np.arange(q, dtype=np.int64)] * n, cells):
+        yield list(np.ix_(*slab)[::-1])
 
 
 def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: int = DEFAULT_BUDGET) -> int:

@@ -20,8 +20,8 @@ import numpy as np
 from .counting import _near_integer, factorint
 from .errors import BudgetExceeded, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
-from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, difference_cubic, grid_values, hessian
-from .forms import heights, parse_form, sym_tensor
+from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, _grid_slabs, difference_cubic, grid_values
+from .forms import hessian, heights, parse_form, sym_tensor
 from .geometry import hessian_rank_profile, sing_dim
 from .oscillatory import gen_sum
 from .weights import WeightSpec, bump, lattice_ranges, shifted_product, unit_box
@@ -231,10 +231,9 @@ def davenport_shrink(L, A: float, c: float, Z1: float, Z2: float, alpha: Fractio
         R = int(math.floor(c * A * Z))
         axis = np.arange(-R, R + 1, dtype=np.int64)
         theta = Fraction(Z) / Fraction(A)  # exact binary value of the floats
-        step = max(1, (1 << 18) // max(len(axis), 1) ** (n - 1))  # first-axis slabs of about 2^18 points
         total = 0
-        for start in range(0, len(axis), step):
-            u = _grid_points([axis[start:start + step]] + [axis] * (n - 1)).T
+        for slab in _grid_slabs([axis] * n, 1 << 18):
+            u = _grid_points(slab).T
             total += int(_near_integer(alpha, L @ u, theta).all(axis=0).sum())
         return total
 

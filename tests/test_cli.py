@@ -524,19 +524,35 @@ class TestBadInput:
             ["expsum", "--form", "{tmp}", "--q", "5"],
             ["expsum", "--form", "{tmp}/list.json", "--q", "5"],
             ["expsum", "--form", "{tmp}/n-only.json", "--q", "5"],
+            ["verify", "filter", "--trials", "1", "--calibration", "{tmp}"],
+            ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/not-json.json"],
+            ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/list.json"],
+            ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/list.json", "--write-calibration"],
+            ["expsum", "--form", "{tmp}/empty.json", "--q", "5"],
+            ["expsum", "--form", "{tmp}/blank.json", "--q", "5"],
+            ["expsum", "--form-text", " ", "--q", "5"],
+            ["expsum", "--form-text", "7", "--q", "5"],
+            ["series", "--form-text", "7", "--R", "4"],
         ],
         ids=["alpha-not-rational", "rank-profile-without-p", "b-set-without-p", "center-not-a-number",
              "center-empty-entries", "v-not-an-integer", "primes-not-an-integer", "form-file-missing",
-             "form-file-a-directory", "form-file-a-json-list", "form-file-without-monomials"],
+             "form-file-a-directory", "form-file-a-json-list", "form-file-without-monomials",
+             "calibration-a-directory", "calibration-not-json", "calibration-a-json-list",
+             "calibration-a-json-list-to-write", "form-file-empty", "form-file-blank", "form-text-blank",
+             "form-text-a-constant", "series-of-a-constant"],
     )
     def test_bad_option_is_one_config_error_line(self, argv, capsys, tmp_path):
         (tmp_path / "list.json").write_text("[1]")
         (tmp_path / "n-only.json").write_text('{"n": 2}')
+        (tmp_path / "not-json.json").write_text("{calibration")
+        (tmp_path / "empty.json").write_text("")
+        (tmp_path / "blank.json").write_text(" \n")
         rc = main([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigInvalid"
+        assert (tmp_path / "list.json").read_bytes() == b"[1]"  # a refused --write-calibration leaves it alone
 
 
 class TestBlockFormSums:

@@ -114,6 +114,20 @@ class TestWeightedCount:
             dist = step
         assert weighted_count(F, box(41), 3).count == dist[0]
 
+    def test_brute_passes_hold_at_most_2_to_the_22_cells(self, monkeypatch):
+        # a 79^4 = 38,950,081-cell box, under the default budget
+        F, built = parse_form("x1^4 + x1*x2^3 + x3^4 - 2*x4^4 + x2*x3*x4^2"), []
+        monkeypatch.setattr(counting, "grid_values",
+                            lambda G, axes, **kw: built.append(math.prod(map(len, axes))) or grid_values(G, axes, **kw))
+        res = weighted_count(F, box(4), 39, method="brute")
+        assert res.count == 1213 and res.meta == {"cells": 79 ** 4}
+        assert max(built) <= 1 << 22 and sum(built) == 79 ** 4
+
+    @pytest.mark.parametrize("center", [(0.55, 0.5), (0.5, 0.55)])
+    def test_brute_count_of_an_empty_box_is_zero(self, center):
+        res = weighted_count(parse_form("x1^4 - x2^4"), separable_bump(center, 0.01), 10, method="brute")
+        assert res.count == 0 and res.meta == {"cells": 0}
+
     def test_mitm_rejects_radial_bump(self):
         with pytest.raises(MitmNotApplicable):
             weighted_count(parse_form("x1^4 - x2^4"), bump((0, 0), 0.5), 5, method="mitm")

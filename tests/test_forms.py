@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -17,6 +18,8 @@ from quartic.errors import (
 from quartic.forms import (
     CubicData,
     IntPolynomial,
+    _grid_points,
+    _grid_slabs,
     blocks,
     difference_cubic,
     grid_values,
@@ -457,6 +460,23 @@ class TestGridValues:
         direct = complete_sum(F, 11, 2100, method="direct")
         crt = complete_sum(F, 11, 2100, method="crt")
         assert abs(direct.value - crt.value) <= direct.err + crt.err
+
+
+class TestGridSlabs:
+    @pytest.mark.parametrize("cells", [1, 3, 7, 1 << 30])
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3), (1, 7), (2, 2, 2, 2), (0,), (3, 0, 2)],
+                             ids=str)
+    def test_slabs_tile_the_grid_in_c_order(self, shape, cells):
+        axes = [np.arange(s) * 10 + i for i, s in enumerate(shape)]  # no two axes share a value
+        slabs = list(_grid_slabs(axes, cells))
+        assert all(math.prod(map(len, slab)) <= cells for slab in slabs)
+        assert np.array_equal(np.concatenate([_grid_points(slab) for slab in slabs]), _grid_points(axes))
+        if 0 in shape:  # an empty axis: no cells
+            assert sum(math.prod(map(len, slab)) for slab in slabs) == 0
+
+    @pytest.mark.parametrize("cells", [1, 3, 7, 1 << 30])
+    def test_no_axes_is_one_empty_slab(self, cells):
+        assert list(_grid_slabs([], cells)) == [[]]
 
 
 # -- blocks ------------------------------------------------------------------------

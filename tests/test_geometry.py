@@ -206,6 +206,13 @@ class TestCounting:
         monkeypatch.setattr(geometry, "_slabs", functools.partial(slabs, cells=3))
         assert count_points_ext(system, p, k, mode) == want
 
+    @pytest.mark.parametrize("q, n", [(2, 22), (11, 7), (8, 8)])
+    def test_no_slab_holds_more_than_2_to_the_20_cells(self, q, n):
+        # under the budget, but q^(n-1) > 2^20: the cut falls past the leading axis
+        slabs = geometry._slabs(q, n, 20_000_000)
+        sizes = [math.prod(np.broadcast_shapes(*(c.shape for c in coords))) for coords in slabs]
+        assert max(sizes) <= 1 << 20 and sum(sizes) == q ** n
+
     def test_extension_consistency(self):
         # affine count of x1*x2 = 0 over F_{p^k} is 2 q - 1
         for k in (1, 2):

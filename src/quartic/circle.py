@@ -192,20 +192,30 @@ def _primes_within(m: int, budget: int) -> list:
     return primes_up_to(m)
 
 
-def _prime_powers(R: float, budget: int) -> list:
-    """(p, p^e) with p^e <= R, by p and then e; S(R) and its Euler view need a finite R >= 0."""
+def _prime_powers(R: float, cache: SeriesCache) -> list:
+    """(p, p^e) with p^e <= R, by p and then e; S(R) and its Euler view need a finite R >= 0.
+
+    Before the sieve, BudgetExceeded when the u primes up to R that `cache` lacks
+    must cost more than its budget, which `cache.plan` would refuse: u >= ceil(m / ln m)
+    less the moduli cached for m = floor(R) >= 17 (Rosser and Schoenfeld), and a table
+    mod the k-th prime costs at least k + 1 cells, so over u^2 / 2 (even if rounding lifts u by one).
+    """
     if not 0 <= R < math.inf:
         raise PreconditionViolated(f"S(R) needs a finite R >= 0, got {R}")
     m = int(math.floor(R))
+    u = max(math.ceil(m / math.log(m)) - len(cache.aq.keys() | cache.rho.keys()), 0) if m >= 17 else 0
+    if u * u > 2 * cache.budget:
+        raise BudgetExceeded(f"at least {u} uncached primes up to {m} cost over {u * u // 2} cells, "
+                             f"past budget {cache.budget}")
     # p^e <= m needs e <= log2(m) / log2(p) <= m.bit_length() // (p.bit_length() - 1)
-    tops = ((p, m.bit_length() // (p.bit_length() - 1)) for p in _primes_within(m, budget))
+    tops = ((p, m.bit_length() // (p.bit_length() - 1)) for p in _primes_within(m, cache.budget))
     return [(p, p ** e) for p, top in tops for e in range(1, top + 1) if p ** e <= m]
 
 
 def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
     """S(R) = sum_{q <= R} q^-n A_q as an exact rational; the budget is checked for every q first."""
     cache = cache or SeriesCache(F)
-    cache.plan(sorted(q for _, q in _prime_powers(R, cache.budget)))
+    cache.plan(sorted(q for _, q in _prime_powers(R, cache)))
     total = Fraction(0)
     n = F.n
     for q in range(1, int(math.floor(R)) + 1):
@@ -216,7 +226,7 @@ def singular_series(F: IntPolynomial, R: float, cache: SeriesCache | None = None
 def euler_view(F: IntPolynomial, R: float, cache: SeriesCache | None = None) -> Fraction:
     """prod_p (1 + sum_{p^k <= R} p^-kn A_{p^k}), the Euler grouping of S."""
     cache = cache or SeriesCache(F)
-    powers = _prime_powers(R, cache.budget)
+    powers = _prime_powers(R, cache)
     cache.plan(q for _, q in powers)
     local = {}
     for p, q in powers:

@@ -338,6 +338,11 @@ def _cmd_verify(args) -> dict:
             raise ConfigInvalid(f"cannot read --calibration: {type(exc).__name__} {exc}") from None
         if not isinstance(data, dict):
             raise ConfigInvalid(f"--calibration {str(path)!r} holds no JSON object")
+    compare = args.lemma in data and not args.write_calibration
+    stored = data[args.lemma] if compare else {}
+    if not isinstance(stored, dict) or any(
+            type(v) not in (int, float) for k, v in stored.items() if k.startswith("max_ratio")):
+        raise ConfigInvalid(f"--calibration entry {args.lemma!r} is not an object of numeric max_ratio values")
     rep = {"lemma": args.lemma, "seed": args.seed, "trials": args.trials}
     rep |= SWEEPS[args.lemma](seed=args.seed, trials=args.trials)
     if args.write_calibration:
@@ -345,8 +350,7 @@ def _cmd_verify(args) -> dict:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
         rep["calibration_written"] = str(path)
-    elif args.lemma in data:
-        stored = data[args.lemma]
+    elif compare:
         keys = [k for k in rep if k.startswith("max_ratio")]
         rep["calibration_ok"] = all(rep[k] <= 2.0 * stored[k] for k in keys if k in stored)
     return rep

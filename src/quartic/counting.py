@@ -340,10 +340,9 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
     # |L_i| <= R^3 sum_jkl |N_ijkl| <= the bound of 24 F on the box: past int64, exact Python ints
     dt = np.int64 if _int64_safe(T.reconstruct(), [(-R, R)] * n) else object
     V = _grid_points([np.arange(-R, R + 1)] * n).astype(dt)
-    step = max(1, (1 << 20) // (len(V) ** 2 * n))  # slabs of about 2^20 values of L
     count = 0
-    for start in range(0, len(V), step):
-        L = T.contract(V[start:start + step, None], V[None]) @ V.T  # L[w, x, i, y]
+    for W, X in _grid_slabs([V, V], max(1, (1 << 20) // (len(V) * n))):  # slabs of (w, x) pairs, about 2^20 values of L
+        L = T.contract(W[:, None], X[None]) @ V.T  # L[w, x, i, y]
         ok = L == 0 if alpha is None else _near_integer(alpha, L, theta)
         count += int(ok.all(axis=-2).sum())
     return count

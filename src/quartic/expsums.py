@@ -23,7 +23,6 @@ import numpy as np
 from .counting import _check_cost, _value_counts, factorint, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
 from .forms import CubicData, IntPolynomial, _grid_points, _grid_slabs, blocks, grid_values, hessian
-from .geometry import _xgcd
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -125,34 +124,28 @@ def _twisted_table(poly: IntPolynomial, a: int, q: int, budget: int) -> np.ndarr
             raise BudgetExceeded(f"twisted table of {q ** (2 * n)} cells mod {q} exceeds budget {budget}")
     ys = _grid_points([np.arange(q)] * n)
     ag = grid_values(poly, [np.arange(q)] * n, modulus=q).ravel() * a % q
-    table = np.empty(len(ys), dtype=complex)
-    step = max(1, (1 << 22) // len(ys))
-    for start in range(0, len(ys), step):
-        vals = (ys[start:start + step] @ ys.T + ag) % q  # row v holds a*poly(y) + v.y mod q
+    table = []
+    for (vs,) in _grid_slabs([ys], max(1, (1 << 22) // len(ys))):  # slabs of rows v, about 2^22 (v, y) cells each
+        vals = (vs @ ys.T + ag) % q  # row v holds a*poly(y) + v.y mod q
         vals += q * np.arange(len(vals))[:, None]  # row v counts into bins [v q, (v + 1) q)
         counts = np.bincount(vals.ravel(), minlength=len(vals) * q).reshape(-1, q)
-        table[start:start + len(vals)] = [_sum_from_counts(row, q, n).value for row in counts]
-    return table.reshape((q,) * n)
+        table += [_sum_from_counts(row, q, n).value for row in counts]
+    return np.array(table, dtype=complex).reshape((q,) * n)
 
 
 def _crt_sum(poly: IntPolynomial, a: int, q: int, v, budget: int) -> ExpSumValue:
     """Multiplicative splitting over the prime powers of q.
 
-    Peels prime powers off via T(a, rs; v) = T(a sbar, r; sbar v) T(a rbar, s; rbar v)
-    where r rbar + s sbar = 1.
+    T(a, q; v) is the product over r || q of T(a c, r; c v) with c = (q/r)^-1 mod r,
+    which is T(a, rs; v) = T(a sbar, r; sbar v) T(a rbar, s; rbar v) applied to every r.
     """
     val = 1.0 + 0j
     err = 0.0
-    a_cur, v_cur, q_cur = a % q, v, q
     for r in [p ** e for p, e in sorted(factorint(q).items())]:
-        s = q_cur // r
-        _, rbar, sbar = _xgcd(r, s)  # r*rbar + s*sbar = 1; at the last prime power s = sbar = 1
-        part = _direct_sum(poly, (a_cur * sbar) % r, r, _scale_v(v_cur, sbar, r), budget)
+        c = pow(q // r, -1, r)
+        part = _direct_sum(poly, a * c % r, r, _scale_v(v, c, r), budget)
         err = err * abs(part.value) + part.err * abs(val)
         val *= part.value
-        a_cur = (a_cur * rbar) % s
-        v_cur = _scale_v(v_cur, rbar, s)
-        q_cur = s
     return ExpSumValue(val, err + 1e-12, q=q, n=poly.n)
 
 
@@ -261,8 +254,8 @@ def split_multiplicative(g, a: int, r: int, s: int, v, budget: int = DEFAULT_BUD
     poly = g.poly if isinstance(g, CubicData) else g
     if math.gcd(r, s) != 1:
         raise NotCoprime(f"gcd({r},{s}) != 1")
-    gcd, rbar, sbar = _xgcd(r, s)  # r*rbar + s*sbar = 1
     direct = twisted_sum(poly, a % (r * s) or r * s, r * s, v, method="direct", budget=budget)
+    rbar, sbar = pow(r, -1, s), pow(s, -1, r)  # r*rbar + s*sbar = 1 mod rs
     left = twisted_sum(poly, (a * sbar) % r or r, r, _scale_v(tuple(v), sbar, r), method="direct", budget=budget)
     right = twisted_sum(poly, (a * rbar) % s or s, s, _scale_v(tuple(v), rbar, s), method="direct", budget=budget)
     prod = left.value * right.value

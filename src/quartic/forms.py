@@ -148,7 +148,7 @@ class IntPolynomial:
 
     def __repr__(self):
         if not self.coeffs:
-            return "IntPolynomial(0)"
+            return "0"
         parts = []
         for e, c in self.monomials():
             vars_ = "*".join(

@@ -469,52 +469,40 @@ def shortest_orthogonal_gap(m, bound: float) -> bool:
     return True
 
 
-def find_hyperplane(
-    G: IntPolynomial,
-    primes,
-    M_max: int,
-    kappa: float = 0.5,
-    min_prime: int = 5,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
+def find_hyperplane(G: IntPolynomial, primes, M_max: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Search for a primitive m whose hyperplane section drops s_v by one.
 
-    Checks v = rational proxy and all p in `primes` with p >= min_prime; also
+    Checks v = rational proxy and all p in `primes` with p >= 5; also
     requires the shortest vector orthogonal to m to have length at least
-    kappa * |m|^(1/(n-1)).  The first acceptable m in increasing max-norm
+    |m|^(1/(n-1)) / 2.  The first acceptable m in increasing max-norm
     (lexicographic tie-break) is returned along with the observed data.
     """
     n = G.n
     if n < 2:
         raise PreconditionViolated("need at least two variables to slice")
-    checked = [p for p in primes if p >= min_prime]
+    checked = [p for p in primes if p >= 5]
     s_proxy, _ = sing_dim(G, None, budget=budget)
     targets = {"proxy": max(-1, s_proxy - 1)}
     for p in checked:
         targets[p] = max(-1, sing_dim(G, p, budget=budget) - 1)
+
+    def section_dim(m, p, kmax=2):
+        sec = restrict_to_hyperplane_mod_p(G, m, p)
+        return sing_dim(sec, p, kmax=kmax, budget=budget) if sec.n > 1 else -1
+
     for m in _primitive_vectors_by_norm(n, M_max):
         L = max(abs(x) for x in m) ** (1.0 / (n - 1))
-        if not shortest_orthogonal_gap(m, kappa * L):
+        if not shortest_orthogonal_gap(m, 0.5 * L):
             continue
-        ok = True
         observed = {}
         for p in checked:
-            sec = restrict_to_hyperplane_mod_p(G, m, p)
-            sv = sing_dim(sec, p, budget=budget) if sec.n > 1 else -1
-            observed[p] = sv
-            if sv != targets[p]:
-                ok = False
+            observed[p] = section_dim(m, p)
+            if observed[p] != targets[p]:
                 break
-        if ok:
-            vals = []
-            for p in PROXY_PRIMES:
-                sec = restrict_to_hyperplane_mod_p(G, m, p)
-                vals.append(sing_dim(sec, p, kmax=1, budget=budget) if sec.n > 1 else -1)
-            observed["proxy"] = max(vals)
-            if observed["proxy"] != targets["proxy"]:
-                ok = False
-        if ok:
-            return {"m": m, "targets": targets, "observed": observed, "norm": max(abs(x) for x in m)}
+        else:
+            observed["proxy"] = max(section_dim(m, p, kmax=1) for p in PROXY_PRIMES)
+            if observed["proxy"] == targets["proxy"]:
+                return {"m": m, "targets": targets, "observed": observed, "norm": max(abs(x) for x in m)}
     raise SearchExhausted(f"no hyperplane with |m| <= {M_max} passed all checks")
 
 
@@ -556,8 +544,8 @@ def kernel_basis(m):
     return U[1:], U[0], g
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
-    """Exact LLL on a list of integer vectors (rows); returns a new list."""
+def lll_reduce(basis):
+    """Exact LLL with delta = 3/4 on a list of integer vectors (rows); returns a new list."""
     b = [list(map(int, v)) for v in basis]
     n = len(b)
 
@@ -584,7 +572,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
                 star, mu = gso()
         Bi = sum(x * x for x in star[i])
         Bi1 = sum(x * x for x in star[i - 1])
-        if Bi >= (delta - mu[i][i - 1] ** 2) * Bi1:
+        if Bi >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * Bi1:
             i += 1
         else:
             b[i], b[i - 1] = b[i - 1], b[i]
@@ -621,8 +609,8 @@ class SectionData:
     checks: dict
 
 
-def section_data(g: CubicData, m, P: int, k: int = 0, c_anchor: float = 4.0) -> dict | SectionData:
-    """Lattice data for the slice m.x = k and the restricted cubic h(u)."""
+def section_data(g: CubicData, m, P: int, k: int = 0) -> dict | SectionData:
+    """Lattice data for the slice m.x = k and the restricted cubic h(u); the anchor t of m.t = k has |t| <= 4P."""
     m = tuple(int(x) for x in m)
     n = len(m)
     if g.n != n:
@@ -638,8 +626,8 @@ def section_data(g: CubicData, m, P: int, k: int = 0, c_anchor: float = 4.0) -> 
         t = (0,) * n
     else:
         t = babai_reduce([k * x for x in u0], basis)
-        if max(map(abs, t)) > c_anchor * max(P, 1):
-            raise NoAnchor(f"anchor for m.t={k} has height {max(map(abs, t))} > {c_anchor}*P")
+        if max(map(abs, t)) > 4.0 * max(P, 1):
+            raise NoAnchor(f"anchor for m.t={k} has height {max(map(abs, t))} > 4.0*P")
     h = CubicData.from_poly(g.poly.substitute_affine(t, basis))
     # covolume check: det Gram(basis) must equal the squared euclidean norm of m
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]

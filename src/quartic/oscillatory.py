@@ -147,18 +147,7 @@ def integrate_1d(fn, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CFG, cy
 
 def _grad_bound(f: IntPolynomial, box_phys) -> list:
     """Per-axis bound on |df/dx_i| over a physical box [(lo,hi)] per axis."""
-    mx = [max(abs(lo), abs(hi)) for lo, hi in box_phys]
-    out = []
-    for i in range(f.n):
-        tot = 0.0
-        for e, c in f.coeffs.items():
-            if e[i]:
-                term = abs(c) * e[i]
-                for j, k in enumerate(e):
-                    term *= mx[j] ** (k - (1 if j == i else 0))
-                tot += term
-        out.append(tot)
-    return out
+    return [_abs_bound(f.partial(i).coeffs, box_phys) for i in range(f.n)]
 
 
 # -- oscillatory integrals ------------------------------------------------------------------

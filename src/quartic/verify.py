@@ -34,14 +34,11 @@ class BoundReport:
     rhs: float
     ratio: float
     params: dict = field(default_factory=dict)
-    constant: float | None = None
-    passed: bool | None = None
 
     @classmethod
-    def make(cls, lemma_id, lhs, rhs, params, constant=None):
+    def make(cls, lemma_id, lhs, rhs, params):
         ratio = lhs / rhs if rhs else math.inf
-        passed = None if constant is None else (ratio <= constant)
-        return cls(lemma_id, float(lhs), float(rhs), float(ratio), params, constant, passed)
+        return cls(lemma_id, float(lhs), float(rhs), float(ratio), params)
 
 
 # -- random sweep inputs ----------------------------------------------------------
@@ -68,6 +65,14 @@ def random_cubic_data(rng: random.Random, n: int, bound: int = 5) -> CubicData:
 
 
 # -- van der Corput identities ------------------------------------------------------
+
+
+def _differenced_sums(F: IntPolynomial, w: WeightSpec, P: int, H: int, a: int, q: int, z: float) -> dict:
+    """h -> T_h(a/q + z) for |h_i| < H in `product` order: gen_sum of the difference cubic of F at h, shifted weight."""
+    return {
+        hh: gen_sum(difference_cubic(F, list(hh)).poly, shifted_product(w, hh, P), P, a=a, q=q, z=z)
+        for hh in product(range(-(H - 1), H), repeat=F.n)
+    }
 
 
 def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget: int = 4_000_000) -> dict:
@@ -125,14 +130,8 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
     lhs_quad = float((np.abs(inner) ** 2).sum())
     rhs_quad = 0.0 + 0j
     sum_abs_T = 0.0
-    for hh in product(range(-(H - 1), H), repeat=n):
-        Nh = 1
-        for t in hh:
-            Nh *= H - abs(t)
-        g_h = difference_cubic(F, list(hh))
-        w_h = shifted_product(w, hh, P)
-        Th = gen_sum(g_h.poly, w_h, P, a=(a or 1), q=q, z=z)
-        rhs_quad += Nh * Th
+    for hh, Th in _differenced_sums(F, w, P, H, a or 1, q, z).items():
+        rhs_quad += math.prod(H - abs(t) for t in hh) * Th
         sum_abs_T += abs(Th)
     resid_quad = abs(lhs_quad - rhs_quad)
     scale = max(lhs_quad, 1.0)
@@ -156,7 +155,7 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
 # -- the Weyl chain --------------------------------------------------------------------
 
 
-def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int, c: float = 1.0, budget: int = 300_000_000):
+def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int, c: float = 1.0):
     """Counts of (L_1,...,L_n) mod qq over the triple box |w|,|x|,|y| <= cP, shaped (qq,)*n.
 
     Every (w, x) pair is enumerated, in slabs, with w and x reduced mod qq;
@@ -166,16 +165,15 @@ def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int, c: float = 1
     R = int(math.floor(c * P))
     ymult = np.bincount(np.arange(-R, R + 1) % qq, minlength=qq)
     ys = np.flatnonzero(ymult)  # the residues y_i takes
-    if (2 * R + 1) ** (2 * n) * len(ys) ** n > budget:
+    if (2 * R + 1) ** (2 * n) * len(ys) ** n > 300_000_000:
         raise BudgetExceeded("weyl histogram too large")
     T = SymTensor(n, {key: val % qq for key, val in sym_tensor(F).entries.items()})
     dt = np.int64 if n * n * qq ** 3 < 1 << 62 else object  # residue sums stay below n^2 qq^3
     V = _grid_points([np.arange(-R, R + 1)] * n).astype(dt) % qq
     place = qq ** np.arange(n - 1, -1, -1)  # L_1 is the most significant digit
     hist = np.zeros(qq ** n, dtype=np.int64)
-    step = max(1, (1 << 20) // (len(V) * n * n))
-    for start in range(0, len(V), step):
-        C = T.contract(V[start:start + step, None], V[None]) % qq
+    for W, X in _grid_slabs([V, V], max(1, (1 << 20) // (n * n))):  # slabs of (w, x) pairs, about 2^20 entries of C
+        C = T.contract(W[:, None], X[None]) % qq
         for y in product(ys.tolist(), repeat=n):
             L = (C @ np.array(y, dtype=dt) % qq).astype(np.int64)
             hist += int(ymult[list(y)].prod()) * np.bincount((L @ place).ravel(), minlength=qq ** n)
@@ -193,10 +191,8 @@ def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction, c: float = 1.0) -> dic
     S = gen_sum(F, w, P, a=(aa or qq), q=qq, z=0.0)
     # (weyl1): |S|^2 <= C sum_w |T'_w|
     sum_T = 0.0
-    for hh in product(range(-(P - 1), P), repeat=n):
-        g_h = difference_cubic(F, list(hh))
-        w_h = shifted_product(w, hh, P)
-        sum_T += abs(gen_sum(g_h.poly, w_h, P, a=(aa or qq), q=qq, z=0.0))
+    for Th in _differenced_sums(F, w, P, P, aa or qq, qq, 0.0).values():
+        sum_T += abs(Th)
     rep1 = BoundReport.make("weyl-square", abs(S) ** 2, sum_T, {"P": P, "alpha": str(alpha)})
     # (22-weyl4): |S|^8 <= C P^{4n} sum_{w,x,y} prod min(P, ||alpha L||^-1)
     hist = _trilinear_residue_histogram(F, P, qq, c=c)
@@ -273,6 +269,11 @@ def rational_approx_filter(M: int, a: int, q: int, z: Fraction, Q: int, m: int) 
 # -- prime and prime-power bounds ------------------------------------------------------------
 
 
+def _max_unit_sum(F: IntPolynomial, q: int, budget: int) -> float:
+    """max over gcd(a, q) = 1 of |S_{a,q}|."""
+    return max(abs(complete_sum(F, a, q, budget=budget).value) for a in range(1, q + 1) if math.gcd(a, q) == 1)
+
+
 def prime_power_bounds(kind: str, budget: int = 20_000_000, **kw) -> BoundReport:
     """Observed constants for the complete-sum estimates.
 
@@ -286,18 +287,14 @@ def prime_power_bounds(kind: str, budget: int = 20_000_000, **kw) -> BoundReport
         f0 = f.homogeneous_part(max(f.degree, 0))
         sp = kw.get("s_p")
         if sp is None:
-            sp = sing_dim(f0, p) if f0.coeffs else n - 1
+            sp = sing_dim(f0, p)
         lhs = abs(complete_sum(f, 1, p ** j, budget=budget).value)
         rhs = float(p) ** (j * (n + 1 + sp) / 2.0)
         return BoundReport.make("deligne", lhs, rhs, {"p": p, "j": j, "s_p": sp, "n": n})
     if kind == "birch":
         F, q, sigma = kw["F"], kw["q"], kw["sigma"]
         n = F.n
-        lhs = max(
-            abs(complete_sum(F, a, q, budget=budget).value)
-            for a in range(1, q + 1)
-            if math.gcd(a, q) == 1
-        )
+        lhs = _max_unit_sum(F, q, budget)
         rhs = float(q) ** (23.0 * n / 24.0 + (sigma + 1) / 24.0)
         return BoundReport.make("birch", lhs, rhs, {"q": q, "sigma": sigma, "n": n})
     if kind == "kge2":
@@ -305,11 +302,7 @@ def prime_power_bounds(kind: str, budget: int = 20_000_000, **kw) -> BoundReport
         if k < 2:
             raise PreconditionViolated("kge2 needs k >= 2")
         n = F.n
-        lhs = max(
-            abs(complete_sum(F, a, p ** k, budget=budget).value)
-            for a in range(1, p ** k + 1)
-            if a % p != 0
-        )
+        lhs = _max_unit_sum(F, p ** k, budget)
         rhs = float(p) ** ((k - 1) * n + sigma + 1)
         return BoundReport.make("prime-power", lhs, rhs, {"p": p, "k": k, "sigma": sigma, "n": n})
     raise ValueError(f"unknown kind {kind!r}")
@@ -318,10 +311,10 @@ def prime_power_bounds(kind: str, budget: int = 20_000_000, **kw) -> BoundReport
 # -- kernel average (the N_m mean value bound) ------------------------------------------------
 
 
-def avs5_average(g0: IntPolynomial, m: int, R: float, H_cap: float | None = None) -> BoundReport:
-    """sum_{|r| <= R} N_m(r)^(1/2) against m^{n/2} min{R, (1+H R^3/m)^{1/2}}^n."""
+def avs5_average(g0: IntPolynomial, m: int, R: float) -> BoundReport:
+    """sum_{|r| <= R} N_m(r)^(1/2) against m^{n/2} min{R, (1+H R^3/m)^{1/2}}^n, H the height of g0."""
     n = g0.n
-    H = H_cap if H_cap is not None else max(g0.height(), 1)
+    H = max(g0.height(), 1)
     if R < 1:
         return BoundReport.make("kernel-average", 0.0, 1.0, {"m": m, "R": R, "empty": True})
     Rb = int(math.floor(R))
@@ -360,9 +353,7 @@ def prop_t2_bound(
         raise PreconditionViolated("need |z| <= 1/(qP)")
     H = max(1.0, float(heights(g.poly, P)[1]))
     if s_map is None:
-        s_map = {}
-        for p in factorint(q):
-            s_map[p] = sing_dim(g.g0, p) if g.g0.coeffs else n - 1
+        s_map = {p: sing_dim(g.g0, p) for p in factorint(q)}
     mf = factor_bcd(q, s_map=s_map, n=n)
     if s_infinity is None:
         # sound stand-in: s_p >= s_infinity for every p

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quartic
-from quartic import geometry
+from quartic import circle, geometry
 from quartic.cli import CACHE_ENV, FormCache, form_hash, main
 from quartic.errors import CacheCorrupt
 from quartic.forms import LRUCache, parse_form
@@ -496,6 +496,17 @@ class TestBadInput:
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    def test_huge_series_R_is_refused_before_the_sieve(self, monkeypatch, capsys):
+        def sieve(m):
+            raise AssertionError(f"sieved {m + 1} cells")
+
+        monkeypatch.setattr(circle, "primes_up_to", sieve)
+        rc = main(["series", "--form-text", "x1^4", "--R", "39999999"])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
     def test_rank_profile_refuses_a_non_form_before_any_rank_grid(self, monkeypatch, capsys):
         calls = []
 
@@ -528,6 +539,8 @@ class TestBadInput:
             ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/not-json.json"],
             ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/list.json"],
             ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/list.json", "--write-calibration"],
+            ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/entry-a-number.json"],
+            ["verify", "filter", "--trials", "1", "--calibration", "{tmp}/ratio-a-string.json"],
             ["expsum", "--form", "{tmp}/empty.json", "--q", "5"],
             ["expsum", "--form", "{tmp}/blank.json", "--q", "5"],
             ["expsum", "--form-text", " ", "--q", "5"],
@@ -538,7 +551,8 @@ class TestBadInput:
              "center-empty-entries", "v-not-an-integer", "primes-not-an-integer", "form-file-missing",
              "form-file-a-directory", "form-file-a-json-list", "form-file-without-monomials",
              "calibration-a-directory", "calibration-not-json", "calibration-a-json-list",
-             "calibration-a-json-list-to-write", "form-file-empty", "form-file-blank", "form-text-blank",
+             "calibration-a-json-list-to-write", "calibration-entry-a-number", "calibration-ratio-a-string",
+             "form-file-empty", "form-file-blank", "form-text-blank",
              "form-text-a-constant", "series-of-a-constant"],
     )
     def test_bad_option_is_one_config_error_line(self, argv, capsys, tmp_path):
@@ -547,6 +561,8 @@ class TestBadInput:
         (tmp_path / "not-json.json").write_text("{calibration")
         (tmp_path / "empty.json").write_text("")
         (tmp_path / "blank.json").write_text(" \n")
+        (tmp_path / "entry-a-number.json").write_text('{"filter": 1}')
+        (tmp_path / "ratio-a-string.json").write_text('{"filter": {"max_ratio": "x"}}')
         rc = main([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

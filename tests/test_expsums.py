@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,3 +482,25 @@ class TestSVa:
         rng = random.Random(14)
         g = random_cubic_data(rng, 2, bound=3)
         assert s_va(g, 0.2, 1, [10 ** 6 + 0.5, 3], 5, 1)["value"] == 0
+
+
+CRT_REPRS = Path(__file__).parent / "data" / "crt_reprs.jsonl"
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [json.loads(line) for line in CRT_REPRS.read_text().splitlines()],
+    ids=lambda rec: f"n{rec['n']}-a{rec['a']}-q{rec['q']}-{'complete' if rec['v'] is None else 'twisted'}",
+)
+def test_crt_sum_keeps_its_recorded_repr(rec):
+    """Seeded complete and twisted sums at composite q on the CRT path, value and err bit for bit as recorded.
+
+    The records hold random forms of degree 2 to 4 in one to three variables,
+    a in [0, 2q) and, for twisted sums, v in [-q, 2q)^n.
+    """
+    F = parse_form(rec["form"], n=rec["n"])
+    if rec["v"] is None:
+        got = complete_sum(F, rec["a"], rec["q"], method="crt")
+    else:
+        got = twisted_sum(F, rec["a"], rec["q"], rec["v"], method="crt")
+    assert (repr(got.value), repr(got.err)) == (rec["value"], rec["err"])

@@ -117,6 +117,28 @@ class TestParse:
         assert degs == sorted(degs)
 
 
+@st.composite
+def polynomials(draw):
+    """IntPolynomials in one to four variables of degree at most 5, the zero polynomial among them."""
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 5)] * n).filter(lambda e: sum(e) <= 5)
+    coeffs = st.integers(-(10 ** 20), 10 ** 20) | st.integers(-3, 3)
+    return IntPolynomial(n, draw(st.dictionaries(exponents, coeffs, max_size=8)))
+
+
+class TestRoundTrip:
+    @given(polynomials())
+    def test_json(self, F):
+        assert IntPolynomial.from_json(F.to_json()) == F
+
+    @given(polynomials())
+    def test_repr_parses_back(self, F):
+        assert parse_form(repr(F), n=F.n) == F
+
+    def test_zero_polynomial_prints_as_zero(self):
+        assert repr(IntPolynomial(3, {})) == "0" and parse_form("0", n=3) == IntPolynomial(3, {})
+
+
 class TestSymTensor:
     def test_pure_power(self):
         assert sym_tensor(parse_form("x1^4")).entries == {(0, 0, 0, 0): 24}

@@ -364,9 +364,9 @@ def local_witness(
     Returns (x, k), x a tuple of Python ints, or raises Inconclusive.  Level k
     holds solutions of F = 0 mod p^k, none 0 mod p, as array rows: full grids
     mod p while they fit their caps and `budget`, seeded samples otherwise.  A
-    level is one pass: F and grad F exactly on every row, and the first row with
-    v_p F > 2 min_i v_p dF/dx_i is the witness, since by Hensel's lemma such an
-    x lifts to a p-adic zero of F (v_p(0) counts as 64 here).  Lifting
+    level is read in slices of 64, 256, ... rows, F and grad F exactly, up to the
+    first row with v_p F > 2 min_i v_p dF/dx_i: the witness, since by Hensel's
+    lemma it lifts to a p-adic zero of F (v_p(0) counts as 64 here).  Lifting
     needs no gradient: a point has v_p F >= 1 and some coordinate prime to p,
     so it fails only when grad F = 0 mod p.  Then F(x + p^k d) = F(x) mod
     p^{k+1} for every d, and x lifts exactly when v_p F(x) > k, to x + p^k d for
@@ -385,10 +385,14 @@ def local_witness(
     gradient = F.gradient()
     grid = _grid_points([np.arange(p)] * n) if p ** n <= min(4096, budget) else None
     for k in range(1, k_max + 1):
-        vF, *vg = (_val_p_many(_values_at(g, list(X.T)), p) for g in [F] + gradient)
-        ok = np.flatnonzero(vF > 2 * np.min(vg, axis=0))
-        if ok.size:
-            return tuple(X[ok[0]].tolist()), k
+        vF = []  # slices of 64, 256, 1024, ... rows: the first row is nearly always the witness
+        for rows in np.split(X, [b for b in (64 * (4 ** j - 1) // 3 for j in range(1, 32)) if b < len(X)]):
+            v, *vg = (_val_p_many(_values_at(g, list(rows.T)), p) for g in [F] + gradient)
+            ok = np.flatnonzero(v > 2 * np.min(vg, axis=0))
+            if ok.size:
+                return tuple(rows[ok[0]].tolist()), k
+            vF.append(v)
+        vF = np.concatenate(vF)
         # Python ints once the next level's coordinates pass int64
         X, pk = X[vF > k].astype(object if p ** (k + 1) >= 1 << 63 else X.dtype), p ** k
         if grid is not None:

@@ -284,13 +284,12 @@ def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None =
         dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
         hists = {}  # blocks with the same polynomial share one histogram
         for i, (vars_, G) in enumerate(parts):
-            key = (len(vars_), frozenset(G.coeffs.items()))  # cheaper to hash than G
-            if key not in hists:
-                hists[key] = _block_histogram(G, q).astype(dt, copy=False)
+            if G not in hists:
+                hists[G] = _block_histogram(G, q).astype(dt, copy=False)
             if i == 0:
-                dist = hists[key]
+                dist = hists[G]
                 continue
-            full = np.convolve(dist, hists[key])
+            full = np.convolve(dist, hists[G])
             dist = full[:q]
             dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
         out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]

@@ -252,6 +252,8 @@ def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> Modul
 def split_multiplicative(g, a: int, r: int, s: int, v, budget: int = DEFAULT_BUDGET) -> dict:
     """Residual of T(a,rs;v) = T(a sbar, r; sbar v) T(a rbar, s; rbar v)."""
     poly = g.poly if isinstance(g, CubicData) else g
+    if r < 1 or s < 1:
+        raise PreconditionViolated(f"moduli r and s must be positive integers, got r={r}, s={s}")
     if math.gcd(r, s) != 1:
         raise NotCoprime(f"gcd({r},{s}) != 1")
     direct = twisted_sum(poly, a % (r * s) or r * s, r * s, v, method="direct", budget=budget)

@@ -44,10 +44,12 @@ class IntPolynomial:
 
     Stored as a map {exponent tuple: coefficient} with no zero coefficients
     and no duplicate exponent vectors.  The canonical monomial order used for
-    serialization and hashing is graded lexicographic.
+    serialization and hashing is graded lexicographic.  Never changed once built
+    (`blocks` fills a new one before it escapes), it keeps `blocks(self)`, its
+    partials and its hash once computed.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_blocks", "_partials", "_hash")
 
     def __init__(self, n: int, coeffs=None):
         if n < 0 or n != int(n):
@@ -67,6 +69,7 @@ class IntPolynomial:
                 if clean[e] == 0:
                     del clean[e]
         self.coeffs = clean
+        self._blocks, self._partials, self._hash = None, {}, None
 
     # -- basic structure ---------------------------------------------------
 
@@ -144,7 +147,9 @@ class IntPolynomial:
         return isinstance(other, IntPolynomial) and self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.n, tuple(self.monomials())))
+        if self._hash is None:
+            self._hash = hash((self.n, tuple(self.monomials())))
+        return self._hash
 
     def __repr__(self):
         if not self.coeffs:
@@ -173,14 +178,16 @@ class IntPolynomial:
         return total
 
     def partial(self, i: int) -> "IntPolynomial":
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
-        return IntPolynomial(self.n, out)
+        if i not in self._partials:
+            out = {}
+            for e, c in self.coeffs.items():
+                if e[i] == 0:
+                    continue
+                e2 = list(e)
+                e2[i] -= 1
+                out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
+            self._partials[i] = IntPolynomial(self.n, out)
+        return self._partials[i]
 
     def gradient(self):
         return [self.partial(i) for i in range(self.n)]
@@ -435,8 +442,10 @@ def blocks(F: IntPolynomial):
     Two variables share a block when some monomial contains both; a variable
     in no monomial is a block of its own with G = 0.  Blocks come in order of
     their first variable, and each G keeps its monomials in `F.coeffs` order.
-    A diagonal form has every block of size 1.
+    A diagonal form has every block of size 1.  The result is kept on F.
     """
+    if F._blocks is not None:
+        return F._blocks
     n = F.n
     label = list(range(n))  # label[i] = first variable of the block of x_i
     for e in F.coeffs:
@@ -446,11 +455,10 @@ def blocks(F: IntPolynomial):
             label = [first if lab in hit else lab for lab in label]
     if set(label) == {0}:  # one block over every variable: G is F less its constant
         const = F.coeffs.get((0,) * n, 0)
-        G = F
-        if const:  # F.coeffs is already clean, so G skips the validating constructor
-            G = IntPolynomial(n)
-            G.coeffs = {e: c for e, c in F.coeffs.items() if any(e)}
-        return const, [(tuple(range(n)), G)]
+        G = IntPolynomial(n)  # F.coeffs is clean, so G skips the validating constructor; F itself would be a cycle
+        G.coeffs = {e: c for e, c in F.coeffs.items() if any(e)} if const else F.coeffs
+        F._blocks = const, [(tuple(range(n)), G)]
+        return F._blocks
     groups = {first: tuple(i for i in range(n) if label[i] == first) for first in sorted(set(label))}
     subs = {first: {} for first in groups}
     const = 0
@@ -460,7 +468,8 @@ def blocks(F: IntPolynomial):
             const = c
         else:
             subs[first][tuple(e[i] for i in groups[first])] = c
-    return const, [(vars_, IntPolynomial(len(vars_), subs[first])) for first, vars_ in groups.items()]
+    F._blocks = const, [(vars_, IntPolynomial(len(vars_), subs[first])) for first, vars_ in groups.items()]
+    return F._blocks
 
 
 # -- symmetric tensor ------------------------------------------------------------

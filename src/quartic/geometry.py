@@ -10,6 +10,7 @@ bands do not single out a dimension we raise AmbiguousDimension.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -96,8 +97,9 @@ def find_irreducible(p: int, k: int):
 class GF:
     """F_{p^k}, the element sum c_i x^i mod `modulus` encoded as the integer sum c_i p^i.
 
-    For k = 1 the arithmetic is `% p`.  For k >= 2 the q x q product and sum
-    tables are filled in row blocks from the discrete logarithms of g, the
+    For k = 1 the codes are the residues mod p: F_p grids are evaluated over the
+    integers mod p (`residues`) and reduced once.  For k >= 2 the q x q product
+    and sum tables are filled in row blocks from the discrete logarithms of g, the
     least code that generates the unit group: a*b = g^(log a + log b) and
     a + b = a*(1 + b/a) (Zech logarithms).  Grid arithmetic is then one
     `np.take` on a flattened table.  Built fields are memoised per (p, k), the
@@ -157,6 +159,11 @@ class GF:
             self.add_table[rows] = exp[la + log[plus_one[exp[log - la + q - 1]]]].ravel()
         self.neg_table = self.mul_table[(p - 1) * q:p * q]  # times the code p - 1, which is -1
 
+    @property
+    def residues(self):
+        """The ring `forms._values_at` evaluates over: the integer p for F_p (below the 2^31 it allows), else this field."""
+        return self.p if self.k == 1 and self.p < 1 << 31 else self
+
     def embed(self, c: int) -> int:
         """Image of an integer constant."""
         return int(c) % self.p
@@ -213,7 +220,7 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
             coords = fixed + free
             ok = np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=bool)
             for g in polys:
-                ok &= _values_at(g, coords, gf) == 0
+                ok &= _values_at(g, coords, gf.residues) == 0
             total += int(ok.sum())
     return total
 
@@ -305,7 +312,8 @@ def _ranks_of_matrix_grid(entry_vals, gf: GF, n: int):
     A symmetric matrix over any field has rank r exactly when r is the largest
     order of a nonzero principal minor.  Each minor is computed once, by
     expansion along its first row, from the minors one order below; only two
-    orders are held at a time.
+    orders are held at a time.  Over F_p, while the at most n products of a
+    minor and their sum stay below 2^62, they are added in int64 and reduced once.
     """
     levels, need = [], set()  # the (rows, cols) of the minors needed, order n first
     for m in range(n, 0, -1):
@@ -313,14 +321,18 @@ def _ranks_of_matrix_grid(entry_vals, gf: GF, n: int):
         levels.append(need)
         need = {(rows[1:], cols[:t] + cols[t + 1:]) for rows, cols in need for t in range(m)}
     rank = np.zeros(np.shape(entry_vals[0][0]) if n else (), dtype=np.int8)
+    exact = gf.k == 1 and n * (gf.p - 1) ** 2 < 1 << 62
+    mul, add, neg = (operator.mul, operator.iadd, operator.neg) if exact else (gf.mul, gf.add, gf.neg)
     below = {((), ()): gf.embed(1)}  # the empty minor
     for m, keys in enumerate(reversed(levels), start=1):
         minors = {}
         for rows, cols in keys:
-            det = 0
+            det = 0  # iadd on it makes a new array, which the later terms are added into in place
             for t, c in enumerate(cols):
-                term = gf.mul(entry_vals[rows[0]][c], below[rows[1:], cols[:t] + cols[t + 1:]])
-                det = gf.add(det, term if t % 2 == 0 else gf.neg(term))
+                term = mul(entry_vals[rows[0]][c], below[rows[1:], cols[:t] + cols[t + 1:]])
+                det = add(det, term if t % 2 == 0 else neg(term))
+            if exact:
+                det %= gf.p
             minors[rows, cols] = det
             if rows == cols:
                 rank[det != 0] = m
@@ -335,7 +347,7 @@ def hessian_rank_grid(G: IntPolynomial, p: int, k: int = 1, budget: int = DEFAUL
     rows = hessian_form_rows(G)
     out = []
     for coords in _slabs(gf.q, n, budget):
-        vals = {(i, j): _values_at(rows[i][j], coords, gf) for i in range(n) for j in range(i, n)}
+        vals = {(i, j): _values_at(rows[i][j], coords, gf.residues) for i in range(n) for j in range(i, n)}
         entry_vals = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
         out.append(_ranks_of_matrix_grid(entry_vals, gf, n).ravel())
     return np.concatenate(out)

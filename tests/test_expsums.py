@@ -10,7 +10,7 @@ import pytest
 
 from quartic import counting, expsums
 from quartic.counting import factorint, solutions_mod_q, value_counts
-from quartic.errors import BudgetExceeded, NotCoprime
+from quartic.errors import BudgetExceeded, NotCoprime, PreconditionViolated
 from quartic.expsums import (
     _scaled_counts,
     complete_sum,
@@ -305,6 +305,13 @@ class TestSplitMultiplicative:
         g = CubicData.from_poly(parse_form("x1^3"))
         with pytest.raises(NotCoprime):
             split_multiplicative(g, 1, 4, 6, [0])
+
+    @pytest.mark.parametrize("r, s", [(0, 1), (1, 0), (-3, 5)])
+    def test_moduli_below_one_are_a_precondition(self, r, s):
+        # (0, 1) and (1, 0) used to die in a % (r * s) with a bare ZeroDivisionError
+        g = CubicData.from_poly(parse_form("x1^3"))
+        with pytest.raises(PreconditionViolated):
+            split_multiplicative(g, 1, r, s, [0])
 
     def test_random_trials(self):
         rng = random.Random(7)

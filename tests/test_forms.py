@@ -562,6 +562,23 @@ class TestBlocks:
         assert [vars_ for vars_, _ in parts] == _components(F)
         assert sorted(i for vars_, _ in parts for i in vars_) == list(range(F.n))
 
+    @settings(deadline=None)
+    @given(block_forms(), st.booleans())
+    def test_memoised_structure_equals_a_fresh_polynomial(self, F, hash_first):
+        # F keeps blocks(F), its partials and its hash; asked again, in either order, they must be what a polynomial
+        # built anew from the same coefficients derives, down to the order of the coefficients
+        def structure(G):
+            parts = [(vars_, list(H.coeffs.items())) for vars_, H in blocks(G)[1]]
+            partials = [list(G.partial(i).coeffs.items()) for i in range(G.n)]
+            return blocks(G)[0], parts, partials, hash(G)
+
+        if hash_first:
+            hash(F)
+        first = structure(F)
+        assert structure(F) == first == structure(IntPolynomial(F.n, dict(F.coeffs)))
+        assert blocks(F) is blocks(F) and all(F.partial(i) is F.partial(i) for i in range(F.n))
+        assert hash(F) == hash((F.n, tuple(F.monomials())))
+
     def test_example_keeps_monomial_order(self):
         F = parse_form("x1*x2^3 + x3^4 + 7 + x1^4", n=5)
         const, parts = blocks(F)

@@ -17,7 +17,7 @@ from quartic.errors import (
     PreconditionViolated,
     SearchExhausted,
 )
-from quartic.forms import CubicData, IntPolynomial, _values_at, grid_values, parse_form
+from quartic.forms import CubicData, IntPolynomial, _values_at, grid_values, hessian_form_rows, parse_form
 from quartic.geometry import (
     GF,
     GF_CACHE_ENTRIES,
@@ -358,6 +358,56 @@ class TestRankProfiles:
     def test_b_set_needs_a_cubic_form(self):
         with pytest.raises(PreconditionViolated):
             b_set_profile(parse_form("x1^4 + x2^4"), 7, 1)
+
+
+def _rank_over(gf, M) -> int:
+    """Rank of a matrix of field codes by Gaussian elimination, one gf.mul / gf.add / gf.neg at a time."""
+    M = [[int(a) for a in row] for row in M]
+    r = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv, acc, e = 1, M[r][col], gf.q - 2  # a^(q - 2) = 1/a
+        while e:
+            inv, acc, e = (int(gf.mul(inv, acc)) if e & 1 else inv), int(gf.mul(acc, acc)), e >> 1
+        for i in range(r + 1, len(M)):
+            c = int(gf.mul(M[i][col], inv))
+            M[i] = [int(gf.add(a, gf.neg(gf.mul(c, b)))) for a, b in zip(M[i], M[r])]
+        r += 1
+    return r
+
+
+class TestPrimeFieldResidues:
+    """F_p grids go through integer residues reduced once; each must equal the op-by-op field arithmetic."""
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (3, 2)])
+    def test_rank_grid_and_counts_match_the_field_oracle(self, p, k):
+        from quartic.verify import random_form
+
+        gf, rng = GF(p, k), random.Random(100 * p + k)
+        coords = list(np.ix_(*[np.arange(gf.q)] * 3)[::-1])  # x1 fastest, as hessian_rank_grid ravels
+        for _ in range(2):
+            G = random_form(rng, 3, 3, bound=6)
+            rows = hessian_form_rows(G)
+            H = [[_eval_codes_oracle(h, gf, coords).ravel() for h in row] for row in rows]
+            want = [_rank_over(gf, [[H[i][j][t] for j in range(3)] for i in range(3)]) for t in range(gf.q ** 3)]
+            assert hessian_rank_grid(G, p, k).tolist() == want
+            for system in ([G], [G] + G.gradient()):
+                zeros = np.logical_and.reduce([_eval_codes_oracle(g, gf, coords) == 0 for g in system])
+                affine = int(zeros.sum())
+                assert count_points_ext(system, p, k, "affine") == affine
+                assert count_points_ext(system, p, k, "projective") == (affine - 1) // (gf.q - 1)
+
+    def test_minors_past_int64_stay_in_the_field(self):
+        # p is the largest prime with (p - 1)^2 < 2^63: field products fit int64, a minor's sum of them need not.
+        # Every symmetric 3 x 3 matrix with entries in [-3, 3], read mod p, keeps the rank of the integer matrix.
+        p = 3037000493
+        mats = np.array(list(product(range(-3, 4), repeat=6)))[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+        entries = [[mats[:, i, j] % p for j in range(3)] for i in range(3)]
+        ranks = geometry._ranks_of_matrix_grid(entries, GF(p), 3)
+        assert np.array_equal(ranks, np.linalg.matrix_rank(mats.astype(float)))
 
 
 class TestHyperplane:

@@ -17,6 +17,7 @@ from quartic.oscillatory import (
     QuadratureConfig,
     _direct_gamma_table,
     _grad_bound,
+    _phase_table,
     _simpson_1d,
     _simpson_weights,
     _start_points,
@@ -635,3 +636,14 @@ def test_sine_kernel_keeps_its_recorded_repr(rec):
     F = parse_form(rec["form"])
     cfg = QuadratureConfig() if rec["tolerance"] is None else QuadratureConfig(tolerance=rec["tolerance"])
     assert repr(singular_integral_sine(F, _spec_weight(rec["weight"], F.n), rec["R"], cfg)) == rec["J"]
+
+
+def test_phase_table_is_the_complex_exp_bit_for_bit():
+    """The platform assumption the recorded factored J reprs rest on: cos + i sin of the real angle 2 pi g f is
+    libm's complex exp of 2j pi g f, bit for bit, from subnormal to 1e7 angles and with products of +-0."""
+    rng = np.random.default_rng(24)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e7, 1e7]
+    g = np.concatenate([10.0 ** rng.uniform(-310, 7, 500) * rng.choice([-1.0, 1.0], 500), edge])
+    f = np.concatenate([10.0 ** rng.uniform(-12, 4, 300) * rng.choice([-1.0, 1.0], 300), edge])
+    got, want = _phase_table(g, f), np.exp(2j * np.pi * np.outer(g, f))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -18,7 +18,7 @@ import numpy as np
 from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from .expsums import unit_sum_prime_power
-from .forms import IntPolynomial, _grid_points, _values_at, blocks, grid_values
+from .forms import IntPolynomial, _grid_points, _values_at, blocks
 from .geometry import primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
@@ -376,9 +376,10 @@ def local_witness(
     rng = random.Random(seed * 1_000_003 + p)
     # level 1 candidates
     if p ** n <= min(GRID_CAP, budget):
-        # transposed so candidates come in the order x1 fastest
-        vals = grid_values(F, [np.arange(p)] * n, modulus=p).T
-        X = np.argwhere(vals == 0)[: 10 * cap, ::-1]
+        # x_i along dimension n - 1 - i, so the zeros' flat indices come in the order x1 fastest
+        axes = [np.arange(p).reshape([-1 if j == n - 1 - i else 1 for j in range(n)]) for i in range(n)]
+        zero = np.flatnonzero(_values_at(F, axes, p) == 0)[: 10 * cap]
+        X = np.stack(np.unravel_index(zero, (p,) * n)[::-1], axis=1)
         X = X[X.any(axis=1)]
     else:
         X = np.array(_sampled_zeros(F, p, rng), dtype=np.int64).reshape(-1, n)

@@ -33,7 +33,7 @@ from .forms import CubicData, IntPolynomial, parse_form
 from .geometry import b_set_profile, find_hyperplane, hessian_rank_profile, sing_dim
 from .oscillatory import QuadratureConfig, poisson_check, singular_integral
 from .verify import SWEEPS
-from .weights import WeightSpec, box, bump, separable_bump
+from .weights import WeightSpec, box
 
 CACHE_ENV = "QUARTIC_CACHE_DIR"
 
@@ -156,12 +156,12 @@ def _load_form(args) -> IntPolynomial:
 
 
 def _load_weight(args, n: int) -> WeightSpec:
-    if args.weight == "box":
-        return box(n)
     center = _numbers(args.center, float, "--center") if args.center else [0.0] * n
     if len(center) == 1 and n > 1:
         center = center * n
-    return (bump if args.weight == "bump" else separable_bump)(center, args.rho)
+    # checks --center (its length too) and --rho for every weight
+    spec = WeightSpec("bump" if args.weight == "bump" else "separable_bump", n, tuple(center), args.rho)
+    return box(n) if args.weight == "box" else spec
 
 
 def _base(F: IntPolynomial) -> dict:

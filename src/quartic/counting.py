@@ -105,7 +105,7 @@ def weighted_count(
             raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
         pts = []  # the zeros of each slab, in grid order
         for slab in _grid_slabs([np.arange(a, b + 1, dtype=np.int64) for a, b in ranges], 1 << 22):
-            zeros = np.nonzero(grid_values(F, slab) == 0)
+            zeros = np.unravel_index(np.flatnonzero(grid_values(F, slab) == 0), tuple(map(len, slab)))
             pts.append(np.stack([ax[z] for ax, z in zip(slab, zeros)], axis=1))
         total, meta = w.eval_many(np.concatenate(pts) / P).sum(), {"cells": cells}
     elif method == "mitm":

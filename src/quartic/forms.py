@@ -352,7 +352,9 @@ def grid_values(F: IntPolynomial, axes, modulus=None) -> np.ndarray:
     `_int64_safe` proves they fit and Python ints in an object array
     otherwise; float axes give float64.  Each monomial is a
     product of per-axis power tables broadcast over its own variables only,
-    and the monomials are added in `F.coeffs` order.  Exact results equal the
+    and the monomials are added in `F.coeffs` order, from +0, into a total
+    that grows to the broadcast shape of the terms so far: a block form makes
+    one full-size pass over the grid.  Exact results equal the
     point-by-point sum c * x_i^k * x_j^l * ...; float results equal, bit for
     bit, the numpy loop that adds float(c) * x_i ** k * x_j ** l * ... over the
     monomials in that order, and can differ from `IntPolynomial.evaluate` on
@@ -400,13 +402,16 @@ def _values_at(F: IntPolynomial, coords, modulus=None) -> np.ndarray:
                 tables[i, j] = coords[i] ** j if modulus is None else mul(tables[i, j - 1], coords[i])
         return tables[i, k]
 
-    total = np.zeros(shape, dtype=dtype)
+    # from +0, grown to the terms' broadcast shape (a constant term can leave a Python int): one full-size pass
+    total, grow = np.zeros((), dtype=dtype), add if field else operator.add
     for e, c in coeffs.items():
         term = embed(c)
         for i, k in enumerate(e):
             if k:
                 term = mul(term, power(i, k))
-        total = add(total, term)
+        total = add(total, term) if getattr(total, "shape", ()) == shape else grow(total, term)
+    if getattr(total, "shape", ()) != shape:  # a variable in no monomial
+        total = np.broadcast_to(np.asarray(total, getattr(total, "dtype", dtype)), shape).copy()
     if modulus is not None and not field:
         # the terms are residues, or every value is at most _abs_bound(coeffs) < 2^62: the sum fits int64
         total %= modulus

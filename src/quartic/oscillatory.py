@@ -17,7 +17,8 @@ keeps one table per block across doublings, and blocks with equal weights and
 polynomials equal up to sign share one.  A one-variable table fills its phases
 with the cos and sin of the real angles (`_phase_table`): bit for bit the complex
 exp of the recorded J reprs, in half its time.  The sine kernel
-(`singular_integral_sine`) keeps a loop of its own, the independent reference J is checked against.
+(`singular_integral_sine`) keeps a loop of its own, the independent reference J is checked against;
+each doubling evaluates F and the kernel on its new cells only; `_phase_sum`, `gen_sum`'s phase tail, serves verify too.
 """
 
 from __future__ import annotations
@@ -100,9 +101,13 @@ def gen_sum(
     wv = w.eval_grid([ax / P for ax in axes]).ravel()
     if not len(wv):
         return 0.0 + 0.0j
+    return _phase_sum(wv, grid_values(poly, axes).ravel(), a, q, z)
+
+
+def _phase_sum(wv: np.ndarray, vals: np.ndarray, a: int, q: int, z: float) -> complex:
+    """sum of wv e((a/q + z) vals) over the cells of positive weight, the rational part from exact residues mod q."""
     keep = wv > 0
-    wv = wv[keep]
-    vals = grid_values(poly, axes).ravel()[keep]
+    wv, vals = wv[keep], vals[keep]
     resid = (vals % q).astype(np.int64) if q > 1 else None
     zpart = vals.astype(float) * z
     phase_angles = (a * resid / q if resid is not None else 0.0) + zpart
@@ -272,7 +277,8 @@ def _by_abs_gamma(compute):
     def table(gammas):
         absg = np.abs(gammas).tolist()
         new = [g for g in dict.fromkeys(absg) if g not in memo]
-        memo.update(zip(new, compute(np.array(new))))
+        if new:
+            memo.update(zip(new, compute(np.array(new))))
         vals = np.array([memo[g] for g in absg])
         return np.where(gammas < 0, vals.conj(), vals)
 
@@ -358,12 +364,26 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
         raise BudgetExceeded("sine-kernel form supports n <= 3")
     box_phys = w.support_box()
     N = _start_points(R * _abs_bound(F.coeffs, box_phys), cfg)
-    prev = None
+    prev = kernel = None
+
+    def sine_kernel(axes):  # 2R sinc(2R F) = sin(2 pi R F)/(pi F) in place, in np.sinc's operations and order
+        y = grid_values(F, axes)
+        y *= 2.0 * R
+        y *= np.pi
+        y[y == 0] = np.finfo(float).eps
+        return np.multiply(np.divide(np.sin(y), y, out=y), 2.0 * R, out=y)
     for _ in range(cfg.max_refinements):
         if (N + 1) ** n > cfg.max_cells:  # every grid, the first one included, before it is built
             raise ToleranceNotMet("sine-kernel grid exceeded cell budget")
         grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
-        kernel = 2.0 * R * np.sinc(2.0 * R * grid_values(F, grids))  # sin(2 pi R F)/(pi F)
+        if kernel is None:
+            kernel = sine_kernel(grids)
+        else:  # the old grid is every second node of the new one, bit for bit: only cells with an odd index are new
+            old, kernel = kernel, np.empty((N + 1,) * n)
+            kernel[(slice(None, None, 2),) * n] = old
+            for k in range(n):  # even indices before axis k, odd at k, any after it
+                cut = (slice(None, None, 2),) * k + (slice(1, None, 2),) + (slice(None),) * (n - k - 1)
+                kernel[cut] = sine_kernel([g[c] for g, c in zip(grids, cut)])
         cur = w.eval_grid(grids) * kernel
         for ax in range(n - 1, -1, -1):
             wts = _simpson_weights(*box_phys[ax], N)

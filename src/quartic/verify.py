@@ -18,12 +18,12 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .counting import _near_integer, factorint
-from .errors import BudgetExceeded, PreconditionViolated
+from .errors import BudgetExceeded, NotQuarticForm, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
-from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, _grid_slabs, difference_cubic, grid_values
+from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, _grid_slabs, grid_values
 from .forms import hessian, heights, parse_form, sym_tensor
 from .geometry import hessian_rank_profile, sing_dim
-from .oscillatory import gen_sum
+from .oscillatory import _phase_sum, gen_sum
 from .weights import WeightSpec, bump, lattice_ranges, shifted_product, unit_box
 
 
@@ -68,11 +68,27 @@ def random_cubic_data(rng: random.Random, n: int, bound: int = 5) -> CubicData:
 
 
 def _differenced_sums(F: IntPolynomial, w: WeightSpec, P: int, H: int, a: int, q: int, z: float) -> dict:
-    """h -> T_h(a/q + z) for |h_i| < H in `product` order: gen_sum of the difference cubic of F at h, shifted weight."""
-    return {
-        hh: gen_sum(difference_cubic(F, list(hh)).poly, shifted_product(w, hh, P), P, a=a, q=q, z=z)
-        for hh in product(range(-(H - 1), H), repeat=F.n)
-    }
+    """h -> T_h(a/q + z) for |h_i| < H in `product` order: gen_sum of F(x+h) - F(x) under the shifted weight.
+
+    F is evaluated once, exactly, on the box of x and x + h for every h (inside the box of w, which both callers check
+    against a budget); each T_h reads the integers F(x+h) - F(x) from it, so its phases are `gen_sum`'s bit for bit.
+    """
+    if F.degree != 4 or not F.is_homogeneous(4):
+        raise NotQuarticForm("differenced sums need a homogeneous quartic")
+    out = dict.fromkeys(product(range(-(H - 1), H), repeat=F.n), 0.0 + 0.0j)  # an empty box sums to 0
+    live = {hh: lattice_ranges(shifted_product(w, hh, P), P) for hh in out}
+    live = {hh: box for hh, box in live.items() if all(a0 <= b0 for a0, b0 in box)}
+    if not live:
+        return out
+    lo = [min(box[i][0] + min(hh[i], 0) for hh, box in live.items()) for i in range(F.n)]
+    hi = [max(box[i][1] + max(hh[i], 0) for hh, box in live.items()) for i in range(F.n)]
+    Fv = grid_values(F, [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(lo, hi)])
+    for hh, box in live.items():
+        x = tuple(slice(a0 - l, b0 + 1 - l) for (a0, b0), l in zip(box, lo))
+        xh = tuple(slice(s.start + t, s.stop + t) for s, t in zip(x, hh))
+        wv = shifted_product(w, hh, P).eval_grid([np.arange(a0, b0 + 1, dtype=np.int64) / P for a0, b0 in box])
+        out[hh] = _phase_sum(wv.ravel(), (Fv[xh] - Fv[x]).ravel(), a, q, z)
+    return out
 
 
 def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget: int = 4_000_000) -> dict:
@@ -112,20 +128,13 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
         inner += fx
         double_sum += fx.sum()
     resid_i = abs(H ** n * S - double_sum)
-    # (ii) pair-difference counts
+    # (ii) pair-difference counts: one tally of h1 - h2 over every pair, against prod_i (H - |h_i|)
     pair_ok = True
-    for hh in product(range(-H, H + 1), repeat=n):
-        direct = 1
-        for t in hh:
-            direct *= max(H - abs(t), 0)
-        brute = sum(
-            1
-            for h1 in product(range(1, H + 1), repeat=n)
-            for h2 in product(range(1, H + 1), repeat=n)
-            if all(a1 - a2 == t for a1, a2, t in zip(h1, h2, hh))
-        ) if H ** (2 * n) <= 4096 else direct
-        if direct != brute:
-            pair_ok = False
+    if H ** (2 * n) <= 4096:
+        hs = np.indices((H,) * n).reshape(n, -1)  # the H^n shifts, less 1, one column each
+        diffs = np.ravel_multi_index((hs[:, :, None] - hs[:, None, :] + H).reshape(n, -1), (2 * H + 1,) * n)
+        direct = functools.reduce(np.multiply.outer, [H - np.abs(np.arange(-H, H + 1))] * n).ravel()
+        pair_ok = np.array_equal(np.bincount(diffs, minlength=direct.size), direct)
     # (iii) quadratic identity and the vdC bound
     lhs_quad = float((np.abs(inner) ** 2).sum())
     rhs_quad = 0.0 + 0j

@@ -203,6 +203,27 @@ class TestLocalSolubility:
             ok, vF, vg = hensel_criterion(X1, x, p)
             assert ok
 
+    @pytest.mark.parametrize(
+        "text, p, cap",
+        [(repr(X1), 7, 20000), (repr(X1), 13, 20000), (repr(X1), 17, 3),
+         ("x1^4 + x1*x2^3 - 2*x3^4 - 5*x4^4 + x2*x3*x4^2", 11, 20000), ("x1^3*x2 - x3^4 + 3*x4^2*x1^2", 19, 5)],
+    )
+    def test_level_one_rows_come_x1_fastest(self, monkeypatch, text, p, cap):
+        # the zeros of the 4-D grid mod p by flat index, in the order of the transposed grid's argwhere
+        F, rows = parse_form(text), []
+        values_at = circle._values_at
+
+        def recording(G, coords, modulus=None):
+            if G is F and modulus is None:  # F on a slice of rows of a level
+                rows.append(np.stack(coords, axis=1))
+            return values_at(G, coords, modulus)
+
+        monkeypatch.setattr(circle, "_values_at", recording)
+        local_witness(F, p, cap=cap)
+        X = np.argwhere(grid_values(F, [np.arange(p)] * 4, modulus=p).T == 0)[: 10 * cap, ::-1]
+        X = X[X.any(axis=1)]
+        assert len(rows[0]) == min(64, len(X)) and np.array_equal(rows[0], X[:64])
+
     def test_real_probe(self):
         assert real_point_probe(X1)[0] is True
         assert real_point_probe(parse_form("x1^4 + x2^4 + x3^4 + x4^4"))[0] is False

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quartic
@@ -370,6 +371,14 @@ class TestBudget:
                     return original(F, axes, modulus)
 
                 monkeypatch.setattr(module, "grid_values", recording)
+        # the level-1 grid of `local_witness` is F on broadcast axes, through `_values_at`
+        original_at = circle._values_at
+
+        def recording_at(F, coords, modulus=None):
+            sizes.append(math.prod(np.broadcast_shapes(*map(np.shape, coords))))
+            return original_at(F, coords, modulus)
+
+        monkeypatch.setattr(circle, "_values_at", recording_at)
         x1 = "4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4"
         argv = ["--cache-dir", str(tmp_path), "--budget", "6000", "hasse", "--form-text", x1, "--p-max", "13"]
         assert main(argv) == 0
@@ -491,6 +500,28 @@ class TestBadInput:
         (tmp_path / "coefficient-1.5.json").write_text('{"n": 1, "monomials": [[[4], 1.5]]}')
         (tmp_path / "exponent-4.5.json").write_text('{"n": 1, "monomials": [[[4.5], 1]]}')
         rc = main([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["count", "--P", "5", "--center", "abc", "--rho", "-3"], "ConfigInvalid"),
+            (["count", "--P", "5", "--weight", "box", "--rho", "-3"], "PreconditionViolated"),
+            (["count", "--P", "5", "--center", "0.1,0.2,0.3"], "DimensionMismatch"),
+            (["integral", "--R", "2", "--center", "nan,0.5"], "PreconditionViolated"),
+            (["integral", "--R", "2", "--rho", "1.5"], "PreconditionViolated"),
+            (["pipeline", "--P", "5", "--center", "nan,0.5"], "PreconditionViolated"),
+            (["pipeline", "--P", "5", "--center", ",,"], "ConfigInvalid"),
+        ],
+        ids=["count-center-abc", "count-rho-negative", "count-center-of-three", "integral-center-nan",
+             "integral-rho-past-1", "pipeline-center-nan", "pipeline-center-empty-entries"],
+    )
+    def test_box_weight_checks_center_and_rho(self, argv, error, capsys):
+        # --center and --rho are checked whatever the weight, the default box included
+        rc = main(argv[:1] + ["--form-text", "x1^4-x2^4"] + argv[1:])
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert rc == 1 and captured.out == "" and len(lines) == 1

@@ -22,9 +22,9 @@ from quartic.counting import (
 )
 from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable, PreconditionViolated
 from quartic.geometry import primes_up_to
-from quartic.forms import IntPolynomial, grid_values, parse_form, sym_tensor, weyl_difference
+from quartic.forms import IntPolynomial, _grid_slabs, grid_values, parse_form, sym_tensor, weyl_difference
 from quartic.verify import random_form
-from quartic.weights import box, bump, separable_bump, unit_box
+from quartic.weights import WeightSpec, box, bump, lattice_ranges, separable_bump, unit_box
 
 X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
 
@@ -122,6 +122,21 @@ class TestWeightedCount:
         res = weighted_count(F, box(4), 39, method="brute")
         assert res.count == 1213 and res.meta == {"cells": 79 ** 4}
         assert max(built) <= 1 << 22 and sum(built) == 79 ** 4
+
+    @pytest.mark.parametrize("text", ["x1^4 - x2^4 + x3^4 - x4^4", "x1^2 - x2^2 + x3*x4 - x1*x3"])
+    def test_brute_zeros_come_in_grid_order(self, monkeypatch, text):
+        # the zeros of each slab by flat index, in the order of np.nonzero: the float sum of their weights is unchanged
+        F, w, P = parse_form(text), bump((0.1, 0.2, 0.0, -0.1), 1.0), 12
+        want = []
+        for slab in _grid_slabs([np.arange(a, b + 1, dtype=np.int64) for a, b in lattice_ranges(w, P)], 1 << 22):
+            zeros = np.nonzero(grid_values(F, slab) == 0)
+            want.append(np.stack([ax[z] for ax, z in zip(slab, zeros)], axis=1))
+        want = np.concatenate(want)
+        seen, eval_many = [], WeightSpec.eval_many
+        monkeypatch.setattr(WeightSpec, "eval_many", lambda self, X: seen.append(X) or eval_many(self, X))
+        res = weighted_count(F, w, P, method="brute")
+        assert len(want) > 100 and np.array_equal(seen[0], want / P)
+        assert repr(res.count) == repr(float(eval_many(w, want / P).sum()))
 
     @pytest.mark.parametrize("center", [(0.55, 0.5), (0.5, 0.55)])
     def test_brute_count_of_an_empty_box_is_zero(self, center):

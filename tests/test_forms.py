@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -18,8 +19,11 @@ from quartic.errors import (
 from quartic.forms import (
     CubicData,
     IntPolynomial,
+    _abs_bound,
     _grid_points,
     _grid_slabs,
+    _int64_safe,
+    _values_at,
     blocks,
     difference_cubic,
     grid_values,
@@ -30,6 +34,7 @@ from quartic.forms import (
     sym_tensor,
     weyl_difference,
 )
+from quartic.geometry import GF
 
 
 def homogenize(f: IntPolynomial) -> IntPolynomial:
@@ -482,6 +487,115 @@ class TestGridValues:
         direct = complete_sum(F, 11, 2100, method="direct")
         crt = complete_sum(F, 11, 2100, method="crt")
         assert abs(direct.value - crt.value) <= direct.err + crt.err
+
+
+def _values_at_full_shape(F, coords, modulus=None):
+    """The evaluator before the growing total: np.zeros of the full broadcast shape, one full-size add per monomial."""
+    coords = [np.asarray(c) for c in coords]
+    shape = np.broadcast(*coords).shape if coords else ()
+    field = hasattr(modulus, "mul")
+    embed, add, mul, coeffs = int, operator.iadd, operator.mul, F.coeffs
+    if field:
+        dtype, embed, add, mul = np.int64, modulus.embed, modulus.add, modulus.mul
+    elif modulus is not None:
+        coeffs = {e: c % modulus for e, c in coeffs.items() if c % modulus}
+        dtype, coords = np.int64, [c.astype(np.int64) % modulus for c in coords]
+        if _abs_bound(coeffs, [(0, modulus - 1)] * F.n) >= 1 << 62:
+
+            def mul(a, b):
+                out = a * b
+                out %= modulus
+                return out
+    elif all(c.dtype.kind in "iuO" for c in coords):
+        ranges = [(int(c.min()), int(c.max())) if c.size else (0, 0) for c in coords]
+        fits = all(-(1 << 63) <= a and b < 1 << 63 for a, b in ranges)
+        dtype = np.int64 if fits and _int64_safe(F, ranges) else object
+    else:
+        dtype, embed = np.float64, float
+    coords = [c.astype(dtype, copy=False) for c in coords]
+    tables = {(i, 1): c for i, c in enumerate(coords)}
+
+    def power(i, k):
+        for j in range(k if modulus is None else 2, k + 1):
+            if (i, j) not in tables:
+                tables[i, j] = coords[i] ** j if modulus is None else mul(tables[i, j - 1], coords[i])
+        return tables[i, k]
+
+    total = np.zeros(shape, dtype=dtype)
+    for e, c in coeffs.items():
+        term = embed(c)
+        for i, k in enumerate(e):
+            if k:
+                term = mul(term, power(i, k))
+        total = add(total, term)
+    if modulus is not None and not field:
+        total %= modulus
+    return total
+
+
+@st.composite
+def evaluator_cases(draw):
+    """(F, coords, modulus): every ring of `_values_at`, on grids, `np.ix_` grids, reversed grids and 1-D rows."""
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 4)
+    ring = draw(st.sampled_from(["Z", "Z-object", "mod-small", "mod-large", "GF", "float"]))
+    coeffs = st.integers(-(2 ** 70), 2 ** 70) if ring == "Z-object" else st.integers(-9, 9)
+    F = IntPolynomial(n, draw(st.dictionaries(exponents, coeffs, max_size=6)))
+    modulus = {"mod-small": st.integers(1, 60), "mod-large": st.integers((1 << 31) - 999, (1 << 31) - 1),
+               "GF": st.sampled_from([GF(2, 2), GF(3, 2), GF(2, 3), GF(5, 2), GF(7, 1)])}.get(ring, st.none())
+    modulus = draw(modulus)
+    if ring == "float":
+        elements = st.sampled_from([-0.0, 0.0, 1.0, -1.5]) | st.floats(-3, 3)
+    elif ring == "GF":
+        elements = st.integers(0, modulus.q - 1)
+    else:
+        elements = st.integers(-20, 20) | st.integers(-(2 ** 40), 2 ** 40)
+    dtype = float if ring == "float" else object if ring == "Z-object" and draw(st.booleans()) else np.int64
+    layout = draw(st.sampled_from(["grid", "ix", "reversed", "rows"]))
+    if layout == "rows":
+        size = draw(st.integers(0, 6))
+        rows = [np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype) for _ in range(n)]
+        return F, rows, modulus
+    axes = [np.array(draw(st.lists(elements, max_size=4)), dtype=dtype) for _ in range(n)]
+    if layout == "ix":
+        return F, list(np.ix_(*axes)), modulus
+    dims = [i if layout == "grid" else n - 1 - i for i in range(n)]
+    return F, [ax.reshape([-1 if j == d else 1 for j in range(n)]) for ax, d in zip(axes, dims)], modulus
+
+
+class TestGrowingTotal:
+    """`_values_at` adds into a total that grows to the terms' broadcast shape: the full-shape loop, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(evaluator_cases())
+    def test_matches_the_full_shape_loop(self, case):
+        F, coords, modulus = case
+        try:
+            want = _values_at_full_shape(F, coords, modulus)
+        except OverflowError:  # a coefficient past int64 where every coordinate is 0 or none: the same refusal
+            with pytest.raises(OverflowError):
+                _values_at(F, coords, modulus)
+            return
+        got = _values_at(F, coords, modulus)
+        assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+        if got.dtype == object:
+            assert [(type(v), v) for v in got.ravel()] == [(type(v), v) for v in want.ravel()]
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_float_minus_zero_terms_become_plus_zero(self):
+        F = parse_form("x1^3 + x2")
+        coords = [np.array([-0.0, 1.0]).reshape(2, 1), np.array([-0.0])]
+        got = _values_at(F, coords)
+        assert got.tobytes() == _values_at_full_shape(F, coords).tobytes()
+        assert math.copysign(1.0, got[0, 0]) == 1.0  # -0.0 + -0.0 added to +0 is +0
+
+    def test_variable_in_no_monomial_and_constant_first(self):
+        F = IntPolynomial(3, {(0, 0, 0): 2 ** 70, (2, 0, 0): 3})  # x2 and x3 in no monomial, object ring
+        axes = [np.arange(3), np.arange(2), np.arange(4)]
+        got = grid_values(F, axes)
+        assert got.shape == (3, 2, 4) and got.dtype == object and got.flags.writeable
+        assert got.tolist() == _values_at_full_shape(F, np.ix_(*axes)).tolist()
 
 
 class TestGridSlabs:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from quartic import oscillatory, verify
 from quartic.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, ToleranceNotMet
-from quartic.forms import CubicData, _grid_points, blocks, grid_values, parse_form
+from quartic.forms import CubicData, _abs_bound, _grid_points, blocks, grid_values, parse_form
 from quartic.oscillatory import (
     QuadratureConfig,
+    _by_abs_gamma,
     _direct_gamma_table,
     _grad_bound,
     _phase_table,
@@ -386,6 +387,99 @@ class TestSingularIntegral:
         a = singular_integral(F, w, 8, method="factored")
         c = singular_integral_sine(F, w, 8)
         assert abs(a - c) <= 1e-4 * max(1.0, abs(a))
+
+
+def _sine_kernel_whole_grids(F, w, R, cfg):
+    """The sine kernel before its doublings kept their nodes: F and np.sinc on every cell of every grid."""
+    n = F.n
+    box_phys = w.support_box()
+    N = _start_points(R * _abs_bound(F.coeffs, box_phys), cfg)
+    prev = None
+    for _ in range(cfg.max_refinements):
+        if (N + 1) ** n > cfg.max_cells:
+            raise ToleranceNotMet("sine-kernel grid exceeded cell budget")
+        grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
+        kernel = 2.0 * R * np.sinc(2.0 * R * grid_values(F, grids))
+        cur = w.eval_grid(grids) * kernel
+        for ax in range(n - 1, -1, -1):
+            wts = _simpson_weights(*box_phys[ax], N)
+            cur = np.tensordot(cur, wts, axes=([ax], [0])) if np.ndim(cur) > 1 else cur @ wts
+        cur = float(cur)
+        if prev is not None and abs(cur - prev) <= max(cfg.tolerance, 1e-9 * abs(cur)):
+            return cur
+        prev = cur
+        N *= 2
+    raise ToleranceNotMet("sine-kernel refinement limit reached")
+
+
+SINE_DOUBLINGS = [  # each form is 0 at some node of every grid: x = 0, or a diagonal of equal axes
+    ("x1^4 - 2*x1^2", weights.box(1), 3.0, QuadratureConfig(base_points=8, tolerance=1e-9)),
+    ("x1^4 - x2^4", separable_bump((0.5, 0.5), 0.2), 8.0, QuadratureConfig(base_points=8, tolerance=1e-8)),
+    ("x1^4 + x2^4 - 2*x3^4", bump((0.0, 0.0, 0.0), 0.5), 1.0, QuadratureConfig(base_points=4, tolerance=1e-5)),
+    ("x1^4 - x1*x2^3 + x3^3*x2", separable_bump((0.1, -0.2, 0.3), 0.4), 2.0,
+     QuadratureConfig(base_points=4, tolerance=1e-6)),
+]
+SINE_IDS = ["n1-box", "n2-separable", "n3-bump", "n3-separable"]
+
+
+class TestSineDoublings:
+    @pytest.mark.parametrize("text, w, R, cfg", SINE_DOUBLINGS, ids=SINE_IDS)
+    def test_matches_whole_grids_bit_for_bit(self, text, w, R, cfg):
+        F = parse_form(text)
+        assert repr(singular_integral_sine(F, w, R, cfg)) == repr(_sine_kernel_whole_grids(F, w, R, cfg))
+
+    @pytest.mark.parametrize("text, w, R, cfg", SINE_DOUBLINGS[:3], ids=SINE_IDS[:3])
+    def test_a_zero_node_is_in_every_grid(self, text, w, R, cfg):
+        F = parse_form(text)
+        N = _start_points(R * _abs_bound(F.coeffs, w.support_box()), cfg)
+        for k in range(3):
+            grids = [np.linspace(lo, hi, N * 2 ** k + 1) for lo, hi in w.support_box()]
+            assert (grid_values(F, grids) == 0).any()
+
+    @pytest.mark.parametrize("text, w, R, cfg", SINE_DOUBLINGS, ids=SINE_IDS)
+    def test_each_doubling_evaluates_only_its_new_cells(self, monkeypatch, text, w, R, cfg):
+        cells = []
+        values = oscillatory.grid_values
+        monkeypatch.setattr(
+            oscillatory, "grid_values", lambda F, axes: cells.append(math.prod(map(len, axes))) or values(F, axes)
+        )
+        F = parse_form(text)
+        singular_integral_sine(F, w, R, cfg)
+        n, N = F.n, _start_points(R * _abs_bound(F.coeffs, w.support_box()), cfg)
+        assert cells[0] == (N + 1) ** n and (len(cells) - 1) % n == 0 and len(cells) > 1
+        for k in range(1, len(cells), n):  # one call per axis: even indices before it, odd at it
+            assert sum(cells[k:k + n]) == (2 * N + 1) ** n - (N + 1) ** n
+            N *= 2
+
+    def test_old_nodes_are_every_second_new_node(self):
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            lo, hi = sorted(rng.uniform(-3, 3, 2))
+            N = int(rng.integers(1, 2000))
+            assert np.linspace(lo, hi, 2 * N + 1)[::2].tobytes() == np.linspace(lo, hi, N + 1).tobytes()
+
+
+class TestByAbsGamma:
+    def test_computes_only_new_abs_gammas(self):
+        calls = []
+        table = _by_abs_gamma(lambda g: calls.append(g.tolist()) or g * (1 + 1j))
+        assert np.array_equal(table(np.array([-2.0, 1.0, 2.0])), [2 - 2j, 1 + 1j, 2 + 2j])  # conj for gamma < 0
+        assert np.array_equal(table(np.array([1.0, -1.0])), [1 + 1j, 1 - 1j])
+        assert calls == [[2.0, 1.0]]  # the second call holds no new |gamma|
+
+    @pytest.mark.parametrize(
+        "text, center, R, tables",
+        [("x1^4 - x2^4", (0.5, 0.5), 200, 2),
+         ("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4", (0.3, 0.4) * 4, 20, 4)],
+        ids=["x1^4-x2^4", "F8"],
+    )
+    def test_factored_J_builds_phase_tables_for_new_gammas_only(self, monkeypatch, text, center, R, tables):
+        # the shared tables are called once per block and gamma rule; a call with no new |gamma| builds nothing
+        built = []
+        phase_table = oscillatory._phase_table
+        monkeypatch.setattr(oscillatory, "_phase_table", lambda g, fv: built.append(len(g)) or phase_table(g, fv))
+        singular_integral(parse_form(text), separable_bump(center, 0.2), R)
+        assert len(built) == tables and all(built)
 
 
 class TestDirectGammaTable:

@@ -6,9 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quartic import geometry, verify
-from quartic.errors import PreconditionViolated
-from quartic.forms import CubicData, parse_form, sym_tensor
+from quartic import geometry, oscillatory, verify
+from quartic.errors import DimensionMismatch, NotQuarticForm, PreconditionViolated
+from quartic.forms import CubicData, difference_cubic, parse_form, sym_tensor
+from quartic.oscillatory import gen_sum
 from quartic.verify import (
     avs5_average,
     davenport_shrink,
@@ -22,7 +23,7 @@ from quartic.verify import (
     vdc_identity,
     weyl_chain,
 )
-from quartic.weights import bump
+from quartic.weights import bump, separable_bump, shifted_product, unit_box
 
 
 class TestVdc:
@@ -52,6 +53,88 @@ class TestVdc:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             vdc_identity(parse_form("x1^4"), bump((0.0,), 1.0), 10, 11, Fraction(1, 3))
+
+
+def _differenced_sums_per_shift(F, w, P, H, a, q, z):
+    """h -> T_h before one evaluation of F served every shift: a difference cubic and a `gen_sum` for each h."""
+    return {
+        hh: gen_sum(difference_cubic(F, list(hh)).poly, shifted_product(w, hh, P), P, a=a, q=q, z=z)
+        for hh in product(range(-(H - 1), H), repeat=F.n)
+    }
+
+
+def _pair_counts_loop(H, n):
+    """N(h) for h in [-H, H]^n by the loop over every pair (h1, h2) and every h that the one tally replaced."""
+    return {
+        hh: sum(
+            1
+            for h1 in product(range(1, H + 1), repeat=n)
+            for h2 in product(range(1, H + 1), repeat=n)
+            if all(a1 - a2 == t for a1, a2, t in zip(h1, h2, hh))
+        )
+        for hh in product(range(-H, H + 1), repeat=n)
+    }
+
+
+class TestDifferencedSums:
+    @pytest.mark.parametrize(
+        "n, w, P, H, a, q, z",
+        [
+            (1, bump((0.1,), 1.0), 12, 3, 1, 7, 0.0),
+            (1, bump((0.0,), 0.6), 20, 5, 0, 1, 0.0123),
+            (1, unit_box(1), 9, 9, 2, 5, 0.0),
+            (2, bump((0.0, 0.0), 1.0), 12, 3, 3, 7, 0.0),
+            (2, separable_bump((0.2, -0.1), 0.7), 10, 2, 0, 1, -0.031),
+            (2, bump((0.1, 0.2), 0.9), 8, 3, 2, 9, 0.004),
+            (2, unit_box(2), 6, 6, 1, 3, 0.0),
+            (1, bump((0.0,), 0.2), 10, 6, 1, 7, 0.0),
+            (2, separable_bump((0.0, 0.1), 0.25), 8, 4, 0, 1, 0.02),
+        ],
+        ids=["n1-q7", "n1-q1-z", "n1-unit-box-H=P", "n2-q7", "n2-q1-z", "n2-q9-z", "n2-unit-box-H=P",
+             "n1-empty-boxes", "n2-empty-boxes"],
+    )
+    def test_one_evaluation_of_F_matches_a_gen_sum_per_shift(self, n, w, P, H, a, q, z):
+        rng = random.Random(n * 1000 + P)
+        for _ in range(3):
+            F = random_form(rng, n, 4, bound=3)
+            got = verify._differenced_sums(F, w, P, H, a or q, q, z)
+            want = _differenced_sums_per_shift(F, w, P, H, a or q, q, z)
+            assert list(got) == list(want)
+            assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+
+    def test_past_int64_the_differences_stay_exact(self):
+        F = parse_form(f"{2 ** 41}*x1^4 - x1^3*x2")  # F on the box passes 2^62, each difference cubic does not
+        w = bump((0.0, 0.0), 1.0)
+        assert verify.grid_values(F, [np.arange(-40, 41)] * 2).dtype == object
+        got = verify._differenced_sums(F, w, 40, 2, 3, 7, 0.001)
+        want = _differenced_sums_per_shift(F, w, 40, 2, 3, 7, 0.001)
+        assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+
+    @pytest.mark.parametrize("n, H", [(1, 1), (1, 4), (1, 12), (2, 1), (2, 3), (2, 8), (3, 2), (3, 3)])
+    def test_pair_counts_match_the_pair_loop(self, n, H):
+        # vdc_identity checks its one tally of h1 - h2 against prod_i (H - |h_i|): the counts of the pair loop
+        assert _pair_counts_loop(H, n) == {
+            hh: math.prod(H - abs(t) for t in hh) for hh in product(range(-H, H + 1), repeat=n)
+        }
+        F = random_form(random.Random(H), n, 4, bound=3)
+        assert vdc_identity(F, bump((0.0,) * n, 1.0), max(H, 4), H, Fraction(1, 7))["pair_counts_ok"]
+
+    def test_refusals_come_in_order_before_any_pass(self, monkeypatch):
+        calls = []
+        for module in (verify, oscillatory):
+            values = module.grid_values
+            monkeypatch.setattr(module, "grid_values", lambda F, ax, values=values: calls.append(F) or values(F, ax))
+        with pytest.raises(NotQuarticForm):
+            verify._differenced_sums(parse_form("x1^3 + x2"), bump((0.0,), 1.0), 10, 2, 1, 3, 0.0)
+        with pytest.raises(DimensionMismatch):
+            verify._differenced_sums(parse_form("x1^4 + x2^4"), bump((0.0,), 1.0), 10, 2, 1, 3, 0.0)
+        assert calls == []
+
+    def test_empty_boxes_evaluate_no_F(self):
+        F = parse_form(f"{2 ** 63}*x1^4")  # past int64 on any box that holds a cell
+        w = bump((0.55,), 0.01)  # 10 * support = [5.4, 5.6] holds no integer
+        assert gen_sum(F, w, 10, a=1, q=3) == 0
+        assert list(verify._differenced_sums(F, w, 10, 2, 1, 3, 0.0).values()) == [0, 0, 0]
 
 
 class TestWeyl:

@@ -27,7 +27,15 @@ from pathlib import Path
 from . import __version__
 from .circle import SeriesCache, arc_partition, classify, euler_view, hasse_report, main_term_pipeline, singular_series
 from .counting import DEFAULT_BUDGET, height_count, weighted_count
-from .errors import ArcsOverlap, CacheCorrupt, ConfigInvalid, DeltaOutOfRange, PreconditionViolated, QuarticError
+from .errors import (
+    ArcsOverlap,
+    CacheCorrupt,
+    ConfigInvalid,
+    DeltaOutOfRange,
+    MitmNotApplicable,
+    PreconditionViolated,
+    QuarticError,
+)
 from .expsums import complete_sum, sum_over_units, twisted_sum
 from .forms import CubicData, IntPolynomial, parse_form
 from .geometry import b_set_profile, find_hyperplane, hessian_rank_profile, sing_dim
@@ -178,6 +186,8 @@ def _cmd_count(args) -> dict:
     if args.projective:
         res = height_count(F, args.P, budget=args.budget)
         return rep | {"count": res.count, "method": res.method, "projective": True}
+    if args.method != "brute" and w.separable_factors() is None:  # refuse before the brute half of "both" runs
+        raise MitmNotApplicable(f"--method {args.method} needs a separable (or box) weight; use --method brute")
     methods = ["brute", "mitm"] if args.method == "both" else [args.method]
     for m in methods:
         rep[f"count_{m}"] = weighted_count(F, w, args.P, method=m, budget=args.budget).count

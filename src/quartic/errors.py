@@ -37,10 +37,6 @@ class SearchExhausted(QuarticError):
     """A bounded search ran out of candidates."""
 
 
-class NoAnchor(QuarticError):
-    """No integer anchor point of acceptable height exists on the slice."""
-
-
 class NotCoprime(QuarticError):
     """Arguments were required to be coprime."""
 

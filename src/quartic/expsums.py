@@ -22,7 +22,7 @@ import numpy as np
 
 from .counting import _check_cost, _value_counts, factorint, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
-from .forms import CubicData, IntPolynomial, _grid_points, _grid_slabs, blocks, grid_values, hessian
+from .forms import CubicData, IntPolynomial, _grid_points, _grid_slabs, blocks, grid_values
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -265,7 +265,7 @@ def split_multiplicative(g, a: int, r: int, s: int, v, budget: int = DEFAULT_BUD
             "residual": abs(direct.value - prod), "scale": float(r * s) ** poly.n}
 
 
-# -- kernel counts M_m, N_m --------------------------------------------------------
+# -- kernel counts mod m ----------------------------------------------------------
 
 
 def smith_diagonal(M) -> list:
@@ -326,64 +326,3 @@ def kernel_count_mod(M, m: int) -> int:
     out *= m ** (n - len(diag))
     return out
 
-
-def mn_counts(g: CubicData, x, m: int) -> tuple:
-    """(M_m(x), N_m(x)): kernels mod m of the full Hessian and of H_{g0}."""
-    return kernel_count_mod(hessian(g.poly, x), m), kernel_count_mod(hessian(g.g0, x), m)
-
-
-# -- the box-and-congruence sum S(V, a) ---------------------------------------------
-
-
-def _residue_count_in_window(center: int, V: float, c: int, t: int) -> int:
-    """#{v in [center-V, center+V] integer : v = t mod c}."""
-    lo = math.ceil(center - V)
-    hi = math.floor(center + V)
-    if hi < lo:
-        return 0
-    first = lo + ((t - lo) % c)
-    if first > hi:
-        return 0
-    return (hi - first) // c + 1
-
-
-def s_va(
-    g: CubicData,
-    V: float,
-    a: int,
-    v0,
-    c: int,
-    d: int,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
-    """S(V,a) = sum over |v - v0| <= V and r mod c with c | (a grad g(r) + v) of sqrt(M_d(r)).
-
-    Exact integer when every M_d value is a perfect square; float otherwise.
-    """
-    n = g.n
-    if d > 1 and c % d != 0:
-        raise ValueError("d must divide c")
-    if c ** n > budget:
-        raise BudgetExceeded(f"{c}^{n} residue points exceed budget")
-    d = max(d, 1)
-    # M_d depends on r mod d only (kernel_count_mod(., 1) = 1)
-    md = np.ones((d,) * n, dtype=np.int64)
-    for r in np.ndindex(md.shape):
-        md[r] = kernel_count_mod(hessian(g.poly, r), d)
-    grads = [g.poly.partial(i) for i in range(n)]
-    # window[r] = #{v in the box : c | a grad g(r) + v}, from one table per axis
-    # indexed by residue; Python ints, so the products are exact
-    tables = [np.array([_residue_count_in_window(int(v0[i]), V, c, t) for t in range(c)], dtype=object)
-              for i in range(n)]
-    total_int, total_float, exact = 0, 0.0, True
-    for axes in _grid_slabs([np.arange(c)] * n, 1 << 20):
-        Md = md[np.ix_(*[ax % d for ax in axes])]
-        window = np.ones(Md.shape, dtype=object)
-        for i in range(n):
-            window = window * tables[i][(-(a % c) * grid_values(grads[i], axes, modulus=c)) % c]
-        root = np.vectorize(math.isqrt, otypes=[np.int64])(Md)
-        square = root * root == Md
-        total_int += int(window[square].dot(root[square]))
-        total_float += float(window[~square].astype(np.float64) @ np.sqrt(Md[~square]))
-        exact = exact and not window[~square].any()
-    return {"value": total_int + total_float, "exact": exact, "int_part": total_int}

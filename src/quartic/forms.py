@@ -337,8 +337,8 @@ def _abs_bound(coeffs: dict, ranges):
 
 
 def _int64_safe(F: IntPolynomial, ranges) -> bool:
-    """Can every partial sum of axis values be held exactly in int64?"""
-    return _abs_bound(F.coeffs, ranges) < 2 ** 62
+    """Can every partial sum of axis values, and every coefficient (c * 0 still holds c), be held exactly in int64?"""
+    return max(_abs_bound(F.coeffs, ranges), *map(abs, F.coeffs.values()), 0) < 2 ** 62
 
 
 def grid_values(F: IntPolynomial, axes, modulus=None) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -22,12 +21,10 @@ from .errors import (
     BudgetExceeded,
     CompositeP,
     DimensionMismatch,
-    InvariantViolated,
-    NoAnchor,
     PreconditionViolated,
     SearchExhausted,
 )
-from .forms import CubicData, IntPolynomial, LRUCache, _grid_slabs, _values_at, hessian_form_rows, heights
+from .forms import IntPolynomial, LRUCache, _grid_slabs, _values_at, hessian_form_rows
 
 DEFAULT_BUDGET = 20_000_000
 GF_CACHE_ENTRIES = 32  # GF's cache bound: a field counts 1, or 1 per 2^19 cells of its q x q tables
@@ -517,166 +514,3 @@ def find_hyperplane(G: IntPolynomial, primes, M_max: int, budget: int = DEFAULT_
                 return {"m": m, "targets": targets, "observed": observed, "norm": max(abs(x) for x in m)}
     raise SearchExhausted(f"no hyperplane with |m| <= {M_max} passed all checks")
 
-
-# -- integer lattices ----------------------------------------------------------
-
-
-def _xgcd(a: int, b: int):
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, x, y = _xgcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def solve_unimodular(m):
-    """(g, U) with U unimodular (columns) and m . U = (g, 0, ..., 0)."""
-    n = len(m)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns U[j]
-    U = [list(col) for col in zip(*U)]
-    v = [int(x) for x in m]
-    for i in range(1, n):
-        a, b = v[0], v[i]
-        if b == 0:
-            continue
-        g, s, t = _xgcd(a, b)
-        # new col0 = s*col0 + t*coli ; new coli = -(b/g)*col0 + (a/g)*coli
-        c0 = [s * U[0][r] + t * U[i][r] for r in range(n)]
-        ci = [-(b // g) * U[0][r] + (a // g) * U[i][r] for r in range(n)]
-        U[0], U[i] = c0, ci
-        v[0], v[i] = g, 0
-    if v[0] < 0:
-        v[0] = -v[0]
-        U[0] = [-t for t in U[0]]
-    return v[0], U
-
-
-def kernel_basis(m):
-    """Integer basis of {y: m.y = 0} plus a vector u0 with m.u0 = gcd(m)."""
-    g, U = solve_unimodular(m)
-    return U[1:], U[0], g
-
-
-def lll_reduce(basis):
-    """Exact LLL with delta = 3/4 on a list of integer vectors (rows); returns a new list."""
-    b = [list(map(int, v)) for v in basis]
-    n = len(b)
-
-    def gso():
-        star = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            vi = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                num = sum(Fraction(b[i][t]) * star[j][t] for t in range(len(vi)))
-                den = sum(star[j][t] * star[j][t] for t in range(len(vi)))
-                mu[i][j] = num / den if den else Fraction(0)
-                vi = [a - mu[i][j] * c for a, c in zip(vi, star[j])]
-            star.append(vi)
-        return star, mu
-
-    star, mu = gso()
-    i = 1
-    while i < n:
-        for j in range(i - 1, -1, -1):
-            if abs(mu[i][j]) > Fraction(1, 2):
-                r = round(mu[i][j])
-                b[i] = [x - r * y for x, y in zip(b[i], b[j])]
-                star, mu = gso()
-        Bi = sum(x * x for x in star[i])
-        Bi1 = sum(x * x for x in star[i - 1])
-        if Bi >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * Bi1:
-            i += 1
-        else:
-            b[i], b[i - 1] = b[i - 1], b[i]
-            star, mu = gso()
-            i = max(i - 1, 1)
-    return [tuple(v) for v in b]
-
-
-def babai_reduce(t, basis):
-    """Greedily shrink t modulo the lattice rows of `basis` (max-norm aim)."""
-    t = list(map(int, t))
-    changed = True
-    while changed:
-        changed = False
-        for bvec in basis:
-            num = sum(a * b for a, b in zip(t, bvec))
-            den = sum(b * b for b in bvec)
-            r = round(Fraction(num, den)) if den else 0
-            if r:
-                t2 = [a - r * b for a, b in zip(t, bvec)]
-                if max(map(abs, t2)) <= max(map(abs, t)):
-                    t, changed = t2, True
-    return tuple(t)
-
-
-@dataclass
-class SectionData:
-    m: tuple
-    basis: list
-    L: float
-    t: tuple
-    restricted: CubicData
-    P: int
-    checks: dict
-
-
-def section_data(g: CubicData, m, P: int, k: int = 0) -> dict | SectionData:
-    """Lattice data for the slice m.x = k and the restricted cubic h(u); the anchor t of m.t = k has |t| <= 4P."""
-    m = tuple(int(x) for x in m)
-    n = len(m)
-    if g.n != n:
-        raise DimensionMismatch("m length does not match the cubic")
-    if math.gcd(*[abs(x) for x in m]) != 1:
-        raise ValueError("m must be primitive")
-    raw, u0, gcd_m = kernel_basis(m)
-    basis = lll_reduce(raw) if n > 2 else [tuple(v) for v in raw]
-    if any(sum(a * b for a, b in zip(m, e)) for e in basis):
-        raise InvariantViolated(f"reduced basis {basis} leaves the kernel of m = {m}")
-    L = max(abs(x) for x in m) ** (1.0 / (n - 1))
-    if k == 0:
-        t = (0,) * n
-    else:
-        t = babai_reduce([k * x for x in u0], basis)
-        if max(map(abs, t)) > 4.0 * max(P, 1):
-            raise NoAnchor(f"anchor for m.t={k} has height {max(map(abs, t))} > 4.0*P")
-    h = CubicData.from_poly(g.poly.substitute_affine(t, basis))
-    # covolume check: det Gram(basis) must equal the squared euclidean norm of m
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    det = _int_det(gram)
-    norm2 = sum(x * x for x in m)
-    hP = float(heights(g.poly, P)[1])
-    PL = max(P / L, 1.0)
-    h_height = max(
-        (abs(c) * PL ** (sum(e) - 3) for e, c in h.poly.coeffs.items()), default=0.0
-    )
-    checks = {
-        "gram_det": det,
-        "m_norm2": norm2,
-        "covolume_ok": det == norm2,
-        "basis_max": max((max(map(abs, e)) for e in basis), default=0),
-        "L": L,
-        "height_ratio": (h_height / (L ** 3 * hP)) if hP else 0.0,
-    }
-    return SectionData(m=m, basis=[tuple(e) for e in basis], L=L, t=tuple(t), restricted=h, P=P, checks=checks)
-
-
-def _int_det(M):
-    """Exact determinant of a small integer matrix (fraction-free not needed)."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if A[r][i] != 0), None)
-        if piv is None:
-            return 0
-        if piv != i:
-            A[i], A[piv] = A[piv], A[i]
-            det = -det
-        det *= A[i][i]
-        for r in range(i + 1, n):
-            f = A[r][i] / A[i][i]
-            A[r] = [a - f * b for a, b in zip(A[r], A[i])]
-    if det.denominator != 1:
-        raise PreconditionViolated(f"determinant {det} of a non-integer matrix")
-    return int(det)

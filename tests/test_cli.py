@@ -552,6 +552,26 @@ class TestBadInput:
         assert rc == 1 and json.loads(capsys.readouterr().err)["error"] == "PreconditionViolated"
         assert calls == []
 
+    @pytest.mark.parametrize("method", [[], ["--method", "both"], ["--method", "mitm"]], ids=["default", "both", "mitm"])
+    def test_count_refuses_a_bump_weight_before_any_count(self, method, monkeypatch, capsys):
+        from quartic import cli
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return count(*args, **kwargs)
+
+        count = cli.weighted_count
+        monkeypatch.setattr(cli, "weighted_count", recording)
+        rc = main(["count", "--form-text", "x1^4+x2^4-2*x3^4", "--weight", "bump", "--P", "5"] + method)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MitmNotApplicable" and "--method brute" in err["message"]
+        assert calls == []
+
     @pytest.mark.parametrize(
         "argv",
         [

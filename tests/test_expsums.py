@@ -16,8 +16,6 @@ from quartic.expsums import (
     complete_sum,
     factor_bcd,
     kernel_count_mod,
-    mn_counts,
-    s_va,
     smith_diagonal,
     split_multiplicative,
     sum_over_units,
@@ -404,23 +402,51 @@ class TestKernelCounts:
                     brute += 1
             assert kernel_count_mod(M, m) == brute
 
+    def test_kernel_rectangular_vs_enumeration(self):
+        # more columns than rows leaves free coordinates; more rows than columns adds equations
+        rng = random.Random(15)
+        for _ in range(40):
+            rows, cols = rng.choice([(1, 2), (1, 3), (2, 3), (2, 1), (3, 2)])
+            M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            m = rng.randint(1, 12)
+            brute = sum(
+                all(sum(M[i][j] * y[j] for j in range(cols)) % m == 0 for i in range(rows))
+                for y in product(range(m), repeat=cols)
+            )
+            assert kernel_count_mod(M, m) == brute
+
+    def test_smith_diagonal_keeps_det_and_rank(self):
+        # unimodular row and column steps keep |det| and the rank over Q
+        rng = random.Random(16)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            diag = smith_diagonal(M)
+            assert len(diag) == n and all(d >= 0 for d in diag)
+            assert math.prod(diag) == abs(round(np.linalg.det(np.array(M, dtype=float))))
+            assert sum(d != 0 for d in diag) == np.linalg.matrix_rank(np.array(M, dtype=float))
+
+    # M_m(x) and N_m(x): kernels mod m of the Hessian of g and of g0 at x
+
     def test_mn_examples(self):
         g = CubicData.from_poly(parse_form("x1^3 + x2^3"))
-        assert mn_counts(g, (1, 1), 1) == (1, 1)
-        assert mn_counts(g, (1, 1), 5) == (1, 1)  # invertible Hessian mod 5
+
+        def mn(x, m):
+            return kernel_count_mod(hessian(g.poly, x), m), kernel_count_mod(hessian(g.g0, x), m)
+
+        assert mn((1, 1), 1) == (1, 1)
+        assert mn((1, 1), 5) == (1, 1)  # invertible Hessian mod 5
         # at (1,0) the Hessian is diag(6,0), zero mod 3, so both kernels fill F_3^2
-        assert mn_counts(g, (1, 0), 3) == (9, 9)
+        assert mn((1, 0), 3) == (9, 9)
 
     def test_mn_multiplicative(self):
         rng = random.Random(10)
         for _ in range(20):
             g = random_cubic_data(rng, 2, bound=4)
             x = [rng.randint(-4, 4) for _ in range(2)]
-            for m1, m2 in [(2, 3), (4, 9), (5, 8)]:
-                M1, N1 = mn_counts(g, x, m1)
-                M2, N2 = mn_counts(g, x, m2)
-                M12, N12 = mn_counts(g, x, m1 * m2)
-                assert (M12, N12) == (M1 * M2, N1 * N2)
+            for H in (hessian(g.poly, x), hessian(g.g0, x)):
+                for m1, m2 in [(2, 3), (4, 9), (5, 8)]:
+                    assert kernel_count_mod(H, m1 * m2) == kernel_count_mod(H, m1) * kernel_count_mod(H, m2)
 
     def test_N_symmetry(self):
         # N_m(x) counts y with H(x) y = 0, equivalently H(y) x = 0
@@ -434,61 +460,7 @@ class TestKernelCounts:
                 H = hessian(g.g0, list(y))
                 if all(sum(H[i][j] * x[j] for j in range(2)) % m == 0 for i in range(2)):
                     brute += 1
-            assert mn_counts(g, x, m)[1] == brute
-
-
-class TestSVa:
-    def naive(self, g, V, a, v0, c, d):
-        n = g.n
-        grads = [g.poly.partial(i) for i in range(n)]
-        total = 0.0
-        vr = [range(math.ceil(v0[i] - V), math.floor(v0[i] + V) + 1) for i in range(n)]
-        for v in product(*vr):
-            for idx in range(c ** n):
-                r = tuple((idx // c ** i) % c for i in range(n))
-                if all((a * grads[i].evaluate(r) + v[i]) % c == 0 for i in range(n)):
-                    total += math.sqrt(kernel_count_mod(hessian(g.poly, r), d)) if d > 1 else 1.0
-        return total
-
-    def test_against_naive(self):
-        rng = random.Random(12)
-        for _ in range(10):
-            n = rng.choice([1, 2])
-            g = random_cubic_data(rng, n, bound=3)
-            c = rng.choice([1, 2, 3, 4, 6])
-            d = rng.choice([e for e in (1, 2, 3) if c % e == 0])
-            V = rng.uniform(0.5, 3.5)
-            a = rng.randrange(1, 10)
-            v0 = [rng.randint(-4, 4) for _ in range(n)]
-            got = s_va(g, V, a, v0, c, d)["value"]
-            want = self.naive(g, V, a, v0, c, d)
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-    def test_across_slabs(self):
-        # 1503^2 = 2.26M residues r: three first-axis slabs of 697 rows, so the
-        # second and third start at r1 = 1 and 2 mod d; M_3 takes the values 1, 3 and 9
-        g = random_cubic_data(random.Random(34), 2, bound=3)
-        c, d, a, v0 = 1503, 3, 7, [2, -1]
-        md = np.array([[kernel_count_mod(hessian(g.poly, (i, j)), d) for j in range(d)] for i in range(d)])
-        sqrt_md = np.tile(np.sqrt(md), (c // d, c // d))
-        grads = [grid_values(g.poly.partial(i), [np.arange(c)] * 2, modulus=c) for i in range(2)]
-        want = 0.0
-        for v in product(range(v0[0] - 1, v0[0] + 2), range(v0[1] - 1, v0[1] + 2)):
-            hit = ((a * grads[0] + v[0]) % c == 0) & ((a * grads[1] + v[1]) % c == 0)
-            want += sqrt_md[hit].sum()
-        got = s_va(g, 1.5, a, v0, c, d)
-        assert sorted(set(md.ravel())) == [1, 3, 9] and not got["exact"]
-        assert abs(got["value"] - want) <= 1e-9 * max(1.0, want)
-
-    def test_unit_box_count(self):
-        rng = random.Random(13)
-        g = random_cubic_data(rng, 2, bound=3)
-        assert s_va(g, 2.5, 1, [0, 0], 1, 1)["value"] == 25
-
-    def test_empty_window(self):
-        rng = random.Random(14)
-        g = random_cubic_data(rng, 2, bound=3)
-        assert s_va(g, 0.2, 1, [10 ** 6 + 0.5, 3], 5, 1)["value"] == 0
+            assert kernel_count_mod(hessian(g.g0, x), m) == brute
 
 
 CRT_REPRS = Path(__file__).parent / "data" / "crt_reprs.jsonl"

@@ -13,16 +13,14 @@ from quartic.errors import (
     AmbiguousDimension,
     BudgetExceeded,
     CompositeP,
-    InvariantViolated,
     PreconditionViolated,
     SearchExhausted,
 )
-from quartic.forms import CubicData, IntPolynomial, _values_at, grid_values, hessian_form_rows, parse_form
+from quartic.forms import IntPolynomial, _values_at, grid_values, hessian_form_rows, parse_form
 from quartic.geometry import (
     GF,
     GF_CACHE_ENTRIES,
     RANK_CACHE_ENTRIES,
-    _int_det,
     _rank_counts,
     b_set_profile,
     count_points_ext,
@@ -32,10 +30,8 @@ from quartic.geometry import (
     find_irreducible,
     hessian_rank_grid,
     hessian_rank_profile,
-    kernel_basis,
-    lll_reduce,
     restrict_to_hyperplane_mod_p,
-    section_data,
+    shortest_orthogonal_gap,
     sing_dim,
 )
 
@@ -323,6 +319,22 @@ class TestRankProfiles:
             zeros = sum(1 for t in h if t % 7 == 0)
             assert dim_A_h(G, 7, list(h)) == zeros
 
+    def test_dim_A_h_vs_enumeration(self):
+        # H_G(x) is linear in x for a cubic form, so A_h is a subspace of F_p^n with p^dim points
+        rng = random.Random(17)
+        from quartic.forms import hessian
+        from quartic.verify import random_form
+
+        p = 5
+        for _ in range(8):
+            G = random_form(rng, 3, 3, bound=4)
+            h = [rng.randrange(p) for _ in range(3)]
+            brute = sum(
+                all(sum(row[j] * h[j] for j in range(3)) % p == 0 for row in hessian(G, x))
+                for x in product(range(p), repeat=3)
+            )
+            assert p ** dim_A_h(G, p, h) == brute
+
     def test_monotone_in_r(self):
         rng = random.Random(3)
         from quartic.verify import random_form
@@ -433,79 +445,47 @@ class TestHyperplane:
         with pytest.raises(SearchExhausted):
             find_hyperplane(parse_form("x1^3 + x2^3 + x3^3"), [7], 0)
 
+    def test_restriction_values_on_the_hyperplane(self):
+        # the section is a bijective parametrisation of {m.x = 0} mod p, so it takes G's values there
+        rng = random.Random(18)
+        from quartic.verify import random_form
 
-class TestLattice:
-    def test_kernel_basis_orthogonal(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            n = rng.randint(2, 5)
-            m = [rng.randint(-20, 20) for _ in range(n)]
-            if all(x == 0 for x in m):
+        p = 7
+        for _ in range(6):
+            G = random_form(rng, 3, 3, bound=5)
+            m = [rng.randint(-9, 9) for _ in range(3)]
+            if all(t % p == 0 for t in m):
                 continue
-            g = math.gcd(*[abs(x) for x in m])
-            m = [x // g for x in m]
-            basis, u0, gg = kernel_basis(m)
-            assert gg == 1
-            assert sum(a * b for a, b in zip(m, u0)) == 1
-            for e in basis:
-                assert sum(a * b for a, b in zip(m, e)) == 0
+            sec = restrict_to_hyperplane_mod_p(G, m, p)
+            want = sorted(G.evaluate(x) % p for x in product(range(p), repeat=3)
+                          if sum(a * b for a, b in zip(m, x)) % p == 0)
+            assert sorted(sec.evaluate(y) % p for y in product(range(p), repeat=2)) == want
 
-    def test_section_axis(self):
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
-        sd = section_data(g, (1, 0, 0), 10)
-        assert sorted(map(tuple, sd.basis)) == [(0, 0, 1), (0, 1, 0)]
+    def test_restriction_diagonal_cancel(self):
+        # x1^3 + x2^3 vanishes on x1 + x2 = 0
+        sec = restrict_to_hyperplane_mod_p(parse_form("x1^3 + x2^3", n=2), (1, 1), 7)
+        assert sec.n == 1 and all(c % 7 == 0 for c in sec.coeffs.values())
 
-    def test_section_diagonal_cancel(self):
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3", n=2))
-        sd = section_data(g, (1, 1), 10)
-        assert sd.restricted.poly.coeffs == {}
-        assert sd.checks["covolume_ok"]
+    def test_restriction_needs_m_nonzero_mod_p(self):
+        with pytest.raises(ValueError):
+            restrict_to_hyperplane_mod_p(parse_form("x1^3 + x2^3 + x3^3"), (7, 14, 0), 7)
 
-    def test_covolume_identity(self):
-        rng = random.Random(6)
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
-        for _ in range(25):
-            m = [rng.randint(-50, 50) for _ in range(3)]
-            if not any(m):
+    def test_shortest_orthogonal_gap_binary(self):
+        # for primitive (a, b) the vectors orthogonal to it are the multiples of (b, -a)
+        rng = random.Random(19)
+        for _ in range(20):
+            a, b = rng.randint(-12, 12), rng.randint(1, 12)
+            if math.gcd(a, b) != 1:
                 continue
-            gg = math.gcd(*[abs(x) for x in m])
-            m = tuple(x // gg for x in m)
-            sd = section_data(g, m, 10)
-            assert sd.checks["gram_det"] == sum(x * x for x in m)
+            M = max(abs(a), b)
+            assert shortest_orthogonal_gap((a, b), M)
+            assert not shortest_orthogonal_gap((a, b), M + 0.5)
 
-    def test_basis_near_shortest(self):
-        # oracle: exhaustive search for the successive max-norm minima of m-perp
-        rng = random.Random(7)
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
-        for _ in range(10):
-            m = [rng.randint(-50, 50) for _ in range(3)]
-            if not any(m):
-                continue
-            gg = math.gcd(*[abs(x) for x in m])
-            m = tuple(x // gg for x in m)
-            sd = section_data(g, m, 10)
-            got = max(max(abs(t) for t in e) for e in sd.basis)
-            best = None
-            B = got  # search up to the returned norm
-            vecs = [
-                e
-                for e in product(range(-B, B + 1), repeat=3)
-                if any(e) and sum(a * b for a, b in zip(m, e)) == 0
-            ]
-            # smallest pair of linearly independent vectors
-            for e1 in vecs:
-                for e2 in vecs:
-                    if any(e1[i] * e2[j] != e1[j] * e2[i] for i in range(3) for j in range(3)):
-                        cand = max(
-                            max(abs(t) for t in e1), max(abs(t) for t in e2)
-                        )
-                        best = cand if best is None else min(best, cand)
-            assert best is not None and got <= 2 * best
-
-    def test_lll_reduces_norm(self):
-        basis = [(1, 0, 0), (100, 1, 0), (10000, 100, 1)]
-        red = lll_reduce(basis)
-        assert max(max(abs(t) for t in e) for e in red) <= 100
+    def test_shortest_orthogonal_gap_axis(self):
+        # (0, 1, 0) is orthogonal to the first axis, so only bounds at most 1 leave a gap
+        assert shortest_orthogonal_gap((1, 0, 0), 1)
+        assert not shortest_orthogonal_gap((1, 0, 0), 1.5)
+        assert shortest_orthogonal_gap((3, 5, 7), 0.5)
 
 
 class TestErrorPaths:
@@ -513,25 +493,6 @@ class TestErrorPaths:
         with pytest.raises(Exception) as exc:
             count_points_ext([parse_form("x1 + x2")], 101, 2, "affine", budget=1000)
         assert "budget" in str(exc.value).lower()
-
-    def test_no_anchor(self):
-        from quartic.errors import NoAnchor
-
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
-        with pytest.raises(NoAnchor):
-            section_data(g, (1, 0, 0), P=2, k=10 ** 6)
-
-    def test_basis_off_the_kernel_is_a_typed_error(self, monkeypatch):
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3 + x3^3"))
-        monkeypatch.setattr(geometry, "lll_reduce", lambda raw: [(1, 0, 0), (0, 1, 0)])
-        with pytest.raises(InvariantViolated):
-            section_data(g, (1, 1, 1), 10)
-
-    def test_int_det(self):
-        assert _int_det([[2, 1], [7, 4]]) == 1
-        assert _int_det([[1, 2], [2, 4]]) == 0
-        with pytest.raises(PreconditionViolated):
-            _int_det([[0.5, 0], [0, 1]])
 
 
 class TestBoundedCaches:

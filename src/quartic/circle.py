@@ -19,7 +19,7 @@ from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, w
 from .errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from .expsums import unit_sum_prime_power
 from .forms import IntPolynomial, _grid_points, _values_at, blocks
-from .geometry import primes_up_to
+from .geometry import _slabs, primes_up_to
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -332,7 +332,15 @@ def _first_rows(A: np.ndarray) -> np.ndarray:
 
 
 def _val_p_many(a: np.ndarray, p: int) -> np.ndarray:
-    """v_p(x) for each x of an integer array (int64, or Python ints in an object array); 64 stands in for v_p(0)."""
+    """v_p(x) for each x of an integer array (int64, or Python ints in an object array); 64 stands in for v_p(0).
+
+    Over int64 p^v_p(x) is x & -x for p = 2 (as uint64: 2^63 for -2^63), else gcd(x, p^M), p^M < 2^63 the largest."""
+    if a.dtype == np.int64:
+        powers = [1]
+        while powers[-1] * p < 1 << (64 if p == 2 else 63):
+            powers.append(powers[-1] * p)
+        part = (a & -a).view(np.uint64) if p == 2 else np.gcd(a, powers[-1])
+        return np.where(a == 0, 64, np.searchsorted(np.array(powers, dtype=part.dtype), part))
     v, live, r = np.where(a == 0, 64, 0), np.flatnonzero(a), a[a != 0]
     while live.size:
         hit = r % p == 0
@@ -341,10 +349,10 @@ def _val_p_many(a: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
-def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random) -> list:
-    """Zeros of F mod p among 60 p draws of x, first occurrences only (_first_rows), 0 dropped; rng as after a loop."""
+def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random, draws: int | None = None) -> list:
+    """Zeros of F mod p among `draws` (60 p) draws of x, first occurrences (_first_rows), 0 dropped; rng as a loop."""
     n = F.n
-    X = _randrange_many(rng, p, 60 * p * n).reshape(-1, n)
+    X = _randrange_many(rng, p, (draws or 60 * p) * n).reshape(-1, n)
     X = X[_first_rows(X)]
     X = X[X.any(axis=1)]
     zero = _values_at(F, list(X.T), p) == 0
@@ -362,38 +370,49 @@ def local_witness(
     """Search x (not all = 0 mod p) that Hensel-lifts to a p-adic zero of F.
 
     Returns (x, k), x a tuple of Python ints, or raises Inconclusive.  Level k
-    holds solutions of F = 0 mod p^k, none 0 mod p, as array rows: full grids
-    mod p while they fit their caps and `budget`, seeded samples otherwise.  A
-    level is read in slices of 64, 256, ... rows, F and grad F exactly, up to the
-    first row with v_p F > 2 min_i v_p dF/dx_i: the witness, since by Hensel's
-    lemma it lifts to a p-adic zero of F (v_p(0) counts as 64 here).  Lifting
-    needs no gradient: a point has v_p F >= 1 and some coordinate prime to p,
-    so it fails only when grad F = 0 mod p.  Then F(x + p^k d) = F(x) mod
-    p^{k+1} for every d, and x lifts exactly when v_p F(x) > k, to x + p^k d for
-    every d mod p (or 64 seeded d, repeats dropped) up to `cap` rows.
+    holds solutions of F = 0 mod p^k, none 0 mod p, as array rows, read with F
+    and grad F exact up to the first row with v_p F > 2 min_i v_p dF/dx_i: the
+    witness, since by Hensel's lemma it lifts to a p-adic zero of F (v_p(0)
+    counts as 64 here).  Level 1 is the grid mod p while it fits GRID_CAP and
+    `budget`, read in slabs of x_n (x_1 fastest; its first 10 cap zeros,
+    counting 0), else the zeros of 60 p seeded draws, of which the first 8 p
+    are read first from a copy of the generator; later levels are read in
+    slices of 64, 256, ... rows.  Lifting needs no gradient: a point has
+    v_p F >= 1 and some coordinate prime to p, so it fails only when grad F = 0
+    mod p.  Then F(x + p^k d) = F(x) mod p^{k+1} for every d, and x lifts
+    exactly when v_p F(x) > k, to x + p^k d for every d mod p (or 64 seeded d,
+    repeats dropped) up to `cap` rows.
     """
     n = F.n
     rng = random.Random(seed * 1_000_003 + p)
-    # level 1 candidates
-    if p ** n <= min(GRID_CAP, budget):
-        # x_i along dimension n - 1 - i, so the zeros' flat indices come in the order x1 fastest
-        axes = [np.arange(p).reshape([-1 if j == n - 1 - i else 1 for j in range(n)]) for i in range(n)]
-        zero = np.flatnonzero(_values_at(F, axes, p) == 0)[: 10 * cap]
-        X = np.stack(np.unravel_index(zero, (p,) * n)[::-1], axis=1)
-        X = X[X.any(axis=1)]
-    else:
-        X = np.array(_sampled_zeros(F, p, rng), dtype=np.int64).reshape(-1, n)
+
+    def level_one(left=10 * cap):
+        if p ** n > min(GRID_CAP, budget):
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            yield (head := np.array(_sampled_zeros(F, p, clone, 8 * p), dtype=np.int64).reshape(-1, n))
+            yield np.array(_sampled_zeros(F, p, rng), dtype=np.int64).reshape(-1, n)[len(head):]
+            return
+        for coords in _slabs(p, n, budget, max(p ** (n - 1), 1024)):  # the grid's flat order, x_1 fastest
+            zero = _values_at(F, coords, p) == 0
+            X = np.stack([np.broadcast_to(c, zero.shape)[zero] for c in coords], axis=1)[:left]
+            left -= len(X)
+            yield X[X.any(axis=1)]
+            if not left:
+                return
+
     gradient = F.gradient()
     grid = _grid_points([np.arange(p)] * n) if p ** n <= min(4096, budget) else None
     for k in range(1, k_max + 1):
-        vF = []  # slices of 64, 256, 1024, ... rows: the first row is nearly always the witness
-        for rows in np.split(X, [b for b in (64 * (4 ** j - 1) // 3 for j in range(1, 32)) if b < len(X)]):
+        read = []  # rows and v_p F; past level 1 in slices of 64, 256, ... rows: the first is nearly always the witness
+        bounds = [b for b in (64 * (4 ** j - 1) // 3 for j in range(1, 32)) if k > 1 and b < len(X)]
+        for rows in level_one() if k == 1 else np.split(X, bounds):
             v, *vg = (_val_p_many(_values_at(g, list(rows.T)), p) for g in [F] + gradient)
             ok = np.flatnonzero(v > 2 * np.min(vg, axis=0))
             if ok.size:
                 return tuple(rows[ok[0]].tolist()), k
-            vF.append(v)
-        vF = np.concatenate(vF)
+            read.append((rows, v))
+        X, vF = map(np.concatenate, zip(*read))
         # Python ints once the next level's coordinates pass int64
         X, pk = X[vF > k].astype(object if p ** (k + 1) >= 1 << 63 else X.dtype), p ** k
         if grid is not None:

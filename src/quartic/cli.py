@@ -184,16 +184,18 @@ def _cmd_count(args) -> dict:
     w = _load_weight(args, F.n)
     rep = _base(F) | {"P": args.P}
     if args.projective:
+        if args.weight != "box" or args.method is not None:
+            raise ConfigInvalid("--projective counts points by height: it takes no --weight or --method")
         res = height_count(F, args.P, budget=args.budget)
         return rep | {"count": res.count, "method": res.method, "projective": True}
-    if args.method != "brute" and w.separable_factors() is None:  # refuse before the brute half of "both" runs
-        raise MitmNotApplicable(f"--method {args.method} needs a separable (or box) weight; use --method brute")
-    methods = ["brute", "mitm"] if args.method == "both" else [args.method]
-    for m in methods:
+    method = args.method or "both"
+    if method != "brute" and w.separable_factors() is None:  # refuse before the brute half of "both" runs
+        raise MitmNotApplicable(f"--method {method} needs a separable (or box) weight; use --method brute")
+    for m in ["brute", "mitm"] if method == "both" else [method]:
         rep[f"count_{m}"] = weighted_count(F, w, args.P, method=m, budget=args.budget).count
-    if args.method == "both":
+    if method == "both":
         rep["agree"] = rep["count_brute"] == rep["count_mitm"]
-    return rep | {"method": args.method}
+    return rep | {"method": method}
 
 
 def _cmd_expsum(args) -> dict:
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_form(p)
     add_weight(p)
     p.add_argument("--P", type=float, required=True)
-    p.add_argument("--method", default="both", choices=["brute", "mitm", "both"])
+    p.add_argument("--method", choices=["brute", "mitm", "both"], help="default both; refused with --projective")
     p.add_argument("--projective", action="store_true")
 
     p = sub.add_parser("expsum")

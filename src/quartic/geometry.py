@@ -4,7 +4,8 @@ Dimension estimates are made by exact point counting over F_{p^k} (extension
 fields realized as polynomial quotient rings with a deterministic modulus)
 followed by a band test: an affine set of dimension d over F_q should carry
 between q^d/C and C*q^d points.  No Groebner bases, no guessing: when the
-bands do not single out a dimension we raise AmbiguousDimension.
+bands do not single out a dimension we raise AmbiguousDimension.  Counts
+constant on lines through 0 read one point per line (`_line_slabs`).
 """
 
 from __future__ import annotations
@@ -194,12 +195,32 @@ def _slabs(q: int, n: int, budget: int, cells: int = 1 << 20):
         yield list(np.ix_(*slab)[::-1])
 
 
+def _line_slabs(q: int, n: int, budget: int, cells: int = 1 << 20, stack: int = 1 << 16):
+    """One point of each line through 0 in F_q^n, its first nonzero coordinate 1, as coordinate arrays [x_1, ..., x_n].
+
+    Chart c < n holds the q^c points with x_{n-c} = 1 and 0 before it.  The charts are stacked into one slab of
+    columns while they total at most `stack` points (x_n fastest), and each later one is walked in the broadcast
+    slabs of `_slabs`, of at most `cells` points.  The budget must cover the largest chart, q^(n-1).
+    """
+    if q ** (n - 1) > budget:
+        raise BudgetExceeded(f"{q}^{n - 1} = {q ** (n - 1)} grid cells exceeds budget {budget}")
+    starts = np.array([(q ** c - 1) // (q - 1) for c in range(n + 1)])
+    m = int(np.searchsorted(starts, stack, side="right")) - 1  # charts 0..m-1 are stacked
+    if m:
+        c = np.searchsorted(starts, np.arange(starts[m]), side="right") - 1
+        t = np.arange(starts[m]) - starts[c]
+        yield [np.where(i < c, t // q ** i % q, i == c) for i in range(n)][::-1]
+    for c in range(m, n):
+        for free in _slabs(q, c, budget, cells):
+            yield [0] * (n - c - 1) + [1] + free
+
+
 def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of common zeros over F_{p^k} in affine or projective space.
 
-    Projective space is the union of the charts x_1..x_j = 0, x_{j+1} = 1;
-    each chart walks its free coordinates in the slabs of `_slabs`, which
-    also holds the budget rule.
+    Affine space is walked in the slabs of `_slabs`, projective space in those
+    of `_line_slabs`, one point per line through 0; each holds its budget rule,
+    and each polynomial is evaluated once per slab.
     """
     polys = list(polys)
     n = polys[0].n if polys else 0
@@ -210,15 +231,12 @@ def count_points_ext(polys, p: int, k: int = 1, mode: str = "affine", budget: in
     if mode == "projective" and not all(g.is_homogeneous() for g in polys):
         raise PreconditionViolated("projective counting needs homogeneous forms")
     gf = GF(p, k)
-    charts = [[0] * j + [1] for j in range(n)] if mode == "projective" else [[]]
     total = 0
-    for fixed in charts:
-        for free in _slabs(gf.q, n - len(fixed), budget):
-            coords = fixed + free
-            ok = np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=bool)
-            for g in polys:
-                ok &= _values_at(g, coords, gf.residues) == 0
-            total += int(ok.sum())
+    for coords in (_line_slabs if mode == "projective" else _slabs)(gf.q, n, budget):
+        ok = np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)), dtype=bool)
+        for g in polys:
+            ok &= _values_at(g, coords, gf.residues) == 0
+        total += int(ok.sum())
     return total
 
 
@@ -337,30 +355,40 @@ def _ranks_of_matrix_grid(entry_vals, gf: GF, n: int):
     return rank
 
 
+def _hessian_ranks(G: IntPolynomial, gf: GF, slabs):
+    """rank H_G on each slab of coordinates, ravelled; each entry of the upper triangle is evaluated once a slab."""
+    n, rows = G.n, hessian_form_rows(G)
+    for coords in slabs:
+        vals = {(i, j): _values_at(rows[i][j], coords, gf.residues) for i in range(n) for j in range(i, n)}
+        yield _ranks_of_matrix_grid([[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)], gf, n).ravel()
+
+
 def hessian_rank_grid(G: IntPolynomial, p: int, k: int = 1, budget: int = DEFAULT_BUDGET):
     """Array of rank H_G(x) over all x in F_{p^k}^n (x_1 fastest, mix-radix order)."""
     gf = GF(p, k)
-    n = G.n
-    rows = hessian_form_rows(G)
-    out = []
-    for coords in _slabs(gf.q, n, budget):
-        vals = {(i, j): _values_at(rows[i][j], coords, gf.residues) for i in range(n) for j in range(i, n)}
-        entry_vals = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-        out.append(_ranks_of_matrix_grid(entry_vals, gf, n).ravel())
-    return np.concatenate(out)
+    return np.concatenate(list(_hessian_ranks(G, gf, _slabs(gf.q, G.n, budget))))
 
 
 _rank_count_cache = LRUCache(RANK_CACHE_ENTRIES)
 
 
 def _rank_counts(G: IntPolynomial, p: int, k: int, budget: int) -> list:
-    """counts[r] = #{x in F_{p^k}^n : rank H_G(x) = r}, cached per (G, p, k)."""
+    """counts[r] = #{x in F_{p^k}^n : rank H_G(x) = r}, cached per (G, p, k).
+
+    A form of degree d has H_G(u x) = u^(d-2) H_G(x) for units u: a point of `_line_slabs` stands for the q - 1 of
+    its line, and 0 has rank 0 unless d <= 2 makes H_G constant.  Any other G takes the whole grid.
+    """
     key = (G, p, k)
     hit = _rank_count_cache.lookup(key)
     if hit is not None:
         return hit
-    ranks = hessian_rank_grid(G, p, k, budget=budget)
-    return _rank_count_cache.store(key, np.bincount(ranks, minlength=G.n + 1).tolist())
+    n, gf = G.n, GF(p, k)
+    if not G.is_homogeneous():
+        return _rank_count_cache.store(key, np.bincount(hessian_rank_grid(G, p, k, budget), minlength=n + 1).tolist())
+    ranks = np.concatenate([np.zeros(0, np.int8), *_hessian_ranks(G, gf, _line_slabs(gf.q, n, budget))])
+    counts = np.bincount(ranks, minlength=n + 1) * (gf.q - 1)
+    counts[np.argmax(counts) if G.degree <= 2 else 0] += 1
+    return _rank_count_cache.store(key, counts.tolist())
 
 
 def hessian_rank_profile(
@@ -451,19 +479,9 @@ def restrict_to_hyperplane_mod_p(G: IntPolynomial, m, p: int) -> IntPolynomial:
 
 def _primitive_vectors_by_norm(n: int, M_max: int):
     """Primitive m with |m| = M, first nonzero coordinate positive, lex order."""
-    for M in range(1, M_max + 1):
-        shell = []
-        for m in product(range(-M, M + 1), repeat=n):
-            if max(abs(x) for x in m) != M:
-                continue
-            nz = next((x for x in m if x), None)
-            if nz is None or nz < 0:
-                continue
-            if math.gcd(*[abs(x) for x in m]) != 1:
-                continue
-            shell.append(m)
-        shell.sort()
-        yield from shell
+    for M in range(1, M_max + 1):  # product walks each shell in lex order
+        yield from (m for m in product(range(-M, M + 1), repeat=n)
+                    if max(map(abs, m)) == M and next(x for x in m if x) > 0 and math.gcd(*m) == 1)
 
 
 def shortest_orthogonal_gap(m, bound: float) -> bool:

@@ -14,6 +14,7 @@ from quartic.circle import (
     _gauss_many,
     _randrange_many,
     _sampled_zeros,
+    _val_p_many,
     arc_partition,
     classify,
     dirichlet_approx,
@@ -222,7 +223,25 @@ class TestLocalSolubility:
         local_witness(F, p, cap=cap)
         X = np.argwhere(grid_values(F, [np.arange(p)] * 4, modulus=p).T == 0)[: 10 * cap, ::-1]
         X = X[X.any(axis=1)]
-        assert len(rows[0]) == min(64, len(X)) and np.array_equal(rows[0], X[:64])
+        # level 1 is read slab by slab up to its witness, or whole before level 2: either way a prefix of X first
+        read = np.concatenate(rows)[: len(X)]
+        assert len(read) and np.array_equal(read, X[: len(read)])
+        if len(read) >= 64:
+            assert np.array_equal(read[:64], X[:64])
+
+    def test_level_one_reads_one_slab_of_x1_mod_19(self, monkeypatch):
+        # 19^4 cells fit the grid cap; the first slab of x4 (19^3 cells) holds the witness
+        cells = []
+        values_at = circle._values_at
+
+        def recording(G, coords, modulus=None):
+            if modulus == 19:
+                cells.append(math.prod(np.broadcast_shapes(*map(np.shape, coords))))
+            return values_at(G, coords, modulus)
+
+        monkeypatch.setattr(circle, "_values_at", recording)
+        assert local_witness(X1, 19) == ((6, 2, 1, 0), 1)
+        assert cells and sum(cells) <= 19 ** 3
 
     def test_real_probe(self):
         assert real_point_probe(X1)[0] is True
@@ -298,6 +317,25 @@ def test_local_witness_keeps_its_recorded_witness(rec):
     assert all(type(xi) is int for xi in x)
 
 
+class TestValuations:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 19, 3037000493, 2 ** 61 - 1])
+    def test_int64_matches_python_ints(self, p):
+        rng = random.Random(p)
+        M = max(m for m in range(64) if p ** m < 1 << 63)
+        values = [0, p ** M, -p ** M, -(1 << 63), (1 << 63) - 1, 1, -1]
+        values += [rng.randrange(-(1 << 63), 1 << 63) for _ in range(200)]
+        values += [rng.randrange(-999, 1000) * p ** rng.randrange(M + 1) for _ in range(200)]  # v_p of every size
+        values = [v for v in values if -(1 << 63) <= v < 1 << 63]
+        got = _val_p_many(np.array(values, dtype=np.int64), p)
+        assert got.tolist() == [_val_p(v, p) for v in values]
+
+    @pytest.mark.parametrize("p", [2, 5, 2 ** 61 - 1])
+    def test_object_arrays_keep_python_ints(self, p):
+        values = [0, p ** 40, -p ** 40 * 3, 7 * p ** 3 + p ** 70, 1 << 200, -(1 << 63), 12345]
+        got = _val_p_many(np.array(values, dtype=object), p)
+        assert got.tolist() == [_val_p(v, p) for v in values]
+
+
 class TestBulkDraws:
     @pytest.mark.parametrize("p", [2, 3, 127, 131, 8191, 65537, 2 ** 31 - 1, 2 ** 61 - 1])
     def test_same_values_and_state_as_randrange(self, p):
@@ -331,6 +369,14 @@ class TestBulkDraws:
         assert _sampled_zeros(F, p, rng) == expect
         assert rng.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("src, p", [("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4", 23), ("2*x1^4 + 2*x2^4", 2)])
+    def test_fewer_draws_give_the_first_zeros(self, src, p):
+        # the sampled level 1 looks first at the zeros of 8 p draws: they must be the first zeros of the 60 p
+        F = parse_form(src)
+        for seed in (1, 2, 7):
+            head = _sampled_zeros(F, p, random.Random(seed), 8 * p)
+            assert head == _sampled_zeros(F, p, random.Random(seed))[: len(head)]
+
     def test_sampled_zeros_past_int64_rows(self):
         # 601^7 >= 2^63: no row fits one int64 key; 60 * 601 draws of 7 coordinates, few of them repeats
         F, p, seed = parse_form("x1^4 + 2*x2^4 - 3*x3^4 + x4^4 - x5^4 + 5*x6^4 - 7*x7^4"), 601, 3
@@ -360,10 +406,10 @@ class TestBulkDraws:
     def test_budget_turns_the_grids_into_samples(self, monkeypatch):
         F = parse_form("10*x1^4 + 5*x2^4 - 5*x3^4 - 5*x4^4")
         assert local_witness(F, 5) == local_witness(F, 5, budget=625)  # 5^4 cells fit: the same grid
-        calls = []
-        monkeypatch.setattr(circle, "_sampled_zeros", lambda F, p, rng: calls.append(p) or _sampled_zeros(F, p, rng))
+        calls = []  # the first draws, and the whole sample unless they hold the witness
+        monkeypatch.setattr(circle, "_sampled_zeros", lambda F, p, *args: calls.append(p) or _sampled_zeros(F, p, *args))
         x, k = local_witness(F, 5, budget=100)
-        assert calls == [5] and hensel_criterion(F, x, 5)[0]
+        assert calls in ([5], [5, 5]) and hensel_criterion(F, x, 5)[0]
 
 
 class TestBudgetPlan:

@@ -573,6 +573,27 @@ class TestBadInput:
         assert calls == []
 
     @pytest.mark.parametrize(
+        "extra",
+        [["--weight", "bump", "--method", "mitm"], ["--weight", "bump"], ["--weight", "separable"],
+         ["--method", "brute"], ["--method", "both"]],
+        ids=["bump-mitm", "bump", "separable", "brute", "both"],
+    )
+    def test_projective_count_refuses_a_weight_or_method_before_any_count(self, extra, monkeypatch, capsys):
+        from quartic import cli
+
+        calls = []
+        for name in ("height_count", "weighted_count"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        rc = main(["count", "--form-text", "x1^4+x2^4-2*x3^4", "--projective", "--P", "5"] + extra)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "command": "count", "error": "ConfigInvalid",
+            "message": "--projective counts points by height: it takes no --weight or --method"}
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["arcs", "--delta", "1.0", "--P", "16", "--alpha", "abc"],

@@ -176,6 +176,16 @@ class TestField:
                 assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def _chart_count(system, p: int, k: int) -> int:
+    """Projective zeros of a homogeneous system over F_{p^k}, chart by chart: x_1..x_j = 0, x_{j+1} = 1, the rest free."""
+    gf, n = GF(p, k), system[0].n
+    total = 0
+    for j in range(n):
+        axes = [np.array([0])] * j + [np.array([1])] + [np.arange(gf.q)] * (n - j - 1)
+        total += int(np.logical_and.reduce([grid_values(g, axes, gf.residues) == 0 for g in system]).sum())
+    return total
+
+
 class TestCounting:
     def test_linear_in_plane(self):
         assert count_points_ext([parse_form("x1", n=2)], 3, 1, "affine") == 3
@@ -208,6 +218,32 @@ class TestCounting:
         slabs = geometry._slabs(q, n, 20_000_000)
         sizes = [math.prod(np.broadcast_shapes(*(c.shape for c in coords))) for coords in slabs]
         assert max(sizes) <= 1 << 20 and sum(sizes) == q ** n
+
+    @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (2, 3)])
+    @pytest.mark.parametrize("cells, stack", [(1 << 20, 1 << 16), (5, 7), (3, 0)])
+    def test_projective_count_matches_the_charts(self, p, k, cells, stack, monkeypatch):
+        # one pass over all charts stacked, a stacked head and charts in many slabs, or every chart in slabs
+        from quartic.verify import random_form
+
+        rng = random.Random(31 * p + k)
+        monkeypatch.setattr(geometry, "_line_slabs", functools.partial(geometry._line_slabs, cells=cells, stack=stack))
+        for n in (1, 2, 3):
+            G = random_form(rng, n, 3, bound=4)
+            for system in ([G], [G] + G.gradient(), [IntPolynomial(n, {})]):
+                assert count_points_ext(system, p, k, "projective") == _chart_count(system, p, k)
+
+    def test_projective_passes_hold_at_most_2_to_the_20_rows(self, monkeypatch):
+        # 103^3 + 103^2 + 103 + 1 lines in F_103^4: more than 2^20, so more than one pass
+        sizes, values_at = [], geometry._values_at
+
+        def recording(g, coords, modulus=None):
+            sizes.append(math.prod(np.broadcast_shapes(*map(np.shape, coords))))
+            return values_at(g, coords, modulus)
+
+        monkeypatch.setattr(geometry, "_values_at", recording)
+        G = parse_form("x1^4 - 2*x2^4 + 3*x3^4 - x4^4 + x1*x2*x3*x4")
+        assert count_points_ext([G], 103, 1, "projective") == _chart_count([G], 103, 1)
+        assert len(sizes) > 1 and max(sizes) <= 1 << 20 and sum(sizes) == (103 ** 4 - 1) // 102
 
     def test_extension_consistency(self):
         # affine count of x1*x2 = 0 over F_{p^k} is 2 q - 1
@@ -302,6 +338,36 @@ class TestRankProfiles:
         if p != 3:
             counts = np.bincount(want, minlength=5).cumsum().tolist()
             assert [hessian_rank_profile(G, p, r, kmax=1)["count"] for r in range(5)] == counts
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7) for k in (1, 2)])
+    def test_line_counts_match_the_whole_grid(self, p, k, monkeypatch):
+        # one point per line through 0 stands for q - 1 points; 0 has rank 0, or the constant rank when the degree is 2
+        from quartic.verify import random_form
+
+        rng, q = random.Random(10 * p + k), p ** k
+        monkeypatch.setattr(geometry, "_rank_count_cache", geometry.LRUCache(RANK_CACHE_ENTRIES))
+        for n in range(1, 5):
+            for d in range(2, 5):
+                if q ** n > 1 << 16:
+                    continue
+                for G in (random_form(rng, n, d, bound=4), random_form(rng, n, d, bound=4, homogeneous=False)):
+                    want = np.bincount(hessian_rank_grid(G, p, k), minlength=n + 1).tolist()
+                    assert _rank_counts(G, p, k, 10 ** 6) == want
+
+    def test_rank_counts_of_a_ternary_cubic_read_one_point_per_line(self, monkeypatch):
+        # each of the 6 Hessian entries on at most 19^2 + 19 + 1 rows, not on the 19^3 grid
+        G = parse_form("x1^3 + 2*x1*x2*x3 - x2^2*x3 + x3^3")
+        want = np.bincount(hessian_rank_grid(G, 19), minlength=4).tolist()
+        rows, values_at = {}, geometry._values_at
+
+        def recording(g, coords, modulus=None):
+            rows[id(g)] = rows.get(id(g), 0) + math.prod(np.broadcast_shapes(*map(np.shape, coords)))
+            return values_at(g, coords, modulus)
+
+        monkeypatch.setattr(geometry, "_values_at", recording)
+        monkeypatch.setattr(geometry, "_rank_count_cache", geometry.LRUCache(RANK_CACHE_ENTRIES))
+        assert _rank_counts(G, 19, 1, 10 ** 6) == want
+        assert len(rows) == 6 and max(rows.values()) <= 19 ** 2 + 19 + 1
 
     def test_b_set_cubic_fermat(self):
         prof = b_set_profile(parse_form("x1^3 + x2^3 + x3^3"), 7, 1)

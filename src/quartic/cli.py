@@ -199,10 +199,12 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_expsum(args) -> dict:
+    if args.units and args.v is not None:
+        raise ConfigInvalid("--units sums over the units: it takes no twist --v")
     F = _load_form(args)
     cache = FormCache(args.cache_dir)
     rep = _base(F) | {"a": args.a, "q": args.q}
-    if args.v and not args.units:
+    if args.v:
         v = _numbers(args.v, int, "--v")
         s = twisted_sum(F, args.a, args.q, v, budget=args.budget)
         return rep | {"re": s.value.real, "im": s.value.imag, "err": s.err, "v": v}
@@ -319,7 +321,15 @@ def _cmd_hasse(args) -> dict:
     }
 
 
+# the options of `geometry` and the ops that read them
+_GEOMETRY_OPTIONS = {"p": ("sing-dim", "rank-profile", "b-set"), "r": ("rank-profile",), "s": ("b-set",),
+                     "primes": ("hyperplane",), "M_max": ("hyperplane",)}
+
+
 def _cmd_geometry(args) -> dict:
+    for opt, ops in _GEOMETRY_OPTIONS.items():
+        if getattr(args, opt) is not None and args.op not in ops:
+            raise ConfigInvalid(f"--op {args.op} takes no --{opt.replace('_', '-')}")
     if args.op in ("rank-profile", "b-set") and args.p is None:
         raise ConfigInvalid(f"--op {args.op} needs a prime --p")
     F = _load_form(args)
@@ -330,11 +340,13 @@ def _cmd_geometry(args) -> dict:
         val, tag = sing_dim(F, None, budget=args.budget)
         return rep | {"s_proxy": val, "tag": tag}
     if args.op == "rank-profile":
-        return rep | {"p": args.p, "r": args.r} | hessian_rank_profile(F, args.p, args.r, budget=args.budget)
+        r = 0 if args.r is None else args.r
+        return rep | {"p": args.p, "r": r} | hessian_rank_profile(F, args.p, r, budget=args.budget)
     if args.op == "b-set":
-        return rep | {"p": args.p, "s": args.s} | b_set_profile(F, args.p, args.s, budget=args.budget)
+        s = 1 if args.s is None else args.s
+        return rep | {"p": args.p, "s": s} | b_set_profile(F, args.p, s, budget=args.budget)
     primes = _numbers(args.primes, int, "--primes") if args.primes else []
-    out = find_hyperplane(F, primes, args.M_max, budget=args.budget)
+    out = find_hyperplane(F, primes, 5 if args.M_max is None else args.M_max, budget=args.budget)
     return rep | {"m": list(out["m"]), "norm": out["norm"], "observed": {str(k): v for k, v in out["observed"].items()}}
 
 
@@ -452,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_form(p)
     p.add_argument("--op", required=True, choices=["sing-dim", "rank-profile", "b-set", "hyperplane"])
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--primes", default=None)
-    p.add_argument("--M-max", type=int, default=5)
+    p.add_argument("--r", type=int, default=None, help="rank-profile only (default 0)")
+    p.add_argument("--s", type=int, default=None, help="b-set only (default 1)")
+    p.add_argument("--primes", default=None, help="hyperplane only")
+    p.add_argument("--M-max", type=int, default=None, help="hyperplane only (default 5)")
 
     p = sub.add_parser("verify")
     p.add_argument("lemma", choices=list(SWEEPS))

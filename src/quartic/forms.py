@@ -223,22 +223,6 @@ class IntPolynomial:
             out = out + term
         return out
 
-    def shift(self, h) -> "IntPolynomial":
-        """g(x + h) for an integer vector h: c x^e expands to c prod_i C(e_i, j_i) h_i^(e_i - j_i) x^j over j <= e, with
-        `coeffs` in the order of `substitute_affine(h, identity)` (by monomial of g, then j lexicographic; a cancelled
-        monomial is appended again when it comes back)."""
-        if len(h) != self.n:
-            raise DimensionMismatch("affine map shape does not match variable count")
-        out = {}
-        for e, c in self.coeffs.items():
-            axes = [[(j, b) for j in range(k + 1) if (b := math.comb(k, j) * int(t) ** (k - j))] for k, t in zip(e, h)]
-            for terms in product(*axes):
-                key = tuple(j for j, _ in terms)
-                out[key] = out.get(key, 0) + c * math.prod(b for _, b in terms)
-                if not out[key]:
-                    del out[key]
-        return IntPolynomial(self.n, out)
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
@@ -610,11 +594,11 @@ def difference_cubic(F: IntPolynomial, h) -> CubicData:
         raise NotQuarticForm("difference_cubic needs a homogeneous quartic")
     if len(h) != F.n:
         raise DimensionMismatch("shift vector length mismatch")
-    return CubicData.from_poly(F.shift(h) - F)
+    return CubicData.from_poly(F.substitute_affine(h, np.eye(F.n, dtype=int).tolist()) - F)
 
 
 def weyl_difference(F: IntPolynomial, level: int, points) -> IntPolynomial:
-    """Alternating multi-difference of F along `points`, as a polynomial in z.
+    """The multi-difference of F along `points`, as a polynomial in z: G <- G(z + h_t) - G for each h_t in turn.
 
     level 1 gives F(z+w) - F(z); level 3 gives the eight-term alternating sum
     which is affine-linear in z with linear coefficients the trilinear forms.
@@ -626,20 +610,8 @@ def weyl_difference(F: IntPolynomial, level: int, points) -> IntPolynomial:
     for pt in points:
         if len(pt) != F.n:
             raise DimensionMismatch("shift vector length mismatch")
-    out = IntPolynomial(F.n, {})
-    for mask in range(1 << level):
-        shift = [0] * F.n
-        bits = 0
-        for t in range(level):
-            if mask >> t & 1:
-                bits += 1
-                for i in range(F.n):
-                    shift[i] += points[t][i]
-        term = F.shift(shift)
-        if (level - bits) % 2 == 1:
-            term = -term
-        out = out + term
-    return out
+        F = F.substitute_affine(pt, np.eye(F.n, dtype=int).tolist()) - F
+    return F
 
 
 # -- heights -----------------------------------------------------------------------

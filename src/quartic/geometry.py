@@ -428,13 +428,7 @@ def hessian_rank_profile(
     }
 
 
-def b_set_profile(
-    G: IntPolynomial,
-    p: int,
-    s: int,
-    kmax: int = 2,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
+def b_set_profile(G: IntPolynomial, p: int, s: int, budget: int = DEFAULT_BUDGET) -> dict:
     """#B_s over F_p for a cubic form G, with its dimension check.
 
     For cubic G the symmetry H_G(x)h = H_G(h)x turns dim A_h into
@@ -444,7 +438,7 @@ def b_set_profile(
         raise PreconditionViolated("b_set_profile expects a cubic form")
     if s > G.n:
         return {"count": 0, "counts": {}, "dim": -1, "s_p": None, "bound": -1, "dim_ok": True, "ratio": 0.0}
-    return hessian_rank_profile(G, p, G.n - s, kmax, budget)
+    return hessian_rank_profile(G, p, G.n - s, budget=budget)
 
 
 def dim_A_h(G: IntPolynomial, p: int, h, budget: int = DEFAULT_BUDGET) -> int:

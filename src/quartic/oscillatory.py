@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from fractions import Fraction
 
 import numpy as np
 
@@ -73,30 +72,14 @@ def _support_axes(w: WeightSpec, P: float, budget: int):
 
 
 def gen_sum(
-    poly: IntPolynomial,
-    w: WeightSpec,
-    P: float,
-    alpha=None,
-    a: int | None = None,
-    q: int | None = None,
-    z: float = 0.0,
-    budget: int = 4_000_000,
+    poly: IntPolynomial, w: WeightSpec, P: float, a: int, q: int, z: float = 0.0, budget: int = 4_000_000
 ) -> complex:
-    """S(alpha) = sum_x w(x/P) e(alpha poly(x)), alpha = a/q + z when (a,q) given.
+    """S(alpha) = sum_x w(x/P) e(alpha poly(x)) at alpha = a/q + z.
 
     The rational part of the phase is computed from exact residues mod q.
     """
     if w.n != poly.n:
         raise DimensionMismatch("weight dimension != variable count")
-    if alpha is not None:
-        if isinstance(alpha, Fraction):
-            a, q, z = int(alpha.numerator % alpha.denominator), int(alpha.denominator), float(z)
-            if a == 0:
-                a = q
-        else:
-            a, q, z = 0, 1, float(alpha)
-    elif a is None or q is None:
-        raise ValueError("supply alpha or (a, q, z)")
     axes = _support_axes(w, P, budget)
     wv = w.eval_grid([ax / P for ax in axes]).ravel()
     if not len(wv):
@@ -416,6 +399,8 @@ def _default_v_cut(g: IntPolynomial, q: int, z: float, box_phys) -> int:
     v0max = max(q * abs(z) * b for b in gb) if gb else 0.0
     width = min(hi - lo for lo, hi in box_phys)
     margin = q * 30.0 / max(width, 1e-9)  # 30 cycles across the narrowest side
+    if not math.isfinite(v0max + margin):  # then no grid of four points a cycle fits either
+        raise BudgetExceeded(f"the default v_cut at z={z} overflows a float")
     return max(4 * q, math.ceil(v0max + margin))
 
 
@@ -443,12 +428,12 @@ def poisson_check(
         raise PreconditionViolated(f"the Poisson check needs a finite P > 0 and a finite z, got P={P}, z={z}")
     if v_cut is not None and v_cut < 0:
         raise PreconditionViolated(f"the Poisson check needs v_cut >= 0, got {v_cut}")
+    Ttab = _twisted_table(poly, a, q, budget)  # refused at this budget before any other pass
+    lhs = gen_sum(poly, w, P, a=a, q=q, z=z, budget=budget)  # refuses a P whose lattice box is past the budget
+    mass = abs(gen_sum(poly, w, P, a=q, q=q, z=0.0, budget=budget))
     box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
     if v_cut is None:
         v_cut = _default_v_cut(poly, q, z, box_phys)
-    Ttab = _twisted_table(poly, a, q, budget)  # refused at this budget before any other pass
-    lhs = gen_sum(poly, w, P, a=a, q=q, z=z, budget=budget)
-    mass = abs(gen_sum(poly, w, P, a=q, q=q, z=0.0, budget=budget))
     # grid: step h = q/M, FFT length L a multiple of M covering the support
     M = 4 * max(v_cut, 1)
     axes = []

@@ -94,7 +94,8 @@ def _differenced_sums(F: IntPolynomial, w: WeightSpec, P: int, H: int, a: int, q
 def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget: int = 4_000_000) -> dict:
     """Exact checks of the van der Corput kernel at (F, w, P, H, alpha).
 
-    (i)   #H * S(alpha) equals the double sum over shifts (rearrangement);
+    (i)   #H * S(alpha) equals the double sum over shifts (rearrangement), S and every
+          shifted sum read from one evaluation of w(x/P) e(alpha F(x));
     (ii)  N(h) = prod_i (H - |h_i|) for |h_i| < H, by direct pair counting;
     (iii) the quadratic identity sum_x |sum_h f(x+h)|^2 = sum_h N(h) T_h(alpha)
           and the resulting bound |S|^2 <= C H^-n P^n sum_h |T_h|.
@@ -106,25 +107,28 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
         a, q, z = int(alpha.numerator % alpha.denominator) or alpha.denominator, int(alpha.denominator), 0.0
     else:
         a, q, z = 0, 1, float(alpha)
-
-    def f_at(axes):
-        vals = grid_values(F, axes).ravel()
-        ang = ((vals % q).astype(np.int64) * (a / q) if q > 1 else 0.0) + z * vals.astype(float)
-        return w.eval_grid([ax / P for ax in axes]).ravel() * np.exp(2j * np.pi * (ang % 1.0))
-
     ranges = lattice_ranges(w, P)
     cells = 1
     for a0, b0 in ranges:
         cells *= max(b0 - a0 + 1 + H, 0)
     if cells * H ** n > budget:
         raise BudgetExceeded("vdc grid exceeds budget")
-    S = complex(f_at([np.arange(a0, b0 + 1, dtype=np.int64) for a0, b0 in ranges]).sum())
-    # x-grid covering supp(w(./P)) shifted by -H..0
-    X = [np.arange(a0 - H, b0 + 1, dtype=np.int64) for a0, b0 in ranges]
+    # f on supp(w(./P)) widened by H - 1 below and H above holds the box of S and its shifts by h in 1..H; each is
+    # read as a slice raveled in grid order, so every sum adds the terms of its own box in the same order
+    axes = [np.arange(a0 - H + 1, b0 + H + 1, dtype=np.int64) for a0, b0 in ranges]
+    vals = grid_values(F, axes)
+    ang = ((vals % q).astype(np.int64) * (a / q) if q > 1 else 0.0) + z * vals.astype(float)
+    f = w.eval_grid([ax / P for ax in axes]) * np.exp(2j * np.pi * (ang % 1.0))
+    sizes = [b0 - a0 + 1 for a0, b0 in ranges]
+
+    def box(start, shape):  # a negative side is an empty box: a slice must not wrap around
+        return f[tuple(slice(s, s + max(k, 0)) for s, k in zip(start, shape))].ravel()
+
+    S = complex(box([H - 1] * n, sizes).sum())
     inner = np.zeros(cells, dtype=complex)
     double_sum = 0.0 + 0j
     for hh in product(range(1, H + 1), repeat=n):
-        fx = f_at([ax + h for ax, h in zip(X, hh)])
+        fx = box([h - 1 for h in hh], [k + H for k in sizes])
         inner += fx
         double_sum += fx.sum()
     resid_i = abs(H ** n * S - double_sum)
@@ -164,14 +168,14 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
 # -- the Weyl chain --------------------------------------------------------------------
 
 
-def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int, c: float = 1.0):
-    """Counts of (L_1,...,L_n) mod qq over the triple box |w|,|x|,|y| <= cP, shaped (qq,)*n.
+def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int):
+    """Counts of (L_1,...,L_n) mod qq over the triple box |w|,|x|,|y| <= P, shaped (qq,)*n.
 
     Every (w, x) pair is enumerated, in slabs, with w and x reduced mod qq;
     y runs over its residues mod qq, each counted as often as it occurs.
     """
     n = F.n
-    R = int(math.floor(c * P))
+    R = math.floor(P)
     ymult = np.bincount(np.arange(-R, R + 1) % qq, minlength=qq)
     ys = np.flatnonzero(ymult)  # the residues y_i takes
     if (2 * R + 1) ** (2 * n) * len(ys) ** n > 300_000_000:
@@ -189,7 +193,7 @@ def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int, c: float = 1
     return hist.reshape((qq,) * n)
 
 
-def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction, c: float = 1.0) -> dict:
+def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction) -> dict:
     """Observed constants for the Weyl differencing chain at rational alpha."""
     n = F.n
     if not isinstance(alpha, Fraction):
@@ -204,7 +208,7 @@ def weyl_chain(F: IntPolynomial, P: int, alpha: Fraction, c: float = 1.0) -> dic
         sum_T += abs(Th)
     rep1 = BoundReport.make("weyl-square", abs(S) ** 2, sum_T, {"P": P, "alpha": str(alpha)})
     # (22-weyl4): |S|^8 <= C P^{4n} sum_{w,x,y} prod min(P, ||alpha L||^-1)
-    hist = _trilinear_residue_histogram(F, P, qq, c=c)
+    hist = _trilinear_residue_histogram(F, P, qq)
     minvals = np.empty(qq)
     for t in range(qq):
         num = (aa * t) % qq
@@ -339,20 +343,11 @@ def avs5_average(g0: IntPolynomial, m: int, R: float) -> BoundReport:
 
 
 def prop_t2_bound(
-    g: CubicData,
-    w: WeightSpec,
-    P: int,
-    a: int,
-    q: int,
-    z: float,
-    eta: int | None = None,
-    s_map: dict | None = None,
-    s_infinity: int | None = None,
-    budget: int = 4_000_000,
+    g: CubicData, w: WeightSpec, P: int, a: int, q: int, z: float, budget: int = 4_000_000
 ) -> BoundReport:
     """|T(a/q+z)| against q^{-(n-eta)/2} (prod_{i>=eta} r_i^{(i-eta)/2}) P^n W^{n-eta}.
 
-    eta=None takes the minimum of the parametric RHS over the admissible range
+    eta is the minimiser of the parametric RHS over the admissible range
     [max(0, 1+s_infinity), n], which is how the bound is stated.
     """
     n = g.n
@@ -361,12 +356,10 @@ def prop_t2_bound(
     if abs(z) > 1.0 / (q * P):
         raise PreconditionViolated("need |z| <= 1/(qP)")
     H = max(1.0, float(heights(g.poly, P)[1]))
-    if s_map is None:
-        s_map = {p: sing_dim(g.g0, p) for p in factorint(q)}
+    s_map = {p: sing_dim(g.g0, p) for p in factorint(q)}
     mf = factor_bcd(q, s_map=s_map, n=n)
-    if s_infinity is None:
-        # sound stand-in: s_p >= s_infinity for every p
-        s_infinity = -1 if n == 1 else max(-1, min(s_map.values(), default=-1))
+    # sound stand-in: s_p >= s_infinity for every p
+    s_infinity = -1 if n == 1 else max(-1, min(s_map.values(), default=-1))
     V = (q / P) * max(1.0, math.sqrt(abs(z) * H * P ** 3))
     c_, d_ = mf.c, mf.d
     W = V + min((c_ ** 2 * d_ * H) ** (1 / 3.0), math.sqrt(c_) * math.sqrt(V) + c_ ** (5 / 6.0) * H ** (1 / 6.0))
@@ -378,13 +371,7 @@ def prop_t2_bound(
             rprod *= mf.r_i[i] ** ((i - e) / 2.0)
         return q ** (-(n - e) / 2.0) * rprod * float(P) ** n * W ** (n - e)
 
-    lo = max(0, 1 + s_infinity)
-    if eta is None:
-        eta, rhs = min(((e, rhs_at(e)) for e in range(lo, n + 1)), key=lambda t: t[1])
-    else:
-        if not (lo <= eta <= n):
-            raise PreconditionViolated("eta outside [1+s_infinity, n]")
-        rhs = rhs_at(eta)
+    eta, rhs = min(((e, rhs_at(e)) for e in range(max(0, 1 + s_infinity), n + 1)), key=lambda t: t[1])
     return BoundReport.make(
         "cubic-sum",
         abs(T),
@@ -428,17 +415,15 @@ def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n:
 
 
 def davenport_sweep(seed: int = 7, trials: int = 100, n: int = 3, A: float = 10.0) -> dict:
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         L = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 L[i][j] = L[j][i] = rng.randint(-9, 9)
         alpha = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-        rep = davenport_shrink(L, A, 1.0, 0.5, 1.0, alpha=alpha)
-        worst = max(worst, rep.ratio)
-    return {"seed": seed, "trials": trials, "n": n, "A": A, "max_ratio": worst}
+        return davenport_shrink(L, A, 1.0, 0.5, 1.0, alpha=alpha).ratio
+
+    return {"seed": seed, "trials": trials, "n": n, "A": A} | _worst_ratio(seed, trials, trial)
 
 
 # -- the lemma sweeps behind `quartic verify` --------------------------------------------------

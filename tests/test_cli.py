@@ -413,6 +413,17 @@ class TestGeometryAnyN:
         # H = diag(6 x_i): rank H(x) is the number of nonzero x_i, so #T_2 = 1 + 4*4 + 6*4^2
         assert rc == 0 and json.loads(out)["count"] == 113
 
+    @pytest.mark.parametrize(
+        "op, default",
+        [(["--op", "rank-profile", "--p", "7"], ["--r", "0"]), (["--op", "b-set", "--p", "7"], ["--s", "1"]),
+         (["--op", "hyperplane", "--primes", "7"], ["--M-max", "5"])],
+        ids=["r", "s", "M-max"],
+    )
+    def test_an_op_applies_the_default_of_its_own_option(self, op, default, capsys):
+        argv = ["geometry", "--form-text", "x1^3+x2^3+x3^3"] + op
+        rc, out = run_cli(argv, capsys)
+        assert rc == 0 and (rc, out) == run_cli(argv + default, capsys)
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -477,6 +488,8 @@ class TestBadInput:
             (["pipeline", "--form-text", "x1^4-x2^4", "--P", "5", "--R-series", "4", "--R-integral", "1e300"],
              "ToleranceNotMet"),
             (["poisson", "--form-text", "x1^3", "--weight", "bump", "--v-cut", "-5"], "PreconditionViolated"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--P", "1e300"], "BudgetExceeded"),
+            (["poisson", "--form-text", "x1^3", "--weight", "bump", "--P", "8", "--z", "1e308"], "BudgetExceeded"),
             (["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "0.1,0.2,0.3", "--R", "2"],
              "DimensionMismatch"),
             (["expsum", "--form", "{tmp}/coefficient-1.5.json", "--q", "5"], "NonIntegerCoefficient"),
@@ -492,7 +505,8 @@ class TestBadInput:
              "pipeline-R-integral-nan", "pipeline-R-integral-inf", "poisson-P-nan", "poisson-P-inf",
              "poisson-P-negative", "poisson-z-nan", "poisson-z-inf", "hasse-p-max-negative", "hasse-k-max-0",
              "arcs-P-1e300", "arcs-P-delta-past-double", "series-R-1e300", "integral-R-1e300", "hasse-p-max-1e18",
-             "pipeline-R-series-1e300", "pipeline-R-integral-1e300", "poisson-v-cut-negative",
+             "pipeline-R-series-1e300", "pipeline-R-integral-1e300", "poisson-v-cut-negative", "poisson-P-1e300",
+             "poisson-z-1e308",
              "integral-center-of-three-for-two-variables", "form-file-coefficient-1.5", "form-file-exponent-4.5"]
         + [f"verify-{lemma}-trials-negative" for lemma in SWEEPS],
     )
@@ -592,6 +606,35 @@ class TestBadInput:
             "command": "count", "error": "ConfigInvalid",
             "message": "--projective counts points by height: it takes no --weight or --method"}
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["expsum", "--form-text", "x1^4", "--q", "5", "--units", "--v", "1,2"], "--v"),
+            (["expsum", "--form-text", "x1^4", "--q", "5", "--units", "--v", ""], "--v"),
+            (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "hyperplane", "--p", "7"], "--p"),
+            (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--r", "2"], "--r"),
+            (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set", "--p", "7", "--r", "0"], "--r"),
+            (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "rank-profile", "--p", "7", "--s", "1"], "--s"),
+            (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim", "--primes", "5"], "--primes"),
+            (["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "b-set", "--p", "7", "--M-max", "5"], "--M-max"),
+        ],
+        ids=["units-twist", "units-empty-twist", "hyperplane-p", "sing-dim-r", "b-set-r", "rank-profile-s",
+             "sing-dim-primes", "b-set-M-max"],
+    )
+    def test_an_option_the_command_does_not_read_is_refused_before_any_work(self, argv, flag, monkeypatch, capsys):
+        from quartic import cli
+
+        def no_work(args):
+            raise AssertionError("the form was loaded before the options were checked")
+
+        monkeypatch.setattr(cli, "_load_form", no_work)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigInvalid" and flag in err["message"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -286,49 +286,6 @@ class TestDifference:
         assert (D.poly - D.g0).degree <= 2
 
 
-class TestShift:
-    """`shift` against the composition with the identity map, coefficients and their order."""
-
-    @staticmethod
-    def _by_affine(F, h):
-        eye = [[int(i == j) for i in range(F.n)] for j in range(F.n)]
-        return F.substitute_affine(h, eye)
-
-    def test_matches_substitute_affine_in_order(self):
-        rng = random.Random(20)
-        for _ in range(300):
-            n, degree = rng.randint(1, 5), rng.randint(0, 4)
-            F = random_form(rng, n, degree, bound=3, homogeneous=rng.random() < 0.5)
-            h = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
-            assert list(F.shift(h).coeffs.items()) == list(self._by_affine(F, h).coeffs.items())
-
-    @pytest.mark.parametrize(
-        "src, h",
-        [
-            ("x1^2 - 2*x1", [1]),  # the x1 terms cancel
-            ("x1^2 - 2*x1 + x1*x2", [1, 1]),  # the constant cancels, and x1 comes back after cancelling
-            ("x1^4 - x2^4", [1, 1]),  # x^4 and 1 cancel between the two monomials
-            ("x1^4 + 3*x1*x2^3 - 2*x2^4 + x3", [0, -2, 5]),
-            ("5", [4]),
-        ],
-    )
-    def test_cancelling_terms(self, src, h):
-        F = parse_form(src, n=len(h))
-        shifted = F.shift(h)
-        assert list(shifted.coeffs.items()) == list(self._by_affine(F, h).coeffs.items())
-        assert 0 not in shifted.coeffs.values()
-        x = [3, -1, 2][: F.n]
-        assert shifted.evaluate(x) == F.evaluate([a + b for a, b in zip(x, h)])
-
-    def test_order_is_not_canonical(self):
-        shifted = parse_form("x1^2 - 2*x1 + x1*x2").shift([1, 1])
-        assert list(shifted.coeffs) == [(2, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            parse_form("x1^4 + x2^4").shift([1])
-
-
 class TestWeyl:
     def test_zero_point_vanishes(self):
         F = parse_form("x1^4 + x1*x2^3")
@@ -355,6 +312,26 @@ class TestWeyl:
             + W.evaluate(z)
         )
         assert second == 0
+
+    @staticmethod
+    def _alternating_sum(F, points):
+        """The former definition: sum over subsets T of the points of (-1)^(level - |T|) F(z + sum_T h_t)."""
+        eye = np.eye(F.n, dtype=int).tolist()
+        out = IntPolynomial(F.n, {})
+        for mask in range(1 << len(points)):
+            picked = [pt for t, pt in enumerate(points) if mask >> t & 1]
+            term = F.substitute_affine([sum(col) for col in zip([0] * F.n, *picked)], eye)
+            out = out + (term if (len(points) - len(picked)) % 2 == 0 else -term)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_iterated_differences_equal_the_alternating_sum(self, n, level):
+        rng = random.Random(100 * n + level)
+        for _ in range(4):
+            F = random_form(rng, n, rng.choice([2, 3, 4]), bound=5, homogeneous=rng.random() < 0.5)
+            pts = [rand_vec(rng, n, 4) for _ in range(level)]
+            assert weyl_difference(F, level, pts) == self._alternating_sum(F, pts)
 
 
 class TestHeights:

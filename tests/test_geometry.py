@@ -415,7 +415,7 @@ class TestRankProfiles:
         from quartic.verify import random_form
 
         G = random_form(rng, 3, 3, bound=4)
-        counts = [b_set_profile(G, 7, s, kmax=1)["count"] for s in range(4)]
+        counts = [b_set_profile(G, 7, s)["count"] for s in range(4)]
         assert counts == sorted(counts, reverse=True)
 
     @pytest.mark.parametrize("profile", [hessian_rank_profile, b_set_profile])

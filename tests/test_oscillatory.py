@@ -243,9 +243,9 @@ class TestGenSum:
         w = bump((0.0,), 0.5)
         F = parse_form("x1^4")
         s0 = gen_sum(F, w, 20, a=1, q=1)
-        s1 = gen_sum(F, w, 20, alpha=1.0)
-        s13 = gen_sum(F, w, 20, alpha=Fraction(1, 3))
-        s43 = gen_sum(F, w, 20, alpha=Fraction(4, 3))
+        s1 = gen_sum(F, w, 20, a=1, q=1, z=1.0)
+        s13 = gen_sum(F, w, 20, a=1, q=3)
+        s43 = gen_sum(F, w, 20, a=4, q=3)
         assert abs(s1 - s0) < 1e-12
         assert abs(s13 - s43) < 1e-12
 
@@ -254,7 +254,7 @@ class TestGenSum:
         F = random_form(rng, 2, 4, bound=3)
         w = bump((0.0, 0.0), 0.4)
         P = 20
-        got = gen_sum(F, w, P, alpha=Fraction(1, 3))
+        got = gen_sum(F, w, P, a=1, q=3)
         naive = 0j
         for x1 in range(-8, 9):
             for x2 in range(-8, 9):
@@ -269,8 +269,8 @@ class TestGenSum:
         w = bump((0.0, 0.0), 0.4)
         s0 = abs(gen_sum(F, w, 15, a=1, q=1))
         for _ in range(5):
-            al = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-            assert abs(gen_sum(F, w, 15, alpha=al)) <= s0 + 1e-12
+            u, v = rng.randint(1, 30), rng.randint(1, 30)
+            assert abs(gen_sum(F, w, 15, a=u, q=v)) <= s0 + 1e-12
 
 
 class TestOscIntegral:

@@ -23,7 +23,7 @@ from quartic.verify import (
     vdc_identity,
     weyl_chain,
 )
-from quartic.weights import bump, separable_bump, shifted_product, unit_box
+from quartic.weights import box, bump, separable_bump, shifted_product, unit_box
 
 
 class TestVdc:
@@ -53,6 +53,68 @@ class TestVdc:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             vdc_identity(parse_form("x1^4"), bump((0.0,), 1.0), 10, 11, Fraction(1, 3))
+
+    @staticmethod
+    def _per_shift(F, w, P, H, alpha):
+        """vdc_identity's numbers as computed before one evaluation served every box: f afresh on the box of S
+        and on each box shifted by h in 1..H."""
+        n = F.n
+        if isinstance(alpha, Fraction):
+            a, q, z = int(alpha.numerator % alpha.denominator) or alpha.denominator, int(alpha.denominator), 0.0
+        else:
+            a, q, z = 0, 1, float(alpha)
+
+        def f_at(axes):
+            vals = verify.grid_values(F, axes).ravel()
+            ang = ((vals % q).astype(np.int64) * (a / q) if q > 1 else 0.0) + z * vals.astype(float)
+            return w.eval_grid([ax / P for ax in axes]).ravel() * np.exp(2j * np.pi * (ang % 1.0))
+
+        ranges = verify.lattice_ranges(w, P)
+        S = complex(f_at([np.arange(a0, b0 + 1, dtype=np.int64) for a0, b0 in ranges]).sum())
+        X = [np.arange(a0 - H, b0 + 1, dtype=np.int64) for a0, b0 in ranges]
+        inner = np.zeros(math.prod(max(b0 - a0 + 1 + H, 0) for a0, b0 in ranges), dtype=complex)
+        double_sum = 0.0 + 0j
+        for hh in product(range(1, H + 1), repeat=n):
+            fx = f_at([ax + h for ax, h in zip(X, hh)])
+            inner += fx
+            double_sum += fx.sum()
+        lhs_quad = float((np.abs(inner) ** 2).sum())
+        rhs_quad = 0.0 + 0j
+        sum_abs_T = 0.0
+        for hh, Th in verify._differenced_sums(F, w, P, H, a or 1, q, z).items():
+            rhs_quad += math.prod(H - abs(t) for t in hh) * Th
+            sum_abs_T += abs(Th)
+        return [S, abs(H ** n * S - double_sum), abs(lhs_quad - rhs_quad), max(lhs_quad, 1.0), abs(S) ** 2,
+                H ** (-n) * float(P) ** n * sum_abs_T]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("H", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "weight", ["bump", "separable", "box", "unit-box", "no-lattice-point"],
+    )
+    @pytest.mark.parametrize("alpha", [Fraction(3, 7), 0.0137], ids=["rational", "float"])
+    def test_one_evaluation_matches_the_per_shift_loop(self, n, H, weight, alpha):
+        w = {"bump": bump((0.1,) * n, 0.9), "separable": separable_bump((0.2,) * n, 0.5), "box": box(n),
+             "unit-box": unit_box(n), "no-lattice-point": bump((0.05,) * n, 0.01)}[weight]
+        F = random_form(random.Random(10 * n + H), n, 4, bound=3)
+        rep = vdc_identity(F, w, 7, H, alpha)
+        got = [rep["S"], rep["rearrangement_residual"], rep["quadratic_residual"], rep["quadratic_scale"],
+               rep["bound"].lhs, rep["bound"].rhs]
+        assert [repr(v) for v in got] == [repr(v) for v in self._per_shift(F, w, 7, H, alpha)]
+
+    @pytest.mark.parametrize("H", [1, 2, 3, 4, 6])
+    def test_F_is_evaluated_twice_for_every_H(self, H, monkeypatch):
+        # once for S and every shifted box, once for the differenced sums; the per-shift loop took H^n + 2
+        calls = []
+
+        def counted(F, axes, modulus=None):
+            calls.append(len(axes))
+            return grid_values(F, axes, modulus)
+
+        grid_values = verify.grid_values
+        monkeypatch.setattr(verify, "grid_values", counted)
+        vdc_identity(random_form(random.Random(H), 2, 4, bound=3), bump((0.0, 0.0), 1.0), 8, H, Fraction(1, 5))
+        assert calls == [2, 2]
 
 
 def _differenced_sums_per_shift(F, w, P, H, a, q, z):
@@ -331,12 +393,12 @@ class TestAvs5:
 class TestPropT2:
     def test_q1(self):
         g = CubicData.from_poly(parse_form("x1^3"))
-        rep = prop_t2_bound(g, bump((0.0,), 1.0), 30, 1, 1, 0.0, 0)
+        rep = prop_t2_bound(g, bump((0.0,), 1.0), 30, 1, 1, 0.0)
         assert math.isfinite(rep.ratio)
 
     def test_q4_example(self):
         g = CubicData.from_poly(parse_form("x1^3"))
-        rep = prop_t2_bound(g, bump((0.0,), 1.0), 30, 1, 4, 0.0, 0)
+        rep = prop_t2_bound(g, bump((0.0,), 1.0), 30, 1, 4, 0.0)
         assert rep.params["bcd"] == (4, 1, 1)
         assert math.isfinite(rep.ratio)
 
@@ -347,11 +409,6 @@ class TestPropT2:
         r30 = max(prop_t2_bound(g, w, 30, 1, q, 0.0).ratio for q in (2, 3, 4, 5))
         r60 = max(prop_t2_bound(g, w, 60, 1, q, 0.0).ratio for q in (2, 3, 4, 5))
         assert r60 <= 4 * max(r30, 1e-9) + 1.0
-
-    def test_eta_guard(self):
-        g = CubicData.from_poly(parse_form("x1^3 + x2^3"))
-        with pytest.raises(PreconditionViolated):
-            prop_t2_bound(g, bump((0.0, 0.0), 0.5), 30, 1, 2, 0.0, 5)
 
 
 class TestGeometrySweep:
@@ -388,7 +445,7 @@ class TestGeometrySweep:
                     max_tr = max(max_tr, prof["ratio"])
                     shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
                 for s in range(n + 1):
-                    prof = geometry.b_set_profile(G, p, s, kmax=1)
+                    prof = geometry.hessian_rank_profile(G, p, n - s, kmax=1)  # B_s is the rank <= n - s locus
                     max_bs = max(max_bs, prof["ratio"])
                     shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
         out = geometry_bound_sweep(seed=seed, trials=trials, primes=primes, n=n)

@@ -75,14 +75,16 @@ class FormCache:
     Line format: {"checksum": sha256-prefix, "payload": {form_hash, kind, a, q,
     re/im or int, err}}; a line cut short or failing its checksum raises CacheCorrupt.
     A file that still starts with the bytes this process last loaded from its
-    path (same length and sha256) has only the lines appended since parsed.
+    path has only the lines appended since parsed.  Every FormCache of one path
+    shares its `entries`, and `by_form` holds them again under their form hash.
     """
 
-    _loaded: dict = {}  # resolved path -> (byte length, sha256 of those bytes, entries parsed from them)
+    _loaded: dict = {}  # resolved path -> (bytes loaded, entries parsed from them and stored since, entries by form)
 
     def __init__(self, directory: str | None):
         self.dir = Path(directory) if directory else None
         self.entries: dict = {}
+        self.by_form: dict = {}  # form hash -> {entry key: payload}
         if self.dir:
             self.dir.mkdir(parents=True, exist_ok=True)
             self.path = self.dir / "expsums.jsonl"
@@ -91,12 +93,11 @@ class FormCache:
 
     def _load(self):
         data, key = self.path.read_bytes(), self.path.resolve()
-        size, digest, entries = self._loaded.get(key, (0, None, {}))
-        sha = hashlib.sha256(data[:size])
-        if sha.hexdigest() != digest or size > len(data):  # not the bytes of the last load: parse it all
-            size, sha, entries = 0, hashlib.sha256(), {}
-        self.entries = dict(entries)
-        for line in data[size:].decode().splitlines():
+        done, self.entries, self.by_form = self._loaded.get(key, (b"", {}, {}))
+        if not data.startswith(done):  # not the bytes of the last load: parse it all
+            done, self.entries, self.by_form = b"", {}, {}
+        new = []  # kept back until every new line passes, so a corrupt line changes no shared entry
+        for line in data[len(done):].decode().splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -108,24 +109,29 @@ class FormCache:
             blob = json.dumps(payload, sort_keys=True).encode()
             if hashlib.sha256(blob).hexdigest()[:16] != obj.get("checksum"):
                 raise CacheCorrupt(f"bad checksum in {self.path}")
-            self.entries[self._key(payload)] = payload
-        sha.update(data[size:])
-        self._loaded[key] = (len(data), sha.hexdigest(), dict(self.entries))
+            new.append(payload)
+        for payload in new:
+            self._add(payload)
+        self._loaded[key] = (data, self.entries, self.by_form)
+
+    def _add(self, payload: dict) -> None:
+        key = self._key(payload)
+        self.entries[key] = payload
+        self.by_form.setdefault(key[0], {})[key] = payload
 
     @staticmethod
     def _key(payload: dict):
         return (payload["form_hash"], payload["kind"], payload.get("a"), payload["q"])
 
     def store(self, payload: dict) -> None:
-        key = self._key(payload)
-        if key in self.entries:
+        if self._key(payload) in self.entries:
             return
-        self.entries[key] = payload
         if self.dir:
             blob = json.dumps(payload, sort_keys=True).encode()
             rec = {"checksum": hashlib.sha256(blob).hexdigest()[:16], "payload": payload}
             with open(self.path, "a") as fh:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._add(payload)  # after the write: a shared entry is one the file holds
 
     def load(self, fh: str, kind: str, a, q):
         return self.entries.get((fh, kind, a, q))
@@ -204,7 +210,7 @@ def _cmd_expsum(args) -> dict:
     F = _load_form(args)
     cache = FormCache(args.cache_dir)
     rep = _base(F) | {"a": args.a, "q": args.q}
-    if args.v:
+    if args.v is not None:  # an empty --v is refused by `_numbers`, not read as no twist
         v = _numbers(args.v, int, "--v")
         s = twisted_sum(F, args.a, args.q, v, budget=args.budget)
         return rep | {"re": s.value.real, "im": s.value.imag, "err": s.err, "v": v}
@@ -230,9 +236,7 @@ def _cmd_series(args) -> dict:
     disk = FormCache(args.cache_dir)
     rep = _base(F) | {"R": args.R}
     fh = rep["form_hash"]
-    for (h, kind, a, q), payload in disk.entries.items():
-        if h == fh and kind == "Aq":
-            cache.aq[q] = payload["int"]
+    cache.aq |= {q: entry["int"] for (_, kind, _, q), entry in disk.by_form.get(fh, {}).items() if kind == "Aq"}
     rep["S_R"] = _fr(singular_series(F, args.R, cache=cache))
     if args.euler:
         rep["euler_view"] = _fr(euler_view(F, args.R, cache=cache))

@@ -9,8 +9,10 @@ polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
 it convolves the value histograms of the blocks of F (`forms.blocks`), so a
 diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n;
 a homogeneous block mod p^k may read its unit orbits instead of its grid,
-and the table mod a composite q is the product of its prime-power tables
-(CRT).  It is memoised per (F, q), so every S_{a,q} and rho(q) share one table.
+and the table mod a composite q is the product of its prime-power tables,
+each tiled to length q (CRT).  It is memoised per (F, q), so every S_{a,q}
+and rho(q) share one table; the same memo holds the table of each block and
+each orbit level, so forms that share a block build it once.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _table_cells(m: int, d: int, p: int, k: int) -> int:
     return min(p ** (k * m) + PASS_CELLS, reps + spread + below + PASS_CELLS)
 
 
-def _block_histogram(G: IntPolynomial, q: int) -> np.ndarray:
+def _block_histogram(G: IntPolynomial, q: int, memo: LRUCache | None = None) -> np.ndarray:
     """Histogram of G mod q over [0, q)^G.n: its grid, or its unit orbits when they build fewer cells.
 
     The orbits serve a homogeneous G of degree d >= 1 in two or more variables
@@ -222,16 +224,24 @@ def _block_histogram(G: IntPolynomial, q: int) -> np.ndarray:
     has one representative whose first unit coordinate is 1, and their
     histogram is spread over the d-th powers t of the units, one gather per t.
     The x = p y have G(x) = p^d G(y): the table mod p^(k-1), mapped by s -> p^d s.
+    With a `memo`, the table and each level below it are looked up in and stored to it, keyed as forms are.
     """
+    if memo is not None:
+        key = G.n, frozenset(G.coeffs.items()), q
+        if (hit := memo.lookup(key)) is not None:
+            return hit
     m, d, axis = G.n, G.degree, np.arange(q, dtype=np.int64)
     fac = factorint(q) if m > 1 and d >= 1 and G.is_homogeneous() else {}
     (p, k), = fac.items() if len(fac) == 1 else [(q, 0)]
     if not k or _table_cells(m, d, p, k) == q ** m + PASS_CELLS:
-        return _grid_histogram(G, [axis] * m, q)
-    reps = sum(_grid_histogram(G, [p * axis[:q // p]] * i + [axis[1:2]] + [axis] * (m - 1 - i), q) for i in range(m))
-    hist = sum(c * reps[pow(t, -1, q) * axis % q] for t, c in _unit_powers(d, q))
-    np.add.at(hist, pow(p, d, q) * axis[:q // p] % q, _block_histogram(G, q // p))
-    return hist
+        hist = _grid_histogram(G, [axis] * m, q)
+    else:
+        reps = sum(_grid_histogram(G, [p * axis[:q // p]] * i + [axis[1:2]] + [axis] * (m - 1 - i), q)
+                   for i in range(m))
+        hist = sum(c * reps[pow(t, -1, q) * axis % q] for t, c in _unit_powers(d, q))
+        np.add.at(hist, pow(p, d, q) * axis[:q // p] % q, _block_histogram(G, q // p, memo))
+    hist.flags.writeable = False
+    return hist if memo is None else memo.store(key, hist)
 
 
 def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -242,15 +252,18 @@ def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.n
     block walks its q^|b| grid, or, homogeneous, about q^|b|/phi(q) orbit
     representatives, one gather of q cells per d-th power of a unit and the
     table mod p^(k-1) when those are fewer (`_block_histogram`).  Mod q with
-    two or more prime factors: N_q(t) = prod_{p^e || q} N_{p^e}(t mod p^e).
-    The cost, sum_b q^|b| cells plus q^2 multiply-adds for each block joined
-    after the first, bounds either path and is checked against `budget` before
-    any allocation.  Counts stay below q^n: int64 when n*log2(q) < 62, else
-    Python ints.  Tables are memoised per (F, q), at most MEMO_RESIDUES
-    residues in all, and returned read-only; the budget is checked on a hit
-    as on a miss.  Polynomials that are read once (the twisted sums of
-    `expsums`) go to `_value_counts` without the memo, so they do not evict
-    the tables that are read again.
+    two or more prime factors: N_q(t) = prod_{p^e || q} N_{p^e}(t mod p^e),
+    each table mod p^e tiled q/p^e times.  The cost, sum_b q^|b| cells plus
+    q^2 multiply-adds for each block joined after the first, bounds either
+    path and is checked against `budget` before any allocation.  Counts stay
+    below q^n: int64 when n*log2(q) < 62, else Python ints.  Tables are
+    memoised per (F, q), at most MEMO_RESIDUES residues in all, and returned
+    read-only; the budget is checked on a hit as on a miss.  The memo also
+    holds, under the same kind of key, the int64 table of each block and of
+    each orbit level mod p^(k-1), ..., p, so a block that recurs in another
+    form or level is built once.  Polynomials that are read once (the twisted
+    sums of `expsums`) go to `_value_counts` without the memo, so they do not
+    evict the tables that are read again.
     """
     return _value_counts(F, q, budget, _value_counts_memo)
 
@@ -270,22 +283,22 @@ def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None =
     const, parts = blocks(F)
     _check_cost(parts, q, budget)
     if memo is not None:
-        memo_key = (F.n, frozenset(F.coeffs.items()), q)
-        hit = memo.lookup(memo_key)
-        if hit is not None:
+        key = F.n, frozenset(F.coeffs.items()), q
+        if (hit := memo.lookup(key)) is not None:
             return hit
     dt = np.int64 if F.n * math.log2(q) < 62 else object
     fac = factorint(q)
     if len(fac) > 1:  # CRT: N_q(t) = prod over p^e || q of N_{p^e}(t mod p^e)
-        t = np.arange(q)
-        tables = [_value_counts(F, p ** e, budget, memo).astype(dt)[t % p ** e] for p, e in fac.items()]
-        out = reduce(np.multiply, tables)
+        out = np.ones(q, dtype=dt)
+        for p, e in fac.items():  # t mod p^e is the column of t in rows of p^e cells: the table tiled q / p^e times
+            rows = out.reshape(-1, p ** e)
+            rows *= _value_counts(F, p ** e, budget, memo).astype(dt, copy=False)
     else:
         dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
         hists = {}  # blocks with the same polynomial share one histogram
         for i, (vars_, G) in enumerate(parts):
             if G not in hists:
-                hists[G] = _block_histogram(G, q).astype(dt, copy=False)
+                hists[G] = _block_histogram(G, q, memo).astype(dt, copy=False)
             if i == 0:
                 dist = hists[G]
                 continue
@@ -294,7 +307,8 @@ def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None =
             dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
         out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
     out.flags.writeable = False
-    return out if memo is None else memo.store(memo_key, out)
+    # a one-block F with no constant has its block's key, and its block's table is stored already
+    return out if memo is None or key in memo else memo.store(key, out)
 
 
 _value_counts_memo = LRUCache(MEMO_RESIDUES, size=len)

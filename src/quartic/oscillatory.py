@@ -24,6 +24,7 @@ each doubling evaluates F and the kernel on its new cells only; `_phase_sum`, `g
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -77,10 +78,14 @@ def gen_sum(
     """S(alpha) = sum_x w(x/P) e(alpha poly(x)) at alpha = a/q + z.
 
     The rational part of the phase is computed from exact residues mod q.
+    BudgetExceeded, before any pass, when z * poly overflows a float on the lattice box.
     """
     if w.n != poly.n:
         raise DimensionMismatch("weight dimension != variable count")
     axes = _support_axes(w, P, budget)
+    bound = _abs_bound(poly.coeffs, lattice_ranges(w, P))  # |poly| <= bound on the lattice box
+    if bound > sys.float_info.max or not math.isfinite(z * bound):  # else the phases would be NaN
+        raise BudgetExceeded(f"the phases z * F at z={z} overflow a float on the lattice box at P={P}")
     wv = w.eval_grid([ax / P for ax in axes]).ravel()
     if not len(wv):
         return 0.0 + 0.0j

@@ -447,7 +447,7 @@ class TestBudgetPlan:
         calls = []
         histogram = counting._block_histogram
         monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(counting.MEMO_RESIDUES, size=len))
-        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: calls.append(q) or histogram(G, q))
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q, memo: calls.append(q) or histogram(G, q, memo))
         F = parse_form("x1^4")
         with pytest.raises(BudgetExceeded) as exc:
             singular_series(F, 3000, SeriesCache(F, 100_000))

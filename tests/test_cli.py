@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -198,6 +199,29 @@ class TestCache:
         entries = FormCache(str(tmp_path)).entries
         assert entries == self._fresh_load(monkeypatch, tmp_path)
         assert sorted(key[3] for key in entries) == [3, 4]
+
+    SERIES_CALLS = [("x1^4 + x1*x2^3 + 2*x3^4", "6", []), ("x1^4 - x2^4 + x3^4", "5", []),
+                    ("x1^4 + x1*x2^3 + 2*x3^4", "9", ["--euler"]), ("3*x1^4 - x2^4", "12", []),
+                    ("x1^4 - x2^4 + x3^4", "10", ["--euler"]), ("x1^4 + x1*x2^3 + 2*x3^4", "9", []),
+                    ("3*x1^4 - x2^4", "7", [])]
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["parsed-once", "parsed-in-full-at-each-call"])
+    def test_interleaved_series_calls_keep_their_output_and_file(self, reload, capsys, monkeypatch, tmp_path):
+        out = []
+        for text, R, extra in self.SERIES_CALLS:
+            if reload:
+                monkeypatch.setattr(FormCache, "_loaded", {})
+            assert main(["--cache-dir", str(tmp_path), "series", "--form-text", text, "--R", R] + extra) == 0
+            out.append(capsys.readouterr().out)
+        data = (tmp_path / "expsums.jsonl").read_bytes()
+        # recorded when `series` still read every entry of every form: its stdout and the file it left
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+            "3c85cf9f2915e9392b40d44fef8975faa189a50171fd629a496fa8189cb8db8e")
+        assert hashlib.sha256(data).hexdigest() == "00ce8ce629844a19400144d74434b8aacd082b9f7228f62786f41efa1401211c"
+        cache = FormCache(str(tmp_path))
+        assert len(cache.by_form) == 3 and len(cache.entries) == data.count(b"\n") == 31
+        assert {k: v for entries in cache.by_form.values() for k, v in entries.items()} == cache.entries
+        assert all(key[0] == fh for fh, entries in cache.by_form.items() for key in entries)
 
     def test_lines_a_second_writer_appends_are_read(self, capsys, tmp_path):
         argv = ["--cache-dir", str(tmp_path), "expsum", "--form-text", "x1^4 + x2^4", "--q", "6", "--units"]
@@ -645,6 +669,7 @@ class TestBadInput:
             ["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", "abc", "--R", "2"],
             ["integral", "--form-text", "x1^4-x2^4", "--weight", "bump", "--center", ",,", "--R", "2"],
             ["expsum", "--form-text", "x1^4", "--q", "5", "--v", "a"],
+            ["expsum", "--form-text", "x1^4+x2^4", "--q", "5", "--v="],
             ["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "hyperplane", "--primes", "x"],
             ["expsum", "--form", "{tmp}/missing.json", "--q", "5"],
             ["expsum", "--form", "{tmp}", "--q", "5"],
@@ -663,7 +688,7 @@ class TestBadInput:
             ["series", "--form-text", "7", "--R", "4"],
         ],
         ids=["alpha-not-rational", "rank-profile-without-p", "b-set-without-p", "center-not-a-number",
-             "center-empty-entries", "v-not-an-integer", "primes-not-an-integer", "form-file-missing",
+             "center-empty-entries", "v-not-an-integer", "v-empty", "primes-not-an-integer", "form-file-missing",
              "form-file-a-directory", "form-file-a-json-list", "form-file-without-monomials",
              "calibration-a-directory", "calibration-not-json", "calibration-a-json-list",
              "calibration-a-json-list-to-write", "calibration-entry-a-number", "calibration-ratio-a-string",

@@ -70,6 +70,8 @@ CASES = [_with(BASE[cmd], flag, value) for cmd, flags in FLAGS.items() for flag,
 CASES += [BASE["geometry"][:3] + ops for ops in GEOMETRY]
 CASES += [["expsum", "--form-text", "x1^4", "--q", "5", "--units", "--v", v] for v in ("1,2", "")]
 CASES += [["verify", lemma, "--trials", "1"] for lemma in ("davenport", "vdc", "weyl", "deligne", "cubic-sum")]
+REFUSED = [_with(BASE["expsum"], "--v", ""), BASE["expsum"] + ["--v", ""]]  # an empty --v is refused, not dropped
+CASES += REFUSED[1:]
 
 
 @pytest.mark.parametrize("budget", [[], ["--budget", "10"]], ids=["default-budget", "budget-10"])
@@ -77,6 +79,7 @@ CASES += [["verify", lemma, "--trials", "1"] for lemma in ("davenport", "vdc", "
 def test_one_report_or_one_typed_error(argv, budget, capsys):
     rc = main(argv + budget)
     captured = capsys.readouterr()
+    assert rc == 1 or argv not in REFUSED
     if rc == 0:
         assert captured.out.count("\n") == 1 and isinstance(json.loads(captured.out), dict)
     else:

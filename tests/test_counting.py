@@ -216,16 +216,21 @@ def _grid_count(F, q):
     return int(np.count_nonzero(grid_values(F, [np.arange(q)] * F.n, modulus=q) == 0))
 
 
+def _join(*parts, const=0):
+    """The sum of the polynomials `parts` on consecutive disjoint variables, plus `const`."""
+    n = sum(G.n for G in parts)
+    coeffs = {(0,) * n: const} if const else {}
+    start = 0
+    for G in parts:
+        for e, c in G.coeffs.items():
+            coeffs[(0,) * start + e + (0,) * (n - start - G.n)] = c
+        start += G.n
+    return IntPolynomial(n, coeffs)
+
+
 def _random_block_form(rng, sizes, const=0, unused=0):
     """Random quartic blocks on consecutive variables, a constant, and unused trailing variables."""
-    n = sum(sizes) + unused
-    coeffs = {(0,) * n: const}
-    start = 0
-    for size in sizes:
-        for e, c in random_form(rng, size, 4, bound=5).coeffs.items():
-            coeffs[(0,) * start + e + (0,) * (n - start - size)] = c
-        start += size
-    return IntPolynomial(n, coeffs)
+    return _join(*(random_form(rng, size, 4, bound=5) for size in sizes), IntPolynomial(unused), const=const)
 
 
 class TestBlockConvolution:
@@ -486,6 +491,16 @@ class TestCrtTables:
                 counting._value_counts(F, q, counting.DEFAULT_BUDGET)  # without the memo
         assert moduli and all(len(counting.factorint(q)) == 1 for q in moduli)
 
+    @pytest.mark.parametrize("text, q", [("x1^4 + 3*x1*x2^3 - 2*x2^4 + 5", 6), ("x1^3*x2 + x2*x3^3 + x3^4", 12),
+                                         ("2*x1^4 - x2 + 1", 45), ("x1^4 + x1*x2^3 + 3*x2^4 + 1", 900),
+                                         ("3*x1^4 - x1 + 7", 253 * 256)])
+    def test_tiled_tables_equal_the_gather_by_residue(self, text, q):
+        F, t = parse_form(text), np.arange(q)
+        got = value_counts(F, q)
+        tables = [value_counts(F, p ** e).astype(got.dtype)[t % p ** e] for p, e in counting.factorint(q).items()]
+        want = math.prod(tables)
+        assert len(tables) > 1 and got.dtype == want.dtype and got.tolist() == want.tolist()
+
     def test_a_composite_past_the_budget_keeps_its_message(self, monkeypatch):
         built = []
         monkeypatch.setattr(counting, "_block_histogram", lambda G, q: built.append(q))
@@ -529,6 +544,58 @@ class TestValueCountsMemo:
         got = value_counts(F, q)
         assert not got.flags.writeable and got.sum() == q
         assert (F.n, frozenset(F.coeffs.items()), q) not in counting._value_counts_memo
+
+
+PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+class TestBlockTablesInTheMemo:
+    """The memo of `value_counts` holds the tables of blocks and of orbit levels as well as those of forms."""
+
+    def test_every_table_the_memo_holds_equals_a_build_without_it(self, monkeypatch):
+        memo = counting.LRUCache(MEMO_RESIDUES, size=len)
+        monkeypatch.setattr(counting, "_value_counts_memo", memo)
+        rng = random.Random(29)
+        parts = [random_form(rng, m, 4, bound=3, homogeneous=h) for m in range(1, 5) for h in (True, False)]
+        forms = parts + [_join(G, const=3) for G in parts] + [_join(G, H) for G, H in zip(parts, parts[1:])]
+        series = [_join(*(IntPolynomial(1, {(4,): rng.choice([-3, -2, -1, 1, 2, 3])}) for _ in range(4)),
+                        IntPolynomial(2, {(4, 0): rng.randint(1, 3), (1, 3): rng.randint(1, 3)})) for _ in range(3)]
+        cases = [(F, q) for F in forms for q in PRIME_POWERS_TO_32] + [(B, q) for B in series for q in range(2, 13)]
+        for F, q in rng.sample(cases, len(cases)):  # orbit levels are built both before and after their own tables
+            value_counts(F, q)
+        for F, q in cases:
+            assert value_counts(F, q) is memo[F.n, frozenset(F.coeffs.items()), q]
+        assert len(memo) > len(cases) and memo.held == sum(map(len, memo.values())) < MEMO_RESIDUES
+        for (n, coeffs, q), table in memo.items():  # forms, blocks and orbit levels, each against a build with no memo
+            want = counting._value_counts(IntPolynomial(n, dict(coeffs)), q, counting.DEFAULT_BUDGET)
+            assert not table.flags.writeable and table.dtype == want.dtype and table.tolist() == want.tolist()
+
+    def test_local_factor_2_to_the_5_builds_no_level_twice(self, monkeypatch):
+        from quartic.circle import local_factor
+
+        F = parse_form("x1^4 + x1^3*x2 + x2^2*x3^2 + x1*x2*x3*x4 + x3*x4^3")
+        moduli = []
+        grid = counting._grid_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_grid_histogram", lambda G, axes, q: moduli.append(q) or grid(G, axes, q))
+        assert local_factor(F, 2, 5).identity_ok
+        # grids mod 2, 4 and 8, then four orbit passes mod 16 and mod 32: the orbit recursion reads each level below
+        assert moduli == [2, 4, 8, 16, 16, 16, 16, 32, 32, 32, 32]
+
+    def test_a_block_a_second_form_shares_is_not_built_again(self, monkeypatch):
+        built = []
+        grid = counting._grid_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_grid_histogram", lambda G, axes, q: built.append(G) or grid(G, axes, q))
+        shared = parse_form("x1^4 + x1*x2^3")
+        value_counts(parse_form("x1^4 + x1*x2^3 + 3*x3^4"), 25)
+        assert shared in built
+        built.clear()
+        F = parse_form("x1^4 + x1*x2^3 - 2*x3^4 + 3*x4^4 + 5")
+        assert value_counts(F, 25).tolist() == _reduce_every_product_histogram(F, 25).tolist()
+        assert built == [parse_form("-2*x1^4")]  # the blocks x1^4 + x1*x2^3 and 3*x^4 come from the memo
+        value_counts(parse_form("3*x1^4"), 25)  # a one-block form is its block
+        assert built == [parse_form("-2*x1^4")]
 
 
 class TestAuxiliaryCounts:

@@ -108,7 +108,7 @@ class TestEveryMultiplier:
         counting._value_counts_memo.clear()
         built = []
         real = counting._block_histogram
-        monkeypatch.setattr(counting, "_block_histogram", lambda G, q: built.append(q) or real(G, q))
+        monkeypatch.setattr(counting, "_block_histogram", lambda G, q, memo: built.append(q) or real(G, q, memo))
         for a in range(1, 22):
             complete_sum(F, a, 21)
         assert built == [3, 7]  # the table mod 21 is the CRT product of the tables mod 3 and mod 7

@@ -272,6 +272,15 @@ class TestGenSum:
             u, v = rng.randint(1, 30), rng.randint(1, 30)
             assert abs(gen_sum(F, w, 15, a=u, q=v)) <= s0 + 1e-12
 
+    def test_a_z_whose_phases_overflow_is_refused_before_any_pass(self, monkeypatch):
+        F, w, passes = parse_form("x1^4"), bump((0.0,), 1.0), []
+        monkeypatch.setattr(oscillatory, "grid_values", lambda *a, **kw: passes.append(a) or grid_values(*a, **kw))
+        for z in (1e308, -1e308, math.inf):  # z * 8^4 is past the largest float: the phases were NaN
+            with pytest.raises(BudgetExceeded):
+                gen_sum(F, w, 8, 1, 1, z=z)
+        assert passes == []
+        assert math.isfinite(abs(gen_sum(F, w, 8, 1, 1, z=1e300)))  # 8^4 * 1e300 is still a float
+
 
 class TestOscIntegral:
     def test_product_of_1d(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -204,9 +205,9 @@ def _prime_powers(R: float, cache: SeriesCache) -> list:
         raise PreconditionViolated(f"S(R) needs a finite R >= 0, got {R}")
     m = int(math.floor(R))
     u = max(math.ceil(m / math.log(m)) - len(cache.aq.keys() | cache.rho.keys()), 0) if m >= 17 else 0
-    if u * u > 2 * cache.budget:
-        raise BudgetExceeded(f"at least {u} uncached primes up to {m} cost over {u * u // 2} cells, "
-                             f"past budget {cache.budget}")
+    if u * u > 2 * cache.budget:  # the counts in scientific notation: an R near 1e300 has 600-digit bounds
+        raise BudgetExceeded(f"S(R) at R = {R:.6g} needs at least {Decimal(u):.3e} uncached primes, "
+                             f"over {Decimal(u * u // 2):.3e} cells, past budget {Decimal(cache.budget):.3e}")
     # p^e <= m needs e <= log2(m) / log2(p) <= m.bit_length() // (p.bit_length() - 1)
     tops = ((p, m.bit_length() // (p.bit_length() - 1)) for p in _primes_within(m, cache.budget))
     return [(p, p ** e) for p, top in tops for e in range(1, top + 1) if p ** e <= m]
@@ -451,19 +452,26 @@ def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
     """Nonsingular real zero on the unit sphere via sign change + bisection.
 
     The probes are the n unit vectors and then normalised Gaussian draws up
-    to `budget`, drawn in bulk by `_gauss_many`; F is evaluated at all of
-    them in one call on their columns.
+    to `budget`, drawn in bulk by `_gauss_many` only when the unit vectors show
+    neither a usable zero nor both signs; F is evaluated at all of them in one
+    call on their columns.  The first zero probe is the witness when grad F is
+    nonzero there, and otherwise the first positive and first negative probe
+    are bisected.
     """
     n = F.n
-    rng = random.Random(seed)
-    G = _gauss_many(rng, max(budget - n, 0) * n).reshape(-1, n)
-    # squares summed left to right, not pairwise, so each probe is the double it is when normalised alone
-    probes = np.vstack([np.eye(n), G / np.sqrt(sum(g * g for g in G.T))[:, None]])
-    vals = F.evaluate(list(probes.T)) + np.zeros(len(probes))  # a constant F gives a scalar
-    pos, neg, zero = (np.flatnonzero(hit)[:1] for hit in (vals > 0, vals < 0, vals == 0))
-    if len(zero) and any(F.gradient_at(probes[zero[0]].tolist())):
-        return True, tuple(probes[zero[0]].tolist())
-    if not len(pos) or not len(neg):
+    probes = np.eye(n)
+    for drawn in (False, True):
+        if drawn:
+            G = _gauss_many(random.Random(seed), max(budget - n, 0) * n).reshape(-1, n)
+            # squares summed left to right, not pairwise, so each probe is the double it is when normalised alone
+            probes = np.vstack([probes, G / np.sqrt(sum(g * g for g in G.T))[:, None]])
+        vals = F.evaluate(list(probes.T)) + np.zeros(len(probes))  # a constant F gives a scalar
+        pos, neg, zero = (np.flatnonzero(hit)[:1] for hit in (vals > 0, vals < 0, vals == 0))
+        if len(zero) and any(F.gradient_at(probes[zero[0]].tolist())):
+            return True, tuple(probes[zero[0]].tolist())
+        if len(pos) and len(neg):
+            break
+    else:
         return False, None
     # bisect along the great-circle-ish segment between the two probes
     xa, xb = tuple(probes[pos[0]].tolist()), tuple(probes[neg[0]].tolist())

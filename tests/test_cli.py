@@ -543,6 +543,15 @@ class TestBadInput:
         assert rc == 1 and captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    @pytest.mark.parametrize("command", ["series", "pipeline"])
+    def test_an_R_past_the_sieve_is_refused_in_one_short_line(self, command, capsys):
+        args = ["--R", "1e300"] if command == "series" else ["--P", "5", "--R-series", "1e300"]
+        rc = main([command, "--form-text", "x1^4-x2^4", *args, "--budget", "1000"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and len(captured.err.encode()) < 300
+        message = json.loads(captured.err)["message"]
+        assert "R = 1e+300" in message and "budget 1.000e+3" in message
+
     @pytest.mark.parametrize(
         "argv, error",
         [

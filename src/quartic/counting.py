@@ -307,7 +307,8 @@ def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None =
             dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
         out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
     out.flags.writeable = False
-    return out if memo is None else memo.store(key, out)  # a one-block F with no constant has its block's key
+    # a one-block F with no constant has its block's key, and its block's table is stored already
+    return out if memo is None or key in memo else memo.store(key, out)
 
 
 _value_counts_memo = LRUCache(MEMO_RESIDUES, size=len)

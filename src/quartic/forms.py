@@ -652,9 +652,7 @@ class LRUCache(OrderedDict):
         return value
 
     def store(self, key, value):
-        """Keep value at key in place of what it held, evicting the oldest entries past the bound; returns value."""
-        if key in self:
-            self.held -= self.size(self.pop(key))
+        """Keep value at a key not held yet, evicting the oldest entries past the bound; returns value."""
         size = self.size(value)
         if size <= self.bound:
             self[key] = value

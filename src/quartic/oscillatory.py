@@ -12,16 +12,11 @@ truncation affordable, and reads every T(a, q; v) from one residue pass.
 
 J(R) doubles a gamma rule that keeps its old nodes, and I(-gamma) = conj I(gamma)
 for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  J and
-I(gamma) factor over the blocks of F for a separable weight, and blocks with
-equal weights and polynomials equal up to sign share the table of the first.
-Every table of I(|gamma|), of a one-variable block, a larger block or the whole
-F on the direct path, lives in one process-wide memo (`_gamma_memo`, at most
-MEMO_GAMMAS stored |gamma|) as sorted arrays read by `searchsorted`.  Its key
-is the polynomial as given (sign and monomial order), the weight, the axis grid
-or every QuadratureConfig field, and R: a row of a batched table can change in
-its last bit with the batch it falls in, and R fixes the nodes of each
-doubling, so every |gamma| is computed in the batch a fresh process computes
-it in and a memo hit never changes J.  A one-variable table fills its phases
+I(gamma) factor over the blocks of F for a separable weight: the factored path
+keeps one table per block across doublings, and blocks with equal weights and
+polynomials equal up to sign share one; each table lives for one call of J.
+The batched rows of `_direct_gamma_table` take cos and sin once per distinct
+|F| on their grid.  A one-variable table fills its phases
 with the cos and sin of the real angles (`_phase_table`): bit for bit the complex
 exp of the recorded J reprs, in half its time.  The sine kernel
 (`singular_integral_sine`) keeps a loop of its own, the independent reference J is checked against;
@@ -32,8 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass, replace
-from functools import cache, reduce
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -44,7 +39,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expsums import _twisted_table, complete_sum
-from .forms import CubicData, IntPolynomial, LRUCache, _abs_bound, _grid_points, blocks, grid_values
+from .forms import CubicData, IntPolynomial, _abs_bound, _grid_points, blocks, grid_values
 from .weights import WeightSpec, lattice_ranges
 
 TWO_PI = 2.0 * math.pi
@@ -155,13 +150,21 @@ def _grad_bound(f: IntPolynomial, box_phys) -> list:
 
 
 def _phase_sums(gammas: np.ndarray, fv: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """sum_k wv[k] e(gamma fv[k]) for every gamma, about 2^20 phases at a time."""
+    """sum_k wv[k] e(gamma fv[k]) for every gamma, about 2^20 phases at a time.
+
+    cos and sin are taken once per distinct |fv| (a form odd or even under a
+    symmetry of the grid repeats them), as cos is even and sin odd bit for bit,
+    and read back with `take`, which keeps the rows in C order: `a[:, idx]`
+    gives a Fortran-order array, and BLAS sums it in another order.
+    """
     out = np.empty(len(gammas), dtype=complex)
     step = max(1, (1 << 20) // max(len(fv), 1))
+    u, at = np.unique(np.abs(fv), return_inverse=True)
+    ws = np.where(np.signbit(fv), -wv, wv)  # sin(-x) wv = sin(x) (-wv), bit for bit
     for s in range(0, len(gammas), step):
-        ph = np.outer(gammas[s:s + step], fv)
+        ph = np.outer(gammas[s:s + step], u)
         ph *= TWO_PI
-        out[s:s + step] = np.cos(ph) @ wv + 1j * (np.sin(ph) @ wv)
+        out[s:s + step] = np.cos(ph).take(at, axis=1) @ wv + 1j * (np.sin(ph).take(at, axis=1) @ ws)
     return out
 
 
@@ -265,81 +268,64 @@ def osc_integral(f: IntPolynomial, w: WeightSpec, z: float, beta, cfg: Quadratur
 # -- singular integral ------------------------------------------------------------------
 
 
-MEMO_GAMMAS = 1 << 18  # |gamma| values the gamma-table memo holds over all its tables (16 bytes of I each)
+def _by_abs_gamma(compute):
+    """gammas -> compute(gammas) for one call of J, memoised by |gamma| and conjugated where gamma < 0.
 
-_gamma_memo = LRUCache(MEMO_GAMMAS, size=lambda table: len(table[0]))
-
-
-class _GammaTable:
-    """|gamma| -> I(|gamma|) of one block: the table at `key` in `_gamma_memo`, |gamma| sorted and I at each.
-
-    compute(new) gives I at the |gamma| the table lacks, as one batch in
-    first-appearance order.  The grown table replaces the stored one, so the
-    memo's `held` counts every |gamma| it holds.
+    compute(new) gets the |gamma| not seen yet as one batch, in first-appearance
+    order; the memo is two arrays, |gamma| sorted and the value at each, read by
+    `searchsorted`.
     """
+    seen, vals = np.empty(0), np.empty(0, dtype=complex)
 
-    def __init__(self, key, compute):
-        self.key, self.compute = key, compute
-        self.g, self.v = _gamma_memo.lookup(key) or (np.empty(0), np.empty(0, dtype=complex))
-
-    def __call__(self, absg: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(self.g, absg)
-        new = absg[self.g[np.minimum(at, len(self.g) - 1)] != absg] if len(self.g) else absg
+    def table(gammas):
+        nonlocal seen, vals
+        absg = np.abs(gammas)
+        at = np.searchsorted(seen, absg)
+        new = absg[seen.take(at, mode="clip") != absg] if len(seen) else absg
         if len(new):
             new = new[np.sort(np.unique(new, return_index=True)[1])]
-            g, v = np.concatenate([self.g, new]), np.concatenate([self.v, self.compute(new)])
-            order = np.argsort(g, kind="stable")
-            self.g, self.v = _gamma_memo.store(self.key, (g[order], v[order]))
-            at = np.searchsorted(self.g, absg)
-        return self.v[at]
+            seen, vals = np.concatenate([seen, new]), np.concatenate([vals, compute(new)])
+            order = np.argsort(seen)
+            seen, vals = seen[order], vals[order]
+            at = np.searchsorted(seen, absg)
+        out = vals[at]
+        return np.where(gammas < 0, out.conj(), out)
 
-
-def _block_table(G: IntPolynomial, wb: WeightSpec, R: float, cfg: QuadratureConfig) -> _GammaTable:
-    """The |gamma| table of one block G with weight wb, for the gamma rule of the factored J(R).
-
-    A one-variable block gets an axis grid that depends on R only and fills its
-    rows with `_phase_table`; a larger block gets its `_direct_gamma_table` rows.
-    """
-    coeffs = tuple(G.coeffs.items())
-    if G.n > 1:
-        return _GammaTable(("block", coeffs, wb, astuple(cfg), R), lambda g: _direct_gamma_table(G, wb, g, cfg))
-    [(lo, hi)] = wb.support_box()
-    fv = [float(G.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
-    cycles = R * max(max(fv) - min(fv), _grad_bound(G, [(lo, hi)])[0] * (hi - lo))
-    N = max(_start_points(min(cycles, cfg.max_points_1d), cfg), 256)  # min: past the cap either way
-    if N > cfg.max_points_1d:
-        raise ToleranceNotMet(f"grid {(N,)} exceeded the cell budget before converging")
-
-    @cache
-    def nodes():  # F and the weight on the axis grid, built on the first miss only
-        xs = np.linspace(lo, hi, N + 1)
-        fv = np.array([float(G.evaluate([float(t)])) for t in xs])
-        return fv, _simpson_weights(lo, hi, N) * wb.separable_factors()[0](xs)
-
-    return _GammaTable(("axis", coeffs, wb, N, R), lambda g: _phase_table(g, nodes()[0]) @ nodes()[1])
+    return table
 
 
 def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureConfig):
-    """(const, tables, axes): I(gamma) = e(gamma const) prod over (s, t) in axes of tables[t] at s gamma, |gamma| <= R.
+    """(const, [(sign, table), ...]), I(gamma) = e(gamma const) prod table(sign gamma), |gamma| <= R.
 
-    Separable w, one table per block of F (`forms.blocks`), and blocks with equal
-    weights and polynomials equal up to sign share the table of the first of them
-    (s = -1 for the other sign).
+    Separable w, one table per block of F (`forms.blocks`).  A one-variable block
+    gets an axis grid that depends on R only; a larger block gets its
+    `_direct_gamma_table` rows.  The key of a table is the block's weight (centres
+    and box) and its polynomial up to sign.
     """
     if w.separable_factors() is None:
         raise PreconditionViolated("factored path needs separable w")
     const, parts = blocks(F)
     R = abs(float(R))
-    first, tables, axes = {}, [], []
+    shared, axes = {}, []
     for vars_, G in parts:
         wb = _block_weight(w, vars_)
         sign = -1 if G.coeffs and G.coeffs[min(G.coeffs)] < 0 else 1
-        twin = (wb, frozenset((e, sign * c) for e, c in G.coeffs.items()))
-        if twin not in first:
-            first[twin] = sign, len(tables)
-            tables.append(_block_table(G, wb, R, cfg))
-        axes.append((sign * first[twin][0], first[twin][1]))
-    return const, tables, axes
+        key = (wb, frozenset((e, sign * c) for e, c in G.coeffs.items()))
+        if key not in shared and len(vars_) > 1:
+            shared[key] = sign, _by_abs_gamma(lambda g, G=G, wb=wb: _direct_gamma_table(G, wb, g, cfg))
+        elif key not in shared:
+            [(lo, hi)] = wb.support_box()
+            fv = [float(G.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
+            cycles = R * max(max(fv) - min(fv), _grad_bound(G, [(lo, hi)])[0] * (hi - lo))
+            N = max(_start_points(min(cycles, cfg.max_points_1d), cfg), 256)  # min: past the cap either way
+            if N > cfg.max_points_1d:
+                raise ToleranceNotMet(f"grid {(N,)} exceeded the cell budget before converging")
+            xs = np.linspace(lo, hi, N + 1)
+            fv = np.array([float(G.evaluate([float(t)])) for t in xs])
+            wv = _simpson_weights(lo, hi, N) * wb.separable_factors()[0](xs)
+            shared[key] = sign, _by_abs_gamma(lambda g, fv=fv, wv=wv: _phase_table(g, fv) @ wv)
+        axes.append((sign * shared[key][0], shared[key][1]))
+    return const, axes
 
 
 def singular_integral(
@@ -360,13 +346,11 @@ def singular_integral(
         split = F.n == 1 or len(blocks(F)[1]) > 1
         method = "factored" if split and w.separable_factors() is not None else "direct"
     if method == "factored":
-        const, tables, axes = _factored_axes(F, w, R, cfg)
+        const, axes = _factored_axes(F, w, R, cfg)
 
-        def Iv(gammas):  # each distinct table looked up once per doubling
-            absg, flip = np.abs(gammas), {1: gammas < 0, -1: gammas > 0}  # s gamma < 0: the conjugate
-            vals = [table(absg) for table in tables]
+        def Iv(gammas):
             start = np.exp(2j * np.pi * np.outer(gammas, [const])).ravel()
-            return math.prod((np.where(flip[s], vals[t].conj(), vals[t]) for s, t in axes), start=start)
+            return math.prod((table(s * gammas) for s, table in axes), start=start)
 
         # the rule the recorded J reprs come from: 512 gamma nodes to start, tolerance at least 1e-12, max_cells nodes
         rule = replace(cfg, tolerance=max(cfg.tolerance, 1e-12), base_points=512, max_points_1d=cfg.max_cells)
@@ -375,13 +359,7 @@ def singular_integral(
             raise ToleranceNotMet("singular integral should be real")
         return J.real
     if method == "direct":
-        table = _GammaTable(
-            ("direct", tuple(F.coeffs.items()), w, astuple(cfg), float(R)), lambda g: _direct_gamma_table(F, w, g, cfg)
-        )
-
-        def fn(gammas):  # I(-gamma) = conj I(gamma)
-            vals = table(np.abs(gammas))
-            return np.where(gammas < 0, vals.conj(), vals)
+        fn = _by_abs_gamma(lambda gammas: _direct_gamma_table(F, w, gammas, cfg))
         return float(np.real(integrate_1d(fn, -R, R, cfg, cycles=R)))
     if method == "sine":
         return singular_integral_sine(F, w, R, cfg)

@@ -49,8 +49,6 @@ class WeightSpec:
     P: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(self.x0))  # hashable, as the gamma-table memo keys weights
-        object.__setattr__(self, "h", tuple(self.h))
         if self.kind in ("bump", "separable_bump"):
             if len(self.x0) != self.n:
                 raise DimensionMismatch("center length != n")

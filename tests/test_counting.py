@@ -479,11 +479,10 @@ class TestCrtTables:
         for t in random.Random(8).sample(range(q), 12):
             assert got[t] == sum(h4[s] * h4[(t - s) % q] for s in range(q))
 
-    def test_no_composite_modulus_reaches_the_grid(self, monkeypatch):
+    def test_no_composite_modulus_reaches_the_grid(self, monkeypatch, cold_memo):
         moduli = []
         grid = counting._grid_histogram
         monkeypatch.setattr(counting, "_grid_histogram", lambda G, axes, q: moduli.append(q) or grid(G, axes, q))
-        counting._value_counts_memo.clear()
         for text in ("x1^4 + 3*x1*x2^3 - 2*x2^4 + 5", "x1^3*x2 + x2*x3^3 + x3^4", "2*x1^4 - x2 + 1", "x1*x2 + x3"):
             F = parse_form(text)
             for q in (12, 77, 90, 210):

@@ -103,9 +103,8 @@ class TestEveryMultiplier:
             want = value_counts(_times(F8, a), q)
             assert got.dtype == want.dtype == object and got.tolist() == want.tolist()
 
-    def test_one_table_serves_every_a(self, monkeypatch):
+    def test_one_table_serves_every_a(self, monkeypatch, cold_memo):
         F = parse_form("x1^4 + 2*x1*x2*x3^2 + x2^3*x3 - 5*x3^4 + 11")  # one block
-        counting._value_counts_memo.clear()
         built = []
         real = counting._block_histogram
         monkeypatch.setattr(counting, "_block_histogram", lambda G, q, memo: built.append(q) or real(G, q, memo))

@@ -15,9 +15,10 @@ from quartic.errors import BudgetExceeded, DimensionMismatch, PreconditionViolat
 from quartic.forms import CubicData, _abs_bound, _grid_points, blocks, grid_values, parse_form
 from quartic.oscillatory import (
     QuadratureConfig,
-    _GammaTable,
+    _by_abs_gamma,
     _direct_gamma_table,
     _grad_bound,
+    _phase_sums,
     _phase_table,
     _simpson_1d,
     _simpson_weights,
@@ -468,20 +469,16 @@ class TestSineDoublings:
             assert np.linspace(lo, hi, 2 * N + 1)[::2].tobytes() == np.linspace(lo, hi, N + 1).tobytes()
 
 
-class TestGammaMemo:
-    def test_computes_only_new_abs_gammas(self, cold_memo):
+class TestByAbsGamma:
+    def test_computes_only_new_abs_gammas(self):
         calls = []
-        table = _GammaTable("key", lambda g: calls.append(g.tolist()) or g * (1 + 1j))
-        assert np.array_equal(table(np.array([2.0, 1.0, 2.0])), [2 + 2j, 1 + 1j, 2 + 2j])
-        assert np.array_equal(table(np.array([1.0, 3.0, 0.0, 3.0])), [1 + 1j, 3 + 3j, 0, 3 + 3j])
-        assert calls == [[2.0, 1.0], [3.0, 0.0]]  # each call computes its new |gamma| only, in first-appearance order
-        again = _GammaTable("key", lambda g: pytest.fail("a table the memo holds is computed again"))
-        assert np.array_equal(again(np.array([3.0, 0.0, 2.0])), [3 + 3j, 0, 2 + 2j])
-
-    def test_a_centre_given_as_a_list_is_a_key(self):
-        w = WeightSpec(kind="bump", n=2, x0=[0.5, 0.5], rho=0.2)
-        assert w == bump((0.5, 0.5), 0.2) and hash(w) == hash(bump((0.5, 0.5), 0.2))
-        assert singular_integral(parse_form("x1^4 - x2^4"), w, 2, method="direct") > 0
+        table = _by_abs_gamma(lambda g: calls.append(g.tolist()) or g * (1 + 1j))
+        assert np.array_equal(table(np.array([-2.0, 1.0, 2.0])), [2 - 2j, 1 + 1j, 2 + 2j])  # conj for gamma < 0
+        assert np.array_equal(table(np.array([1.0, -1.0])), [1 + 1j, 1 - 1j])
+        assert calls == [[2.0, 1.0]]  # the second call holds no new |gamma|
+        # new |gamma| below, between and above those held, one of them twice
+        assert np.array_equal(table(np.array([3.0, -2.0, 0.0, -3.0, 1.5])), [3 + 3j, 2 - 2j, 0, 3 - 3j, 1.5 + 1.5j])
+        assert calls == [[2.0, 1.0], [3.0, 0.0, 1.5]]  # in first-appearance order
 
     @pytest.mark.parametrize(
         "text, center, R, tables",
@@ -489,37 +486,13 @@ class TestGammaMemo:
          ("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4", (0.3, 0.4) * 4, 20, 4)],
         ids=["x1^4-x2^4", "F8"],
     )
-    def test_factored_J_builds_phase_tables_for_new_gammas_only(self, monkeypatch, cold_memo, text, center, R, tables):
+    def test_factored_J_builds_phase_tables_for_new_gammas_only(self, monkeypatch, text, center, R, tables):
         # the shared tables are called once per block and gamma rule; a call with no new |gamma| builds nothing
         built = []
         phase_table = oscillatory._phase_table
         monkeypatch.setattr(oscillatory, "_phase_table", lambda g, fv: built.append(len(g)) or phase_table(g, fv))
         singular_integral(parse_form(text), separable_bump(center, 0.2), R)
         assert len(built) == tables and all(built)
-
-    @pytest.mark.parametrize(
-        "text, w, method, spy, at",
-        [("x1^4 - x2^4", separable_bump((0.5, 0.5), 0.2), "auto", "_phase_table", 0),
-         ("x1^4 + x1*x2^3 - x3^4", separable_bump((0.5, 0.5, 0.5), 0.25), "auto", "_direct_gamma_table", 2),
-         ("x1^4 - x2^4", bump((0.5, 0.5), 0.2), "direct", "_direct_gamma_table", 2)],
-        ids=["axis", "block", "direct"],
-    )
-    def test_a_repeated_J_computes_no_gamma_and_another_R_its_own(
-        self, monkeypatch, cold_memo, text, w, method, spy, at
-    ):
-        F, cfg, seen = parse_form(text), QuadratureConfig(tolerance=1e-6), []
-        compute = getattr(oscillatory, spy)
-        monkeypatch.setattr(oscillatory, spy, lambda *args: seen.append(args[at].tolist()) or compute(*args))
-        J = singular_integral(F, w, 3, cfg=cfg, method=method)
-        assert seen
-        seen.clear()
-        assert repr(singular_integral(F, w, 3, cfg=cfg, method=method)) == repr(J) and not seen
-        singular_integral(F, w, 4, cfg=cfg, method=method)  # R = 4 puts nodes where R = 3 has none
-        fresh = list(seen)
-        seen.clear()
-        oscillatory._gamma_memo.clear()
-        singular_integral(F, w, 4, cfg=cfg, method=method)
-        assert fresh == seen  # every gamma of R = 4, in the batches of a fresh process
 
 
 class TestDirectGammaTable:
@@ -568,7 +541,7 @@ class TestDirectGammaTable:
         direct = singular_integral(F, w, R, method="direct")
         assert abs(direct - singular_integral_sine(F, w, R)) <= 2 * R * QuadratureConfig().tolerance
 
-    def test_each_gamma_is_computed_once(self, monkeypatch, cold_memo):
+    def test_each_gamma_is_computed_once(self, monkeypatch):
         seen = []
 
         def recording(F, w, gammas, cfg):
@@ -726,7 +699,6 @@ class TestQuadratureGuards:
 
 
 J_REPRS = Path(__file__).parent / "data" / "j_reprs.jsonl"
-J_RECORDS = [json.loads(line) for line in J_REPRS.read_text().splitlines()]
 
 
 def _oracle_weight(rec, n):
@@ -737,44 +709,17 @@ def _oracle_weight(rec, n):
     return getattr(weights, rec["weight"])(n)
 
 
-def _record_J(rec, F=None, R=None, tolerance=None):
-    """J of a j_reprs record, or of the form F at R under tolerance with the record's weight and method."""
-    F = parse_form(rec["form"]) if F is None else F
-    tolerance = tolerance or rec["tolerance"]
-    cfg = QuadratureConfig() if tolerance is None else QuadratureConfig(tolerance=tolerance)
-    return singular_integral(F, _oracle_weight(rec, F.n), rec["R"] if R is None else R, cfg=cfg, method=rec["method"])
-
-
 @pytest.mark.parametrize(
     "rec",
-    J_RECORDS,
+    [json.loads(line) for line in J_REPRS.read_text().splitlines()],
     ids=lambda rec: f"{rec['method']}-{rec['weight']}-n{rec['form'].count('x')}-R{rec['R']}-c{rec['center'] or ''}",
 )
 def test_singular_integral_keeps_its_recorded_repr(rec):
     """J(R) on the factored, direct and sine paths, bit for bit as recorded before the gamma memo."""
-    assert repr(_record_J(rec)) == rec["J"]
-
-
-def test_every_recorded_repr_on_a_cold_memo_and_after_every_other_record(cold_memo):
-    for rec in J_RECORDS:
-        oscillatory._gamma_memo.clear()
-        assert repr(_record_J(rec)) == rec["J"]
-    oscillatory._gamma_memo.clear()
-    for rec in J_RECORDS + J_RECORDS[::-1]:  # forward, then in reverse after all of them
-        assert repr(_record_J(rec)) == rec["J"]
-
-
-@pytest.mark.parametrize(
-    "rec", [rec for rec in J_RECORDS if rec["method"] != "sine"],
-    ids=lambda rec: f"{rec['method']}-{rec['weight']}-{rec['form']}-R{rec['R']}-c{rec['center'] or ''}",
-)
-def test_a_recorded_repr_after_J_of_the_same_blocks(rec, cold_memo):
-    """After J of -F, whose blocks have the other sign, at the record's R and another, and of F at another R and
-    under a looser tolerance, which needs no more doublings of the same tables."""
-    F, R = parse_form(rec["form"]), rec["R"]
-    for form, at, tolerance in ((-F, R, None), (-F, 2 * R, None), (F, 2 * R, None), (F, R, 1e-3)):
-        _record_J(rec, form, at, tolerance)
-    assert repr(_record_J(rec)) == rec["J"]
+    F = parse_form(rec["form"])
+    cfg = QuadratureConfig() if rec["tolerance"] is None else QuadratureConfig(tolerance=rec["tolerance"])
+    J = singular_integral(F, _oracle_weight(rec, F.n), rec["R"], cfg=cfg, method=rec["method"])
+    assert repr(J) == rec["J"]
 
 
 SINE_REPRS = Path(__file__).parent / "data" / "sine_reprs.jsonl"
@@ -808,4 +753,27 @@ def test_phase_table_is_the_complex_exp_bit_for_bit():
     g = np.concatenate([10.0 ** rng.uniform(-310, 7, 500) * rng.choice([-1.0, 1.0], 500), edge])
     f = np.concatenate([10.0 ** rng.uniform(-12, 4, 300) * rng.choice([-1.0, 1.0], 300), edge])
     got, want = _phase_table(g, f), np.exp(2j * np.pi * np.outer(g, f))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _phase_sums_plain(gammas, fv, wv):
+    """`_phase_sums` on the full phase matrices, in the same chunks of rows."""
+    out = np.empty(len(gammas), dtype=complex)
+    step = max(1, (1 << 20) // max(len(fv), 1))
+    for s in range(0, len(gammas), step):
+        ph = np.outer(gammas[s:s + step], fv)
+        ph *= 2.0 * math.pi
+        out[s:s + step] = np.cos(ph) @ wv + 1j * (np.sin(ph) @ wv)
+    return out
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["real-w", "complex-w"])
+def test_phase_sums_take_each_abs_value_once_bit_for_bit(twisted):
+    rng = np.random.default_rng(30)
+    base = rng.uniform(-2, 2, 700)
+    fv = np.concatenate([base, -base[:300], base[:200], [0.0, -0.0, 0.0]])  # repeats, both signs, both zeros
+    rng.shuffle(fv)
+    wv = rng.uniform(0.1, 1, len(fv)) * (np.exp(1j * rng.uniform(0, 6, len(fv))) if twisted else 1)
+    gammas = np.concatenate([rng.uniform(-40, 40, 1600), [0.0, -0.0]])  # 1602 rows of 1203 cells: two chunks
+    got, want = _phase_sums(gammas, fv, wv), _phase_sums_plain(gammas, fv, wv)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

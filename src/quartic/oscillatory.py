@@ -321,7 +321,7 @@ def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureCon
             if N > cfg.max_points_1d:
                 raise ToleranceNotMet(f"grid {(N,)} exceeded the cell budget before converging")
             xs = np.linspace(lo, hi, N + 1)
-            fv = np.array([float(G.evaluate([float(t)])) for t in xs])
+            fv = (G.evaluate([xs.astype(object)]) + np.zeros(N + 1)).astype(float)  # Python floats, as at a point
             wv = _simpson_weights(lo, hi, N) * wb.separable_factors()[0](xs)
             shared[key] = sign, _by_abs_gamma(lambda g, fv=fv, wv=wv: _phase_table(g, fv) @ wv)
         axes.append((sign * shared[key][0], shared[key][1]))

@@ -15,8 +15,8 @@ for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  J and
 I(gamma) factor over the blocks of F for a separable weight: the factored path
 keeps one table per block across doublings, and blocks with equal weights and
 polynomials equal up to sign share one; each table lives for one call of J.
-The batched rows of `_direct_gamma_table` take cos and sin once per distinct
-|F| on their grid.  A one-variable table fills its phases
+A large batch of `_direct_gamma_table` rows takes cos and sin once per
+distinct |F| on its grid when many values repeat.  A one-variable table fills its phases
 with the cos and sin of the real angles (`_phase_table`): bit for bit the complex
 exp of the recorded J reprs, in half its time.  The sine kernel
 (`singular_integral_sine`) keeps a loop of its own, the independent reference J is checked against;
@@ -152,19 +152,31 @@ def _grad_bound(f: IntPolynomial, box_phys) -> list:
 def _phase_sums(gammas: np.ndarray, fv: np.ndarray, wv: np.ndarray) -> np.ndarray:
     """sum_k wv[k] e(gamma fv[k]) for every gamma, about 2^20 phases at a time.
 
-    cos and sin are taken once per distinct |fv| (a form odd or even under a
-    symmetry of the grid repeats them), as cos is even and sin odd bit for bit,
-    and read back with `take`, which keeps the rows in C order: `a[:, idx]`
-    gives a Fortran-order array, and BLAS sums it in another order.
+    A batch of 16 or more gammas takes cos and sin once per distinct |fv| when
+    at most 3/4 of them are distinct, as for a form odd or even under a
+    symmetry of the grid: cos is even and sin odd, bit for bit.  Counting the
+    distinct |fv| costs about a tenth of a row of cos and sin, and reading
+    the values back about a fifth of what they cost, hence the two bounds.
+    `take` reads them back in C order; `a[:, idx]` gives a Fortran-order
+    array, which BLAS sums in another order.
     """
     out = np.empty(len(gammas), dtype=complex)
     step = max(1, (1 << 20) // max(len(fv), 1))
-    u, at = np.unique(np.abs(fv), return_inverse=True)
-    ws = np.where(np.signbit(fv), -wv, wv)  # sin(-x) wv = sin(x) (-wv), bit for bit
+    u, ws, cells = fv, wv, lambda table: table
+    if len(gammas) >= 16 and len(fv):
+        absf = np.abs(fv)
+        ascending = np.sort(absf)
+        if 4 * (1 + np.count_nonzero(ascending[1:] != ascending[:-1])) <= 3 * len(fv):
+            order = np.argsort(absf)
+            first = np.concatenate(([True], absf[order[1:]] != absf[order[:-1]]))
+            u, at = absf[order[first]], np.empty(len(fv), dtype=np.intp)
+            at[order] = np.cumsum(first) - 1
+            ws = np.where(np.signbit(fv), -wv, wv)  # sin(-x) wv = sin(x) (-wv), bit for bit
+            cells = lambda table: table.take(at, axis=1)  # noqa: E731
     for s in range(0, len(gammas), step):
         ph = np.outer(gammas[s:s + step], u)
         ph *= TWO_PI
-        out[s:s + step] = np.cos(ph).take(at, axis=1) @ wv + 1j * (np.sin(ph).take(at, axis=1) @ ws)
+        out[s:s + step] = cells(np.cos(ph)) @ wv + 1j * (cells(np.sin(ph)) @ ws)
     return out
 
 

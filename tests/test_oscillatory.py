@@ -768,12 +768,21 @@ def _phase_sums_plain(gammas, fv, wv):
 
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["real-w", "complex-w"])
-def test_phase_sums_take_each_abs_value_once_bit_for_bit(twisted):
+@pytest.mark.parametrize(
+    "distinct, negated, again, rows, shared",
+    [(300, 150, 250, 1602, True), (1000, 100, 0, 1602, False), (300, 150, 250, 15, False)],
+    ids=["repeats", "few-repeats", "few-rows"],
+)
+def test_phase_sums_take_each_abs_value_once_bit_for_bit(twisted, distinct, negated, again, rows, shared, monkeypatch):
     rng = np.random.default_rng(30)
-    base = rng.uniform(-2, 2, 700)
-    fv = np.concatenate([base, -base[:300], base[:200], [0.0, -0.0, 0.0]])  # repeats, both signs, both zeros
+    base = rng.uniform(-2, 2, distinct)
+    fv = np.concatenate([base, -base[:negated], base[:again], [0.0, -0.0, 0.0]])  # both zeros
     rng.shuffle(fv)
     wv = rng.uniform(0.1, 1, len(fv)) * (np.exp(1j * rng.uniform(0, 6, len(fv))) if twisted else 1)
-    gammas = np.concatenate([rng.uniform(-40, 40, 1600), [0.0, -0.0]])  # 1602 rows of 1203 cells: two chunks
-    got, want = _phase_sums(gammas, fv, wv), _phase_sums_plain(gammas, fv, wv)
+    gammas = np.concatenate([rng.uniform(-40, 40, rows - 2), [0.0, -0.0]])  # 1602 rows: two chunks
+    want = _phase_sums_plain(gammas, fv, wv)
+    widths, outer = [], np.outer
+    monkeypatch.setattr(np, "outer", lambda a, b: widths.append(len(b)) or outer(a, b))
+    got = _phase_sums(gammas, fv, wv)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert set(widths) == {distinct + 1 if shared else len(fv)}  # the distinct |fv|, zero included

@@ -6,8 +6,8 @@ separable weight, which joins the value distribution of one half of the
 blocks (`forms.blocks`) against the other half.  Both are exact; they agree
 wherever both run.  `value_counts` gives the value distribution of a
 polynomial mod q, which rho(q) here and the complete sums in `expsums` read;
-it convolves the value histograms of the blocks of F (`forms.blocks`), so a
-diagonal form costs n*q cells and n-1 convolutions of q^2 steps, not q^n;
+it convolves one histogram per class of `forms.block_classes`, its copies by
+squaring: a diagonal form costs <= n*q cells and n-1 q^2 joins, not q^n;
 a homogeneous block mod p^k may read its unit orbits instead of its grid,
 and the table mod a composite q is the product of its prime-power tables,
 each tiled to length q (CRT).  It is memoised per (F, q), so every S_{a,q}
@@ -27,7 +27,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, MitmNotApplicable, PreconditionViolated
-from .forms import IntPolynomial, LRUCache, _grid_points, _grid_slabs, _int64_safe, blocks, grid_values, sym_tensor
+from .forms import (IntPolynomial, LRUCache, _grid_points, _grid_slabs, _int64_safe, block_classes, blocks, grid_values,
+                    sym_tensor)
 from .geometry import primes_up_to
 from .weights import WeightSpec, box, lattice_ranges
 
@@ -247,35 +248,47 @@ def _block_histogram(G: IntPolynomial, q: int, memo: LRUCache | None = None) -> 
 def value_counts(F: IntPolynomial, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """N_q(r) = #{x mod q : F(x) = r mod q} for r in [0, q), exact.
 
-    Mod p^k: one histogram per distinct block polynomial of F (`forms.blocks`),
-    joined by cyclic convolution mod q and shifted by the constant term.  A
-    block walks its q^|b| grid, or, homogeneous, about q^|b|/phi(q) orbit
-    representatives, one gather of q cells per d-th power of a unit and the
-    table mod p^(k-1) when those are fewer (`_block_histogram`).  Mod q with
-    two or more prime factors: N_q(t) = prod_{p^e || q} N_{p^e}(t mod p^e),
-    each table mod p^e tiled q/p^e times.  The cost, sum_b q^|b| cells plus
-    q^2 multiply-adds for each block joined after the first, bounds either
-    path and is checked against `budget` before any allocation.  Counts stay
-    below q^n: int64 when n*log2(q) < 62, else Python ints.  Tables are
-    memoised per (F, q), at most MEMO_RESIDUES residues in all, and returned
-    read-only; the budget is checked on a hit as on a miss.  The memo also
-    holds, under the same kind of key, the int64 table of each block and of
-    each orbit level mod p^(k-1), ..., p, so a block that recurs in another
-    form or level is built once.  Polynomials that are read once (the twisted
-    sums of `expsums`) go to `_value_counts` without the memo, so they do not
-    evict the tables that are read again.
+    Mod p^k: one histogram h per class of `forms.block_classes`, h[-t mod q]
+    for a block -G, the copies of each sign joined by repeated squaring, all by
+    cyclic convolution mod q and shifted by the constant term.  A block walks
+    its q^|b| grid, or, homogeneous, about q^|b|/phi(q) orbit representatives,
+    one gather of q cells per d-th power of a unit and the table mod p^(k-1)
+    when those are fewer (`_block_histogram`).  Mod q with two or more prime
+    factors: N_q(t) = prod_{p^e || q} N_{p^e}(t mod p^e), each table mod p^e
+    tiled q/p^e times.  The price, sum_b q^|b| cells plus q^2 multiply-adds per
+    block after the first, bounds either path and is checked against `budget`
+    before any allocation.  Counts stay below q^n: int64 when n*log2(q) < 62,
+    else Python ints.  Tables are memoised per (F, q), at most MEMO_RESIDUES
+    residues in all, and returned read-only; the budget is checked on a hit as
+    on a miss.  The memo also holds, under the same kind of key, the int64 table
+    of each block and of each orbit level mod p^(k-1), ..., p, so a block that
+    recurs in another form or level is built once.  Polynomials that are read
+    once (the twisted sums of `expsums`) go to `_value_counts` without the
+    memo, so they do not evict tables read again.
     """
     return _value_counts(F, q, budget, _value_counts_memo)
 
 
 def _check_cost(parts, q: int, budget: int) -> int:
-    """The cost of the blocks `parts` of F in `value_counts` mod q; BudgetExceeded when it passes `budget`."""
+    """Cells of the k blocks `parts` plus (k-1)*q^2 for joins mod q, an upper bound; BudgetExceeded past `budget`."""
     if q >= 1 << 31:  # refused at any budget: residue products mod q would overflow int64
         raise BudgetExceeded(f"value tables mod {q} >= 2^31 are refused at any budget")
     cost = sum(q ** len(vars_) for vars_, _ in parts) + max(len(parts) - 1, 0) * q * q
     if cost > budget:
         raise BudgetExceeded(f"cost {cost} of the blocks of F mod {q} exceeds budget {budget}")
     return cost
+
+
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cyclic convolution mod q = len(a) of two residue tables: the linear one with its tail folded."""
+    full = np.convolve(a, b)
+    full[: len(a) - 1] += full[len(a):]
+    return full[: len(a)]
+
+
+def _cyclic_power(h: np.ndarray, k: int) -> np.ndarray:
+    """k >= 1 copies of h joined by squaring: floor(log2 k) + popcount(k) - 1 convolutions, none past k copies."""
+    return h if k == 1 else reduce(_cyclic_convolve, [_cyclic_power(h, k // 2)] * 2 + [h] * (k & 1))
 
 
 def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None = None) -> np.ndarray:
@@ -294,17 +307,12 @@ def _value_counts(F: IntPolynomial, q: int, budget: int, memo: LRUCache | None =
             rows = out.reshape(-1, p ** e)
             rows *= _value_counts(F, p ** e, budget, memo).astype(dt, copy=False)
     else:
-        dist = np.eye(1, q, dtype=dt)[0]  # no blocks: every value is the constant
-        hists = {}  # blocks with the same polynomial share one histogram
-        for i, (vars_, G) in enumerate(parts):
-            if G not in hists:
-                hists[G] = _block_histogram(G, q, memo).astype(dt, copy=False)
-            if i == 0:
-                dist = hists[G]
-                continue
-            full = np.convolve(dist, hists[G])
-            dist = full[:q]
-            dist[: q - 1] += full[q:]  # fold the tail: cyclic convolution mod q
+        factors = []  # per class: its table h to the number of its blocks +G, and h[-t] to the number of blocks -G
+        for members in block_classes(F)[1]:
+            h = _block_histogram(members[0][2], q, memo).astype(dt, copy=False)
+            count = [sign for _, sign, _ in members].count
+            factors += [_cyclic_power(h if s > 0 else h[-np.arange(q) % q], count(s)) for s in (1, -1) if count(s)]
+        dist = reduce(_cyclic_convolve, factors) if factors else np.eye(1, q, dtype=dt)[0]  # no blocks: the constant
         out = np.concatenate((dist[-const % q:], dist[:-const % q]))  # N(r) = dist[(r - const) mod q]
     out.flags.writeable = False
     # a one-block F with no constant has its block's key, and its block's table is stored already

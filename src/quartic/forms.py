@@ -7,8 +7,8 @@ stay in Z.  `grid_values` evaluates a polynomial on a whole Cartesian grid
 (mod m, over F_{p^k}, over Z, or in floating point) for the array-based
 layers, through the one body `_values_at` that other point sets use too;
 `_grid_slabs` cuts a grid into the bounded passes of every exact enumeration,
-`blocks` splits a polynomial into parts on disjoint sets of variables, and
-`LRUCache` is the bounded memo behind the module-level caches.
+`blocks` splits a polynomial into parts on disjoint sets of variables, which
+`block_classes` groups up to sign, and `LRUCache` bounds the module's caches.
 """
 
 from __future__ import annotations
@@ -459,6 +459,20 @@ def blocks(F: IntPolynomial):
             subs[first][tuple(e[i] for i in groups[first])] = c
     F._blocks = const, [(vars_, IntPolynomial(len(vars_), subs[first])) for first, vars_ in groups.items()]
     return F._blocks
+
+
+def block_classes(F: IntPolynomial, label=None):
+    """(const, [[(vars, sign, G), ...], ...]): the blocks of F (`blocks`) in classes equal up to sign and `label(vars)`.
+
+    Classes come in order of first block, members in block order.  Each block is sign * G, G the first member's own
+    polynomial; sign is that of the block's coefficient at min(G.coeffs) (+1 for 0), relative to the first member's.
+    """
+    classes = {}
+    for vars_, G in blocks(F)[1]:
+        sign = -1 if G.coeffs and G.coeffs[min(G.coeffs)] < 0 else 1
+        key = label(vars_) if label else None, frozenset((e, sign * c) for e, c in G.coeffs.items())
+        classes.setdefault(key, []).append((vars_, sign, G))
+    return blocks(F)[0], [[(vars_, sign * cls[0][1], cls[0][2]) for vars_, sign, _ in cls] for cls in classes.values()]
 
 
 # -- symmetric tensor ------------------------------------------------------------

@@ -13,8 +13,8 @@ truncation affordable, and reads every T(a, q; v) from one residue pass.
 J(R) doubles a gamma rule that keeps its old nodes, and I(-gamma) = conj I(gamma)
 for a real weight, so I(gamma) is computed once per |gamma|, bit for bit.  J and
 I(gamma) factor over the blocks of F for a separable weight: the factored path
-keeps one table per block across doublings, and blocks with equal weights and
-polynomials equal up to sign share one; each table lives for one call of J.
+keeps one table per class of `forms.block_classes` (blocks equal up to sign,
+with equal weights) across doublings; each table lives for one call of J.
 A large batch of `_direct_gamma_table` rows takes cos and sin once per
 distinct |F| on its grid when many values repeat.  A one-variable table fills its phases
 with the cos and sin of the real angles (`_phase_table`): bit for bit the complex
@@ -39,7 +39,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expsums import _twisted_table, complete_sum
-from .forms import CubicData, IntPolynomial, _abs_bound, _grid_points, blocks, grid_values
+from .forms import CubicData, IntPolynomial, _abs_bound, _grid_points, block_classes, blocks, grid_values
 from .weights import WeightSpec, lattice_ranges
 
 TWO_PI = 2.0 * math.pi
@@ -309,23 +309,21 @@ def _by_abs_gamma(compute):
 def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureConfig):
     """(const, [(sign, table), ...]), I(gamma) = e(gamma const) prod table(sign gamma), |gamma| <= R.
 
-    Separable w, one table per block of F (`forms.blocks`).  A one-variable block
-    gets an axis grid that depends on R only; a larger block gets its
-    `_direct_gamma_table` rows.  The key of a table is the block's weight (centres
-    and box) and its polynomial up to sign.
+    Separable w, one table per class of `forms.block_classes` labelled by block
+    weight (centres and box), listed once per block in block order.  A
+    one-variable class gets an axis grid that depends on R only; a larger one
+    gets its `_direct_gamma_table` rows.
     """
     if w.separable_factors() is None:
         raise PreconditionViolated("factored path needs separable w")
-    const, parts = blocks(F)
-    R = abs(float(R))
-    shared, axes = {}, []
-    for vars_, G in parts:
+    const, classes = block_classes(F, label=lambda vars_: _block_weight(w, vars_))
+    R, axes = abs(float(R)), []
+    for members in classes:
+        vars_, _, G = members[0]
         wb = _block_weight(w, vars_)
-        sign = -1 if G.coeffs and G.coeffs[min(G.coeffs)] < 0 else 1
-        key = (wb, frozenset((e, sign * c) for e, c in G.coeffs.items()))
-        if key not in shared and len(vars_) > 1:
-            shared[key] = sign, _by_abs_gamma(lambda g, G=G, wb=wb: _direct_gamma_table(G, wb, g, cfg))
-        elif key not in shared:
+        if len(vars_) > 1:
+            table = _by_abs_gamma(lambda g, G=G, wb=wb: _direct_gamma_table(G, wb, g, cfg))
+        else:
             [(lo, hi)] = wb.support_box()
             fv = [float(G.evaluate([float(t)])) for t in np.linspace(lo, hi, 2)]
             cycles = R * max(max(fv) - min(fv), _grad_bound(G, [(lo, hi)])[0] * (hi - lo))
@@ -335,9 +333,9 @@ def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureCon
             xs = np.linspace(lo, hi, N + 1)
             fv = (G.evaluate([xs.astype(object)]) + np.zeros(N + 1)).astype(float)  # Python floats, as at a point
             wv = _simpson_weights(lo, hi, N) * wb.separable_factors()[0](xs)
-            shared[key] = sign, _by_abs_gamma(lambda g, fv=fv, wv=wv: _phase_table(g, fv) @ wv)
-        axes.append((sign * shared[key][0], shared[key][1]))
-    return const, axes
+            table = _by_abs_gamma(lambda g, fv=fv, wv=wv: _phase_table(g, fv) @ wv)
+        axes += [(vars_, sign, table) for vars_, sign, _ in members]
+    return const, [(sign, table) for _, sign, table in sorted(axes, key=lambda a: a[0])]
 
 
 def singular_integral(

@@ -22,7 +22,7 @@ from quartic.counting import (
 )
 from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable, PreconditionViolated
 from quartic.geometry import primes_up_to
-from quartic.forms import IntPolynomial, _grid_slabs, grid_values, parse_form, sym_tensor, weyl_difference
+from quartic.forms import IntPolynomial, _grid_slabs, blocks, grid_values, parse_form, sym_tensor, weyl_difference
 from quartic.verify import random_form
 from quartic.weights import WeightSpec, box, bump, lattice_ranges, separable_bump, unit_box
 
@@ -596,6 +596,73 @@ class TestBlockTablesInTheMemo:
         value_counts(parse_form("3*x1^4"), 25)  # a one-block form is its block
         assert built == [parse_form("-2*x1^4")]
 
+
+
+F8 = parse_form("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4")
+N40 = parse_form(" + ".join(f"x{i}^4" for i in range(1, 21)) + " - " + " - ".join(f"x{i}^4" for i in range(21, 41)))
+
+
+def _block_grid_reference(F, q):
+    """N_q(r) from the grid histogram of each block of `forms.blocks` as it stands, joined by `_python_convolution`."""
+    const, parts = blocks(F)
+    hists = []
+    for _, G in parts:
+        h = np.bincount(grid_values(G, [np.arange(q)] * G.n, modulus=q).ravel(), minlength=q)
+        hists.append({r: int(c) for r, c in enumerate(h.tolist()) if c})
+    return _python_convolution(hists + [{const % q: 1}], q)
+
+
+def _signed_class_form(rng, const):
+    """A one-variable block a and a two-variable block B, each twice with each sign, shuffled after a first -a."""
+    a = IntPolynomial(1, {(4,): rng.randint(1, 3)})
+    B = IntPolynomial(2, {(4, 0): rng.choice([-3, -2, -1, 1, 2, 3]), (1, 3): rng.choice([-2, -1, 1, 2]),
+                          (2, 2): rng.randint(-3, 3)})
+    rest = [a, a, -a, B, B, -B, -B]
+    rng.shuffle(rest)
+    return _join(-a, *rest, const=const)
+
+
+class TestRepeatedAndNegatedBlocks:
+    """`value_counts` builds one table per class of blocks equal up to sign and joins its copies by squaring."""
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_32 + (6, 10, 12, 24, 30))
+    def test_matches_a_convolution_of_block_grid_histograms(self, q):
+        rng = random.Random(31)
+        for F in [F8, X1] + [_signed_class_form(rng, const) for const in (0, -7, 3)]:
+            got = value_counts(F, q)
+            assert got.dtype == np.int64 and got.tolist() == _block_grid_reference(F, q), (F, q)
+
+    @pytest.mark.parametrize("q", (8, 27))
+    def test_object_dtype_at_n_40(self, q):
+        assert 40 * math.log2(q) >= 62  # counts past int64: Python ints
+        got = value_counts(N40, q)
+        assert got.dtype == object and got.tolist() == _block_grid_reference(N40, q)
+
+    def test_f8_builds_one_block_table(self, monkeypatch):
+        built = []
+        grid = counting._grid_histogram
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_grid_histogram", lambda G, axes, q: built.append(G) or grid(G, axes, q))
+        value_counts(F8, 13)
+        assert built == [parse_form("x1^4")]  # -x^4 reads the table of x^4 at -t
+
+    def test_f8_takes_five_convolutions(self, monkeypatch):
+        calls = []
+        conv = counting._cyclic_convolve
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_cyclic_convolve", lambda a, b: calls.append(len(a)) or conv(a, b))
+        value_counts(F8, 13)
+        assert calls == [13] * 5  # four copies of each sign: two squarings each, then one join
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 7, 8, 12, 20))
+    def test_k_copies_take_log_many_convolutions(self, monkeypatch, k):
+        calls = []
+        conv = counting._cyclic_convolve
+        monkeypatch.setattr(counting, "_value_counts_memo", counting.LRUCache(MEMO_RESIDUES, size=len))
+        monkeypatch.setattr(counting, "_cyclic_convolve", lambda a, b: calls.append(len(a)) or conv(a, b))
+        F = _join(*[IntPolynomial(1, {(4,): 3})] * k, const=2)
+        assert value_counts(F, 7).tolist() == _block_grid_reference(F, 7)
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1  # floor(log2 k) + popcount(k) - 1
 
 class TestAuxiliaryCounts:
     def test_T_closed_form_n1(self):

@@ -24,6 +24,7 @@ from quartic.forms import (
     _grid_slabs,
     _int64_safe,
     _values_at,
+    block_classes,
     blocks,
     difference_cubic,
     grid_values,
@@ -681,3 +682,61 @@ class TestBlocks:
         assert list(G01.coeffs.items()) == [((1, 3), 1), ((4, 0), 1)]
         assert G2 == parse_form("x1^4") and G3 == G4 == IntPolynomial(1, {})
         assert blocks(IntPolynomial(0, {(): 3})) == (3, [])
+
+
+class TestBlockClasses:
+    @settings(deadline=None)
+    @given(block_forms(), st.booleans())
+    def test_classes_are_the_blocks_equal_up_to_sign(self, F, labelled):
+        # every block is sign * G with G its class's first member, and two blocks share a class exactly when they are
+        # equal up to sign (and share the label)
+        label = (lambda vars_: vars_[0] % 2) if labelled else None
+        const, parts = blocks(F)
+        got_const, classes = block_classes(F, label)
+        assert got_const == const
+        members = [m for cls in classes for m in cls]
+        assert sorted(vars_ for vars_, _, _ in members) == [vars_ for vars_, _ in parts]
+        block = dict(parts)
+        for cls in classes:
+            first_vars, first_sign, G = cls[0]
+            assert first_sign == 1 and G is block[first_vars]
+            assert [vars_ for vars_, _, _ in cls] == sorted(vars_ for vars_, _, _ in cls)
+            assert all(sign in (1, -1) and block[vars_] == sign * G and G2 is G for vars_, sign, G2 in cls)
+        assert [cls[0][0] for cls in classes] == sorted(cls[0][0] for cls in classes)
+        for i, cls in enumerate(classes):  # no two classes could be one
+            for other in classes[i + 1:]:
+                (a, _, G), (b, _, H) = cls[0], other[0]
+                assert not ((G == H or G == -H) and (label is None or label(a) == label(b)))
+
+    def test_members_in_block_order_with_the_first_members_polynomial(self):
+        F = parse_form("-2*x1^4 + x2^4 + x3*x4^3 + 3*x5^4 + 2*x6^4 - x7*x8^3 - x9^4 + 5")
+        const, classes = block_classes(F)
+        parts = dict(blocks(F)[1])
+        assert const == 5
+        assert [[(vars_, sign) for vars_, sign, _ in cls] for cls in classes] == [
+            [((0,), 1), ((5,), -1)], [((1,), 1), ((8,), -1)], [((2, 3), 1), ((6, 7), -1)], [((4,), 1)]]
+        assert [cls[0][2] for cls in classes] == [parse_form("-2*x1^4"), parse_form("x1^4"), parse_form("x1*x2^3"),
+                                                  parse_form("3*x1^4")]
+        assert all(G is parts[cls[0][0]] for cls in classes for _, _, G in cls)
+
+    def test_signs_are_relative_to_a_negative_first_member(self):
+        X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
+        assert block_classes(X1) == (0, [[((0,), 1, parse_form("4*x1^4"))], [((1,), 1, parse_form("9*x1^4"))],
+                                         [((2,), 1, parse_form("-8*x1^4")), ((3,), 1, parse_form("-8*x1^4"))]])
+        F = parse_form("-8*x1^4 + 8*x2^4 - 8*x3^4 + x4*x5^3 - x6*x7^3")
+        assert [[sign for _, sign, _ in cls] for cls in block_classes(F)[1]] == [[1, -1, 1], [1, -1]]
+
+    def test_label_splits_a_class(self):
+        F8 = parse_form("x1^4 + x2^4 + x3^4 + x4^4 - x5^4 - x6^4 - x7^4 - x8^4")
+        (one,) = block_classes(F8)[1]
+        assert [(vars_, sign) for vars_, sign, _ in one] == [((i,), 1 if i < 4 else -1) for i in range(8)]
+        even, odd = block_classes(F8, label=lambda vars_: vars_[0] % 2)[1]
+        assert [(vars_, sign) for vars_, sign, _ in even] == [((0,), 1), ((2,), 1), ((4,), -1), ((6,), -1)]
+        assert [(vars_, sign) for vars_, sign, _ in odd] == [((1,), 1), ((3,), 1), ((5,), -1), ((7,), -1)]
+
+    def test_zero_blocks_and_the_constant(self):
+        zero = IntPolynomial(1, {})
+        assert block_classes(parse_form("x1^4 + 7", n=3)) == (7, [[((0,), 1, parse_form("x1^4"))],
+                                                                  [((1,), 1, zero), ((2,), 1, zero)]])
+        assert block_classes(IntPolynomial(1, {(0,): -4})) == (-4, [[((0,), 1, zero)]])
+        assert block_classes(IntPolynomial(0, {(): 3})) == (3, [])

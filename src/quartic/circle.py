@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, _check_cost, factorint, solutions_mod_q, weighted_count
+from .counting import DEFAULT_BUDGET, _check_cost, factorint, primes_up_to, solutions_mod_q, weighted_count
 from .errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from .expsums import unit_sum_prime_power
 from .forms import IntPolynomial, _grid_points, _values_at, blocks
-from .geometry import _slabs, primes_up_to
+from .geometry import _slabs
 from .oscillatory import QuadratureConfig, singular_integral
 from .weights import WeightSpec
 
@@ -434,35 +434,23 @@ def local_witness(
     raise Inconclusive(f"no Hensel witness mod {p} within k <= {k_max}")
 
 
-def _gauss_many(rng: random.Random, count: int) -> np.ndarray:
-    """[rng.gauss(0, 1) for _ in range(count)] in bulk, rng left in the same state: Box-Muller pairs from random()
-    doubles of two Mersenne Twister words each, with log, cos and sin mapped through math (the same libm)."""
-    if rng.gauss_next is not None and count:  # the second value of a pair drawn before comes first
-        return np.concatenate([[rng.gauss(0, 1)], _gauss_many(rng, count - 1)])
-    m = (count + 1) // 2
-    w = np.frombuffer(rng.getrandbits(128 * m).to_bytes(16 * m, "little"), "<u4")
-    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)  # random()
-    x2pi, g2rad = u[0::2] * (2.0 * math.pi), np.sqrt(-2.0 * np.fromiter(map(math.log, 1.0 - u[1::2]), float, m))
-    z = np.stack([np.fromiter(map(f, x2pi), float, m) * g2rad for f in (math.cos, math.sin)], axis=1).ravel()
-    rng.gauss_next = float(z[-1]) if count % 2 else None
-    return z[:count] + 0.0  # gauss returns 0 + z: -0.0 becomes 0.0
-
-
 def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
     """Nonsingular real zero on the unit sphere via sign change + bisection.
 
     The probes are the n unit vectors and then normalised Gaussian draws up
-    to `budget`, drawn in bulk by `_gauss_many` only when the unit vectors show
+    to `budget`, drawn by `random.gauss` only when the unit vectors show
     neither a usable zero nor both signs; F is evaluated at all of them in one
     call on their columns.  The first zero probe is the witness when grad F is
     nonzero there, and otherwise the first positive and first negative probe
-    are bisected.
+    are bisected, up to 200 steps: a step that moves neither end is a fixed
+    point, so the bisection stops there with the bits the later steps would keep.
     """
     n = F.n
     probes = np.eye(n)
     for drawn in (False, True):
         if drawn:
-            G = _gauss_many(random.Random(seed), max(budget - n, 0) * n).reshape(-1, n)
+            rng = random.Random(seed)
+            G = np.array([rng.gauss(0, 1) for _ in range(max(budget - n, 0) * n)]).reshape(-1, n)
             # squares summed left to right, not pairwise, so each probe is the double it is when normalised alone
             probes = np.vstack([probes, G / np.sqrt(sum(g * g for g in G.T))[:, None]])
         vals = F.evaluate(list(probes.T)) + np.zeros(len(probes))  # a constant F gives a scalar
@@ -478,7 +466,7 @@ def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
     for _ in range(200):
         mid = tuple((a + b) / 2 for a, b in zip(xa, xb))
         v = float(F.evaluate(list(mid)))
-        if v == 0.0:
+        if v == 0.0 or mid == (xa if v > 0 else xb):
             break
         if v > 0:
             xa = mid

@@ -18,7 +18,6 @@ each orbit level, so forms that share a block build it once.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -29,7 +28,6 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, MitmNotApplicable, PreconditionViolated
 from .forms import (IntPolynomial, LRUCache, _grid_points, _grid_slabs, _int64_safe, block_classes, blocks, grid_values,
                     sym_tensor)
-from .geometry import primes_up_to
 from .weights import WeightSpec, box, lattice_ranges
 
 DEFAULT_BUDGET = 40_000_000
@@ -42,7 +40,6 @@ class CountResult:
     count: float  # exact int for indicator weights, float for smooth weights
     method: str
     P: float
-    elapsed: float
     meta: dict = field(default_factory=dict)
 
 
@@ -97,7 +94,6 @@ def weighted_count(
         raise DimensionMismatch("weight dimension != variable count")
     if not 0 < P < math.inf:
         raise PreconditionViolated(f"P must be positive and finite, got {P}")
-    t0 = time.time()
     ranges = lattice_ranges(w, P)
     cells = math.prod(max(b - a + 1, 0) for a, b in ranges)
     const, parts = blocks(F)
@@ -129,7 +125,7 @@ def weighted_count(
     else:
         raise ValueError(f"unknown method {method!r}")
     total = float(total) if w.smooth else int(round(total))
-    return CountResult(total, method, P, time.time() - t0, meta)
+    return CountResult(total, method, P, meta)
 
 
 def _nonzero_solution_count(F: IntPolynomial, P: int, budget: int) -> int:
@@ -151,7 +147,6 @@ def height_count(F: IntPolynomial, P: float, budget: int = DEFAULT_BUDGET) -> Co
     if not 1 <= P < math.inf:
         raise PreconditionViolated(f"projective heights need a finite P >= 1, got {P}")
     P = int(P)
-    t0 = time.time()
     mu = _mobius_sieve(P)
     cache = {}
     total = 0
@@ -167,10 +162,22 @@ def height_count(F: IntPolynomial, P: float, budget: int = DEFAULT_BUDGET) -> Co
     if total % 2:
         raise InvariantViolated(f"odd count {total}: nonzero primitive solutions come in +- pairs")
     method = _auto_method(F, blocks(F)[1], box(F.n), [(-P, P)] * F.n)  # the join that counted at height P
-    return CountResult(total // 2, "mobius+" + method, P, time.time() - t0, {"pm_classes": True})
+    return CountResult(total // 2, "mobius+" + method, P, {"pm_classes": True})
 
 
 # -- counts mod q ----------------------------------------------------------------
+
+
+def primes_up_to(n: int):
+    """The primes p <= n, by a sieve of Eratosthenes on slices."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
 
 
 @lru_cache(maxsize=1)

@@ -31,7 +31,6 @@ DEFAULT_BUDGET = 20_000_000
 class ExpSumValue:
     value: complex
     err: float
-    exact: int | None = None
     q: int = 0
     n: int = 0
 
@@ -81,7 +80,7 @@ def _sum(poly: IntPolynomial, a: int, q: int, v, method: str, budget: int) -> Ex
     """The direct sum, the CRT product, or (auto) direct when `value_counts` fits the budget."""
     _check_modulus(q)
     if q == 1:
-        return ExpSumValue(1.0 + 0j, 0.0, exact=1, q=1, n=poly.n)
+        return ExpSumValue(1.0 + 0j, 0.0, q=1, n=poly.n)
     if method not in ("auto", "direct", "crt"):
         raise ValueError(f"unknown method {method!r}")
     if method != "crt":
@@ -197,7 +196,6 @@ class ModulusFactorization:
     c: int
     d: int
     d0: int
-    prime_table: dict
     b_i: list = field(default_factory=list)
     d_i: list = field(default_factory=list)
     r_i: list = field(default_factory=list)
@@ -226,8 +224,7 @@ def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> Modul
     With s_map (p -> s_p) the classified tables b_i, d_i, r_i are filled for
     0 <= i <= n (r_i multiplies the p^e || bd with s_p = i-1).
     """
-    fac = factorint(q) if q > 1 else {}
-    parts = {p: (p ** e, 1) if e <= 2 else (1, p ** (e % 2)) for p, e in fac.items()}  # p -> (b part, d part)
+    parts = {p: (p ** e, 1) if e <= 2 else (1, p ** (e % 2)) for p, e in factorint(q).items()}  # p -> (b part, d part)
     b, d = math.prod(bp for bp, _ in parts.values()), math.prod(dp for _, dp in parts.values())
     c2 = q // (b * d)
     c = math.isqrt(c2)
@@ -235,7 +232,7 @@ def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> Modul
         raise InvariantViolated(f"c^2 = {c2} is not a square")
     cd = c // d
     d0 = math.prod(p for p, (_, dp) in parts.items() if dp > 1 and cd % p == 0 and cd % (p * p) != 0)
-    mf = ModulusFactorization(q=q, b=b, c=c, d=d, d0=d0, prime_table=dict(sorted(fac.items())))
+    mf = ModulusFactorization(q=q, b=b, c=c, d=d, d0=d0)
     if s_map is not None:
         if n is None:
             n = max((s + 1 for s in s_map.values()), default=0) + 1

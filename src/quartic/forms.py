@@ -95,13 +95,6 @@ class IntPolynomial:
     def homogeneous_part(self, d: int) -> "IntPolynomial":
         return IntPolynomial(self.n, {e: c for e, c in self.coeffs.items() if sum(e) == d})
 
-    def graded_parts(self):
-        """Dict degree -> homogeneous part (only nonzero parts)."""
-        out = {}
-        for e, c in self.coeffs.items():
-            out.setdefault(sum(e), {})[e] = c
-        return {d: IntPolynomial(self.n, m) for d, m in sorted(out.items())}
-
     def height(self) -> int:
         """Max modulus of the coefficients, read in the monomial basis."""
         return max((abs(c) for c in self.coeffs.values()), default=0)
@@ -575,27 +568,16 @@ def hessian_form_rows(g0: IntPolynomial):
 
 @dataclass(frozen=True)
 class CubicData:
-    """A polynomial of degree <= 3 with its graded parts g0 + f2 + f1 + f0."""
+    """A polynomial of degree <= 3 with its cubic part g0."""
 
     poly: IntPolynomial
     g0: IntPolynomial
-    f2: IntPolynomial
-    f1: IntPolynomial
-    f0: IntPolynomial
 
     @classmethod
     def from_poly(cls, g: IntPolynomial) -> "CubicData":
         if g.degree > 3:
             raise NotQuarticForm("CubicData needs degree <= 3")
-        z = IntPolynomial(g.n, {})
-        parts = g.graded_parts()
-        return cls(
-            poly=g,
-            g0=parts.get(3, z),
-            f2=parts.get(2, z),
-            f1=parts.get(1, z),
-            f0=parts.get(0, z),
-        )
+        return cls(poly=g, g0=g.homogeneous_part(3))
 
     @property
     def n(self) -> int:

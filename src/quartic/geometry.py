@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
+from .counting import factorint
 from .errors import (
     AmbiguousDimension,
     BudgetExceeded,
@@ -32,31 +32,6 @@ GF_CACHE_ENTRIES = 32  # GF's cache bound: a field counts 1, or 1 per 2^19 cells
 RANK_CACHE_ENTRIES = 1024  # (G, p, k) rank histograms kept by _rank_counts
 PROXY_PRIMES = (1009, 1013, 1019)
 BAND_CONSTANT = 4.0
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def primes_up_to(n: int):
-    """The primes p <= n, by a sieve of Eratosthenes on slices."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(n + 1) if sieve[p]]
 
 
 # -- finite fields -------------------------------------------------------------
@@ -114,7 +89,7 @@ class GF:
         hit = cls._cache.lookup(key)
         if hit is not None:
             return hit
-        if not is_prime(p):
+        if factorint(p) != {p: 1}:
             raise CompositeP(f"{p} is not prime")
         if k >= 2 and p ** k > cls.MAX_TABLE_Q:
             raise BudgetExceeded(
@@ -251,14 +226,7 @@ def _degrees(p: int, dim: int, kmax: int, budget: int) -> list:
     return ks
 
 
-@dataclass
-class DimEstimate:
-    dim: int
-    counts: dict
-    confident: bool
-
-
-def estimate_dim(counts: dict, p: int, C: float = BAND_CONSTANT, nmax: int = 64) -> DimEstimate:
+def estimate_dim(counts: dict, p: int, C: float = BAND_CONSTANT, nmax: int = 64) -> int:
     """Affine dimension from exact counts over F_{p^k}, k in counts.
 
     A set of dimension d over F_q should have between q^d/C and C*q^d points;
@@ -282,9 +250,7 @@ def estimate_dim(counts: dict, p: int, C: float = BAND_CONSTANT, nmax: int = 64)
             f"counts {counts} at p={p} leave candidate dimensions {sorted(candidates or ())}"
         )
     (d,) = candidates
-    # confident when some usable count came from a field with disjoint bands
-    confident = any(p ** k > C * C for k in counts) or d == -1
-    return DimEstimate(dim=d, counts=dict(counts), confident=confident)
+    return d
 
 
 def sing_dim(
@@ -302,7 +268,7 @@ def sing_dim(
     if p is None:
         vals = [sing_dim(G, q, kmax=1, budget=budget) for q in PROXY_PRIMES]
         return max(vals), "proxy"
-    if not is_prime(p):
+    if factorint(p) != {p: 1}:
         raise CompositeP(f"s_p needs a prime p, got {p}")
     n = G.n
     if not any(c % p for c in G.coeffs.values()):
@@ -314,8 +280,7 @@ def sing_dim(
               for k in _degrees(p, n - 1, kmax, budget)}
     if all(c == 0 for c in counts.values()):
         return -1
-    est = estimate_dim(counts, p, nmax=n - 2)
-    return min(est.dim, n - 2)
+    return min(estimate_dim(counts, p, nmax=n - 2), n - 2)
 
 
 # -- Hessian rank loci ---------------------------------------------------------
@@ -404,7 +369,7 @@ def hessian_rank_profile(
     Counts come from F_{p^k} for every k <= kmax that fits the budget; s_p is
     computed here unless the caller passes it.
     """
-    if not is_prime(p):
+    if factorint(p) != {p: 1}:
         raise CompositeP(f"Hessian rank loci need a prime p, got {p}")
     if p % 3 == 0:
         raise PreconditionViolated(f"Hessian rank loci need p prime to 3 (cubic forms), got p={p}")
@@ -414,7 +379,7 @@ def hessian_rank_profile(
     counts = {k: int(sum(_rank_counts(G, p, k, budget)[: min(r, n) + 1])) for k in _degrees(p, n, kmax, budget)}
     bound = min(n, r + s_p + 1)
     try:  # dim is None when the bands leave more than one candidate
-        dim = estimate_dim(counts, p, nmax=n).dim if any(counts.values()) else -1
+        dim = estimate_dim(counts, p, nmax=n) if any(counts.values()) else -1
     except AmbiguousDimension:
         dim = None
     return {

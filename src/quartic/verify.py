@@ -381,7 +381,10 @@ def prop_t2_bound(
     )
 
 
-# -- calibration sweeps -------------------------------------------------------------------------
+# -- the lemma sweeps behind `quartic verify` --------------------------------------------------
+#
+# Each takes (seed, trials) and returns the fields of its report; SWEEPS lists
+# them in the order `quartic verify --help` shows.
 
 
 def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n: int = 3) -> dict:
@@ -403,15 +406,8 @@ def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n:
                 sp = prof["s_p"]
                 worst = max(worst, prof["ratio"])
                 shape_ok &= prof["count"] <= 8.0 * p ** prof["bound"]
-    return {
-        "seed": seed,
-        "trials": trials,
-        "primes": list(primes),
-        "n": n,
-        "max_ratio_Tr": worst,
-        "max_ratio_Bs": worst,
-        "shape_ok": shape_ok,
-    }
+    return {"max_ratio_Tr": worst, "max_ratio_Bs": worst, "shape_ok": shape_ok,
+            "params": {"primes": list(primes), "n": n}}
 
 
 def davenport_sweep(seed: int = 7, trials: int = 100, n: int = 3, A: float = 10.0) -> dict:
@@ -423,13 +419,7 @@ def davenport_sweep(seed: int = 7, trials: int = 100, n: int = 3, A: float = 10.
         alpha = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         return davenport_shrink(L, A, 1.0, 0.5, 1.0, alpha=alpha).ratio
 
-    return {"seed": seed, "trials": trials, "n": n, "A": A} | _worst_ratio(seed, trials, trial)
-
-
-# -- the lemma sweeps behind `quartic verify` --------------------------------------------------
-#
-# Each takes (seed, trials) and returns the fields of its report; SWEEPS lists
-# them in the order `quartic verify --help` shows.
+    return _worst_ratio(seed, trials, trial) | {"params": {"n": n, "A": A}}
 
 
 def _worst_ratio(seed: int, trials: int, trial) -> dict:
@@ -439,18 +429,6 @@ def _worst_ratio(seed: int, trials: int, trial) -> dict:
     for _ in range(trials):
         worst = max(worst, trial(rng))
     return {"max_ratio": worst}
-
-
-def _davenport_report(seed: int, trials: int) -> dict:
-    out = davenport_sweep(seed=seed, trials=trials)
-    return {"max_ratio": out["max_ratio"], "params": {"n": out["n"], "A": out["A"]}}
-
-
-def _geometry_report(seed: int, trials: int) -> dict:
-    out = geometry_bound_sweep(seed=seed, trials=trials)
-    return {k: out[k] for k in ("max_ratio_Tr", "max_ratio_Bs", "shape_ok")} | {
-        "params": {"primes": out["primes"], "n": out["n"]}
-    }
 
 
 def _vdc_report(seed: int, trials: int) -> dict:
@@ -510,8 +488,8 @@ def _cubic_sum_trial(rng) -> float:
 
 
 SWEEPS = {
-    "davenport": _davenport_report,
-    "geometry": _geometry_report,
+    "davenport": davenport_sweep,
+    "geometry": geometry_bound_sweep,
     "vdc": _vdc_report,
     "weyl": functools.partial(_worst_ratio, trial=_weyl_trial),
     "filter": _filter_report,

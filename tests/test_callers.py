@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the library has a caller, or the README names it as library API."""
+"""Every public top-level function and class of the library has a caller, or the README names it as library API;
+every field of a public dataclass is read, or is listed with its reason."""
 
 import ast
 import re
@@ -82,3 +83,28 @@ def test_every_optional_parameter_is_set_by_some_caller():
                   if param != "budget" and f"{node.name}.{param}" not in OPTION_ALLOWLIST
                   and not any(_sets(call, param, pos) for call in mine)]
     assert unset == []
+
+
+# fields of public dataclasses that no code reads as `.field`, each kept because it says how a result was made
+FIELD_ALLOWLIST = {
+    "BoundReport.lemma_id": "the lemma a report checks",
+    "BoundReport.params": "the parameters a report was made at",
+    "CountResult.meta": "the sizes of the path that ran: cells enumerated, or the two sides of the mitm join",
+    "LocalFactor.K": "the depth p^K the identity was checked to",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Is `node` decorated by `@dataclass` or `@dataclass(...)`?"""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
+def test_every_dataclass_field_is_read_or_listed():
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{node.name}.{item.target.id}" for _, node in _public_definitions()
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert sorted(unread) == sorted(FIELD_ALLOWLIST)

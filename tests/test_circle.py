@@ -11,7 +11,6 @@ import pytest
 from quartic import circle, counting
 from quartic.circle import (
     SeriesCache,
-    _gauss_many,
     _randrange_many,
     _sampled_zeros,
     _val_p_many,
@@ -25,11 +24,10 @@ from quartic.circle import (
     real_point_probe,
     singular_series,
 )
-from quartic.counting import solutions_mod_q
+from quartic.counting import primes_up_to, solutions_mod_q
 from quartic.errors import ArcsOverlap, BudgetExceeded, DeltaOutOfRange, Inconclusive, PreconditionViolated
 from quartic.expsums import DEFAULT_BUDGET
 from quartic.forms import IntPolynomial, grid_values, parse_form
-from quartic.geometry import primes_up_to
 from quartic.verify import random_form
 
 X1 = parse_form("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4")
@@ -394,14 +392,18 @@ class TestBulkDraws:
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("seed", [1, 2, 5, 2 ** 40 + 3])
-    @pytest.mark.parametrize("count", [0, 1, 2, 7, 999, 7984])
-    def test_same_values_and_state_as_gauss(self, seed, count):
-        bulk, scalar = random.Random(seed), random.Random(seed)
-        assert _gauss_many(bulk, count).tolist() == [scalar.gauss(0, 1) for _ in range(count)]
-        assert bulk.getstate() == scalar.getstate() and bulk.gauss_next == scalar.gauss_next
-        # an odd count leaves one value pending: the next draws start from it
-        assert _gauss_many(bulk, 3).tolist() == [scalar.gauss(0, 1) for _ in range(3)]
-        assert bulk.getstate() == scalar.getstate() and bulk.gauss_next == scalar.gauss_next
+    @pytest.mark.parametrize("budget", [3, 4, 5, 8, 999, 2000])
+    def test_drawn_probes_are_the_gauss_stream(self, monkeypatch, seed, budget):
+        # definite, so every probe past the unit vectors is drawn; n = 3 leaves a Gaussian pending after odd counts
+        F, seen, evaluate = parse_form("x1^4 + x2^4 + x3^4"), [], IntPolynomial.evaluate
+        monkeypatch.setattr(IntPolynomial, "evaluate", lambda G, x: seen.append(np.column_stack(x)) or evaluate(G, x))
+        assert real_point_probe(F, budget=budget, seed=seed) == (False, None)
+        rng, expect = random.Random(seed), []
+        for _ in range(budget - F.n):
+            v = [rng.gauss(0, 1) for _ in range(F.n)]
+            norm = math.sqrt(sum(t * t for t in v))
+            expect.append([t / norm for t in v])
+        assert len(seen) == 2 and seen[1][F.n:].tolist() == expect  # bit for bit, probe by probe
 
     def test_budget_turns_the_grids_into_samples(self, monkeypatch):
         F = parse_form("10*x1^4 + 5*x2^4 - 5*x3^4 - 5*x4^4")
@@ -614,3 +616,12 @@ class TestAgainstOracles:
             new = real_point_probe(F, budget=budget, seed=seed)
             assert new == _real_point_probe_oracle(F, budget=budget, seed=seed)
             assert new[1] is None or all(type(t) is float for t in new[1])
+
+    def test_real_probe_stops_bisecting_at_its_fixed_point(self, monkeypatch):
+        # X1's unit vectors give the sign change; the 200-step oracle repeats one midpoint after about 60 steps
+        evaluate, calls = IntPolynomial.evaluate, []
+        monkeypatch.setattr(IntPolynomial, "evaluate", lambda G, x: calls.append(G is X1) or evaluate(G, x))
+        new = real_point_probe(X1)
+        monkeypatch.undo()
+        assert new == _real_point_probe_oracle(X1)
+        assert 0 < sum(calls) <= 64

@@ -88,6 +88,33 @@ class TestDispatch:
         rep = json.loads(out)
         assert rc == 0 and rep["calibration_ok"] is False
 
+    def test_a_written_calibration_is_read_back(self, capsys, tmp_path):
+        calib = tmp_path / "calib.json"
+        argv = ["verify", "geometry", "--trials", "1", "--calibration", str(calib)]
+        rc, out = run_cli(argv + ["--write-calibration"], capsys)
+        assert rc == 0 and json.loads(out)["calibration_written"] == str(calib)
+        entry = json.loads(calib.read_text())["geometry"]
+        assert list(entry) == ["lemma", "max_ratio_Bs", "max_ratio_Tr", "params", "seed", "shape_ok", "trials"]
+        assert entry["params"] == {"n": 3, "primes": [7, 11, 13]}
+        rc, out = run_cli(argv, capsys)
+        rep = json.loads(out)
+        assert rc == 0 and rep["calibration_ok"] is True and {k: rep[k] for k in entry} == entry
+
+    def test_no_subcommand_prints_the_help(self, capsys):
+        rc, out = run_cli([], capsys)
+        assert rc == 2 and out.startswith("usage: quartic")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--weight", "separable", "--rho", "0.5", "--P", "6"],
+         ["integral", "--weight", "separable", "--rho", "0.2", "--R", "2"]],
+        ids=["count", "integral"],
+    )
+    def test_one_center_stands_for_every_axis(self, argv, capsys):
+        argv = argv + ["--form-text", "x1^4-x2^4", "--center"]
+        rc, out = run_cli(argv + ["0.5"], capsys)
+        assert rc == 0 and (rc, out) == run_cli(argv + ["0.5,0.5"], capsys)
+
     def test_arcs_subcommand(self, capsys):
         rc, out = run_cli(["arcs", "--delta", "1.0", "--P", "16"], capsys)
         rep = json.loads(out)
@@ -447,6 +474,11 @@ class TestGeometryAnyN:
         argv = ["geometry", "--form-text", "x1^3+x2^3+x3^3"] + op
         rc, out = run_cli(argv, capsys)
         assert rc == 0 and (rc, out) == run_cli(argv + default, capsys)
+
+    def test_sing_dim_without_p_is_the_proxy(self, capsys):
+        rc, out = run_cli(["geometry", "--form-text", "x1^3+x2^3+x3^3", "--op", "sing-dim"], capsys)
+        rep = json.loads(out)
+        assert rc == 0 and (rep["s_proxy"], rep["tag"]) == (-1, "proxy") and "p" not in rep
 
 
 class TestBadInput:

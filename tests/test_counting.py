@@ -16,12 +16,12 @@ from quartic.counting import (
     auxiliary_counts,
     height_count,
     is_diagonal,
+    primes_up_to,
     solutions_mod_q,
     value_counts,
     weighted_count,
 )
 from quartic.errors import BudgetExceeded, InvariantViolated, MitmNotApplicable, PreconditionViolated
-from quartic.geometry import primes_up_to
 from quartic.forms import IntPolynomial, _grid_slabs, blocks, grid_values, parse_form, sym_tensor, weyl_difference
 from quartic.verify import random_form
 from quartic.weights import WeightSpec, box, bump, lattice_ranges, separable_bump, unit_box
@@ -873,6 +873,24 @@ class TestBudgets:
 
         with pytest.raises(BudgetExceeded):
             solutions_mod_q(parse_form("x1^3*x2 + x2^4"), 97, budget=100)
+
+    @staticmethod
+    def _no_work(*args, **kwargs):
+        raise AssertionError("a grid built past the budget check")
+
+    @pytest.mark.parametrize("kind, params", [("T", {"R": 2}), ("N", {"alpha": 0, "P": 2}),
+                                              ("S", {"alpha": Fraction(1, 7), "R": 2, "Q": 3})])
+    def test_auxiliary_enumeration_refused_before_the_grid(self, kind, params, monkeypatch):
+        # (2R + 1)^(3n) = 5^6 = 15625 triples for n = 2
+        monkeypatch.setattr(counting, "_grid_points", self._no_work)
+        with pytest.raises(BudgetExceeded, match="enumeration 15625 exceeds budget$"):
+            auxiliary_counts(parse_form("x1^4 + x1*x2^3"), kind, budget=15624, **params)
+
+    def test_mitm_past_int64_refused_before_the_grid(self, monkeypatch):
+        # x1^4 reaches 10^20 > 2^63 on the box of height 10^5
+        monkeypatch.setattr(counting, "grid_values", self._no_work)
+        with pytest.raises(BudgetExceeded, match="^mitm partial values overflow int64 at this height$"):
+            weighted_count(parse_form("x1^4 - x2^4"), box(2), 10 ** 5, method="mitm")
 
     @pytest.mark.parametrize("q", [1 << 31, 3 ** 20])
     def test_modulus_past_two_to_the_31_is_refused_at_any_budget(self, q):

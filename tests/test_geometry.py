@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quartic import geometry
+from quartic import counting, geometry
 from quartic.errors import (
     AmbiguousDimension,
     BudgetExceeded,
@@ -252,14 +252,25 @@ class TestCounting:
             got = count_points_ext([parse_form("x1*x2")], 3, k, "affine")
             assert got == 2 * q - 1
 
+    @pytest.mark.parametrize("mode, n", [("affine", 3), ("projective", 4)])
+    def test_grid_past_the_budget_raises_before_work(self, mode, n, monkeypatch):
+        # affine space walks 7^3 cells, projective space 7^3 in its largest chart: 343 do not fit a budget of 300
+        def no_work(*args):
+            raise AssertionError("a grid evaluated past the budget check")
+
+        monkeypatch.setattr(geometry, "_values_at", no_work)
+        F = IntPolynomial(n, {tuple(2 * (j == i) for j in range(n)): 1 for i in range(n)})
+        with pytest.raises(BudgetExceeded, match=r"^7\^3 = 343 grid cells exceeds budget 300$"):
+            count_points_ext([F], 7, 1, mode, budget=300)
+
 
 class TestDimEstimate:
     def test_basic(self):
-        assert estimate_dim({1: 9, 2: 81}, 3).dim == 2
+        assert estimate_dim({1: 9, 2: 81}, 3) == 2
 
     def test_zero_and_one(self):
-        assert estimate_dim({1: 0}, 3).dim == -1
-        assert estimate_dim({1: 1}, 3).dim == 0
+        assert estimate_dim({1: 0}, 3) == -1
+        assert estimate_dim({1: 1}, 3) == 0
 
     def test_ambiguous(self):
         # a count straddling two bands with no second extension degree
@@ -268,7 +279,7 @@ class TestDimEstimate:
 
     def test_two_degrees_pin_dimension(self):
         # the k=2 count removes the ambiguity the k=1 count leaves behind
-        assert estimate_dim({1: 12, 2: 100}, 3, C=2.0).dim == 2
+        assert estimate_dim({1: 12, 2: 100}, 3, C=2.0) == 2
 
     def test_inconsistent(self):
         with pytest.raises(AmbiguousDimension):
@@ -563,7 +574,7 @@ class TestErrorPaths:
 
 class TestBoundedCaches:
     def test_fields_past_the_bound(self):
-        primes = geometry.primes_up_to(400)[: GF_CACHE_ENTRIES + 5]
+        primes = counting.primes_up_to(400)[: GF_CACHE_ENTRIES + 5]
         for p in primes:
             GF(p)
         assert len(GF._cache) == GF_CACHE_ENTRIES

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quartic import geometry, oscillatory, verify
-from quartic.errors import DimensionMismatch, NotQuarticForm, PreconditionViolated
+from quartic.errors import BudgetExceeded, DimensionMismatch, NotQuarticForm, PreconditionViolated
 from quartic.forms import CubicData, difference_cubic, parse_form, sym_tensor
 from quartic.oscillatory import gen_sum
 from quartic.verify import (
@@ -53,6 +53,15 @@ class TestVdc:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             vdc_identity(parse_form("x1^4"), bump((0.0,), 1.0), 10, 11, Fraction(1, 3))
+
+    def test_budget_checked_before_the_grid(self, monkeypatch):
+        # P = 10, H = 3: 24 x 24 widened cells times 3^2 shifts is 5184 > 5000
+        def no_work(*args, **kwargs):
+            raise AssertionError("F evaluated past the budget check")
+
+        monkeypatch.setattr(verify, "grid_values", no_work)
+        with pytest.raises(BudgetExceeded, match="^vdc grid exceeds budget$"):
+            vdc_identity(parse_form("x1^4 - x2^4"), bump((0.0, 0.0), 1.0), 10, 3, Fraction(1, 7), budget=5000)
 
     @staticmethod
     def _per_shift(F, w, P, H, alpha):

@@ -364,7 +364,7 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
         raise ValueError(f"unknown auxiliary count kind {kind!r}")
     lim = (2 * R + 1) ** (3 * n)
     if lim > budget:
-        raise BudgetExceeded(f"{'T(R)' if kind == 'T' else kind} enumeration {lim} exceeds budget")
+        raise BudgetExceeded(f"{'T(R)' if kind == 'T' else kind} enumeration {lim} exceeds budget {budget}")
     # |L_i| <= R^3 sum_jkl |N_ijkl| <= the bound of 24 F on the box: past int64, exact Python ints
     dt = np.int64 if _int64_safe(T.reconstruct(), [(-R, R)] * n) else object
     V = _grid_points([np.arange(-R, R + 1)] * n).astype(dt)

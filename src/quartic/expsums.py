@@ -20,11 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import _check_cost, _value_counts, factorint, value_counts
+from .counting import DEFAULT_BUDGET, _check_cost, _value_counts, factorint, value_counts
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolated, NotCoprime, PreconditionViolated
 from .forms import CubicData, IntPolynomial, _grid_points, _grid_slabs, blocks, grid_values
-
-DEFAULT_BUDGET = 20_000_000
 
 
 @dataclass

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .counting import factorint
+from .counting import DEFAULT_BUDGET, factorint
 from .errors import (
     AmbiguousDimension,
     BudgetExceeded,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .forms import IntPolynomial, LRUCache, _grid_slabs, _values_at, hessian_form_rows
 
-DEFAULT_BUDGET = 20_000_000
 GF_CACHE_ENTRIES = 32  # GF's cache bound: a field counts 1, or 1 per 2^19 cells of its q x q tables
 RANK_CACHE_ENTRIES = 1024  # (G, p, k) rank histograms kept by _rank_counts
 PROXY_PRIMES = (1009, 1013, 1019)

@@ -32,6 +32,7 @@ from functools import reduce
 
 import numpy as np
 
+from .counting import DEFAULT_BUDGET
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -64,30 +65,29 @@ DEFAULT_CFG = QuadratureConfig()
 # -- lattice sums -----------------------------------------------------------------
 
 
-def _support_axes(w: WeightSpec, P: float, budget: int):
+def _lattice_box(poly: IntPolynomial, w: WeightSpec, P: float, z: float, budget: int):
+    """The ranges of the lattice box of w at P; refused past `budget` points or where z * poly overflows on it."""
     ranges = lattice_ranges(w, P)
-    cells = 1
-    for a, b in ranges:
-        cells *= max(b - a + 1, 0)
+    cells = math.prod(max(b - a + 1, 0) for a, b in ranges)
     if cells > budget:
         raise BudgetExceeded(f"{cells} lattice points exceed budget {budget}")
-    return [np.arange(a, b + 1, dtype=np.int64) for a, b in ranges]
+    bound = _abs_bound(poly.coeffs, ranges)  # |poly| <= bound on the lattice box
+    if bound > sys.float_info.max or not math.isfinite(z * bound):  # else the phases would be NaN
+        raise BudgetExceeded(f"the phases z * F at z={z} overflow a float on the lattice box at P={P}")
+    return ranges
 
 
 def gen_sum(
-    poly: IntPolynomial, w: WeightSpec, P: float, a: int, q: int, z: float = 0.0, budget: int = 4_000_000
+    poly: IntPolynomial, w: WeightSpec, P: float, a: int, q: int, z: float = 0.0, budget: int = DEFAULT_BUDGET
 ) -> complex:
     """S(alpha) = sum_x w(x/P) e(alpha poly(x)) at alpha = a/q + z.
 
     The rational part of the phase is computed from exact residues mod q.
-    BudgetExceeded, before any pass, when z * poly overflows a float on the lattice box.
+    The lattice box is checked (`_lattice_box`) before any pass.
     """
     if w.n != poly.n:
         raise DimensionMismatch("weight dimension != variable count")
-    axes = _support_axes(w, P, budget)
-    bound = _abs_bound(poly.coeffs, lattice_ranges(w, P))  # |poly| <= bound on the lattice box
-    if bound > sys.float_info.max or not math.isfinite(z * bound):  # else the phases would be NaN
-        raise BudgetExceeded(f"the phases z * F at z={z} overflow a float on the lattice box at P={P}")
+    axes = [np.arange(a0, b0 + 1, dtype=np.int64) for a0, b0 in _lattice_box(poly, w, P, z, budget)]
     wv = w.eval_grid([ax / P for ax in axes]).ravel()
     if not len(wv):
         return 0.0 + 0.0j
@@ -448,13 +448,14 @@ def poisson_check(
     q: int,
     z: float,
     v_cut: int | None = None,
-    budget: int = 4_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> PoissonReport:
     """Residual of T(a/q+z) = q^-n sum_v T(a,q;v) I(z; v/q) with truncation |v| <= v_cut.
 
     The I values for the whole v-box come from one zero-padded FFT per run on
-    a uniform grid of four points per cycle of v_cut/q and at most 2^25 cells;
-    the reported tail estimate is the boundary-shell mass.
+    a uniform grid of four points per cycle of v_cut/q; the reported tail
+    estimate is the boundary-shell mass.  The lattice box, the FFT grid and the
+    twisted table are each checked against `budget` before any pass.
     """
     poly = g.poly if isinstance(g, CubicData) else g
     n = poly.n
@@ -464,9 +465,7 @@ def poisson_check(
         raise PreconditionViolated(f"the Poisson check needs a finite P > 0 and a finite z, got P={P}, z={z}")
     if v_cut is not None and v_cut < 0:
         raise PreconditionViolated(f"the Poisson check needs v_cut >= 0, got {v_cut}")
-    Ttab = _twisted_table(poly, a, q, budget)  # refused at this budget before any other pass
-    lhs = gen_sum(poly, w, P, a=a, q=q, z=z, budget=budget)  # refuses a P whose lattice box is past the budget
-    mass = abs(gen_sum(poly, w, P, a=q, q=q, z=0.0, budget=budget))
+    _lattice_box(poly, w, P, z, budget)  # the box of both gen_sum passes, first: a huge P would overflow v_cut
     box_phys = [(lo * P, hi * P) for lo, hi in w.support_box()]
     if v_cut is None:
         v_cut = _default_v_cut(poly, q, z, box_phys)
@@ -480,8 +479,11 @@ def poisson_check(
         L = M * int(math.ceil(N / M))
         axes.append((lo, h, N, L))
         cells *= L
-    if cells > 1 << 25:
-        raise BudgetExceeded(f"FFT grid of {cells} cells exceeds {1 << 25}")
+    if cells > budget:
+        raise BudgetExceeded(f"FFT grid of {cells} cells exceeds budget {budget}")
+    Ttab = _twisted_table(poly, a, q, budget)  # checks its own cells before its pass
+    lhs = gen_sum(poly, w, P, a=a, q=q, z=z, budget=budget)
+    mass = abs(gen_sum(poly, w, P, a=q, q=q, z=0.0, budget=budget))
     grids = [lo + h * np.arange(N) for (lo, h, N, L) in axes]
     u = w.eval_grid([g / P for g in grids]) * np.exp(2j * np.pi * z * grid_values(poly, grids))
     U = np.fft.fftn(u, s=[L for (_, _, _, L) in axes], axes=list(range(n)))
@@ -528,7 +530,7 @@ def major_arc_model(
     q: int,
     z: float,
     cfg: QuadratureConfig = DEFAULT_CFG,
-    budget: int = 4_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """S(a/q+z) against the model q^-n P^n S_{a,q} I(z P^4)."""
     n = F.n

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .counting import _near_integer, factorint
+from .counting import DEFAULT_BUDGET, _near_integer, factorint
 from .errors import BudgetExceeded, NotQuarticForm, PreconditionViolated
 from .expsums import complete_sum, factor_bcd, kernel_count_mod
 from .forms import CubicData, IntPolynomial, SymTensor, _grid_points, _grid_slabs, grid_values
@@ -91,7 +91,7 @@ def _differenced_sums(F: IntPolynomial, w: WeightSpec, P: int, H: int, a: int, q
     return out
 
 
-def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget: int = 4_000_000) -> dict:
+def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact checks of the van der Corput kernel at (F, w, P, H, alpha).
 
     (i)   #H * S(alpha) equals the double sum over shifts (rearrangement), S and every
@@ -108,11 +108,10 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
     else:
         a, q, z = 0, 1, float(alpha)
     ranges = lattice_ranges(w, P)
-    cells = 1
-    for a0, b0 in ranges:
-        cells *= max(b0 - a0 + 1 + H, 0)
-    if cells * H ** n > budget:
-        raise BudgetExceeded("vdc grid exceeds budget")
+    cells = math.prod(max(b0 - a0 + 1 + H, 0) for a0, b0 in ranges)
+    work = max(cells, H ** n) * H ** n  # H^n shifted boxes of the widened grid; the H^2n pair tally fits in it
+    if work > budget:
+        raise BudgetExceeded(f"vdc work of {work} cells ({cells} widened, {H ** n} shifts) exceeds budget {budget}")
     # f on supp(w(./P)) widened by H - 1 below and H above holds the box of S and its shifts by h in 1..H; each is
     # read as a slice raveled in grid order, so every sum adds the terms of its own box in the same order
     axes = [np.arange(a0 - H + 1, b0 + H + 1, dtype=np.int64) for a0, b0 in ranges]
@@ -133,12 +132,10 @@ def vdc_identity(F: IntPolynomial, w: WeightSpec, P: int, H: int, alpha, budget:
         double_sum += fx.sum()
     resid_i = abs(H ** n * S - double_sum)
     # (ii) pair-difference counts: one tally of h1 - h2 over every pair, against prod_i (H - |h_i|)
-    pair_ok = True
-    if H ** (2 * n) <= 4096:
-        hs = np.indices((H,) * n).reshape(n, -1)  # the H^n shifts, less 1, one column each
-        diffs = np.ravel_multi_index((hs[:, :, None] - hs[:, None, :] + H).reshape(n, -1), (2 * H + 1,) * n)
-        direct = functools.reduce(np.multiply.outer, [H - np.abs(np.arange(-H, H + 1))] * n).ravel()
-        pair_ok = np.array_equal(np.bincount(diffs, minlength=direct.size), direct)
+    hs = np.indices((H,) * n).reshape(n, -1)  # the H^n shifts, less 1, one column each
+    diffs = np.ravel_multi_index((hs[:, :, None] - hs[:, None, :] + H).reshape(n, -1), (2 * H + 1,) * n)
+    direct = functools.reduce(np.multiply.outer, [H - np.abs(np.arange(-H, H + 1))] * n).ravel()
+    pair_ok = np.array_equal(np.bincount(diffs, minlength=direct.size), direct)
     # (iii) quadratic identity and the vdC bound
     lhs_quad = float((np.abs(inner) ** 2).sum())
     rhs_quad = 0.0 + 0j
@@ -178,8 +175,9 @@ def _trilinear_residue_histogram(F: IntPolynomial, P: int, qq: int):
     R = math.floor(P)
     ymult = np.bincount(np.arange(-R, R + 1) % qq, minlength=qq)
     ys = np.flatnonzero(ymult)  # the residues y_i takes
-    if (2 * R + 1) ** (2 * n) * len(ys) ** n > 300_000_000:
-        raise BudgetExceeded("weyl histogram too large")
+    cells, cap = (2 * R + 1) ** (2 * n) * len(ys) ** n, 300_000_000
+    if cells > cap:
+        raise BudgetExceeded(f"weyl histogram of {cells} cells exceeds its cap {cap}")
     T = SymTensor(n, {key: val % qq for key, val in sym_tensor(F).entries.items()})
     dt = np.int64 if n * n * qq ** 3 < 1 << 62 else object  # residue sums stay below n^2 qq^3
     V = _grid_points([np.arange(-R, R + 1)] * n).astype(dt) % qq
@@ -287,7 +285,7 @@ def _max_unit_sum(F: IntPolynomial, q: int, budget: int) -> float:
     return max(abs(complete_sum(F, a, q, budget=budget).value) for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
 
-def prime_power_bounds(kind: str, budget: int = 20_000_000, **kw) -> BoundReport:
+def prime_power_bounds(kind: str, budget: int = DEFAULT_BUDGET, **kw) -> BoundReport:
     """Observed constants for the complete-sum estimates.
 
     kind='deligne': f, p, j (j = 1 or 2); bound p^{j(n+1+s_p(f0))/2}.
@@ -343,7 +341,7 @@ def avs5_average(g0: IntPolynomial, m: int, R: float) -> BoundReport:
 
 
 def prop_t2_bound(
-    g: CubicData, w: WeightSpec, P: int, a: int, q: int, z: float, budget: int = 4_000_000
+    g: CubicData, w: WeightSpec, P: int, a: int, q: int, z: float, budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
     """|T(a/q+z)| against q^{-(n-eta)/2} (prod_{i>=eta} r_i^{(i-eta)/2}) P^n W^{n-eta}.
 
@@ -387,7 +385,7 @@ def prop_t2_bound(
 # them in the order `quartic verify --help` shows.
 
 
-def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n: int = 3) -> dict:
+def geometry_bound_sweep(seed: int, trials: int, primes=(7, 11, 13), n: int = 3) -> dict:
     """Max observed T_r and B_s ratios over a seeded sweep of cubic forms.
 
     For a cubic form B_s is the rank <= n - s locus of the Hessian and T_r
@@ -410,7 +408,7 @@ def geometry_bound_sweep(seed: int = 7, trials: int = 10, primes=(7, 11, 13), n:
             "params": {"primes": list(primes), "n": n}}
 
 
-def davenport_sweep(seed: int = 7, trials: int = 100, n: int = 3, A: float = 10.0) -> dict:
+def davenport_sweep(seed: int, trials: int, n: int = 3, A: float = 10.0) -> dict:
     def trial(rng):
         L = [[0] * n for _ in range(n)]
         for i in range(n):

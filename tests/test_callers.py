@@ -2,6 +2,7 @@
 every field of a public dataclass is read, or is listed with its reason."""
 
 import ast
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -47,6 +48,49 @@ def test_the_library_api_names_existing_definitions():
     defined = {node.name for _, node in _public_definitions()}
     assert _library_api() and _library_api() <= defined
 
+
+
+# defaulted `budget` parameters that count something other than enumeration cells
+BUDGET_ALLOWLIST = {
+    "real_point_probe": "its budget counts sign probes on the unit sphere, not cells",
+}
+
+
+def test_every_budget_defaults_to_the_one_default():
+    """A defaulted `budget` anywhere in the library is `DEFAULT_BUDGET`, which only `counting` assigns."""
+    assigned = [path.name for path in LIBRARY for node in TREES[path].body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "DEFAULT_BUDGET" for t in node.targets)]
+    assert assigned == ["counting.py"]
+    other = set()
+    for path in LIBRARY:
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args
+                defaults = dict(zip(args[len(args) - len(node.args.defaults):], node.args.defaults))
+                defaults |= {a: d for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None}
+                other |= {node.name for a, d in defaults.items()
+                          if a.arg == "budget" and getattr(d, "id", None) != "DEFAULT_BUDGET"}
+    assert other == set(BUDGET_ALLOWLIST)
+
+
+def test_the_library_and_the_cli_share_a_budget(capsys):
+    """The CLI passes `--budget`'s default to every call; the library's own default gives the same report."""
+    from quartic.cli import main
+    from quartic.expsums import complete_sum
+    from quartic.forms import parse_form
+    from quartic.geometry import hessian_rank_profile
+
+    # 289^3 rank cells fit 40M but not 20M
+    assert main(["geometry", "--op", "rank-profile", "--p", "17", "--r", "1", "--form-text", "x1^3+x2^3+x3^3"]) == 0
+    cli = json.loads(capsys.readouterr().out)
+    lib = json.loads(json.dumps(hessian_rank_profile(parse_form("x1^3+x2^3+x3^3"), 17, 1)))
+    assert lib["counts"] == {"1": 49, "2": 865}
+    assert {key: cli[key] for key in lib} == lib
+    # 4900^2 residue cells: the direct sum at 40M, the CRT product at 20M
+    assert main(["expsum", "--q", "4900", "--form-text", "x1^4 + 3*x1*x2^3 - 2*x2^4"]) == 0
+    cli = json.loads(capsys.readouterr().out)
+    s = complete_sum(parse_form("x1^4 + 3*x1*x2^3 - 2*x2^4"), 1, 4900)
+    assert (cli["re"], cli["im"], cli["err"]) == (s.value.real, s.value.imag, s.err)
 
 
 # optional parameters that only tests set, each kept on purpose

@@ -622,7 +622,7 @@ class TestPoisson:
             _twisted_table(g, 1, 7, 2400)
 
     def test_a_refused_table_costs_no_other_pass(self, monkeypatch):
-        # 120^4 table cells exceed the budget 4,000,000: refused before either gen_sum pass or the FFT
+        # 120^4 table cells exceed the default budget 40,000,000: refused before either gen_sum pass or the FFT
         def no_pass(*args, **kwargs):
             raise AssertionError("gen_sum ran before the table was checked")
 
@@ -631,6 +631,18 @@ class TestPoisson:
         g = CubicData.from_poly(parse_form("x1^3 + x2^3"))
         with pytest.raises(BudgetExceeded):
             poisson_check(g, bump((0.0, 0.0), 0.3), 30, 1, 120, 0.0)
+
+    def test_a_refused_fft_grid_costs_no_pass(self, monkeypatch):
+        # v_cut = 4q = 48, so h = 1/16 and 289 nodes across the support pad to 384 a side: 147,456 cells against
+        # 100,000, while the 19^2 lattice points and the 12^4 table cells fit
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the FFT grid was checked")
+
+        monkeypatch.setattr(oscillatory, "gen_sum", no_pass)
+        monkeypatch.setattr(oscillatory, "_twisted_table", no_pass)
+        g = CubicData.from_poly(parse_form("x1^3 + x2^3"))
+        with pytest.raises(BudgetExceeded, match="^FFT grid of 147456 cells exceeds budget 100000$"):
+            poisson_check(g, bump((0.0, 0.0), 0.3), 30, 1, 12, 0.0, budget=100_000)
 
     def test_classical_q1(self):
         g = CubicData.from_poly(parse_form("x1^3"))

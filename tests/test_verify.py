@@ -60,8 +60,23 @@ class TestVdc:
             raise AssertionError("F evaluated past the budget check")
 
         monkeypatch.setattr(verify, "grid_values", no_work)
-        with pytest.raises(BudgetExceeded, match="^vdc grid exceeds budget$"):
+        message = r"^vdc work of 5184 cells \(576 widened, 9 shifts\) exceeds budget 5000$"
+        with pytest.raises(BudgetExceeded, match=message):
             vdc_identity(parse_form("x1^4 - x2^4"), bump((0.0, 0.0), 1.0), 10, 3, Fraction(1, 7), budget=5000)
+
+    def test_pair_counts_checked_past_4096_pairs(self, monkeypatch):
+        # n = 1, H = 70: a tally of 70^2 = 4900 pairs (h1, h2), checked at every size the budget admits
+        F, w = parse_form("x1^4"), bump((0.0,), 1.0)
+        assert vdc_identity(F, w, 80, 70, Fraction(1, 7))["pair_counts_ok"]
+        real = np.bincount
+
+        def one_pair_too_many(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[0] += 1
+            return out
+
+        monkeypatch.setattr(np, "bincount", one_pair_too_many)
+        assert not vdc_identity(F, w, 80, 70, Fraction(1, 7))["pair_counts_ok"]
 
     @staticmethod
     def _per_shift(F, w, P, H, alpha):
@@ -249,6 +264,11 @@ class TestWeyl:
             for L in Ls:
                 want[tuple(t % qq for t in L)] += 1
             assert np.array_equal(verify._trilinear_residue_histogram(F, 1, qq), want)
+
+    def test_histogram_past_its_cap_names_the_cells(self):
+        # n = 2, P = 40: 81^4 (w, x) pairs times 7^2 residues of y
+        with pytest.raises(BudgetExceeded, match="^weyl histogram of 2109289329 cells exceeds its cap 300000000$"):
+            verify._trilinear_residue_histogram(parse_form("x1^4 - x2^4"), 40, 7)
 
 
 class TestDavenport:

@@ -35,12 +35,6 @@ class RationalApprox:
     z: Fraction
     alpha: Fraction
 
-    def check(self, Q: int) -> bool:
-        ok = 1 <= self.a <= self.q <= Q and math.gcd(self.a, self.q) == 1
-        ok &= abs(self.z) * self.q * Q <= 1
-        shift = self.alpha - (Fraction(self.a, self.q) + self.z)
-        return ok and shift.denominator == 1
-
 
 def _to_fraction(alpha) -> Fraction:
     if isinstance(alpha, Fraction):
@@ -299,6 +293,13 @@ def main_term_pipeline(
 
 
 GRID_CAP = 200_000  # `local_witness` walks the full grid mod p up to this many cells, and samples past it
+LIFT_CAP = 20_000  # rows `local_witness` keeps a Hensel level; level 1 reads at most 10 times as many grid zeros
+PROBES = 2000  # sign probes of `real_point_probe` on the unit sphere
+
+
+def _level_one_draws(p: int, n: int, budget: int) -> int:
+    """Points x mod p that `local_witness` draws at level 1: none while the grid mod p fits GRID_CAP and `budget`."""
+    return 60 * p if p ** n > min(GRID_CAP, budget) else 0
 
 
 def _randrange_many(rng: random.Random, p: int, count: int) -> np.ndarray:
@@ -350,10 +351,10 @@ def _val_p_many(a: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
-def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random, draws: int | None = None) -> list:
-    """Zeros of F mod p among `draws` (60 p) draws of x, first occurrences (_first_rows), 0 dropped; rng as a loop."""
+def _sampled_zeros(F: IntPolynomial, p: int, rng: random.Random, draws: int) -> list:
+    """Zeros of F mod p among `draws` draws of x, first occurrences (_first_rows), 0 dropped; rng as a loop."""
     n = F.n
-    X = _randrange_many(rng, p, (draws or 60 * p) * n).reshape(-1, n)
+    X = _randrange_many(rng, p, draws * n).reshape(-1, n)
     X = X[_first_rows(X)]
     X = X[X.any(axis=1)]
     zero = _values_at(F, list(X.T), p) == 0
@@ -364,7 +365,6 @@ def local_witness(
     F: IntPolynomial,
     p: int,
     k_max: int = 12,
-    cap: int = 20000,
     seed: int = 1,
     budget: int = DEFAULT_BUDGET,
 ):
@@ -375,24 +375,24 @@ def local_witness(
     and grad F exact up to the first row with v_p F > 2 min_i v_p dF/dx_i: the
     witness, since by Hensel's lemma it lifts to a p-adic zero of F (v_p(0)
     counts as 64 here).  Level 1 is the grid mod p while it fits GRID_CAP and
-    `budget`, read in slabs of x_n (x_1 fastest; its first 10 cap zeros,
+    `budget`, read in slabs of x_n (x_1 fastest; its first 10 LIFT_CAP zeros,
     counting 0), else the zeros of 60 p seeded draws, of which the first 8 p
     are read first from a copy of the generator; later levels are read in
     slices of 64, 256, ... rows.  Lifting needs no gradient: a point has
     v_p F >= 1 and some coordinate prime to p, so it fails only when grad F = 0
     mod p.  Then F(x + p^k d) = F(x) mod p^{k+1} for every d, and x lifts
     exactly when v_p F(x) > k, to x + p^k d for every d mod p (or 64 seeded d,
-    repeats dropped) up to `cap` rows.
+    repeats dropped) up to LIFT_CAP rows.
     """
     n = F.n
     rng = random.Random(seed * 1_000_003 + p)
 
-    def level_one(left=10 * cap):
-        if p ** n > min(GRID_CAP, budget):
+    def level_one(left=10 * LIFT_CAP):
+        if draws := _level_one_draws(p, n, budget):
             clone = random.Random()
             clone.setstate(rng.getstate())
             yield (head := np.array(_sampled_zeros(F, p, clone, 8 * p), dtype=np.int64).reshape(-1, n))
-            yield np.array(_sampled_zeros(F, p, rng), dtype=np.int64).reshape(-1, n)[len(head):]
+            yield np.array(_sampled_zeros(F, p, rng, draws), dtype=np.int64).reshape(-1, n)[len(head):]
             return
         for coords in _slabs(p, n, budget, max(p ** (n - 1), 1024)):  # the grid's flat order, x_1 fastest
             zero = _values_at(F, coords, p) == 0
@@ -417,15 +417,15 @@ def local_witness(
         # Python ints once the next level's coordinates pass int64
         X, pk = X[vF > k].astype(object if p ** (k + 1) >= 1 << 63 else X.dtype), p ** k
         if grid is not None:
-            rows = np.arange(min(cap, len(X) * len(grid)))
+            rows = np.arange(min(LIFT_CAP, len(X) * len(grid)))
             X = X[rows // len(grid)] + pk * grid[rows % len(grid)].astype(X.dtype)
         else:
             lifts, first = [], 0
-            while (got := sum(map(len, lifts))) < cap and first < len(X):
-                reach = min(-(-(cap - got) // 64), len(X) - first)  # at most 64 lifts a row: each of them draws
+            while (got := sum(map(len, lifts))) < LIFT_CAP and first < len(X):
+                reach = min(-(-(LIFT_CAP - got) // 64), len(X) - first)  # at most 64 lifts a row: each of them draws
                 owner = np.repeat(np.arange(first, first + reach), 64)
                 d = _randrange_many(rng, p, 64 * n * reach).reshape(-1, n)
-                keep = _first_rows(np.column_stack([owner, d]))[: cap - got]
+                keep = _first_rows(np.column_stack([owner, d]))[: LIFT_CAP - got]
                 lifts.append(X[owner[keep]] + pk * d[keep].astype(X.dtype))
                 first += reach
             X = np.concatenate(lifts or [X])
@@ -434,11 +434,11 @@ def local_witness(
     raise Inconclusive(f"no Hensel witness mod {p} within k <= {k_max}")
 
 
-def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
+def real_point_probe(F: IntPolynomial, seed: int = 1):
     """Nonsingular real zero on the unit sphere via sign change + bisection.
 
     The probes are the n unit vectors and then normalised Gaussian draws up
-    to `budget`, drawn by `random.gauss` only when the unit vectors show
+    to PROBES, drawn by `random.gauss` only when the unit vectors show
     neither a usable zero nor both signs; F is evaluated at all of them in one
     call on their columns.  The first zero probe is the witness when grad F is
     nonzero there, and otherwise the first positive and first negative probe
@@ -450,7 +450,7 @@ def real_point_probe(F: IntPolynomial, budget: int = 2000, seed: int = 1):
     for drawn in (False, True):
         if drawn:
             rng = random.Random(seed)
-            G = np.array([rng.gauss(0, 1) for _ in range(max(budget - n, 0) * n)]).reshape(-1, n)
+            G = np.array([rng.gauss(0, 1) for _ in range(max(PROBES - n, 0) * n)]).reshape(-1, n)
             # squares summed left to right, not pairwise, so each probe is the double it is when normalised alone
             probes = np.vstack([probes, G / np.sqrt(sum(g * g for g in G.T))[:, None]])
         vals = F.evaluate(list(probes.T)) + np.zeros(len(probes))  # a constant F gives a scalar
@@ -489,7 +489,7 @@ def hasse_report(
     if p_max < 2 or k_max < 1:
         raise PreconditionViolated(f"the Hasse report needs p_max >= 2 and k_max >= 1, got {p_max} and {k_max}")
     primes = _primes_within(p_max, budget)
-    drawn = sum(60 * p * F.n for p in primes if p ** F.n > min(GRID_CAP, budget))  # residues sampled past the cap
+    drawn = sum(_level_one_draws(p, F.n, budget) * F.n for p in primes)  # residues sampled past the grid cap
     if drawn > budget:
         raise BudgetExceeded(f"{drawn} residues drawn past the grid cap up to p = {p_max} exceed budget {budget}")
     real_ok, real_witness = real_point_probe(F, seed=seed)

@@ -147,6 +147,8 @@ def height_count(F: IntPolynomial, P: float, budget: int = DEFAULT_BUDGET) -> Co
     if not 1 <= P < math.inf:
         raise PreconditionViolated(f"projective heights need a finite P >= 1, got {P}")
     P = int(P)
+    if P + 1 > budget:  # the join at m = P holds at least 2P + 1 cells anyway
+        raise BudgetExceeded(f"a Mobius sieve of {P + 1} cells exceeds budget {budget}")
     mu = _mobius_sieve(P)
     cache = {}
     total = 0
@@ -344,7 +346,7 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
     """T(R), N(alpha, P) and S(R, Q) for the trilinear system of F.
 
     T(R): triples (w,x,y) in [-R,R]^{3n} with all L_i(w;x;y) = 0.
-    N(alpha,P): |w|,|x|,|y| <= c*P with ||alpha L_i|| < 1/P for all i.
+    N(alpha,P): |w|,|x|,|y| <= P with ||alpha L_i|| < 1/P for all i.
     S(R,Q): |w|,|x|,|y| <= R with ||alpha L_i|| < 1/Q for all i.
     alpha is a rational; the tests ||alpha L_i|| < theta are exact integer
     comparisons (`_near_integer`).  One pass over slabs of (w, x) pairs
@@ -355,7 +357,7 @@ def auxiliary_counts(F: IntPolynomial, kind: str, budget: int = DEFAULT_BUDGET, 
     if kind == "T":
         R, alpha = int(params["R"]), None
     elif kind == "N":
-        R = int(math.floor(params.get("c", 1.0) * params["P"]))
+        R = int(math.floor(params["P"]))
         alpha, theta = Fraction(params["alpha"]), Fraction(1, int(params["P"]))
     elif kind == "S":
         R = int(params["R"])

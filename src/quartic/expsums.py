@@ -15,7 +15,7 @@ integers: A_{p^k} is read from the one distribution mod p^k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -193,34 +193,15 @@ class ModulusFactorization:
     b: int
     c: int
     d: int
-    d0: int
-    b_i: list = field(default_factory=list)
-    d_i: list = field(default_factory=list)
-    r_i: list = field(default_factory=list)
-
-    def verify(self) -> bool:
-        ok = self.q == self.b * self.c ** 2 * self.d
-        ok &= math.gcd(self.b, self.c ** 2 * self.d) == 1
-        ok &= self.c % self.d == 0
-        ok &= self.d % self.d0 == 0
-        ok &= _is_squarefull(self.c // (self.d * self.d0))
-        if self.r_i:
-            ok &= math.prod(self.r_i) == self.b * self.d
-            ok &= all(self.r_i[i] == self.b_i[i] * self.d_i[i] for i in range(len(self.r_i)))
-        return ok
+    r_i: list  # r_i multiplies the p^e || bd with s_p = i - 1, for 0 <= i <= n
 
 
-def _is_squarefull(m: int) -> bool:
-    return all(e >= 2 for e in factorint(m).values()) if m > 1 else True
+def factor_bcd(q: int, s_map: dict, n: int) -> ModulusFactorization:
+    """Write q = b c^2 d with b the small-exponent part and d the odd-exponent tail, and classify bd by s_p.
 
-
-def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> ModulusFactorization:
-    """Write q = b c^2 d with b the small-exponent part and d the odd-exponent tail.
-
-    b collects p^e with e <= 2, d the primes with odd e >= 3, and c^2 the rest;
-    d divides c and there is a least divisor d0 of d with c/(d*d0) square-full.
-    With s_map (p -> s_p) the classified tables b_i, d_i, r_i are filled for
-    0 <= i <= n (r_i multiplies the p^e || bd with s_p = i-1).
+    b collects p^e with e <= 2, d the primes with odd e >= 3, and c^2 the rest,
+    so d divides c.  r_i multiplies the p^e || bd with s_p = i - 1 (s_map maps
+    p to s_p) for 0 <= i <= n.
     """
     parts = {p: (p ** e, 1) if e <= 2 else (1, p ** (e % 2)) for p, e in factorint(q).items()}  # p -> (b part, d part)
     b, d = math.prod(bp for bp, _ in parts.values()), math.prod(dp for _, dp in parts.values())
@@ -228,17 +209,8 @@ def factor_bcd(q: int, s_map: dict | None = None, n: int | None = None) -> Modul
     c = math.isqrt(c2)
     if c * c != c2:
         raise InvariantViolated(f"c^2 = {c2} is not a square")
-    cd = c // d
-    d0 = math.prod(p for p, (_, dp) in parts.items() if dp > 1 and cd % p == 0 and cd % (p * p) != 0)
-    mf = ModulusFactorization(q=q, b=b, c=c, d=d, d0=d0)
-    if s_map is not None:
-        if n is None:
-            n = max((s + 1 for s in s_map.values()), default=0) + 1
-        classes = [[parts[p] for p in parts if s_map.get(p) == i - 1] for i in range(n + 1)]
-        mf.b_i = [math.prod(bp for bp, _ in cls) for cls in classes]
-        mf.d_i = [math.prod(dp for _, dp in cls) for cls in classes]
-        mf.r_i = [bi * di for bi, di in zip(mf.b_i, mf.d_i)]
-    return mf
+    r_i = [math.prod(bp * dp for p, (bp, dp) in parts.items() if s_map.get(p) == i - 1) for i in range(n + 1)]
+    return ModulusFactorization(q=q, b=b, c=c, d=d, r_i=r_i)
 
 
 # -- multiplicativity check -------------------------------------------------------

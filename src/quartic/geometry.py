@@ -225,10 +225,10 @@ def _degrees(p: int, dim: int, kmax: int, budget: int) -> list:
     return ks
 
 
-def estimate_dim(counts: dict, p: int, C: float = BAND_CONSTANT, nmax: int = 64) -> int:
+def estimate_dim(counts: dict, p: int, nmax: int = 64) -> int:
     """Affine dimension from exact counts over F_{p^k}, k in counts.
 
-    A set of dimension d over F_q should have between q^d/C and C*q^d points;
+    A set of dimension d over F_q should have between q^d/C and C*q^d points, C = BAND_CONSTANT;
     the returned dimension is the unique d consistent with every count
     (count 0 forces d = -1, count 1 forces d = 0 for cones through 0).
     """
@@ -242,7 +242,7 @@ def estimate_dim(counts: dict, p: int, C: float = BAND_CONSTANT, nmax: int = 64)
         elif cnt == 1:
             local = {0}  # decisive for cones: dim >= 1 forces >= q points
         else:
-            local = {d for d in range(0, nmax + 1) if q ** d / C <= cnt <= C * q ** d}
+            local = {d for d in range(0, nmax + 1) if q ** d / BAND_CONSTANT <= cnt <= BAND_CONSTANT * q ** d}
         candidates = local if candidates is None else (candidates & local)
     if candidates is None or len(candidates) != 1:
         raise AmbiguousDimension(

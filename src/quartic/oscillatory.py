@@ -3,8 +3,8 @@
 Quadrature is tensor-product composite Simpson with oscillation-aware initial
 grids (at least four points per expected cycle of the dominant phase) and
 doubling until the requested tolerance is met.  `_refine_rows` is the one
-doubling-and-stopping rule: `_direct_gamma_table` computes I(gamma; beta) for a
-batch of gamma with it, I(z; beta) is the one-row case `osc_integral`, and
+doubling-and-stopping rule: `_direct_gamma_table` computes I(gamma) for a
+batch of gamma with it, I(z) is the one-row case `osc_integral`, and
 `integrate_1d` and both gamma rules of J(R) are one-row calls.  The Poisson
 identity check evaluates the whole family I(z; v/q) in one batched FFT on a
 uniform grid instead of one quadrature per v, which is what makes the default
@@ -17,8 +17,8 @@ keeps one table per class of `forms.block_classes` (blocks equal up to sign,
 with equal weights) across doublings; each table lives for one call of J.
 A large batch of `_direct_gamma_table` rows takes cos and sin once per
 distinct |F| on its grid when many values repeat.  A one-variable table fills its phases
-with the cos and sin of the real angles (`_phase_table`): bit for bit the complex
-exp of the recorded J reprs, in half its time.  The sine kernel
+with the cos and sin of the real angles (`_phase_table`), about 2^20 cells a pass:
+bit for bit the complex exp of the recorded J reprs, in half its time.  The sine kernel
 (`singular_integral_sine`) keeps a loop of its own, the independent reference J is checked against;
 each doubling evaluates F and the kernel on its new cells only; `_phase_sum`, `gen_sum`'s phase tail, serves verify too.
 """
@@ -40,10 +40,11 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expsums import _twisted_table, complete_sum
-from .forms import CubicData, IntPolynomial, _abs_bound, _grid_points, block_classes, blocks, grid_values
+from .forms import CubicData, IntPolynomial, _abs_bound, block_classes, blocks, grid_values
 from .weights import WeightSpec, lattice_ranges
 
 TWO_PI = 2.0 * math.pi
+MAX_REFINEMENTS = 12  # doublings of a quadrature grid before ToleranceNotMet
 
 
 @dataclass
@@ -52,7 +53,6 @@ class QuadratureConfig:
     base_points: int = 64
     max_points_1d: int = 1 << 18
     max_cells: int = 1 << 24
-    max_refinements: int = 12
 
     def within(self, budget: int) -> "QuadratureConfig":
         """This config with no grid of more than `budget` cells or points per axis."""
@@ -207,7 +207,7 @@ def _refine_rows(starts, values, too_big, cfg: QuadratureConfig) -> np.ndarray:
     while grid:
         Ns = min(grid.values(), key=math.prod)
         rows = [j for j, g in grid.items() if g == Ns]
-        if any(steps[j] == cfg.max_refinements for j in rows):
+        if any(steps[j] == MAX_REFINEMENTS for j in rows):
             raise ToleranceNotMet("refinement limit reached")
         if too_big(Ns):
             raise ToleranceNotMet(f"grid {Ns} exceeded the cell budget before converging")
@@ -227,25 +227,24 @@ def _block_weight(w: WeightSpec, vars_) -> WeightSpec:
     return replace(w, n=len(vars_), x0=tuple(w.x0[i] for i in vars_) if w.x0 else ())
 
 
-def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig, beta=None):
-    """I(gamma; beta) = integral of w(x) e(gamma F(x) - beta.x) dx for every gamma in one batched pass.
+def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg: QuadratureConfig):
+    """I(gamma) = integral of w(x) e(gamma F(x)) dx for every gamma in one batched pass.
 
     `osc_integral` is the one-row case.  For a separable w and two or more blocks
     of F = c + sum_b G_b(x_b) (`forms.blocks`), I = e(gamma c) prod_b I_b with I_b
     this table of G_b over its own variables.  Otherwise row gamma starts on one
     grid over every variable (n <= 3) with at least four points per expected cycle
-    of gamma F - beta.x, and `_refine_rows` doubles it until it meets
-    cfg.tolerance.  The gammas on one grid share the F values and the weight times
-    the Simpson weights (times e(-beta.x) for a nonzero beta).  A grid of two or
-    more axes drops its cells of zero weight and is capped at cfg.max_cells; a
-    one-axis grid keeps them and is capped at cfg.max_points_1d.
+    of gamma F, and `_refine_rows` doubles it until it meets cfg.tolerance.  The
+    gammas on one grid share the F values and the weight times the Simpson
+    weights.  A grid of two or more axes drops its cells of zero weight and is
+    capped at cfg.max_cells; a one-axis grid keeps them and is capped at
+    cfg.max_points_1d.
     """
-    beta = np.zeros(F.n) if beta is None else np.asarray(beta, dtype=float)
     const, parts = blocks(F)
     if w.separable_factors() is not None and len(parts) > 1:
         out = np.exp(2j * np.pi * gammas * const)
         for vars_, G in parts:
-            out = out * _direct_gamma_table(G, _block_weight(w, vars_), gammas, cfg, beta[list(vars_)])
+            out = out * _direct_gamma_table(G, _block_weight(w, vars_), gammas, cfg)
         return out
     if F.n > 3:
         raise BudgetExceeded("tensor-grid quadrature supports n <= 3 variables per block")
@@ -256,13 +255,11 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
         grids = [np.linspace(lo, hi, N + 1) for (lo, hi), N in zip(box_phys, Ns)]
         simpson = reduce(np.multiply.outer, [_simpson_weights(lo, hi, N) for (lo, hi), N in zip(box_phys, Ns)])
         wv = (w.eval_grid(grids) * simpson).ravel()
-        if beta.any():
-            wv = wv * np.exp(-2j * np.pi * (_grid_points(grids) @ beta))
         keep = wv != 0.0 if F.n > 1 else slice(None)
         return _phase_sums(gammas[rows], grid_values(F, grids).ravel()[keep], wv[keep])
 
     starts = [
-        tuple(_start_points((abs(g) * gb[i] + abs(beta[i])) * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys))
+        tuple(_start_points(abs(g) * gb[i] * (hi - lo), cfg) for i, (lo, hi) in enumerate(box_phys))
         for g in gammas.tolist()
     ]
     if F.n == 1:
@@ -270,11 +267,11 @@ def _direct_gamma_table(F: IntPolynomial, w: WeightSpec, gammas: np.ndarray, cfg
     return _refine_rows(starts, values, lambda Ns: math.prod(N + 1 for N in Ns) > cfg.max_cells, cfg)
 
 
-def osc_integral(f: IntPolynomial, w: WeightSpec, z: float, beta, cfg: QuadratureConfig = DEFAULT_CFG) -> complex:
-    """I(z; beta) = integral of w(x) e(z f(x) - beta.x) dx, the one row gamma = z of `_direct_gamma_table`."""
-    if w.n != f.n or len(beta) != f.n:
-        raise DimensionMismatch("weight dimension or beta length != variable count")
-    return complex(_direct_gamma_table(f, w, np.array([float(z)]), cfg, beta)[0])
+def osc_integral(f: IntPolynomial, w: WeightSpec, z: float, cfg: QuadratureConfig = DEFAULT_CFG) -> complex:
+    """I(z) = integral of w(x) e(z f(x)) dx, the one row gamma = z of `_direct_gamma_table`."""
+    if w.n != f.n:
+        raise DimensionMismatch("weight dimension != variable count")
+    return complex(_direct_gamma_table(f, w, np.array([float(z)]), cfg)[0])
 
 
 # -- singular integral ------------------------------------------------------------------
@@ -333,7 +330,9 @@ def _factored_axes(F: IntPolynomial, w: WeightSpec, R: float, cfg: QuadratureCon
             xs = np.linspace(lo, hi, N + 1)
             fv = (G.evaluate([xs.astype(object)]) + np.zeros(N + 1)).astype(float)  # Python floats, as at a point
             wv = _simpson_weights(lo, hi, N) * wb.separable_factors()[0](xs)
-            table = _by_abs_gamma(lambda g, fv=fv, wv=wv: _phase_table(g, fv) @ wv)
+            step = max(1, (1 << 20) // len(fv))  # rows of about 2^20 cells a pass, as in `_phase_sums`
+            table = _by_abs_gamma(lambda g, fv=fv, wv=wv, step=step: np.concatenate(
+                [_phase_table(g[s:s + step], fv) @ wv for s in range(0, len(g), step)]))
         axes += [(vars_, sign, table) for vars_, sign, _ in members]
     return const, [(sign, table) for _, sign, table in sorted(axes, key=lambda a: a[0])]
 
@@ -391,7 +390,7 @@ def singular_integral_sine(F: IntPolynomial, w: WeightSpec, R: float, cfg: Quadr
         y *= np.pi
         y[y == 0] = np.finfo(float).eps
         return np.multiply(np.divide(np.sin(y), y, out=y), 2.0 * R, out=y)
-    for _ in range(cfg.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         if (N + 1) ** n > cfg.max_cells:  # every grid, the first one included, before it is built
             raise ToleranceNotMet("sine-kernel grid exceeded cell budget")
         grids = [np.linspace(lo, hi, N + 1) for lo, hi in box_phys]
@@ -540,7 +539,7 @@ def major_arc_model(
         raise PreconditionViolated("major arc model needs |z| <= P^-3")
     S = gen_sum(F, w, P, a=a, q=q, z=z, budget=budget)
     Saq = complete_sum(F, a, q).value
-    Iz = osc_integral(F, w, z * P ** 4, [0.0] * F.n, cfg=cfg)
+    Iz = osc_integral(F, w, z * P ** 4, cfg=cfg)
     model = q ** -n * P ** n * Saq * Iz
     diff = abs(S - model)
     return {

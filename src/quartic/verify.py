@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -33,7 +33,7 @@ class BoundReport:
     lhs: float
     rhs: float
     ratio: float
-    params: dict = field(default_factory=dict)
+    params: dict
 
     @classmethod
     def make(cls, lemma_id, lhs, rhs, params):
@@ -288,17 +288,13 @@ def _max_unit_sum(F: IntPolynomial, q: int, budget: int) -> float:
 def prime_power_bounds(kind: str, budget: int = DEFAULT_BUDGET, **kw) -> BoundReport:
     """Observed constants for the complete-sum estimates.
 
-    kind='deligne': f, p, j (j = 1 or 2); bound p^{j(n+1+s_p(f0))/2}.
+    kind='deligne': f, p, j (j = 1 or 2), s_p (that of the top form of f); bound p^{j(n+1+s_p)/2}.
     kind='birch':   F, q, sigma; bound q^{23n/24+(sigma+1)/24} for max_a |S_{a,q}|.
     kind='kge2':    F, p, k (k >= 2), sigma; bound p^{(k-1)n+sigma+1}.
     """
     if kind == "deligne":
-        f, p, j = kw["f"], kw["p"], kw["j"]
+        f, p, j, sp = kw["f"], kw["p"], kw["j"], kw["s_p"]
         n = f.n
-        f0 = f.homogeneous_part(max(f.degree, 0))
-        sp = kw.get("s_p")
-        if sp is None:
-            sp = sing_dim(f0, p)
         lhs = abs(complete_sum(f, 1, p ** j, budget=budget).value)
         rhs = float(p) ** (j * (n + 1 + sp) / 2.0)
         return BoundReport.make("deligne", lhs, rhs, {"p": p, "j": j, "s_p": sp, "n": n})

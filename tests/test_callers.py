@@ -1,5 +1,6 @@
 """Every public top-level function and class of the library has a caller, or the README names it as library API;
-every field of a public dataclass is read, or is listed with its reason."""
+every public method has a caller, every default is set by some caller and every field of a public dataclass is read,
+or each is listed with its reason.  Callers are the library, the demos and perfbench: a test is not one."""
 
 import ast
 import json
@@ -51,9 +52,7 @@ def test_the_library_api_names_existing_definitions():
 
 
 # defaulted `budget` parameters that count something other than enumeration cells
-BUDGET_ALLOWLIST = {
-    "real_point_probe": "its budget counts sign probes on the unit sphere, not cells",
-}
+BUDGET_ALLOWLIST = {}
 
 
 def test_every_budget_defaults_to_the_one_default():
@@ -93,12 +92,25 @@ def test_the_library_and_the_cli_share_a_budget(capsys):
     assert (cli["re"], cli["im"], cli["err"]) == (s.value.real, s.value.imag, s.err)
 
 
-# optional parameters that only tests set, each kept on purpose
-OPTION_ALLOWLIST = {
-    "estimate_dim.C",  # tests vary the band constant
-    "local_witness.cap",  # tests drive the lift cap
-    "major_arc_model.cfg",  # the function is kept without a caller (README Library API)
-}
+# defaulted parameters and fields that no call in the library, the demos or perfbench sets, each with its reason
+DEFAULT_ALLOWLIST = {}
+
+
+def _public_callables():
+    """(name, node, shift, callee) for each public top-level function, each public method of a public class and
+    each public class's `__init__` or `__new__`: `name` as listed, `callee` the name a call of it ends in, and
+    `shift` the arguments a call passes implicitly (self or cls)."""
+    for _, node in _public_definitions():
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0, node.name
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) or (item.name.startswith("_")
+                                                         and item.name not in ("__init__", "__new__")):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+            callee = node.name if item.name.startswith("_") else item.name
+            yield f"{node.name}.{item.name}", item, 0 if static else 1, callee
 
 
 def _optional_parameters(node: ast.FunctionDef):
@@ -116,17 +128,50 @@ def _sets(call: ast.Call, param: str, pos) -> bool:
     return pos is not None and (len(call.args) > pos or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_optional_parameter_is_set_by_some_caller():
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _unset_defaults():
+    """Defaulted parameters of public callables and defaulted fields of public dataclasses that no call sets."""
     calls = [node for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    unset = []
+    api = _library_api()
+    for name, node, shift, callee in _public_callables():
+        mine = [c for c in calls if _callee(c) == callee]
+        yield from (f"{name}.{param}" for param, pos in _optional_parameters(node)
+                    if param != "budget" and name not in api
+                    and not any(_sets(call, param, None if pos is None else pos - shift) for call in mine))
+    stored = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    replaced = [c for c in calls if _callee(c) == "replace"]
     for _, node in _public_definitions():
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        mine = [c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == node.name]
-        unset += [f"{node.name}.{param}" for param, pos in _optional_parameters(node)
-                  if param != "budget" and f"{node.name}.{param}" not in OPTION_ALLOWLIST
-                  and not any(_sets(call, param, pos) for call in mine)]
-    assert unset == []
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            mine = [c for c in calls if _callee(c) == node.name]
+            yield from (f"{node.name}.{item.target.id}" for pos, item in enumerate(fields)
+                        if item.value is not None and item.target.id not in stored
+                        and not any(_sets(call, item.target.id, pos) for call in mine)
+                        and not any(_sets(call, item.target.id, None) for call in replaced))
+
+
+def test_every_default_is_set_by_some_caller():
+    """A default that no caller changes is a constant: make it one, or list it with its reason."""
+    assert sorted(_unset_defaults()) == sorted(DEFAULT_ALLOWLIST)
+
+
+# public methods that no code calls, each kept on purpose
+METHOD_ALLOWLIST = {
+    "SymTensor.trilinear": "the exact reference `contract` is checked against",
+}
+
+
+def test_every_public_method_has_a_caller():
+    """A public method is called as `obj.method` (or read, for a property) outside its own body, or listed."""
+    everywhere = Counter(node.attr for tree in TREES.values() for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute))
+    uncalled = [name for name, node, _, callee in _public_callables() if "." in name and callee == node.name
+                and everywhere[callee] == sum(isinstance(n, ast.Attribute) and n.attr == callee for n in ast.walk(node))]
+    assert sorted(uncalled) == sorted(METHOD_ALLOWLIST)
 
 
 # fields of public dataclasses that no code reads as `.field`, each kept because it says how a result was made

@@ -66,11 +66,18 @@ class TestDirichlet:
         for _ in range(400):
             Q = rng.randint(1, 80)
             alpha = Fraction(rng.randint(0, 500), rng.randint(1, 500))
-            assert dirichlet_approx(alpha, Q).check(Q)
+            assert _is_dirichlet_approx(dirichlet_approx(alpha, Q), Q)
 
     def test_float_input(self):
         ra = dirichlet_approx(math.pi % 1, 100)
-        assert ra.check(100) and ra.q == 7  # 1/7 is the classic convergent
+        assert _is_dirichlet_approx(ra, 100) and ra.q == 7  # 1/7 is the classic convergent
+
+
+
+def _is_dirichlet_approx(ra, Q: int) -> bool:
+    """alpha = a/q + z mod 1 with 1 <= a <= q <= Q, gcd(a, q) = 1 and |z| <= 1/(qQ)."""
+    ok = 1 <= ra.a <= ra.q <= Q and math.gcd(ra.a, ra.q) == 1 and abs(ra.z) * ra.q * Q <= 1
+    return ok and (ra.alpha - (Fraction(ra.a, ra.q) + ra.z)).denominator == 1
 
 
 class TestArcs:
@@ -218,7 +225,8 @@ class TestLocalSolubility:
             return values_at(G, coords, modulus)
 
         monkeypatch.setattr(circle, "_values_at", recording)
-        local_witness(F, p, cap=cap)
+        monkeypatch.setattr(circle, "LIFT_CAP", cap)
+        local_witness(F, p)
         X = np.argwhere(grid_values(F, [np.arange(p)] * 4, modulus=p).T == 0)[: 10 * cap, ::-1]
         X = X[X.any(axis=1)]
         # level 1 is read slab by slab up to its witness, or whole before level 2: either way a prefix of X first
@@ -289,12 +297,13 @@ class TestPipeline:
 
 
 class TestInsolubleAt2:
-    def test_posdef_diag_quartic_has_no_2adic_point(self):
+    def test_posdef_diag_quartic_has_no_2adic_point(self, monkeypatch):
         # odd fourth powers are 1 mod 16, so a primitive zero of
         # x1^4+..+x4^4 would force k = 0 mod 16 with 1 <= k <= 4
         F = parse_form("x1^4 + x2^4 + x3^4 + x4^4")
+        monkeypatch.setattr(circle, "LIFT_CAP", 2000)
         with pytest.raises(Inconclusive):
-            local_witness(F, 2, k_max=3, cap=2000)
+            local_witness(F, 2, k_max=3)
         rep = hasse_report(F, p_max=3, k_max=3)
         assert rep["primes"][2]["soluble"] is None
         assert rep["everywhere_locally_soluble"] is False
@@ -364,7 +373,7 @@ class TestBulkDraws:
             seen.add(x)
             if F.evaluate(list(x)) % p == 0:
                 expect.append(x)
-        assert _sampled_zeros(F, p, rng) == expect
+        assert _sampled_zeros(F, p, rng, 60 * p) == expect
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("src, p", [("4*x1^4 + 9*x2^4 - 8*x3^4 - 8*x4^4", 23), ("2*x1^4 + 2*x2^4", 2)])
@@ -373,7 +382,7 @@ class TestBulkDraws:
         F = parse_form(src)
         for seed in (1, 2, 7):
             head = _sampled_zeros(F, p, random.Random(seed), 8 * p)
-            assert head == _sampled_zeros(F, p, random.Random(seed))[: len(head)]
+            assert head == _sampled_zeros(F, p, random.Random(seed), 60 * p)[: len(head)]
 
     def test_sampled_zeros_past_int64_rows(self):
         # 601^7 >= 2^63: no row fits one int64 key; 60 * 601 draws of 7 coordinates, few of them repeats
@@ -388,18 +397,19 @@ class TestBulkDraws:
             seen.add(x)
             if F.evaluate(list(x)) % p == 0:
                 expect.append(x)
-        assert _sampled_zeros(F, p, rng) == expect
+        assert _sampled_zeros(F, p, rng, 60 * p) == expect
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("seed", [1, 2, 5, 2 ** 40 + 3])
-    @pytest.mark.parametrize("budget", [3, 4, 5, 8, 999, 2000])
-    def test_drawn_probes_are_the_gauss_stream(self, monkeypatch, seed, budget):
+    @pytest.mark.parametrize("probes", [3, 4, 5, 8, 999, 2000])
+    def test_drawn_probes_are_the_gauss_stream(self, monkeypatch, seed, probes):
         # definite, so every probe past the unit vectors is drawn; n = 3 leaves a Gaussian pending after odd counts
         F, seen, evaluate = parse_form("x1^4 + x2^4 + x3^4"), [], IntPolynomial.evaluate
         monkeypatch.setattr(IntPolynomial, "evaluate", lambda G, x: seen.append(np.column_stack(x)) or evaluate(G, x))
-        assert real_point_probe(F, budget=budget, seed=seed) == (False, None)
+        monkeypatch.setattr(circle, "PROBES", probes)
+        assert real_point_probe(F, seed=seed) == (False, None)
         rng, expect = random.Random(seed), []
-        for _ in range(budget - F.n):
+        for _ in range(probes - F.n):
             v = [rng.gauss(0, 1) for _ in range(F.n)]
             norm = math.sqrt(sum(t * t for t in v))
             expect.append([t / norm for t in v])
@@ -474,7 +484,7 @@ def _local_witness_oracle(F, p, k_max=12, cap=20000, seed=1, budget=DEFAULT_BUDG
         zeros = np.argwhere(vals == 0)[: 10 * cap, ::-1].tolist()
         level = [tuple(x) for x in zeros if any(x)]
     else:
-        level = _sampled_zeros(F, p, rng)
+        level = _sampled_zeros(F, p, rng, 60 * p)
     gradient = F.gradient()
     for k in range(1, k_max + 1):
         for x in level:
@@ -521,7 +531,7 @@ def _local_witness_oracle(F, p, k_max=12, cap=20000, seed=1, budget=DEFAULT_BUDG
     raise Inconclusive(f"no Hensel witness mod {p} within k <= {k_max}")
 
 
-def _real_point_probe_oracle(F, budget=2000, seed=1):
+def _real_point_probe_oracle(F, count=2000, seed=1):
     """The probe that evaluates F at one point at a time, as it was before the batched evaluation."""
     n = F.n
     rng = random.Random(seed)
@@ -530,7 +540,7 @@ def _real_point_probe_oracle(F, budget=2000, seed=1):
         e = [0.0] * n
         e[i] = 1.0
         probes.append(tuple(e))
-    while len(probes) < budget:
+    while len(probes) < count:
         v = [rng.gauss(0, 1) for _ in range(n)]
         norm = math.sqrt(sum(t * t for t in v))
         probes.append(tuple(t / norm for t in v))
@@ -600,21 +610,24 @@ class TestAgainstOracles:
             assert new[0] == "Inconclusive" or all(type(xi) is int for xi in new[0])
 
     @pytest.mark.parametrize("p", [41, 43])
-    def test_local_witness_past_int64(self, p):
+    def test_local_witness_past_int64(self, p, monkeypatch):
         # x1^2 - 4 p^22 x2^2: the first witness, x1 = 2 p^11 x2, is found at level 12, whose rows pass 2^63
         F = IntPolynomial(2, {(2, 0): 1, (0, 2): -4 * p ** 22})
-        new = local_witness(F, p, k_max=13, cap=2000, seed=3)
+        monkeypatch.setattr(circle, "LIFT_CAP", 2000)
+        new = local_witness(F, p, k_max=13, seed=3)
         assert new == _local_witness_oracle(F, p, k_max=13, cap=2000, seed=3) and new[1] == 12
         assert all(type(xi) is int for xi in new[0])
         F3 = IntPolynomial(3, {(2, 0, 0): 1, (0, 2, 0): -4 * p ** 22})  # 64 seeded d a row past the p^2 grid
-        assert _outcome(local_witness, F3, p, k_max=13, cap=500, seed=3) == _outcome(
+        monkeypatch.setattr(circle, "LIFT_CAP", 500)
+        assert _outcome(local_witness, F3, p, k_max=13, seed=3) == _outcome(
             _local_witness_oracle, F3, p, k_max=13, cap=500, seed=3)
 
-    @pytest.mark.parametrize("budget", [2000, 50, 3])
-    def test_real_point_probe(self, budget):
+    @pytest.mark.parametrize("probes", [2000, 50, 3])
+    def test_real_point_probe(self, probes, monkeypatch):
+        monkeypatch.setattr(circle, "PROBES", probes)
         for F, seed in product(PROBE_FORMS, (1, 2)):
-            new = real_point_probe(F, budget=budget, seed=seed)
-            assert new == _real_point_probe_oracle(F, budget=budget, seed=seed)
+            new = real_point_probe(F, seed=seed)
+            assert new == _real_point_probe_oracle(F, count=probes, seed=seed)
             assert new[1] is None or all(type(t) is float for t in new[1])
 
     def test_real_probe_stops_bisecting_at_its_fixed_point(self, monkeypatch):

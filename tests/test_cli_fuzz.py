@@ -70,6 +70,7 @@ CASES = [_with(BASE[cmd], flag, value) for cmd, flags in FLAGS.items() for flag,
 CASES += [BASE["geometry"][:3] + ops for ops in GEOMETRY]
 CASES += [["expsum", "--form-text", "x1^4", "--q", "5", "--units", "--v", v] for v in ("1,2", "")]
 CASES += [["verify", lemma, "--trials", "1"] for lemma in ("davenport", "vdc", "weyl", "deligne", "cubic-sum")]
+CASES += [_with(BASE["count"] + ["--projective"], "--P", value) for value in FLOATS]
 REFUSED = [_with(BASE["expsum"], "--v", ""), BASE["expsum"] + ["--v", ""]]  # an empty --v is refused, not dropped
 CASES += REFUSED[1:]
 

@@ -717,7 +717,6 @@ class TestAuxiliaryCounts:
             (1, "N", {"P": 3}),
             (1, "S", {"R": 2, "Q": 5}),
             (2, "N", {"P": 2}),
-            (2, "N", {"P": 3, "c": 0.5}),
             (2, "S", {"R": 1, "Q": 3}),
             (3, "S", {"R": 1, "Q": 4}),
         ],
@@ -781,7 +780,7 @@ def _auxiliary_oracle(F, kind, alpha, **params):
     T = sym_tensor(F)
     n = F.n
     if kind == "N":
-        R = int(math.floor(params.get("c", 1.0) * params["P"]))
+        R = int(params["P"])
         thresh = Fraction(1, int(params["P"]))
     else:
         R = int(params["R"])

@@ -325,19 +325,34 @@ class TestSplitMultiplicative:
             assert rep["residual"] <= 1e-6 * rep["scale"]
 
 
+
+def _factor_bcd(q):
+    """factor_bcd(q) with every s_p = -1, so r_0 is all of bd."""
+    return factor_bcd(q, dict.fromkeys(factorint(q), -1), 0)
+
+
+def _is_bcd(mf) -> bool:
+    """q = b c^2 d with gcd(b, c^2 d) = 1 and d | c, and a least divisor d0 of d with c/(d d0) square-full."""
+    ok = mf.q == mf.b * mf.c ** 2 * mf.d and math.gcd(mf.b, mf.c ** 2 * mf.d) == 1 and mf.c % mf.d == 0
+    cd = mf.c // mf.d
+    d0 = math.prod(p for p in factorint(mf.d) if cd % p == 0 and cd % (p * p) != 0)
+    squarefull = all(e >= 2 for e in factorint(cd // d0).values())
+    return ok and mf.d % d0 == 0 and squarefull and math.prod(mf.r_i) == mf.b * mf.d
+
+
 class TestFactorBCD:
     @pytest.mark.parametrize(
         "q,b,c,d",
         [(72, 9, 2, 2), (32, 1, 4, 2), (16, 1, 4, 1), (1, 1, 1, 1), (360, 45, 2, 2)],
     )
     def test_examples(self, q, b, c, d):
-        mf = factor_bcd(q)
+        mf = _factor_bcd(q)
         assert (mf.b, mf.c, mf.d) == (b, c, d)
-        assert mf.verify()
+        assert _is_bcd(mf)
 
     def test_sweep(self):
         for q in range(1, 20001):
-            mf = factor_bcd(q)
+            mf = _factor_bcd(q)
             assert mf.q == mf.b * mf.c ** 2 * mf.d
             assert mf.c % mf.d == 0
         # full invariant check on every q <= 10^6 via a smallest-prime sieve
@@ -373,7 +388,7 @@ class TestFactorBCD:
         rng = random.Random(8)
         for _ in range(500):
             q = rng.randint(20001, 1_000_000)
-            assert factor_bcd(q).verify()
+            assert _is_bcd(_factor_bcd(q))
 
     def test_classified_tables(self):
         mf = factor_bcd(72, s_map={2: 0, 3: -1}, n=3)

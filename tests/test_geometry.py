@@ -272,14 +272,16 @@ class TestDimEstimate:
         assert estimate_dim({1: 0}, 3) == -1
         assert estimate_dim({1: 1}, 3) == 0
 
-    def test_ambiguous(self):
+    def test_ambiguous(self, monkeypatch):
         # a count straddling two bands with no second extension degree
+        monkeypatch.setattr(geometry, "BAND_CONSTANT", 2.0)
         with pytest.raises(AmbiguousDimension):
-            estimate_dim({1: 5}, 3, C=2.0)
+            estimate_dim({1: 5}, 3)
 
-    def test_two_degrees_pin_dimension(self):
+    def test_two_degrees_pin_dimension(self, monkeypatch):
         # the k=2 count removes the ambiguity the k=1 count leaves behind
-        assert estimate_dim({1: 12, 2: 100}, 3, C=2.0) == 2
+        monkeypatch.setattr(geometry, "BAND_CONSTANT", 2.0)
+        assert estimate_dim({1: 12, 2: 100}, 3) == 2
 
     def test_inconsistent(self):
         with pytest.raises(AmbiguousDimension):

@@ -371,7 +371,7 @@ class TestPrimePowerBounds:
     def test_constant_mod_p(self):
         # f with top part vanishing mod p: convention s_p = n-1 makes ratio <= 1
         f = parse_form("7*x1^3 + x1")
-        rep = prime_power_bounds("deligne", f=f, p=7, j=1)
+        rep = prime_power_bounds("deligne", f=f, p=7, j=1, s_p=geometry.sing_dim(f.homogeneous_part(3), 7))
         assert rep.params["s_p"] == 0  # n - 1 for n = 1
         assert rep.ratio <= 1.0 + 1e-12
 
